@@ -16,11 +16,17 @@ outcome of the PREVIOUS action.  A terminal observation still yields an
 action (callers usually discard it and reset), but no new pending transition,
 so episodes never bleed into each other.  Any exception inside a cycle rolls
 the whole agent back to its pre-cycle state.
+
+Everything an agent holds beyond its config is listed once, in ``_STATE``;
+rollback capture and snapshot/restore are both driven by that table.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from contextlib import contextmanager
+from dataclasses import asdict, dataclass, replace
+from operator import attrgetter
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -110,6 +116,174 @@ def _unit_name(k):
     return f"unit{k}"
 
 
+# ------------------------------------------------------------ state table
+
+
+class _Part(NamedTuple):
+    """One piece of agent state and the snapshot entries that hold it.
+
+    ``take(agent)`` captures it by reference.  Cycles replace arrays and
+    circuits rather than writing into them, so only containers they mutate in
+    place (lists, dicts, deques) get a shallow copy.  ``put(agent, value)``
+    writes a captured or loaded value back.  ``dump(value)`` returns its
+    snapshot entries by name (arrays become array entries, anything else JSON
+    metadata); ``load(agent, entries)`` reads them back for a freshly built
+    ``agent``.
+    """
+
+    take: Callable
+    put: Callable
+    dump: Callable
+    load: Callable
+
+
+def _attr(path, copy=None):
+    """(take, put) for the attribute at dotted ``path``; ``copy`` makes the
+    capture of a container that is mutated in place."""
+    get = attrgetter(path)
+    owner, _, name = path.rpartition(".")
+    owner = attrgetter(owner) if owner else (lambda agent: agent)
+    take = get if copy is None else (lambda agent: copy(get(agent)))
+    return take, lambda agent, value: setattr(owner(agent), name, value)
+
+
+def _refill(path):
+    """(take, put) for a bounded deque owned for life: captured as a tuple,
+    put back by refilling it in place so its maxlen stays."""
+    get = attrgetter(path)
+
+    def put(agent, value):
+        dq = get(agent)
+        if dq is not None:  # no replay deque at replay_capacity 0
+            dq.clear()
+            dq.extend(value)
+
+    return (lambda agent: tuple(get(agent) or ())), put
+
+
+def _one(path, key, out=None, back=None, copy=None):
+    """A part kept as the single entry ``key``; ``out``/``back`` convert a
+    value other than None to and from its stored form."""
+
+    def dump(value):
+        return {key: value if out is None or value is None else out(value)}
+
+    def load(agent, entries):
+        value = entries[key]
+        return value if back is None or value is None else back(value)
+
+    return _Part(*_attr(path, copy), dump, load)
+
+
+def _circuit(path, prefix):
+    """A circuit kept as ``<prefix>/W<ell>`` and ``<prefix>/E<ell>`` arrays;
+    its structure comes from the rebuilt agent."""
+    get = attrgetter(path)
+
+    def dump(c):
+        return {f"{prefix}/{m}{ell}": getattr(c, m)[ell]
+                for ell in range(1, c.L + 1) for m in "WE"}
+
+    def load(agent, entries):
+        c = get(agent)
+        layers = range(1, c.L + 1)
+        return replace(c, W=c.W[:1] + [entries[f"{prefix}/W{ell}"] for ell in layers],
+                       E=c.E[:1] + [entries[f"{prefix}/E{ell}"] for ell in layers])
+
+    return _Part(*_attr(path), dump, load)
+
+
+_REPLAY = ("replay/s", "replay/a", "replay/r", "replay/s_next", "replay/done")
+
+
+def _dump_replay(entries):
+    if not entries:
+        return {}
+    s, a, r, s_next, done = zip(*entries)
+    return dict(zip(_REPLAY, (np.stack(s), np.array(a, dtype=float), np.array(r),
+                              np.stack(s_next), np.array(done, dtype=float))))
+
+
+def _load_replay(agent, entries):
+    if "replay/a" not in entries:
+        return ()
+    return tuple((s, int(a), float(r), s_next, bool(done))
+                 for s, a, r, s_next, done in zip(*(entries[k] for k in _REPLAY)))
+
+
+def _load_masks(agent, entries):
+    layers = sorted(agent.gate.layer_widths)
+    return [{layer: entries[f"gate/mask/{k}/{layer}"] for layer in layers}
+            for k in range(len(entries["gate/usage"]))]
+
+
+def _dump_dm(dm):
+    return {**{f"dm/trace/{n}": trace for n, trace in dm.traces.items()},
+            "dm/trace_names": list(dm.traces),
+            "dm/store_count": {n: int(c) for n, c in dm.store_count.items()}}
+
+
+def _load_dm(agent, entries):
+    traces = {n: entries[f"dm/trace/{n}"] for n in entries["dm/trace_names"]}
+    return replace(agent.dm, traces=traces, store_count=dict(entries["dm/store_count"]))
+
+
+def _load_lexicon(agent, entries):
+    for name in entries["lexicon/names"]:
+        agent.lexicon.add(name)
+    return agent.lexicon
+
+
+def _dump_pending(pending):
+    if pending is None:
+        return {"pending/a": None}
+    return {"pending/s": pending[0], "pending/a": int(pending[1])}
+
+
+# Every piece of state an agent holds beyond its config.  The lexicon grows
+# only in set_goal, never inside a cycle, so capturing it by reference is a
+# full rollback.
+_STATE = (
+    _circuit("sensory", "sensory"),
+    _circuit("motor.circuit", "motor"),
+    _one("motor.rng.bit_generator.state", "motor/rng_state"),
+    _Part(*_refill("motor.replay"), _dump_replay, _load_replay),
+    _Part(*_attr("gate.prototypes", list),
+          lambda protos: {f"gate/prototype/{k}": w for k, w in enumerate(protos)},
+          lambda agent, e: [e[f"gate/prototype/{k}"] for k in range(len(e["gate/usage"]))]),
+    _Part(*_attr("gate.masks", list),
+          lambda masks: {f"gate/mask/{k}/{layer}": g
+                         for k, mask in enumerate(masks) for layer, g in mask.items()},
+          _load_masks),
+    _one("gate.usage", "gate/usage", copy=list, out=lambda u: [int(n) for n in u]),
+    _one("gate.routing", "gate/routing", copy=list,
+         out=lambda rs: [asdict(r) for r in rs],
+         back=lambda rs: [RoutingDirective(**r) for r in rs]),
+    _one("gate.saturated", "gate/saturated", out=bool),
+    _one("gate.rng.bit_generator.state", "gate/rng_state"),
+    _Part(*_attr("dm"), _dump_dm, _load_dm),
+    _Part(*_attr("lexicon"), lambda lex: {"lexicon/names": lex.names()}, _load_lexicon),
+    _Part(*_attr("state.buffers", dict),
+          lambda bufs: {f"buffer/{n}": bufs[n] for n in BUFFER_NAMES},
+          lambda agent, e: {n: e[f"buffer/{n}"] for n in BUFFER_NAMES}),
+    _Part(*_attr("state.wm"),
+          lambda wm: {"wm/m": wm.m, "wm/position": int(wm.position)},
+          lambda agent, e: replace(agent.state.wm, m=e["wm/m"], position=e["wm/position"])),
+    _one("state.last_action", "last_action", out=int),
+    _one("state.step", "step", out=int),
+    _Part(*_refill("tracker._buf"),
+          lambda window: {"ctx/window": np.stack(window)} if window else {},
+          lambda agent, e: tuple(e.get("ctx/window", ()))),
+    _Part(*_attr("pending"), _dump_pending,
+          lambda agent, e: None if e["pending/a"] is None else (e["pending/s"], e["pending/a"])),
+    _one("prev_winner", "prev_winner"),
+    _one("last_winner", "last_winner"),
+    _one("last_energy", "last_energy", out=float),
+    _one("bridge1", "bridge1"),
+    _one("bridge2", "bridge2"),
+)
+
+
 class Agent:
     """Common-model agent wiring sensory, gate, memory, and motor modules."""
 
@@ -197,9 +371,8 @@ class Agent:
         n = np.linalg.norm(v)
         return v / n if n > 0 else v
 
-    def _motor_state(self):
-        b = self.state.buffers
-        cat = np.concatenate([b["perception"], b["retrieval"], self.state.wm.m])
+    def _motor_state(self, perception):
+        cat = np.concatenate([perception, self.state.buffers["retrieval"], self.state.wm.m])
         s = self.bridge2 @ cat
         n = np.linalg.norm(s)
         return s / n if n > 0 else s
@@ -256,57 +429,19 @@ class Agent:
             if n > 0:
                 self.state.buffers["retrieval"] = blend / n
 
-    def _capture(self):
-        return {
-            "sensory": self.sensory,
-            "motor_circuit": self.motor.circuit,
-            "motor_rng": self.motor.rng.bit_generator.state,
-            "motor_replay": tuple(self.motor.replay) if self.motor.replay is not None else None,
-            "gate_prototypes": list(self.gate.prototypes),
-            "gate_masks": list(self.gate.masks),
-            "gate_usage": list(self.gate.usage),
-            "gate_routing": [
-                RoutingDirective(r.wm_encode_on, r.dm_store_on, r.dm_retrieve_on)
-                for r in self.gate.routing
-            ],
-            "gate_saturated": self.gate.saturated,
-            "gate_rng": self.gate.rng.bit_generator.state,
-            "dm": self.dm,
-            "buffers": dict(self.state.buffers),
-            "wm": self.state.wm,
-            "last_action": self.state.last_action,
-            "step": self.state.step,
-            "tracker": tuple(self.tracker._buf),
-            "pending": self.pending,
-            "prev_winner": self.prev_winner,
-            "last_winner": self.last_winner,
-            "last_energy": self.last_energy,
-        }
-
     def _rollback(self, cap):
-        self.sensory = cap["sensory"]
-        self.motor.circuit = cap["motor_circuit"]
-        self.motor.rng.bit_generator.state = cap["motor_rng"]
-        if cap["motor_replay"] is not None:
-            self.motor.replay.clear()
-            self.motor.replay.extend(cap["motor_replay"])
-        self.gate.prototypes = cap["gate_prototypes"]
-        self.gate.masks = cap["gate_masks"]
-        self.gate.usage = cap["gate_usage"]
-        self.gate.routing = cap["gate_routing"]
-        self.gate.saturated = cap["gate_saturated"]
-        self.gate.rng.bit_generator.state = cap["gate_rng"]
-        self.dm = cap["dm"]
-        self.state.buffers = cap["buffers"]
-        self.state.wm = cap["wm"]
-        self.state.last_action = cap["last_action"]
-        self.state.step = cap["step"]
-        self.tracker._buf.clear()
-        self.tracker._buf.extend(cap["tracker"])
-        self.pending = cap["pending"]
-        self.prev_winner = cap["prev_winner"]
-        self.last_winner = cap["last_winner"]
-        self.last_energy = cap["last_energy"]
+        for part, value in zip(_STATE, cap):
+            part.put(self, value)
+
+    @contextmanager
+    def _atomic(self):
+        """Roll the whole agent back if the block raises."""
+        cap = [part.take(self) for part in _STATE]
+        try:
+            yield
+        except Exception:
+            self._rollback(cap)
+            raise
 
     def cycle(self, obs, r_env=0.0, done=False):
         """One full cognitive cycle; returns the chosen action.
@@ -315,23 +450,14 @@ class Agent:
         action and complete its pending transition before a new action is
         chosen.  On any component failure the agent state is rolled back.
         """
-        cap = self._capture()
-        try:
+        with self._atomic():
             self.perceive(obs)
             self._route(self.last_winner)
-            s = self._motor_state()
+            s = self._motor_state(self.state.buffers["perception"])
             q = self.motor.q_values(s)
-            eps = epsilon_at(
-                self.state.step,
-                self.config.horizon,
-                self.config.eps_start,
-                self.config.eps_end,
-                self.config.eps_decay_frac,
-            )
-            if eps > 0.0 and self.motor.rng.random() < eps:
-                action = int(self.motor.rng.integers(self.config.n_actions))
-            else:
-                action = greedy_action(q)
+            c = self.config
+            eps = epsilon_at(self.state.step, c.horizon, c.eps_start, c.eps_end, c.eps_decay_frac)
+            action = self.motor.act(q, eps)
             if self.pending is not None:
                 s_prev, a_prev = self.pending
                 self.motor.learn(
@@ -343,46 +469,35 @@ class Agent:
             self.state.last_action = action
             self.state.step += 1
             return action
-        except Exception:
-            self._rollback(cap)
-            raise
 
     def supervised_step(self, obs, targets):
         """Cycle variant for a supervised readout: perceive and route as
         usual, then regress the motor head onto ``targets`` instead of
         running the reward loop.  Returns the greedy action for the
         freshly regressed head."""
-        cap = self._capture()
-        try:
+        with self._atomic():
             self.perceive(obs)
             self._route(self.last_winner)
-            s = self._motor_state()
+            s = self._motor_state(self.state.buffers["perception"])
             self.motor.regress(s, targets)
             q = self.motor.q_values(s)
             action = greedy_action(q)
             self.state.last_action = action
             self.state.step += 1
             return action
-        except Exception:
-            self._rollback(cap)
-            raise
 
     def finish(self, r_env, done=True):
         """Flush the pending transition when a stream ends without a
         successor observation."""
         if self.pending is None:
             return
-        cap = self._capture()
-        try:
+        with self._atomic():
             s_prev, a_prev = self.pending
             self.motor.learn(
                 Transition(s=s_prev, a=a_prev, r_env=r_env, s_next=s_prev, done=done),
                 sensory_energy=self.last_energy,
             )
             self.pending = None
-        except Exception:
-            self._rollback(cap)
-            raise
 
     def probe(self, obs, context=None):
         """Evaluation-only readout: no learning, no recruitment, no buffer
@@ -393,13 +508,7 @@ class Agent:
         ctx = np.asarray(context, dtype=float) if context is not None else self.tracker.context()
         winner, _ = self.gate.match(ctx)
         settled = ngc.settle(self.sensory, clamps={0: obs}, mask=self.gate.mask_for(winner))
-        perception = self._project_perception(self._latent(settled))
-        b = self.state.buffers
-        cat = np.concatenate([perception, b["retrieval"], self.state.wm.m])
-        s = self.bridge2 @ cat
-        n = np.linalg.norm(s)
-        if n > 0:
-            s = s / n
+        s = self._motor_state(self._project_perception(self._latent(settled)))
         q = self.motor.q_values(s)
         return greedy_action(q), q, winner
 
@@ -413,128 +522,19 @@ class Agent:
 
     def snapshot(self):
         """Serialize every parameter, buffer, counter, and RNG state."""
-        arrays = {
-            "bridge1": self.bridge1,
-            "bridge2": self.bridge2,
-            "wm/m": self.state.wm.m,
-        }
-        for name in BUFFER_NAMES:
-            arrays[f"buffer/{name}"] = self.state.buffers[name]
-        for ell in range(1, self.sensory.L + 1):
-            arrays[f"sensory/W{ell}"] = self.sensory.W[ell]
-            arrays[f"sensory/E{ell}"] = self.sensory.E[ell]
-        mc = self.motor.circuit
-        for ell in range(1, mc.L + 1):
-            arrays[f"motor/W{ell}"] = mc.W[ell]
-            arrays[f"motor/E{ell}"] = mc.E[ell]
-        for k, proto in enumerate(self.gate.prototypes):
-            arrays[f"gate/prototype/{k}"] = proto
-            for layer, g in self.gate.masks[k].items():
-                arrays[f"gate/mask/{k}/{layer}"] = g
-        for name, trace in self.dm.traces.items():
-            arrays[f"dm/trace/{name}"] = trace
-        if len(self.tracker):
-            arrays["ctx/window"] = np.stack(list(self.tracker._buf))
-        if self.pending is not None:
-            arrays["pending/s"] = self.pending[0]
-        if self.motor.replay:
-            entries = list(self.motor.replay)
-            arrays["replay/s"] = np.stack([e[0] for e in entries])
-            arrays["replay/a"] = np.array([e[1] for e in entries], dtype=float)
-            arrays["replay/r"] = np.array([e[2] for e in entries])
-            arrays["replay/s_next"] = np.stack([e[3] for e in entries])
-            arrays["replay/done"] = np.array([1.0 if e[4] else 0.0 for e in entries])
-        meta = {
-            "config": asdict(self.config),
-            "step": int(self.state.step),
-            "last_action": None
-            if self.state.last_action is None
-            else int(self.state.last_action),
-            "wm/position": int(self.state.wm.position),
-            "gate/usage": [int(u) for u in self.gate.usage],
-            "gate/saturated": bool(self.gate.saturated),
-            "gate/routing": [
-                {
-                    "wm_encode_on": r.wm_encode_on,
-                    "dm_store_on": r.dm_store_on,
-                    "dm_retrieve_on": r.dm_retrieve_on,
-                }
-                for r in self.gate.routing
-            ],
-            "gate/rng_state": self.gate.rng.bit_generator.state,
-            "motor/rng_state": self.motor.rng.bit_generator.state,
-            "dm/store_count": {k: int(v) for k, v in self.dm.store_count.items()},
-            "dm/trace_names": list(self.dm.traces),
-            "lexicon/names": self.lexicon.names(),
-            "pending/a": None if self.pending is None else int(self.pending[1]),
-            "prev_winner": self.prev_winner,
-            "last_winner": self.last_winner,
-            "last_energy": float(self.last_energy),
-        }
+        entries = {"config": asdict(self.config)}
+        for part in _STATE:
+            entries.update(part.dump(part.take(self)))
+        arrays = {k: v for k, v in entries.items() if isinstance(v, np.ndarray)}
+        meta = {k: v for k, v in entries.items() if k not in arrays}
         return snapshot.write_snapshot(arrays, meta, seed=self.config.seed)
 
     @classmethod
     def restore(cls, data):
         """Rebuild an agent that behaves identically to the snapshotted one."""
         arrays, meta, _seed = snapshot.read_snapshot(data)
+        entries = {**arrays, **meta}
         agent = cls(AgentConfig(**meta["config"]))
-        for ell in range(1, agent.sensory.L + 1):
-            agent.sensory.W[ell] = arrays[f"sensory/W{ell}"]
-            agent.sensory.E[ell] = arrays[f"sensory/E{ell}"]
-        mc = agent.motor.circuit
-        for ell in range(1, mc.L + 1):
-            mc.W[ell] = arrays[f"motor/W{ell}"]
-            mc.E[ell] = arrays[f"motor/E{ell}"]
-        agent.bridge1 = arrays["bridge1"]
-        agent.bridge2 = arrays["bridge2"]
-        n_units = len(meta["gate/usage"])
-        agent.gate.prototypes = [arrays[f"gate/prototype/{k}"] for k in range(n_units)]
-        agent.gate.masks = [
-            {
-                layer: arrays[f"gate/mask/{k}/{layer}"]
-                for layer in sorted(agent.gate.layer_widths)
-            }
-            for k in range(n_units)
-        ]
-        agent.gate.usage = list(meta["gate/usage"])
-        agent.gate.saturated = meta["gate/saturated"]
-        agent.gate.routing = [RoutingDirective(**r) for r in meta["gate/routing"]]
-        agent.gate.rng.bit_generator.state = meta["gate/rng_state"]
-        agent.motor.rng.bit_generator.state = meta["motor/rng_state"]
-        for name in meta["lexicon/names"]:
-            agent.lexicon.add(name)
-        agent.dm = DeclarativeMemory(
-            lexicon=agent.lexicon,
-            traces={n: arrays[f"dm/trace/{n}"] for n in meta["dm/trace_names"]},
-            store_count=dict(meta["dm/store_count"]),
-        )
-        agent.state.buffers = {n: arrays[f"buffer/{n}"] for n in BUFFER_NAMES}
-        agent.state.wm = WorkingMemoryBuffer(
-            m=arrays["wm/m"],
-            rho=agent.config.wm_rho,
-            position=meta["wm/position"],
-            d=agent.config.d,
-        )
-        agent.state.last_action = meta["last_action"]
-        agent.state.step = meta["step"]
-        agent.tracker._buf.clear()
-        if "ctx/window" in arrays:
-            agent.tracker._buf.extend(arrays["ctx/window"])
-        if meta["pending/a"] is not None:
-            agent.pending = (arrays["pending/s"], meta["pending/a"])
-        if "replay/a" in arrays and agent.motor.replay is not None:
-            agent.motor.replay.clear()
-            for i in range(len(arrays["replay/a"])):
-                agent.motor.replay.append(
-                    (
-                        arrays["replay/s"][i],
-                        int(arrays["replay/a"][i]),
-                        float(arrays["replay/r"][i]),
-                        arrays["replay/s_next"][i],
-                        bool(arrays["replay/done"][i]),
-                    )
-                )
-        agent.prev_winner = meta["prev_winner"]
-        agent.last_winner = meta["last_winner"]
-        agent.last_energy = meta["last_energy"]
+        for part in _STATE:
+            part.put(agent, part.load(agent, entries))
         return agent

@@ -11,11 +11,9 @@ from __future__ import annotations
 import argparse
 import sys
 
-import numpy as np
-
 from . import runner
 from .config import load_config, resolve
-from .snapshot import read_snapshot
+from .snapshot import load_snapshot
 
 
 def _add_run_args(p, ungated=False, agent=True):
@@ -43,7 +41,8 @@ def build_parser():
     _add_run_args(c, ungated=True)
 
     r = sub.add_parser("rl", help="reinforcement-learning suites")
-    r.add_argument("--env", choices=("rps", "maze"), default="rps")
+    r.add_argument("--env", choices=("rps", "maze"), default=None,
+                   help="environment (default: the config's env key)")
     _add_run_args(r)
 
     rec = sub.add_parser("recall", help="serial-recall protocol")
@@ -74,7 +73,7 @@ def cmd_continual(args):
 
 def cmd_rl(args):
     cfg, text = _load(args)
-    if args.env == "rps":
+    if (args.env or cfg["env"]) == "rps":
         out = runner.run_rps(cfg, seed=args.seed, out=args.out,
                              agent_kind=args.agent, cfg_text=text)
         print(f"late payoff = {out['late_payoff']:.4f}")
@@ -97,8 +96,7 @@ def cmd_recall(args):
 
 
 def cmd_inspect(args):
-    with open(args.snapshot, "rb") as fh:
-        arrays, meta, seed = read_snapshot(fh.read())
+    arrays, meta, seed = load_snapshot(args.snapshot)
     print(f"snapshot seed {seed}: {len(arrays)} arrays, {len(meta)} metadata entries")
     for name in sorted(arrays):
         print(f"  {name}  array{arrays[name].shape}")

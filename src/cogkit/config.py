@@ -34,6 +34,18 @@ def _floats(text):
     return tuple(float(p) for p in text.split(","))
 
 
+def _choice(*options):
+    """Caster for a key that takes one of a fixed set of words."""
+
+    def cast(text):
+        text = text.strip()
+        if text not in options:
+            raise ValueError(f"{text!r} is not one of {', '.join(options)}")
+        return text
+
+    return cast
+
+
 def _theta(text):
     text = text.strip()
     if text == "auto":
@@ -45,7 +57,7 @@ def _theta(text):
 SCHEMA = {
     # experiment
     "seed": (int, 0),
-    "readout": (str, "rl"),
+    "readout": (_choice("rl", "supervised"), "rl"),
     "epochs": (int, 1),
     "n_tasks": (int, 2),
     "per_task_train": (int, 500),
@@ -53,7 +65,7 @@ SCHEMA = {
     "train_images": (str, ""),
     "train_labels": (str, ""),
     "synthetic_per_class": (int, 600),
-    "env": (str, "rps"),
+    "env": (_choice("rps", "maze"), "rps"),
     "rounds": (int, 2000),
     "episodes": (int, 500),
     "step_limit": (int, 50),
@@ -97,8 +109,8 @@ SCHEMA = {
     "eta_c": (float, 0.05),
     "M_max": (int, 8),
     "mask_p": (float, 0.5),
-    "mask_mode": (str, "random"),
-    "gate_metric": (str, "euclid"),
+    "mask_mode": (_choice("random", "blocks"), "random"),
+    "gate_metric": (_choice("euclid", "cosine"), "euclid"),
     "context_window": (int, 32),
     "route_wm_encode": (_bool, True),
     "route_dm_store": (_bool, True),

@@ -114,13 +114,13 @@ class MotorCircuit:
         state = ngc.settle(self.circuit, clamps={self.circuit.L: s})
         return state.mu[0].copy()
 
-    def act(self, s, epsilon):
-        """Epsilon-greedy action for state ``s``."""
+    def act(self, q, epsilon):
+        """Epsilon-greedy action over the action values ``q``."""
         if not 0.0 <= epsilon <= 1.0:
             raise ValueError(f"epsilon must be in [0, 1], got {epsilon}")
         if epsilon > 0.0 and self.rng.random() < epsilon:
             return int(self.rng.integers(self.n_actions))
-        return greedy_action(self.q_values(s))
+        return greedy_action(q)
 
     def _apply(self, s, a, r, s_next, done, q_next=None):
         if done:

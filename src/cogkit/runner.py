@@ -16,6 +16,7 @@ what the learned agent's numbers can mean.
 from __future__ import annotations
 
 import os
+from dataclasses import fields
 
 import numpy as np
 
@@ -120,53 +121,11 @@ def calibrate_theta(samples, window, factor, eta_c):
     return max(theta, 1e-9)
 
 
-def _agent_config(cfg, obs_dim, n_actions, theta, horizon, seed,
-                  ungated=False, gamma_d=None):
-    return AgentConfig(
-        obs_dim=obs_dim,
-        n_actions=n_actions,
-        d=cfg["d"],
-        seed=seed,
-        sensory_hidden=cfg["sensory_hidden"],
-        sensory_beta=cfg["sensory_beta"],
-        sensory_gamma=cfg["sensory_gamma"],
-        sensory_K=cfg["sensory_K"],
-        sensory_sigma=cfg["sensory_sigma"],
-        sensory_eta_W=cfg["sensory_eta_W"],
-        sensory_eta_E=cfg["sensory_eta_E"],
-        sensory_clip=cfg["sensory_clip"],
-        motor_hidden=cfg["motor_hidden"],
-        motor_state_dim=cfg["motor_state_dim"],
-        motor_beta=cfg["motor_beta"],
-        motor_gamma=cfg["motor_gamma"],
-        motor_K=cfg["motor_K"],
-        motor_sigma=cfg["motor_sigma"],
-        motor_eta_W=cfg["motor_eta_W"],
-        motor_eta_E=cfg["motor_eta_E"],
-        motor_clip=cfg["motor_clip"],
-        gamma_d=cfg["gamma_d"] if gamma_d is None else gamma_d,
-        alpha_e=cfg["alpha_e"],
-        r_clip=cfg["r_clip"],
-        replay_capacity=cfg["replay_capacity"],
-        replay_samples=cfg["replay_samples"],
-        theta=theta,
-        eta_c=cfg["eta_c"],
-        M_max=cfg["M_max"],
-        mask_p=1.0 if ungated else cfg["mask_p"],
-        mask_mode=cfg["mask_mode"],
-        gate_metric=cfg["gate_metric"],
-        context_window=cfg["context_window"],
-        route_wm_encode=cfg["route_wm_encode"],
-        route_dm_store=cfg["route_dm_store"],
-        route_dm_retrieve=cfg["route_dm_retrieve"],
-        wm_rho=cfg["wm_rho"],
-        dm_tau=cfg["dm_tau"],
-        dm_k=cfg["dm_k"],
-        eps_start=cfg["eps_start"],
-        eps_end=cfg["eps_end"],
-        eps_decay_frac=cfg["eps_decay_frac"],
-        horizon=horizon,
-    )
+def _agent_config(cfg, **overrides):
+    """AgentConfig from the resolved config's keys of the same name, plus
+    ``overrides``: what the runner works out itself or forces."""
+    names = {f.name for f in fields(AgentConfig)}
+    return AgentConfig(**{**{k: v for k, v in cfg.items() if k in names}, **overrides})
 
 
 # ---------------------------------------------------------------------------
@@ -233,9 +192,9 @@ def run_continual(cfg, seed=None, out=None, ungated=False, agent_kind="learned",
                                     cfg["theta_factor"], cfg["eta_c"])
         horizon = cfg["epochs"] * n_tasks * cfg["per_task_train"]
         # classification is a one-shot bandit: no bootstrapping
-        acfg = _agent_config(cfg, obs_dim, 2, theta, horizon, seed,
-                             ungated=ungated, gamma_d=0.0)
-        agent = Agent(acfg)
+        agent = Agent(_agent_config(
+            cfg, obs_dim=obs_dim, n_actions=2, horizon=horizon, seed=seed, theta=theta,
+            mask_p=1.0 if ungated else cfg["mask_p"], gamma_d=0.0))
         contexts = {}
 
         def predict(x, j):
@@ -334,8 +293,8 @@ def run_rps(cfg, seed=None, out=None, agent_kind="learned", cfg_text=None):
         calib = np.eye(3)[np.random.default_rng(calib_seed).choice(
             3, size=100, p=policy)]
         theta = _rl_theta(cfg, calib)
-        acfg = _agent_config(cfg, 3, 3, theta, rounds, seed)
-        agent = Agent(acfg)
+        agent = Agent(_agent_config(cfg, obs_dim=3, n_actions=3, horizon=rounds,
+                                    seed=seed, theta=theta))
     elif agent_kind == "oracle":
         # expected payoff of action a: P(beats) - P(loses)
         expect = [policy[(a - 1) % 3] - policy[(a + 1) % 3] for a in range(3)]
@@ -410,8 +369,8 @@ def run_maze(cfg, seed=None, out=None, agent_kind="learned", cfg_text=None):
     if agent_kind == "learned":
         theta = _rl_theta(cfg, _maze_calibration_obs(env, calib_seed))
         horizon = episodes * cfg["step_limit"]
-        acfg = _agent_config(cfg, env.obs_dim, env.n_actions, theta, horizon, seed)
-        agent = Agent(acfg)
+        agent = Agent(_agent_config(cfg, obs_dim=env.obs_dim, n_actions=env.n_actions,
+                                    horizon=horizon, seed=seed, theta=theta))
     elif agent_kind == "oracle":
         dist = env.distance_map()
 

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from cogkit import ngc
 from cogkit.agent import Agent, AgentConfig
+from cogkit.snapshot import read_snapshot
 
 
 def small_config(**kw):
@@ -154,6 +156,44 @@ def test_cycle_atomic_rollback_on_failure():
     a.cycle(np.ones(8), r_env=0.0)
 
 
+def test_rollback_after_the_motor_learned_from_replay(monkeypatch):
+    a = Agent(small_config(seed=23, replay_capacity=8, replay_samples=2))
+    stream = obs_stream(13, seed=10)
+    for x in stream[:12]:
+        a.cycle(x, r_env=0.2)
+    before = a.snapshot()
+    twin = Agent.restore(before)
+    W_before, rng_before = a.motor.circuit.W[1], a.motor.rng.bit_generator.state
+    real_update, real_rollback = ngc.update_weights, Agent._rollback
+    calls, seen, rollbacks = [], {}, []
+
+    def failing_update(*args, **kwargs):
+        calls.append(None)
+        # calls: the sensory update, the motor's own update, then the first
+        # replayed transition, by when the replay picks have been drawn
+        if len(calls) == 3:
+            seen["learned"] = not np.array_equal(a.motor.circuit.W[1], W_before)
+            seen["drew"] = a.motor.rng.bit_generator.state != rng_before
+            raise RuntimeError("injected")
+        return real_update(*args, **kwargs)
+
+    def counting_rollback(self, cap):
+        rollbacks.append(None)
+        real_rollback(self, cap)
+
+    monkeypatch.setattr(ngc, "update_weights", failing_update)
+    monkeypatch.setattr(Agent, "_rollback", counting_rollback)
+    with pytest.raises(RuntimeError, match="injected"):
+        a.cycle(stream[12], r_env=1.0)
+    monkeypatch.undo()
+    assert seen == {"learned": True, "drew": True}
+    assert len(rollbacks) == 1
+    assert a.snapshot() == before
+    # the rolled-back agent carries on exactly like one that never failed
+    assert a.cycle(stream[12], r_env=1.0) == twin.cycle(stream[12], r_env=1.0)
+    assert a.snapshot() == twin.snapshot()
+
+
 def test_finish_flushes_pending():
     a = Agent(small_config())
     a.cycle(np.ones(8))
@@ -199,6 +239,29 @@ def test_snapshot_restore_roundtrip_bytes():
     blob = a.snapshot()
     restored = Agent.restore(blob)
     assert restored.snapshot() == blob
+
+
+def test_snapshot_entry_names_and_kinds():
+    # an agent with replay, a pending transition and a full context window
+    a = Agent(small_config(seed=17, replay_capacity=8, replay_samples=1))
+    r = 0.0
+    for x in obs_stream(15, seed=7):
+        r = 0.5 if a.cycle(x, r_env=r) == 1 else -0.5
+    assert a.pending is not None and a.motor.replay
+    assert len(a.tracker) == a.config.context_window
+    arrays, meta, _ = read_snapshot(a.snapshot())
+    assert sorted(arrays) == [
+        "bridge1", "bridge2", "buffer/goal", "buffer/perception", "buffer/retrieval",
+        "ctx/window", "dm/trace/unit0", "gate/mask/0/1", "gate/prototype/0",
+        "motor/E1", "motor/W1", "pending/s", "replay/a", "replay/done", "replay/r",
+        "replay/s", "replay/s_next", "sensory/E1", "sensory/W1", "wm/m",
+    ]
+    assert sorted(meta) == [
+        "config", "dm/store_count", "dm/trace_names", "gate/rng_state", "gate/routing",
+        "gate/saturated", "gate/usage", "last_action", "last_energy", "last_winner",
+        "lexicon/names", "motor/rng_state", "pending/a", "prev_winner", "step",
+        "wm/position",
+    ]
 
 
 def test_restored_agent_replays_identically():

@@ -70,6 +70,16 @@ def test_rl_maze(cfg_file, capsys):
     assert "1.0000" in out
 
 
+def test_rl_env_defaults_to_config(tmp_path, capsys):
+    path = tmp_path / "maze.cfg"
+    path.write_text(TINY_CFG + "env = maze\n")
+    assert main(["rl", "--config", str(path), "--agent", "oracle"]) == 0
+    assert "success rate" in capsys.readouterr().out
+    # an explicit flag still wins over the config
+    assert main(["rl", "--env", "rps", "--config", str(path), "--agent", "oracle"]) == 0
+    assert "late payoff" in capsys.readouterr().out
+
+
 def test_recall(tmp_path, capsys):
     path = tmp_path / "r.cfg"
     path.write_text("recall_d = 256\nrecall_lists = 5\n")

@@ -88,3 +88,15 @@ def test_config_hash_is_sha256_of_text():
     text = "seed = 3\n"
     assert config_hash(text) == hashlib.sha256(text.encode()).hexdigest()
     assert config_hash(text) != config_hash(text + " ")
+
+
+@pytest.mark.parametrize("key, good, bad", [
+    ("readout", "supervised", "supervisd"),
+    ("env", "maze", "mazes"),
+    ("mask_mode", "blocks", "block"),
+    ("gate_metric", "cosine", "cos"),
+])
+def test_enum_keys_fail_at_parse_time(key, good, bad):
+    assert parse_config(f"{key} = {good}\n") == {key: good}
+    with pytest.raises(ValueError, match=rf"line 2.*'{key}'.*{bad}"):
+        parse_config(f"seed = 1\n{key} = {bad}\n")

@@ -46,18 +46,18 @@ def test_greedy_action_rules():
 
 def test_act_epsilon_extremes():
     m = MotorCircuit(3, 4, seed=2, sigma=0.0)
-    s = np.ones(4)
-    assert m.act(s, 0.0) == 0  # all-equal Q, tie to lowest
+    q = m.q_values(np.ones(4))
+    assert m.act(q, 0.0) == 0  # all-equal Q, tie to lowest
     with pytest.raises(ValueError):
-        m.act(s, 1.5)
+        m.act(q, 1.5)
 
 
 def test_act_uniform_at_full_exploration():
     m = MotorCircuit(3, 4, seed=3, sigma=0.0)
-    s = np.zeros(4)
+    q = m.q_values(np.zeros(4))
     counts = np.zeros(3)
     for _ in range(10_000):
-        counts[m.act(s, 1.0)] += 1
+        counts[m.act(q, 1.0)] += 1
     freqs = counts / counts.sum()
     assert np.abs(freqs - 1 / 3).max() <= 0.02
 
@@ -66,8 +66,8 @@ def test_act_reproducible_stream():
     draws1 = [MotorCircuit(4, 4, seed=9, sigma=0.0).act(np.zeros(4), 1.0) for _ in range(1)]
     m1 = MotorCircuit(4, 4, seed=9, sigma=0.0)
     m2 = MotorCircuit(4, 4, seed=9, sigma=0.0)
-    seq1 = [m1.act(np.zeros(4), 0.7) for _ in range(50)]
-    seq2 = [m2.act(np.zeros(4), 0.7) for _ in range(50)]
+    seq1 = [m1.act(m1.q_values(np.zeros(4)), 0.7) for _ in range(50)]
+    seq2 = [m2.act(m2.q_values(np.zeros(4)), 0.7) for _ in range(50)]
     assert seq1 == seq2
     assert draws1  # a single fresh draw also comes from the seeded stream
 

@@ -1,10 +1,13 @@
 """Experiment runners: protocol fixtures, stubs, and determinism."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from cogkit import runner
-from cogkit.config import parse_config, resolve
+from cogkit.agent import AgentConfig
+from cogkit.config import SCHEMA, parse_config, resolve
 from cogkit.runner import MetricsSink, calibrate_theta, canonical_config_text
 
 TINY_RL = dict(
@@ -58,6 +61,11 @@ class TestContinual:
         assert [(r[1]) for r in acc_rows] == [0, 0, 1]
         assert out["rows"][-2][2:] == ("ACC", out["ACC"])
 
+    def test_ungated_run_forces_dense_masks_and_no_bootstrap(self):
+        cfg = resolve({**TINY_CONTINUAL, "gamma_d": 0.9, "per_task_train": 10})
+        out = runner.run_continual(cfg, seed=0, ungated=True)
+        assert (out["agent"].config.mask_p, out["agent"].config.gamma_d) == (1.0, 0.0)
+
     def test_unknown_agent_kind(self):
         with pytest.raises(ValueError, match="agent kind"):
             runner.run_continual(resolve(TINY_CONTINUAL), seed=0, agent_kind="best")
@@ -92,6 +100,27 @@ class TestRps:
                        "eps_decay_frac": 0.3})
         out = runner.run_rps(cfg, seed=0)
         assert out["late_payoff"] > 0.2
+
+    def test_every_shared_config_key_reaches_the_agent(self):
+        # a non-default value for each key the schema shares with AgentConfig
+        values = dict(
+            seed=5, d=32, sensory_hidden=(8,), sensory_beta=0.04, sensory_gamma=0.002,
+            sensory_K=3, sensory_sigma=0.04, sensory_eta_W=0.02, sensory_eta_E=0.03,
+            sensory_clip=False, motor_hidden=(4,), motor_state_dim=8, motor_beta=0.06,
+            motor_gamma=0.003, motor_K=2, motor_sigma=0.06, motor_eta_W=0.04,
+            motor_eta_E=0.05, motor_clip=True, gamma_d=0.5, alpha_e=0.1, r_clip=2.0,
+            replay_capacity=4, replay_samples=1, theta=7.5, eta_c=0.2, M_max=2,
+            mask_p=0.75, mask_mode="blocks", gate_metric="cosine", context_window=4,
+            route_wm_encode=False, route_dm_store=False, route_dm_retrieve=False,
+            wm_rho=0.8, dm_tau=0.2, dm_k=2, eps_start=0.9, eps_end=0.1,
+            eps_decay_frac=0.3,
+        )
+        assert set(values) == {f.name for f in fields(AgentConfig)} & set(SCHEMA)
+        assert all(v != SCHEMA[k][1] for k, v in values.items())
+        agent = runner.run_rps(resolve(dict(values, rounds=3)))["agent"]
+        assert {k: getattr(agent.config, k) for k in values} == values
+        assert (agent.config.obs_dim, agent.config.n_actions) == (3, 3)
+        assert agent.config.horizon == 3
 
     def test_late_window_bounds(self):
         # rounds < 2000 falls back to the second half
