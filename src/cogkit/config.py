@@ -43,6 +43,7 @@ def _choice(*options):
             raise ValueError(f"{text!r} is not one of {', '.join(options)}")
         return text
 
+    cast.options = options
     return cast
 
 
@@ -149,11 +150,15 @@ def parse_config(text):
 
 
 def resolve(overrides=None):
-    """Full config dict: schema defaults updated with explicit settings."""
+    """Full config dict: schema defaults updated with explicit settings, whose
+    words for enum keys are checked as ``parse_config`` checks a file's."""
     cfg = {key: default for key, (_, default) in SCHEMA.items()}
     for key, value in (overrides or {}).items():
         if key not in SCHEMA:
             raise ValueError(f"unknown config key {key!r}")
+        options = getattr(SCHEMA[key][0], "options", None)
+        if options is not None and value not in options:
+            raise ValueError(f"{key!r} must be one of {', '.join(options)}, got {value!r}")
         cfg[key] = value
     return cfg
 

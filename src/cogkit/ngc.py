@@ -94,12 +94,9 @@ def init_circuit(sizes, seed, beta=0.05, gamma=0.001, K=50, sigma=0.05, phi=None
     if K < 1:
         raise ValueError(f"K must be >= 1, got {K}")
     L = len(sizes) - 1
-    if phi is None:
-        phi = ("identity",) + ("tanh",) * L
-    else:
-        phi = tuple(phi)
-        if len(phi) != L + 1:
-            raise ValueError(f"phi needs {L + 1} entries, got {len(phi)}")
+    phi = ("identity",) + ("tanh",) * L if phi is None else tuple(phi)
+    if len(phi) != L + 1:
+        raise ValueError(f"phi needs {L + 1} entries, got {len(phi)}")
     for name in phi:
         _apply_phi(name, np.zeros(1))  # validate names early
     rng = np.random.default_rng(seed)
@@ -132,9 +129,9 @@ def _validate_mask(circuit, mask):
     return out
 
 
-def _gated(state, ell):
+def _gate(state, ell, v):
     g = state.mask.get(ell)
-    return state.z[ell] if g is None else state.z[ell] * g
+    return v if g is None else v * g
 
 
 def make_state(circuit, clamps=None, mask=None, init=None, pin0=None):
@@ -154,37 +151,35 @@ def make_state(circuit, clamps=None, mask=None, init=None, pin0=None):
         if not 0 <= idx < circuit.sizes[0]:
             raise ValueError(f"pinned unit {idx} out of range for layer 0")
         pin[int(idx)] = float(val)
-    z = []
-    for ell in range(circuit.L + 1):
-        if ell in clamps:
-            z.append(clamps[ell].copy())
-        elif ell in init:
-            z.append(init[ell].copy())
-        else:
-            z.append(np.zeros(circuit.sizes[ell]))
+    start = {**init, **clamps}
+    z = [start[ell].copy() if ell in start else np.zeros(n) for ell, n in enumerate(circuit.sizes)]
     state = CircuitState(
         z=z,
-        mu=[np.zeros(s) for s in circuit.sizes[:-1]],
-        e=[np.zeros(s) for s in circuit.sizes],
+        mu=[None] * circuit.L,
+        e=[None] * circuit.L + [np.zeros(circuit.sizes[-1])],
         clamps=clamps,
         mask=_validate_mask(circuit, mask),
         pin0=pin,
     )
-    return predict(circuit, state)
+    return _refresh(circuit, state)
+
+
+def _refresh(circuit, state):
+    """Overwrite the entries of ``state.mu`` and ``state.e[0..L-1]`` with
+    predictions and errors from the current activities; returns ``state``."""
+    z, mu, e = state.z, state.mu, state.e
+    for ell in range(1, circuit.L + 1):
+        mu[ell - 1] = circuit.W[ell] @ _apply_phi(circuit.phi[ell], _gate(state, ell, z[ell]))
+        e[ell - 1] = z[ell - 1] - mu[ell - 1]
+    return state
 
 
 def predict(circuit, state):
-    """Refresh top-down predictions and error units from current activities."""
-    L = circuit.L
-    if len(state.z) != L + 1:
-        raise ValueError(f"state has {len(state.z)} layers, circuit expects {L + 1}")
-    mu = []
-    for ell in range(1, L + 1):
-        a = _apply_phi(circuit.phi[ell], _gated(state, ell))
-        mu.append(circuit.W[ell] @ a)
-    e = [state.z[ell] - mu[ell] for ell in range(L)]
-    e.append(np.zeros(circuit.sizes[L]))
-    return replace(state, mu=mu, e=e)
+    """A new state sharing ``z`` with ``state`` (which is left as it was),
+    with top-down predictions and error units refreshed from its activities."""
+    if len(state.z) != circuit.L + 1:
+        raise ValueError(f"state has {len(state.z)} layers, circuit expects {circuit.L + 1}")
+    return _refresh(circuit, replace(state, mu=list(state.mu), e=list(state.e)))
 
 
 def energy(state):
@@ -192,8 +187,18 @@ def energy(state):
     return float(sum(0.5 * np.dot(ev, ev) for ev in state.e))
 
 
+def _track_output(state):
+    # An unclamped layer 0 follows its own prediction; pinned units stay at
+    # their targets, so only they carry error.
+    z0 = state.mu[0].copy()
+    for idx, val in state.pin0.items():
+        z0[idx] = val
+    state.z[0] = z0
+    state.e[0] = z0 - state.mu[0]
+
+
 def settle(circuit, clamps=None, mask=None, init=None, pin0=None):
-    """Run K predict/correct iterations and return the final state.
+    """Run up to K predict/correct iterations and return the final state.
 
     Clamped layers stay bit-identical.  An unclamped layer 0 tracks its own
     prediction each step (so its error is zero), except at pinned units,
@@ -201,40 +206,34 @@ def settle(circuit, clamps=None, mask=None, init=None, pin0=None):
     error needed to pull the prediction toward the target.  Hidden states
     move by ``beta * (-gamma*z - e + (E @ e_below) * gate)``; with beta = 0
     no state changes at all.
+
+    Predictions depend only on layers 1..L, so when none of them can move
+    (every hidden layer is clamped, or beta = 0) one pass gives the state
+    that K passes would: settling stops after it, divergence check included.
+    Each step overwrites the fresh state built for this call and nothing
+    else; clamp, init, mask and circuit arrays are only read.
     """
     state = make_state(circuit, clamps=clamps, mask=mask, init=init, pin0=pin0)
-
-    def track_output(st):
-        # An unclamped layer 0 follows its own prediction; pinned units stay
-        # at their targets, so only they carry error.
-        if 0 in st.clamps:
-            return
-        z0 = st.mu[0].copy()
-        for idx, val in st.pin0.items():
-            z0[idx] = val
-        st.z[0] = z0
-        st.e[0] = st.z[0] - st.mu[0]
-
-    for _ in range(circuit.K):
-        if circuit.beta != 0.0:
-            track_output(state)
-            for ell in range(1, circuit.L + 1):
-                if ell in state.clamps:
-                    continue
-                step = -circuit.gamma * state.z[ell] - state.e[ell]
-                feedback = circuit.E[ell] @ state.e[ell - 1]
-                g = state.mask.get(ell)
-                step = step + (feedback if g is None else feedback * g)
-                state.z[ell] = state.z[ell] + circuit.beta * step
-        for zv in state.z:
-            if not np.isfinite(zv).all() or np.abs(zv).max() > _Z_LIMIT:
+    z, e, E = state.z, state.e, circuit.E
+    beta, gamma = circuit.beta, circuit.gamma
+    track = beta != 0.0 and 0 not in state.clamps
+    free = [ell for ell in range(1, circuit.L + 1) if beta != 0.0 and ell not in state.clamps]
+    for _ in range(circuit.K if free else 1):
+        if track:
+            _track_output(state)
+        for ell in free:
+            step = -gamma * z[ell] - e[ell]
+            step = step + _gate(state, ell, E[ell] @ e[ell - 1])
+            z[ell] = z[ell] + beta * step
+        for zv in z:
+            if not np.abs(zv).max() <= _Z_LIMIT:  # also true for NaN
                 raise DivergenceError(
                     f"state exceeded {_Z_LIMIT:g} during settling; "
-                    f"beta={circuit.beta} is too large for this circuit"
+                    f"beta={beta} is too large for this circuit"
                 )
-        state = predict(circuit, state)
-    if circuit.beta != 0.0:
-        track_output(state)  # leave z0 consistent with the final predictions
+        _refresh(circuit, state)
+    if track:
+        _track_output(state)  # leave z0 consistent with the final predictions
     state.energy = energy(state)
     return state
 
@@ -252,12 +251,8 @@ def update_weights(circuit, state, eta_W, eta_E, clip=False):
     W = [None]
     E = [None]
     for ell in range(1, circuit.L + 1):
-        pre = _apply_phi(circuit.phi[ell], _gated(state, ell))
-        post_err = state.e[ell - 1]
-        g_below = state.mask.get(ell - 1)
-        if g_below is not None:
-            post_err = post_err * g_below
-        grad = np.outer(post_err, pre)
+        pre = _apply_phi(circuit.phi[ell], _gate(state, ell, state.z[ell]))
+        grad = np.outer(_gate(state, ell - 1, state.e[ell - 1]), pre)
         W.append(circuit.W[ell] + eta_W * grad)
         E.append(circuit.E[ell] + eta_E * grad.T)
         if clip:

@@ -90,13 +90,24 @@ def test_config_hash_is_sha256_of_text():
     assert config_hash(text) != config_hash(text + " ")
 
 
-@pytest.mark.parametrize("key, good, bad", [
+ENUM_CASES = [
     ("readout", "supervised", "supervisd"),
     ("env", "maze", "mazes"),
     ("mask_mode", "blocks", "block"),
     ("gate_metric", "cosine", "cos"),
-])
+]
+
+
+@pytest.mark.parametrize("key, good, bad", ENUM_CASES)
 def test_enum_keys_fail_at_parse_time(key, good, bad):
     assert parse_config(f"{key} = {good}\n") == {key: good}
     with pytest.raises(ValueError, match=rf"line 2.*'{key}'.*{bad}"):
         parse_config(f"seed = 1\n{key} = {bad}\n")
+
+
+@pytest.mark.parametrize("key, good, bad", ENUM_CASES)
+def test_enum_keys_fail_in_code_overrides(key, good, bad):
+    assert resolve({key: good})[key] == good
+    for wrong in (bad, f" {good}", None):
+        with pytest.raises(ValueError, match=rf"'{key}'"):
+            resolve({"seed": 1, key: wrong})

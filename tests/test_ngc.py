@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from cogkit import ngc
+from cogkit.motor import MotorCircuit
 from cogkit.ngc import (
     DivergenceError,
     energy,
@@ -11,6 +13,8 @@ from cogkit.ngc import (
     settle,
     update_weights,
 )
+
+import reference_ngc
 
 
 def test_init_deterministic_and_shaped():
@@ -323,3 +327,131 @@ def test_reconstruct_dimension_error():
     c = init_circuit([8, 16], seed=20)
     with pytest.raises(ValueError):
         reconstruct(c, np.zeros(9))
+
+
+def _oracle_case(name):
+    """(circuit, settle kwargs) for one named kernel-vs-oracle case."""
+    rng = np.random.default_rng(sum(map(ord, name)))
+
+    def vec(n):
+        return rng.normal(size=n)
+
+    def blocks(n, open_from, open_to):
+        g = np.zeros(n)
+        g[open_from:open_to] = 1.0
+        return g
+
+    if name == "input_clamped":
+        return init_circuit([12, 16], seed=21, K=15), {"clamps": {0: vec(12)}}
+    if name == "input_clamped_block_mask":
+        c = init_circuit([12, 16], seed=22, K=15)
+        return c, {"clamps": {0: vec(12)}, "mask": {1: blocks(16, 4, 8)}}
+    if name == "top_clamped":
+        return init_circuit([3, 16], seed=23, K=15), {"clamps": {1: vec(16)}}
+    if name == "top_clamped_pinned":
+        return init_circuit([3, 16], seed=24, K=15), {"clamps": {1: vec(16)}, "pin0": {1: 0.7}}
+    if name == "top_clamped_free_middle_pinned":
+        c = init_circuit([3, 8, 16], seed=25, K=15)
+        return c, {"clamps": {2: vec(16)}, "pin0": {0: -0.4, 2: 0.9}}
+    if name == "both_ends_clamped":
+        c = init_circuit([6, 12, 6], seed=26, K=15)
+        return c, {"clamps": {0: vec(6), 2: vec(6)}, "init": {1: vec(12)}}
+    if name == "all_free":
+        c = init_circuit([5, 10, 6], seed=27, K=15)
+        return c, {"init": {0: vec(5), 1: vec(10), 2: vec(6)}}
+    if name == "beta_zero":
+        c = init_circuit([4, 8, 4], seed=28, beta=0.0, K=15)
+        return c, {"clamps": {0: vec(4)}, "init": {1: vec(8), 2: vec(4)}}
+    if name == "deep_masked":
+        c = init_circuit([8, 12, 10], seed=29, K=15)
+        mask = {1: blocks(12, 0, 6), 2: (rng.random(10) < 0.5).astype(float)}
+        return c, {"clamps": {0: vec(8)}, "init": {2: vec(10)}, "mask": mask}
+    raise KeyError(name)
+
+
+ORACLE_CASES = [
+    "input_clamped",
+    "input_clamped_block_mask",
+    "top_clamped",
+    "top_clamped_pinned",
+    "top_clamped_free_middle_pinned",
+    "both_ends_clamped",
+    "all_free",
+    "beta_zero",
+    "deep_masked",
+]
+
+
+def _assert_states_equal(got, want):
+    for name in ("z", "mu", "e"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert len(a) == len(b), name
+        for ell, (u, v) in enumerate(zip(a, b)):
+            assert np.array_equal(u, v), f"{name}[{ell}] differs"
+
+
+@pytest.mark.parametrize("name", ORACLE_CASES)
+def test_settle_matches_reference_oracle(name):
+    c, kwargs = _oracle_case(name)
+    got = settle(c, **kwargs)
+    want = reference_ngc.settle(c, **kwargs)
+    _assert_states_equal(got, want)
+    assert got.energy == want.energy
+
+
+@pytest.mark.parametrize("name", ORACLE_CASES)
+def test_predict_matches_reference_and_leaves_input(name):
+    c, kwargs = _oracle_case(name)
+    settled = reference_ngc.settle(c, **kwargs)
+    before = [list(map(np.copy, getattr(settled, f))) for f in ("z", "mu", "e")]
+    got = predict(c, settled)
+    _assert_states_equal(got, reference_ngc.predict(c, settled))
+    for f, saved in zip(("z", "mu", "e"), before):
+        assert all(np.array_equal(u, v) for u, v in zip(getattr(settled, f), saved))
+    _assert_states_equal(make_state(c, **kwargs), reference_ngc.make_state(c, **kwargs))
+
+
+@pytest.mark.parametrize("name, passes", [
+    ("top_clamped", 1),
+    ("top_clamped_pinned", 1),
+    ("beta_zero", 1),
+    ("top_clamped_free_middle_pinned", 15),
+    ("input_clamped", 15),
+])
+def test_settle_stops_after_one_pass_only_when_nothing_can_move(name, passes, monkeypatch):
+    c, kwargs = _oracle_case(name)
+    calls = []
+    refresh = ngc._refresh
+    monkeypatch.setattr(ngc, "_refresh", lambda *a: calls.append(1) or refresh(*a))
+    settle(c, **kwargs)
+    assert len(calls) == 1 + passes  # make_state refreshes once before the loop
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 2e6])
+def test_divergence_in_clamped_top_raises_on_single_pass(bad):
+    c = init_circuit([3, 16], seed=30, K=15)
+    top = np.random.default_rng(30).normal(size=16)
+    top[5] = bad
+    with pytest.raises(DivergenceError, match="beta=0.05"):
+        settle(c, clamps={1: top})
+    with pytest.raises(DivergenceError):
+        reference_ngc.settle(c, clamps={1: top})
+
+
+def test_nan_arising_in_free_layer_is_caught():
+    c = init_circuit([6, 10], seed=31, K=15)
+    c.E[1][3, :] = np.nan  # unit 3's feedback turns NaN on the first step
+    x = np.random.default_rng(31).normal(size=6)
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(DivergenceError, match="beta=0.05"):
+            settle(c, clamps={0: x})
+        with pytest.raises(DivergenceError):
+            reference_ngc.settle(c, clamps={0: x})
+
+
+def test_motor_q_values_nan_state_raises_divergence():
+    m = MotorCircuit(n_actions=3, state_dim=8, seed=32)
+    s = np.zeros(8)
+    s[2] = np.nan
+    with pytest.raises(DivergenceError):
+        m.q_values(s)
