@@ -3,7 +3,7 @@
 One cognitive cycle runs perceive -> route -> act -> learn.  Perception
 settles the sensory circuit on the observation under the gate winner's mask
 and projects the gated top-layer activity into holographic space through a
-fixed random bridge.  The winner's routing directive then decides which
+fixed random bridge.  The config's three ``route_*`` flags then decide which
 buffer transfers happen: encoding the percept into working memory, storing a
 task-transition fact into declarative memory, and/or retrieving an expected
 next task into the retrieval buffer.  A second fixed bridge compresses
@@ -17,8 +17,10 @@ action (callers usually discard it and reset), but no new pending transition,
 so episodes never bleed into each other.  Any exception inside a cycle rolls
 the whole agent back to its pre-cycle state.
 
-Everything an agent holds beyond its config is listed once, in ``_STATE``;
-rollback capture and snapshot/restore are both driven by that table.
+Everything a cycle can change is listed once, in ``_STATE``; rollback
+capture and snapshot/restore are both driven by that table.  What no cycle
+changes, the two bridges and the unit symbols, is drawn from the config's
+seed when an agent is built, so a restore rebuilds it instead of reading it.
 """
 
 from __future__ import annotations
@@ -31,11 +33,11 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import hrr, memory, ngc, snapshot
-from .gate import CompetitiveGate, ContextTracker, RoutingDirective
+from .gate import CompetitiveGate, ContextTracker
 from .memory import DeclarativeMemory, WorkingMemoryBuffer
 from .motor import MotorCircuit, Transition, epsilon_at, greedy_action
 
-BUFFER_NAMES = ("perception", "retrieval", "goal")
+BUFFER_NAMES = ("perception", "retrieval")
 
 
 @dataclass
@@ -108,7 +110,6 @@ class CognitiveState:
 
     buffers: dict
     wm: WorkingMemoryBuffer
-    last_action: int | None = None
     step: int = 0
 
 
@@ -161,18 +162,14 @@ def _refill(path):
     return (lambda agent: tuple(get(agent) or ())), put
 
 
-def _one(path, key, out=None, back=None, copy=None):
-    """A part kept as the single entry ``key``; ``out``/``back`` convert a
-    value other than None to and from its stored form."""
+def _one(path, key, out=None, copy=None):
+    """A part kept as the single entry ``key``; ``out`` converts its value to
+    the stored form."""
 
     def dump(value):
-        return {key: value if out is None or value is None else out(value)}
+        return {key: value if out is None else out(value)}
 
-    def load(agent, entries):
-        value = entries[key]
-        return value if back is None or value is None else back(value)
-
-    return _Part(*_attr(path, copy), dump, load)
+    return _Part(*_attr(path, copy), dump, lambda agent, entries: entries[key])
 
 
 def _circuit(path, prefix):
@@ -228,21 +225,13 @@ def _load_dm(agent, entries):
     return replace(agent.dm, traces=traces, store_count=dict(entries["dm/store_count"]))
 
 
-def _load_lexicon(agent, entries):
-    for name in entries["lexicon/names"]:
-        agent.lexicon.add(name)
-    return agent.lexicon
-
-
 def _dump_pending(pending):
     if pending is None:
         return {"pending/a": None}
     return {"pending/s": pending[0], "pending/a": int(pending[1])}
 
 
-# Every piece of state an agent holds beyond its config.  The lexicon grows
-# only in set_goal, never inside a cycle, so capturing it by reference is a
-# full rollback.
+# Every piece of state a cycle can change.
 _STATE = (
     _circuit("sensory", "sensory"),
     _circuit("motor.circuit", "motor"),
@@ -256,20 +245,15 @@ _STATE = (
                          for k, mask in enumerate(masks) for layer, g in mask.items()},
           _load_masks),
     _one("gate.usage", "gate/usage", copy=list, out=lambda u: [int(n) for n in u]),
-    _one("gate.routing", "gate/routing", copy=list,
-         out=lambda rs: [asdict(r) for r in rs],
-         back=lambda rs: [RoutingDirective(**r) for r in rs]),
     _one("gate.saturated", "gate/saturated", out=bool),
     _one("gate.rng.bit_generator.state", "gate/rng_state"),
     _Part(*_attr("dm"), _dump_dm, _load_dm),
-    _Part(*_attr("lexicon"), lambda lex: {"lexicon/names": lex.names()}, _load_lexicon),
     _Part(*_attr("state.buffers", dict),
           lambda bufs: {f"buffer/{n}": bufs[n] for n in BUFFER_NAMES},
           lambda agent, e: {n: e[f"buffer/{n}"] for n in BUFFER_NAMES}),
     _Part(*_attr("state.wm"),
           lambda wm: {"wm/m": wm.m, "wm/position": int(wm.position)},
           lambda agent, e: replace(agent.state.wm, m=e["wm/m"], position=e["wm/position"])),
-    _one("state.last_action", "last_action", out=int),
     _one("state.step", "step", out=int),
     _Part(*_refill("tracker._buf"),
           lambda window: {"ctx/window": np.stack(window)} if window else {},
@@ -279,8 +263,6 @@ _STATE = (
     _one("prev_winner", "prev_winner"),
     _one("last_winner", "last_winner"),
     _one("last_energy", "last_energy", out=float),
-    _one("bridge1", "bridge1"),
-    _one("bridge2", "bridge2"),
 )
 
 
@@ -328,11 +310,6 @@ class Agent:
             mask_mode=config.mask_mode,
             metric=config.gate_metric,
             seed=s_gate,
-            routing_default=RoutingDirective(
-                wm_encode_on=config.route_wm_encode,
-                dm_store_on=config.route_dm_store,
-                dm_retrieve_on=config.route_dm_retrieve,
-            ),
         )
         self.lexicon = hrr.SymbolLexicon(
             config.d, seed=config.seed, names=[_unit_name(k) for k in range(config.M_max)]
@@ -412,15 +389,15 @@ class Agent:
         return latent
 
     def _route(self, winner):
-        directive = self.gate.routing_for(winner)
-        if directive.wm_encode_on:
+        c = self.config
+        if c.route_wm_encode:
             self.state.wm = memory.wm_encode(self.state.wm, self.state.buffers["perception"])
-        if directive.dm_store_on:
+        if c.route_dm_store:
             context = [] if self.prev_winner is None else [_unit_name(self.prev_winner)]
             self.dm = memory.dm_store(self.dm, _unit_name(winner), context)
-        if directive.dm_retrieve_on and self.dm.traces:
+        if c.route_dm_retrieve and self.dm.traces:
             cue = hrr.permute(self.lexicon[_unit_name(winner)], 1)
-            result = memory.dm_retrieve(self.dm, cue, k=self.config.dm_k, tau=self.config.dm_tau)
+            result = memory.dm_retrieve(self.dm, cue, k=c.dm_k, tau=c.dm_tau)
             blend = sum(
                 float(w) * self.lexicon[name]
                 for (name, _), w in zip(result.ranked, result.strengths)
@@ -466,7 +443,6 @@ class Agent:
                     q_next=None if done else q,
                 )
             self.pending = None if done else (s, action)
-            self.state.last_action = action
             self.state.step += 1
             return action
 
@@ -481,10 +457,8 @@ class Agent:
             s = self._motor_state(self.state.buffers["perception"])
             self.motor.regress(s, targets)
             q = self.motor.q_values(s)
-            action = greedy_action(q)
-            self.state.last_action = action
             self.state.step += 1
-            return action
+            return greedy_action(q)
 
     def finish(self, r_env, done=True):
         """Flush the pending transition when a stream ends without a
@@ -512,29 +486,37 @@ class Agent:
         q = self.motor.q_values(s)
         return greedy_action(q), q, winner
 
-    def set_goal(self, name):
-        """Point the goal buffer at a named symbol (added to the lexicon on
-        first use)."""
-        self.lexicon.add(name)
-        self.state.buffers["goal"] = self.lexicon[name].copy()
-
     # ------------------------------------------------------------ snapshot
 
-    def snapshot(self):
-        """Serialize every parameter, buffer, counter, and RNG state."""
+    def _entries(self):
         entries = {"config": asdict(self.config)}
         for part in _STATE:
             entries.update(part.dump(part.take(self)))
+        return entries
+
+    def snapshot(self):
+        """Serialize the config and every parameter, buffer, counter and RNG
+        state a cycle can change."""
+        entries = self._entries()
         arrays = {k: v for k, v in entries.items() if isinstance(v, np.ndarray)}
         meta = {k: v for k, v in entries.items() if k not in arrays}
         return snapshot.write_snapshot(arrays, meta, seed=self.config.seed)
 
     @classmethod
     def restore(cls, data):
-        """Rebuild an agent that behaves identically to the snapshotted one."""
+        """Rebuild an agent that behaves identically to the snapshotted one.
+
+        Entries are read by name, so ones this code no longer writes are
+        ignored.  An array whose shape differs from the same entry of an agent
+        freshly built from the embedded config is rejected.
+        """
         arrays, meta, _seed = snapshot.read_snapshot(data)
-        entries = {**arrays, **meta}
         agent = cls(AgentConfig(**meta["config"]))
+        for name, own in agent._entries().items():
+            if name in arrays and arrays[name].shape != np.shape(own):
+                raise ValueError(f"snapshot entry {name!r} has shape {arrays[name].shape}, "
+                                 f"the config gives {np.shape(own)}")
+        entries = {**arrays, **meta}
         for part in _STATE:
             part.put(agent, part.load(agent, entries))
         return agent

@@ -9,6 +9,7 @@ complete, typed dictionary.
 from __future__ import annotations
 
 import hashlib
+import numbers
 
 
 def _bool(text):
@@ -34,17 +35,41 @@ def _floats(text):
     return tuple(float(p) for p in text.split(","))
 
 
+def _checked(parse, check):
+    """Caster that parses a value's text and then checks it; ``resolve()``
+    runs the same ``check`` on values set from code."""
+
+    def cast(text):
+        return check(parse(text))
+
+    cast.check = check
+    return cast
+
+
 def _choice(*options):
     """Caster for a key that takes one of a fixed set of words."""
 
-    def cast(text):
-        text = text.strip()
-        if text not in options:
-            raise ValueError(f"{text!r} is not one of {', '.join(options)}")
-        return text
+    def check(value):
+        if value not in options:
+            raise ValueError(f"{value!r} is not one of {', '.join(options)}")
+        return value
 
-    cast.options = options
-    return cast
+    return _checked(str.strip, check)
+
+
+def _within(lo, hi, open_lo=False, open_hi=False):
+    """Caster for a number in the interval from ``lo`` to ``hi``, each end
+    closed unless marked open."""
+    interval = f"{'(' if open_lo else '['}{lo}, {hi}{')' if open_hi else ']'}"
+
+    def check(value):
+        if not (isinstance(value, numbers.Real)
+                and (lo < value if open_lo else lo <= value)
+                and (value < hi if open_hi else value <= hi)):
+            raise ValueError(f"{value!r} is not in {interval}")
+        return value
+
+    return _checked(float, check)
 
 
 def _theta(text):
@@ -99,7 +124,7 @@ SCHEMA = {
     "motor_eta_W": (float, 0.02),
     "motor_eta_E": (float, 0.02),
     "motor_clip": (_bool, False),
-    "gamma_d": (float, 0.95),
+    "gamma_d": (_within(0, 1, open_hi=True), 0.95),
     "alpha_e": (float, 0.0),
     "r_clip": (float, 1.0),
     "replay_capacity": (int, 0),
@@ -109,7 +134,7 @@ SCHEMA = {
     "theta_factor": (float, 3.0),
     "eta_c": (float, 0.05),
     "M_max": (int, 8),
-    "mask_p": (float, 0.5),
+    "mask_p": (_within(0, 1, open_lo=True), 0.5),
     "mask_mode": (_choice("random", "blocks"), "random"),
     "gate_metric": (_choice("euclid", "cosine"), "euclid"),
     "context_window": (int, 32),
@@ -121,8 +146,8 @@ SCHEMA = {
     "dm_tau": (float, 0.1),
     "dm_k": (int, 3),
     # exploration schedule
-    "eps_start": (float, 1.0),
-    "eps_end": (float, 0.05),
+    "eps_start": (_within(0, 1), 1.0),
+    "eps_end": (_within(0, 1), 0.05),
     "eps_decay_frac": (float, 0.5),
 }
 
@@ -151,14 +176,17 @@ def parse_config(text):
 
 def resolve(overrides=None):
     """Full config dict: schema defaults updated with explicit settings, whose
-    words for enum keys are checked as ``parse_config`` checks a file's."""
+    enum words and ranges are checked as ``parse_config`` checks a file's."""
     cfg = {key: default for key, (_, default) in SCHEMA.items()}
     for key, value in (overrides or {}).items():
         if key not in SCHEMA:
             raise ValueError(f"unknown config key {key!r}")
-        options = getattr(SCHEMA[key][0], "options", None)
-        if options is not None and value not in options:
-            raise ValueError(f"{key!r} must be one of {', '.join(options)}, got {value!r}")
+        check = getattr(SCHEMA[key][0], "check", None)
+        if check is not None:
+            try:
+                check(value)
+            except ValueError as exc:
+                raise ValueError(f"bad value for {key!r}: {exc}") from None
         cfg[key] = value
     return cfg
 

@@ -4,25 +4,14 @@ A small pool of units competes for each context vector (a running summary of
 recent observations).  The nearest prototype wins; a context farther than the
 novelty threshold from every prototype recruits a fresh unit instead, up to
 capacity.  Each unit carries an immutable binary mask per gated cortical
-layer and a routing directive saying which buffer transfers it permits, so a
-revisited task re-opens exactly the subnetwork it trained before.
+layer, so a revisited task re-opens exactly the subnetwork it trained before.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 
 import numpy as np
-
-
-@dataclass
-class RoutingDirective:
-    """Which dashed-arrow transfers a gate unit allows during a cycle."""
-
-    wm_encode_on: bool = True
-    dm_store_on: bool = True
-    dm_retrieve_on: bool = True
 
 
 class CompetitiveGate:
@@ -53,7 +42,6 @@ class CompetitiveGate:
         mask_mode="random",
         metric="euclid",
         seed=0,
-        routing_default=None,
     ):
         if theta < 0:
             raise ValueError(f"theta must be >= 0, got {theta}")
@@ -79,8 +67,6 @@ class CompetitiveGate:
         self.prototypes = []
         self.masks = []
         self.usage = []
-        self.routing = []
-        self.routing_default = routing_default or RoutingDirective()
         self.saturated = False
 
     @property
@@ -135,13 +121,6 @@ class CompetitiveGate:
         self.prototypes.append(context.copy())
         self.masks.append(self._fresh_mask(k))
         self.usage.append(0)
-        self.routing.append(
-            RoutingDirective(
-                wm_encode_on=self.routing_default.wm_encode_on,
-                dm_store_on=self.routing_default.dm_store_on,
-                dm_retrieve_on=self.routing_default.dm_retrieve_on,
-            )
-        )
         return k
 
     def select_or_recruit(self, context):
@@ -178,11 +157,6 @@ class CompetitiveGate:
         if not 0 <= winner < self.active_count:
             raise ValueError(f"unit {winner} is not recruited")
         return {layer: g.copy() for layer, g in self.masks[winner].items()}
-
-    def routing_for(self, winner):
-        if not 0 <= winner < self.active_count:
-            raise ValueError(f"unit {winner} is not recruited")
-        return self.routing[winner]
 
 
 class ContextTracker:

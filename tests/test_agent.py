@@ -3,7 +3,7 @@ import pytest
 
 from cogkit import ngc
 from cogkit.agent import Agent, AgentConfig
-from cogkit.snapshot import read_snapshot
+from cogkit.snapshot import read_snapshot, write_snapshot
 
 
 def small_config(**kw):
@@ -31,7 +31,7 @@ def obs_stream(n, seed=0, dim=8):
 
 def test_construction_invariants():
     a = Agent(small_config())
-    assert set(a.state.buffers) == {"perception", "retrieval", "goal"}
+    assert set(a.state.buffers) == {"perception", "retrieval"}
     assert all(v.shape == (64,) for v in a.state.buffers.values())
     assert a.state.wm.d == 64
     assert a.bridge1.shape == (64, 16)
@@ -221,21 +221,12 @@ def test_probe_is_pure():
     assert 0 <= action2 < 3
 
 
-def test_set_goal():
-    a = Agent(small_config())
-    a.set_goal("task-alpha")
-    g = a.state.buffers["goal"]
-    assert g.any()
-    assert np.array_equal(g, a.lexicon["task-alpha"])
-
-
 def test_snapshot_restore_roundtrip_bytes():
     a = Agent(small_config(seed=17, replay_capacity=8, replay_samples=1))
     r = 0.0
     for x in obs_stream(15, seed=7):
         act = a.cycle(x, r_env=r)
         r = 0.5 if act == 1 else -0.5
-    a.set_goal("g1")
     blob = a.snapshot()
     restored = Agent.restore(blob)
     assert restored.snapshot() == blob
@@ -251,17 +242,65 @@ def test_snapshot_entry_names_and_kinds():
     assert len(a.tracker) == a.config.context_window
     arrays, meta, _ = read_snapshot(a.snapshot())
     assert sorted(arrays) == [
-        "bridge1", "bridge2", "buffer/goal", "buffer/perception", "buffer/retrieval",
-        "ctx/window", "dm/trace/unit0", "gate/mask/0/1", "gate/prototype/0",
-        "motor/E1", "motor/W1", "pending/s", "replay/a", "replay/done", "replay/r",
-        "replay/s", "replay/s_next", "sensory/E1", "sensory/W1", "wm/m",
+        "buffer/perception", "buffer/retrieval", "ctx/window", "dm/trace/unit0",
+        "gate/mask/0/1", "gate/prototype/0", "motor/E1", "motor/W1", "pending/s",
+        "replay/a", "replay/done", "replay/r", "replay/s", "replay/s_next",
+        "sensory/E1", "sensory/W1", "wm/m",
     ]
     assert sorted(meta) == [
-        "config", "dm/store_count", "dm/trace_names", "gate/rng_state", "gate/routing",
-        "gate/saturated", "gate/usage", "last_action", "last_energy", "last_winner",
-        "lexicon/names", "motor/rng_state", "pending/a", "prev_winner", "step",
-        "wm/position",
+        "config", "dm/store_count", "dm/trace_names", "gate/rng_state", "gate/saturated",
+        "gate/usage", "last_energy", "last_winner", "motor/rng_state", "pending/a",
+        "prev_winner", "step", "wm/position",
     ]
+
+
+def test_restore_reads_the_parent_layout():
+    # entries an older layout also wrote, holding what no cycle changes or
+    # reads: the bridges and symbols come back from the config's seed
+    a = Agent(small_config(seed=17, replay_capacity=8, replay_samples=1))
+    r, act = 0.0, None
+    for x in obs_stream(15, seed=7):
+        act = a.cycle(x, r_env=r)
+        r = 0.5 if act == 1 else -0.5
+    blob = a.snapshot()
+    arrays, meta, seed = read_snapshot(blob)
+    bridge1, bridge2 = a.bridge1 + 0.0, a.bridge2 + 0.0
+    arrays.update({"bridge1": bridge1, "bridge2": bridge2, "buffer/goal": np.zeros(64)})
+    meta.update({
+        "gate/routing": [{"wm_encode_on": True, "dm_store_on": True, "dm_retrieve_on": True}]
+        * a.gate.active_count,
+        "lexicon/names": [f"unit{k}" for k in range(a.config.M_max)],
+        "last_action": act,
+    })
+    b = Agent.restore(write_snapshot(arrays, meta, seed=seed))
+    assert b.snapshot() == blob
+    assert np.array_equal(b.bridge1, bridge1) and np.array_equal(b.bridge2, bridge2)
+    assert b.lexicon.names() == meta["lexicon/names"]
+
+
+def test_restore_rejects_a_wrong_shape():
+    a = Agent(small_config())
+    a.cycle(np.ones(8))
+    arrays, meta, seed = read_snapshot(a.snapshot())
+    arrays["sensory/W1"] = np.zeros((8, 15))
+    # caught while restoring, not by the first cycle's matmul
+    with pytest.raises(ValueError, match=r"'sensory/W1'.*\(8, 15\).*\(8, 16\)"):
+        Agent.restore(write_snapshot(arrays, meta, seed=seed))
+
+
+def test_nan_observation_rolls_back_and_carries_on():
+    a = Agent(small_config(seed=29))
+    stream = obs_stream(12, seed=11)
+    for x in stream[:11]:
+        a.cycle(x, r_env=0.1)
+    assert len(a.tracker) == a.config.context_window and a.gate.active_count
+    before = a.snapshot()
+    twin = Agent.restore(before)
+    with pytest.raises(ngc.DivergenceError):
+        a.cycle(np.full(8, np.nan), r_env=0.1)
+    assert a.snapshot() == before
+    assert a.cycle(stream[11], r_env=0.1) == twin.cycle(stream[11], r_env=0.1)
+    assert a.snapshot() == twin.snapshot()
 
 
 def test_restored_agent_replays_identically():

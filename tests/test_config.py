@@ -97,15 +97,29 @@ ENUM_CASES = [
     ("gate_metric", "cosine", "cos"),
 ]
 
+# numeric keys bounded to an interval: each closed end is a good value, each
+# open end and a value past a closed end a bad one
+RANGE_CASES = [
+    ("mask_p", 1.0, 0.0),
+    ("mask_p", 0.25, 1.5),
+    ("gamma_d", 0.0, 1.0),
+    ("gamma_d", 0.95, -0.5),
+    ("eps_start", 0.0, -0.1),
+    ("eps_start", 1.0, 1.01),
+    ("eps_end", 0.0, -0.1),
+    ("eps_end", 1.0, 1.01),
+    ("eps_end", 0.5, float("nan")),
+]
 
-@pytest.mark.parametrize("key, good, bad", ENUM_CASES)
+
+@pytest.mark.parametrize("key, good, bad", ENUM_CASES + RANGE_CASES)
 def test_enum_keys_fail_at_parse_time(key, good, bad):
     assert parse_config(f"{key} = {good}\n") == {key: good}
     with pytest.raises(ValueError, match=rf"line 2.*'{key}'.*{bad}"):
         parse_config(f"seed = 1\n{key} = {bad}\n")
 
 
-@pytest.mark.parametrize("key, good, bad", ENUM_CASES)
+@pytest.mark.parametrize("key, good, bad", ENUM_CASES + RANGE_CASES)
 def test_enum_keys_fail_in_code_overrides(key, good, bad):
     assert resolve({key: good})[key] == good
     for wrong in (bad, f" {good}", None):

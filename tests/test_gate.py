@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cogkit.gate import CompetitiveGate, ContextTracker, RoutingDirective
+from cogkit.gate import CompetitiveGate, ContextTracker
 
 
 def make_gate(**kw):
@@ -199,18 +199,6 @@ def test_cosine_metric():
     # same direction, different magnitude: distance 0 under cosine
     winner, dist = g.match([7.0, 0.0])
     assert winner == 0 and dist == pytest.approx(0.0)
-
-
-def test_routing_directives_per_unit():
-    g = make_gate(routing_default=RoutingDirective(dm_store_on=False))
-    g.select_or_recruit([0.0, 0.0])
-    r = g.routing_for(0)
-    assert r.wm_encode_on and not r.dm_store_on and r.dm_retrieve_on
-    r.dm_retrieve_on = False  # per-unit flags are independent objects
-    g.select_or_recruit([99.0, 99.0])
-    assert g.routing_for(1).dm_retrieve_on
-    with pytest.raises(ValueError):
-        g.routing_for(5)
 
 
 def test_masks_deterministic_per_seed():
