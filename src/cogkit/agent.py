@@ -508,14 +508,20 @@ class Agent:
 
         Entries are read by name, so ones this code no longer writes are
         ignored.  An array whose shape differs from the same entry of an agent
-        freshly built from the embedded config is rejected.
+        freshly built from the embedded config, or from what the config gives
+        a recruited gate unit's prototype and masks, is rejected.
         """
         arrays, meta, _seed = snapshot.read_snapshot(data)
         agent = cls(AgentConfig(**meta["config"]))
-        for name, own in agent._entries().items():
-            if name in arrays and arrays[name].shape != np.shape(own):
+        shapes = {name: np.shape(own) for name, own in agent._entries().items()}
+        for k in range(len(meta.get("gate/usage", ()))):
+            shapes[f"gate/prototype/{k}"] = (agent.gate.context_dim,)
+            for layer, width in agent.gate.layer_widths.items():
+                shapes[f"gate/mask/{k}/{layer}"] = (width,)
+        for name, shape in shapes.items():
+            if name in arrays and arrays[name].shape != shape:
                 raise ValueError(f"snapshot entry {name!r} has shape {arrays[name].shape}, "
-                                 f"the config gives {np.shape(own)}")
+                                 f"the config gives {shape}")
         entries = {**arrays, **meta}
         for part in _STATE:
             part.put(agent, part.load(agent, entries))

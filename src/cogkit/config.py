@@ -9,6 +9,7 @@ complete, typed dictionary.
 from __future__ import annotations
 
 import hashlib
+import math
 import numbers
 
 
@@ -57,19 +58,37 @@ def _choice(*options):
     return _checked(str.strip, check)
 
 
-def _within(lo, hi, open_lo=False, open_hi=False):
+def _within(lo, hi, open_lo=False, open_hi=False, parse=float):
     """Caster for a number in the interval from ``lo`` to ``hi``, each end
-    closed unless marked open."""
+    closed unless marked open; with ``parse=int`` the number must be whole."""
     interval = f"{'(' if open_lo else '['}{lo}, {hi}{')' if open_hi else ']'}"
+    kind = numbers.Integral if parse is int else numbers.Real
 
     def check(value):
-        if not (isinstance(value, numbers.Real)
+        if not (isinstance(value, kind)
                 and (lo < value if open_lo else lo <= value)
                 and (value < hi if open_hi else value <= hi)):
             raise ValueError(f"{value!r} is not in {interval}")
         return value
 
-    return _checked(float, check)
+    return _checked(parse, check)
+
+
+_COUNT = _within(1, math.inf, open_hi=True, parse=int)  # sizes, K and counts
+_RATE = _within(0, math.inf, open_hi=True)  # learning rates
+_POSITIVE = _within(0, math.inf, open_lo=True, open_hi=True)
+_DECAY = _within(0, 1, open_lo=True)  # retention factors
+
+
+def _check_sizes(sizes):
+    if not isinstance(sizes, (tuple, list)):
+        raise ValueError(f"{sizes!r} is not a list of layer sizes")
+    for n in sizes:
+        _COUNT.check(n)
+    return tuple(sizes)
+
+
+_SIZES = _checked(_ints, _check_sizes)
 
 
 def _theta(text):
@@ -98,31 +117,31 @@ SCHEMA = {
     "rps_policy": (_floats, (0.8, 0.1, 0.1)),
     "eval_window": (int, 100),
     # recall protocol
-    "recall_d": (int, 2048),
-    "recall_rho": (float, 0.9),
-    "recall_lexicon": (int, 16),
-    "recall_list_len": (int, 7),
-    "recall_lists": (int, 100),
+    "recall_d": (_COUNT, 2048),
+    "recall_rho": (_DECAY, 0.9),
+    "recall_lexicon": (_COUNT, 16),
+    "recall_list_len": (_COUNT, 7),
+    "recall_lists": (_COUNT, 100),
     # holographic space
-    "d": (int, 1024),
+    "d": (_COUNT, 1024),
     # sensory cortex
-    "sensory_hidden": (_ints, (360, 360)),
+    "sensory_hidden": (_SIZES, (360, 360)),
     "sensory_beta": (float, 0.05),
     "sensory_gamma": (float, 0.001),
-    "sensory_K": (int, 50),
+    "sensory_K": (_COUNT, 50),
     "sensory_sigma": (float, 0.05),
-    "sensory_eta_W": (float, 0.01),
-    "sensory_eta_E": (float, 0.01),
+    "sensory_eta_W": (_RATE, 0.01),
+    "sensory_eta_E": (_RATE, 0.01),
     "sensory_clip": (_bool, True),
     # motor cortex
-    "motor_hidden": (_ints, ()),
-    "motor_state_dim": (int, 64),
+    "motor_hidden": (_SIZES, ()),
+    "motor_state_dim": (_COUNT, 64),
     "motor_beta": (float, 0.05),
     "motor_gamma": (float, 0.001),
-    "motor_K": (int, 20),
+    "motor_K": (_COUNT, 20),
     "motor_sigma": (float, 0.05),
-    "motor_eta_W": (float, 0.02),
-    "motor_eta_E": (float, 0.02),
+    "motor_eta_W": (_RATE, 0.02),
+    "motor_eta_E": (_RATE, 0.02),
     "motor_clip": (_bool, False),
     "gamma_d": (_within(0, 1, open_hi=True), 0.95),
     "alpha_e": (float, 0.0),
@@ -131,19 +150,19 @@ SCHEMA = {
     "replay_samples": (int, 0),
     # task gate
     "theta": (_theta, "auto"),
-    "theta_factor": (float, 3.0),
-    "eta_c": (float, 0.05),
-    "M_max": (int, 8),
+    "theta_factor": (_POSITIVE, 3.0),
+    "eta_c": (_within(0, 1), 0.05),
+    "M_max": (_COUNT, 8),
     "mask_p": (_within(0, 1, open_lo=True), 0.5),
     "mask_mode": (_choice("random", "blocks"), "random"),
     "gate_metric": (_choice("euclid", "cosine"), "euclid"),
-    "context_window": (int, 32),
+    "context_window": (_COUNT, 32),
     "route_wm_encode": (_bool, True),
     "route_dm_store": (_bool, True),
     "route_dm_retrieve": (_bool, True),
     # memory
-    "wm_rho": (float, 0.9),
-    "dm_tau": (float, 0.1),
+    "wm_rho": (_DECAY, 0.9),
+    "dm_tau": (_POSITIVE, 0.1),
     "dm_k": (int, 3),
     # exploration schedule
     "eps_start": (_within(0, 1), 1.0),

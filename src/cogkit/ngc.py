@@ -12,6 +12,16 @@ contributes nothing to predictions, its error-driven state term is silenced,
 and its synapses (both the columns it sends and the rows that predict it)
 receive exactly zero change, which is what makes task-specific subnetworks
 non-interfering.
+
+With one hidden layer, a clamped input and a 0/1 mask, that subnetwork is the
+whole computation: a closed unit starts at 0 and stays there, so it never
+reaches a prediction, an error or a weight change.  ``settle`` and
+``update_weights`` then work on the open units alone (see ``_open_units``).
+A mask with every unit open is no mask at all and is dropped on entry.
+
+Weight matrices are kept in C order: every update returns C-ordered W and E,
+as a restore does, so a restored circuit sums its products in the order the
+live one does and resumes byte for byte.
 """
 
 from __future__ import annotations
@@ -125,7 +135,8 @@ def _validate_mask(circuit, mask):
         g = _check_layer_vec(circuit, ell, g, "gating mask")
         if (g < 0).any() or (g > 1).any():
             raise ValueError(f"gate values for layer {ell} outside [0, 1]")
-        out[ell] = g
+        if not (g == 1.0).all():  # multiplying by 1 changes nothing
+            out[ell] = g
     return out
 
 
@@ -134,9 +145,31 @@ def _gate(state, ell, v):
     return v if g is None else v * g
 
 
-def make_state(circuit, clamps=None, mask=None, init=None, pin0=None):
-    """Assemble a fresh state: clamped layers fixed, the rest from ``init``
-    (zeros by default), with predictions and errors refreshed once."""
+def _open_units(circuit, state):
+    """The open units of hidden layer 1, as a slice when they are one run;
+    None unless it is the only hidden layer and has a 0/1 mask that opens
+    at least one unit.
+
+    A closed unit's activity enters every prediction and every weight change
+    multiplied by 0.  Dropping those terms leaves each computed value a sum of
+    the same nonzero terms, and each weight change exactly the same product,
+    so the open-unit path gives the masked path's numbers up to the order
+    BLAS adds the terms of a product.
+    """
+    g = state.mask.get(1)
+    if circuit.L != 1 or g is None or not ((g == 0.0) | (g == 1.0)).all():
+        return None
+    idx = np.flatnonzero(g)
+    if idx.size == 0:
+        return None
+    if idx[-1] - idx[0] + 1 == idx.size:
+        return slice(int(idx[0]), int(idx[-1]) + 1)
+    return idx
+
+
+def _assemble(circuit, clamps, mask, init, pin0):
+    """A fresh state with clamped layers fixed and the rest from ``init``
+    (zeros by default); predictions and errors are left unset."""
     clamps = dict(clamps or {})
     init = dict(init or {})
     for name, d in (("clamp", clamps), ("init", init)):
@@ -153,7 +186,7 @@ def make_state(circuit, clamps=None, mask=None, init=None, pin0=None):
         pin[int(idx)] = float(val)
     start = {**init, **clamps}
     z = [start[ell].copy() if ell in start else np.zeros(n) for ell, n in enumerate(circuit.sizes)]
-    state = CircuitState(
+    return CircuitState(
         z=z,
         mu=[None] * circuit.L,
         e=[None] * circuit.L + [np.zeros(circuit.sizes[-1])],
@@ -161,7 +194,12 @@ def make_state(circuit, clamps=None, mask=None, init=None, pin0=None):
         mask=_validate_mask(circuit, mask),
         pin0=pin,
     )
-    return _refresh(circuit, state)
+
+
+def make_state(circuit, clamps=None, mask=None, init=None, pin0=None):
+    """Assemble a fresh state: clamped layers fixed, the rest from ``init``
+    (zeros by default), with predictions and errors refreshed once."""
+    return _refresh(circuit, _assemble(circuit, clamps, mask, init, pin0))
 
 
 def _refresh(circuit, state):
@@ -210,10 +248,32 @@ def settle(circuit, clamps=None, mask=None, init=None, pin0=None):
     Predictions depend only on layers 1..L, so when none of them can move
     (every hidden layer is clamped, or beta = 0) one pass gives the state
     that K passes would: settling stops after it, divergence check included.
-    Each step overwrites the fresh state built for this call and nothing
-    else; clamp, init, mask and circuit arrays are only read.
+
+    With one hidden layer that starts at rest under a 0/1 mask and layer 0
+    clamped, the same loop runs on the open units alone: ``W[1][:, open]``
+    and ``E[1][open]`` are gathered once, and the settled activities are
+    scattered back, so closed units stay exactly 0.  A pinned or free layer
+    0, a hidden layer that starts away from 0, and deeper stacks keep the
+    masked computation.  Each step overwrites the fresh state built for this
+    call and nothing else; clamp, init, mask and circuit arrays are only read.
     """
-    state = make_state(circuit, clamps=clamps, mask=mask, init=init, pin0=pin0)
+    state = _assemble(circuit, clamps, mask, init, pin0)
+    opened = None
+    if 0 in state.clamps and 1 not in state.clamps and not state.z[1].any():
+        opened = _open_units(circuit, state)
+    if opened is None:
+        return _settle(circuit, _refresh(circuit, state))
+    W1 = np.ascontiguousarray(circuit.W[1][:, opened])
+    E1 = np.ascontiguousarray(circuit.E[1][opened])
+    sub = replace(circuit, sizes=(circuit.sizes[0], len(E1)), W=[None, W1], E=[None, E1])
+    part = _settle(sub, make_state(sub, clamps=state.clamps))
+    state.z[1][opened] = part.z[1]
+    state.mu[0], state.e[0], state.energy = part.mu[0], part.e[0], part.energy
+    return state
+
+
+def _settle(circuit, state):
+    """The predict/correct loop of ``settle``, on a refreshed ``state``."""
     z, e, E = state.z, state.e, circuit.E
     beta, gamma = circuit.beta, circuit.gamma
     track = beta != 0.0 and 0 not in state.clamps
@@ -245,28 +305,30 @@ def update_weights(circuit, state, eta_W, eta_E, clip=False):
     with the gated activity above; W gets eta_W times it and E gets eta_E
     times its transpose.  Errors at gated-off hidden units are zeroed on the
     postsynaptic side too, so a closed gate means zero change in both the
-    unit's outgoing columns and the rows predicting it.  With ``clip``,
-    columns of W and E are rescaled onto the unit ball when they exceed it.
+    unit's outgoing columns and the rows predicting it.  With one hidden
+    layer under a 0/1 mask, only the open units' columns of W and rows of E
+    are computed, into copies of the old matrices; every other entry would
+    have gained exactly 0.  With ``clip``, columns of W and E are rescaled
+    onto the unit ball when they exceed it, all columns, open or not.  The
+    new matrices are C-ordered whatever the old ones were.
     """
-    W = [None]
-    E = [None]
-    for ell in range(1, circuit.L + 1):
-        pre = _apply_phi(circuit.phi[ell], _gate(state, ell, state.z[ell]))
-        grad = np.outer(_gate(state, ell - 1, state.e[ell - 1]), pre)
-        W.append(circuit.W[ell] + eta_W * grad)
-        E.append(circuit.E[ell] + eta_E * grad.T)
-        if clip:
-            for M in (W[ell], E[ell]):
-                norms = np.linalg.norm(M, axis=0)
-                big = norms > 1.0
-                if big.any():
-                    M[:, big] /= norms[big]
+    opened = _open_units(circuit, state)
+    if opened is None:
+        W, E = [None], [None]
+        for ell in range(1, circuit.L + 1):
+            pre = _apply_phi(circuit.phi[ell], _gate(state, ell, state.z[ell]))
+            grad = np.outer(_gate(state, ell - 1, state.e[ell - 1]), pre)
+            W.append(np.add(circuit.W[ell], eta_W * grad, order="C"))
+            E.append(np.add(circuit.E[ell], eta_E * grad.T, order="C"))
+    else:
+        grad = np.outer(state.e[0], _apply_phi(circuit.phi[1], state.z[1][opened]))
+        W, E = [None, circuit.W[1].copy()], [None, circuit.E[1].copy()]
+        W[1][:, opened] += eta_W * grad
+        E[1][opened] += eta_E * grad.T
+    if clip:
+        for M in W[1:] + E[1:]:
+            norms = np.linalg.norm(M, axis=0)
+            big = norms > 1.0
+            if big.any():
+                M[:, big] /= norms[big]
     return replace(circuit, W=W, E=E)
-
-
-def reconstruct(circuit, x, init=None):
-    """Settle with layer 0 clamped to ``x``; return (x_hat, error_norm)."""
-    x = _check_layer_vec(circuit, 0, x, "input")
-    state = settle(circuit, clamps={0: x}, init=init)
-    x_hat = state.mu[0]
-    return x_hat, float(np.linalg.norm(x - x_hat))

@@ -1,10 +1,13 @@
-"""Reference oracle for ``cogkit.ngc.settle``: the straightforward kernel.
+"""Reference oracle for ``cogkit.ngc``: the straightforward kernels.
 
-Each of the K steps builds a fresh state through ``predict`` and checks
-every layer for divergence with two reductions; nothing short-circuits.
-The package's lean kernel must reproduce these states bit for bit.  Only
-the state assembly (validation and layout) comes from the package; every
-prediction and error here is computed by the code below.
+``settle``: each of the K steps builds a fresh state through ``predict``
+and checks every layer for divergence with two reductions; nothing
+short-circuits, and gating masks multiply every unit, open or closed.
+``update_weights``: every weight of every layer gets its Hebbian change,
+closed units included.  The package's kernels must reproduce these numbers,
+bit for bit where they add the same terms in the same order.  Only the
+state assembly (validation and layout) comes from the package; every
+prediction, error and weight here is computed by the code below.
 """
 
 from __future__ import annotations
@@ -23,8 +26,10 @@ def _gated(state, ell):
 
 
 def make_state(circuit, clamps=None, mask=None, init=None, pin0=None):
-    """A fresh package state with predictions and errors from ``predict``."""
+    """A fresh package state with predictions and errors from ``predict``;
+    every mask given is kept, all-open ones too."""
     state = ngc.make_state(circuit, clamps=clamps, mask=mask, init=init, pin0=pin0)
+    state.mask = {ell: np.asarray(g, dtype=float) for ell, g in (mask or {}).items()}
     return predict(circuit, state)
 
 
@@ -79,3 +84,23 @@ def settle(circuit, clamps=None, mask=None, init=None, pin0=None):
         track_output(state)  # leave z0 consistent with the final predictions
     state.energy = energy(state)
     return state
+
+
+def update_weights(circuit, state, eta_W, eta_E, clip=False):
+    """Dense local Hebbian updates; returns a new circuit."""
+    W = [None]
+    E = [None]
+    for ell in range(1, circuit.L + 1):
+        pre = _apply_phi(circuit.phi[ell], _gated(state, ell))
+        below = state.e[ell - 1]
+        g = state.mask.get(ell - 1)
+        grad = np.outer(below if g is None else below * g, pre)
+        W.append(circuit.W[ell] + eta_W * grad)
+        E.append(circuit.E[ell] + eta_E * grad.T)
+        if clip:
+            for M in (W[ell], E[ell]):
+                norms = np.linalg.norm(M, axis=0)
+                big = norms > 1.0
+                if big.any():
+                    M[:, big] /= norms[big]
+    return replace(circuit, W=W, E=E)

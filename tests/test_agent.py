@@ -288,6 +288,47 @@ def test_restore_rejects_a_wrong_shape():
         Agent.restore(write_snapshot(arrays, meta, seed=seed))
 
 
+@pytest.mark.parametrize("entry, shape", [("gate/prototype/0", (5,)),
+                                          ("gate/mask/0/1", (15,))])
+def test_restore_rejects_a_wrong_shape_gate_entry(entry, shape):
+    a = Agent(small_config())
+    for x in obs_stream(3):
+        a.cycle(x)
+    arrays, meta, seed = read_snapshot(a.snapshot())
+    arrays[entry] = np.zeros(shape)
+    with pytest.raises(ValueError, match=rf"'{entry}'.*{shape}"):
+        Agent.restore(write_snapshot(arrays, meta, seed=seed))
+
+
+def test_gated_wide_agent_rolls_back_a_failed_motor_update(monkeypatch):
+    # 784 -> 256 with a quarter of the units open: the sensory update takes
+    # the open-unit path, then the motor's update fails
+    a = Agent(small_config(obs_dim=784, sensory_hidden=(256,), sensory_K=30,
+                           mask_mode="blocks", mask_p=0.25, seed=31))
+    stream = obs_stream(6, seed=12, dim=784)
+    for x in stream[:5]:
+        a.cycle(x, r_env=0.1)
+    before = a.snapshot()
+    twin = Agent.restore(before)
+    sensory_before = a.sensory
+    real_update, calls = ngc.update_weights, []
+
+    def failing_update(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 2:
+            raise RuntimeError("injected")
+        return real_update(*args, **kwargs)
+
+    monkeypatch.setattr(ngc, "update_weights", failing_update)
+    with pytest.raises(RuntimeError, match="injected"):
+        a.cycle(stream[5], r_env=1.0)
+    monkeypatch.undo()
+    assert len(calls) == 2 and a.sensory is sensory_before
+    assert a.snapshot() == before
+    assert a.cycle(stream[5], r_env=1.0) == twin.cycle(stream[5], r_env=1.0)
+    assert a.snapshot() == twin.snapshot()
+
+
 def test_nan_observation_rolls_back_and_carries_on():
     a = Agent(small_config(seed=29))
     stream = obs_stream(12, seed=11)
@@ -319,6 +360,25 @@ def test_restored_agent_replays_identically():
         assert act_a == act_b
         ra = 1.0 if act_a == 0 else -1.0
         rb = 1.0 if act_b == 0 else -1.0
+    assert a.snapshot() == b.snapshot()
+
+
+@pytest.mark.parametrize("mask_p", [0.25, 1.0])
+def test_restore_resumes_byte_identically_past_numpy_layout_switch(mask_p):
+    # 256 x 128 = 32768 sensory weights: the size from which NumPy lays out
+    # ``E + eta * grad.T`` in Fortran order, which a restore would not; gated
+    # and ungated agents update their weights on different paths
+    a = Agent(small_config(obs_dim=256, sensory_hidden=(128,), mask_mode="blocks",
+                           mask_p=mask_p, seed=37))
+    stream = obs_stream(40, seed=13, dim=256)
+    r = 0.0
+    for x in stream[:20]:
+        r = 1.0 if a.cycle(x, r_env=r) == 1 else -1.0
+    b = Agent.restore(a.snapshot())
+    ra = rb = r
+    for x in stream[20:]:
+        ra = 1.0 if a.cycle(x, r_env=ra) == 1 else -1.0
+        rb = 1.0 if b.cycle(x, r_env=rb) == 1 else -1.0
     assert a.snapshot() == b.snapshot()
 
 

@@ -98,7 +98,8 @@ ENUM_CASES = [
 ]
 
 # numeric keys bounded to an interval: each closed end is a good value, each
-# open end and a value past a closed end a bad one
+# open end and a value past a closed end a bad one; whole-number keys also
+# reject a fraction
 RANGE_CASES = [
     ("mask_p", 1.0, 0.0),
     ("mask_p", 0.25, 1.5),
@@ -109,6 +110,28 @@ RANGE_CASES = [
     ("eps_end", 0.0, -0.1),
     ("eps_end", 1.0, 1.01),
     ("eps_end", 0.5, float("nan")),
+    ("d", 1, 0),
+    ("d", 1024, 2.5),
+    ("recall_d", 1, -4),
+    ("recall_lexicon", 1, 0),
+    ("recall_list_len", 1, 0),
+    ("recall_lists", 1, 0),
+    ("motor_state_dim", 1, 0),
+    ("M_max", 1, 0),
+    ("context_window", 1, 0),
+    ("sensory_K", 1, 0),
+    ("motor_K", 1, -1),
+    ("eta_c", 0.0, -0.01),
+    ("eta_c", 1.0, 1.5),
+    ("dm_tau", 1e-09, 0.0),
+    ("wm_rho", 1.0, 0.0),
+    ("wm_rho", 0.5, 1.01),
+    ("recall_rho", 1.0, 0.0),
+    ("sensory_eta_W", 0.0, -0.01),
+    ("sensory_eta_E", 0.0, -0.01),
+    ("motor_eta_W", 0.0, -0.01),
+    ("motor_eta_E", 0.0, float("nan")),
+    ("theta_factor", 2.25, 0.0),
 ]
 
 
@@ -123,5 +146,16 @@ def test_enum_keys_fail_at_parse_time(key, good, bad):
 def test_enum_keys_fail_in_code_overrides(key, good, bad):
     assert resolve({key: good})[key] == good
     for wrong in (bad, f" {good}", None):
+        with pytest.raises(ValueError, match=rf"'{key}'"):
+            resolve({"seed": 1, key: wrong})
+
+
+@pytest.mark.parametrize("key", ["sensory_hidden", "motor_hidden"])
+def test_layer_sizes_fail_at_parse_time_and_in_code(key):
+    assert parse_config(f"{key} = 64,1\n") == {key: (64, 1)}
+    with pytest.raises(ValueError, match=rf"line 2.*'{key}'.*0"):
+        parse_config(f"seed = 1\n{key} = 64,0\n")
+    assert resolve({key: (8,)})[key] == (8,)
+    for wrong in ((64, 0), [-1], 64, (2.5,), None):
         with pytest.raises(ValueError, match=rf"'{key}'"):
             resolve({"seed": 1, key: wrong})

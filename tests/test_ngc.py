@@ -9,7 +9,6 @@ from cogkit.ngc import (
     init_circuit,
     make_state,
     predict,
-    reconstruct,
     settle,
     update_weights,
 )
@@ -297,36 +296,23 @@ def test_update_column_clip():
     assert np.linalg.norm(c2.E[1], axis=0).max() <= 1.0 + 1e-12
 
 
-def test_reconstruct_zero_input():
-    c = init_circuit([8, 16], seed=17)
-    x_hat, err = reconstruct(c, np.zeros(8))
-    assert err == 0.0
-    assert not x_hat.any()
-
-
-def test_reconstruct_untrained_predicts_nothing():
+def test_untrained_circuit_predicts_nothing():
     rng = np.random.default_rng(18)
     for seed in range(5):
         c = init_circuit([16, 32], seed=seed)
         x = rng.normal(size=16)
-        _, err = reconstruct(c, x)
+        err = np.linalg.norm(x - settle(c, clamps={0: x}).mu[0])
         assert abs(err - np.linalg.norm(x)) <= 0.05 * np.linalg.norm(x)
+        assert not settle(c, clamps={0: np.zeros(16)}).mu[0].any()
 
 
-def test_reconstruct_learns_repeated_pattern():
+def test_settle_and_update_learn_a_repeated_pattern():
     c = init_circuit([16, 32], seed=19, beta=0.05)
     x = np.random.default_rng(19).normal(size=16)
     for _ in range(200):
         state = settle(c, clamps={0: x})
         c = update_weights(c, state, eta_W=0.05, eta_E=0.05)
-    _, err = reconstruct(c, x)
-    assert err < 0.1 * np.linalg.norm(x)
-
-
-def test_reconstruct_dimension_error():
-    c = init_circuit([8, 16], seed=20)
-    with pytest.raises(ValueError):
-        reconstruct(c, np.zeros(9))
+    assert np.linalg.norm(x - settle(c, clamps={0: x}).mu[0]) < 0.1 * np.linalg.norm(x)
 
 
 def _oracle_case(name):
@@ -455,3 +441,83 @@ def test_motor_q_values_nan_state_raises_divergence():
     s[2] = np.nan
     with pytest.raises(DivergenceError):
         m.q_values(s)
+
+
+# Open-unit path: one hidden layer, layer 0 clamped, a 0/1 mask.  The name
+# says which units of the 32 are open; the last three cases must keep the
+# masked computation.
+OPEN_CASES = {
+    "block_at_0": range(0, 8),
+    "block_in_middle": range(12, 20),
+    "wrapped_block": [*range(28, 32), *range(0, 4)],
+    "random": [1, 2, 5, 9, 10, 17, 23, 30],
+    "single_unit": [13],
+    "all_open": range(32),
+}
+MASKED_CASES = ["pinned_layer_0", "init_on_layer_1", "three_layers"]
+# A scattered mask and a single unit leave BLAS adding the open terms of a
+# product in another order than with the closed zeros between them, so they
+# are held to float64 rounding of K passes over products of at most 32
+# terms, not to equal bits.
+ROUNDED = {"random", "single_unit"}
+OPEN_TOL = 10 * 15 * 32 * np.finfo(float).eps
+
+
+def _open_case(name):
+    """(circuit, settle kwargs, units the loop should run on) for one case."""
+    rng = np.random.default_rng(sum(map(ord, name)))
+    # sigma puts every column of W and E outside the unit ball, so a clip
+    # rescales closed units' columns too
+    c = init_circuit([24, 32], seed=40, K=15, sigma=0.5)
+    g = np.zeros(32)
+    if name in OPEN_CASES:
+        g[list(OPEN_CASES[name])] = 1.0
+        return c, {"clamps": {0: rng.normal(size=24)}, "mask": {1: g}}, int(g.sum())
+    g[12:20] = 1.0
+    if name == "pinned_layer_0":
+        return c, {"mask": {1: g}, "pin0": {3: 0.5}}, 32
+    if name == "init_on_layer_1":
+        return c, {"clamps": {0: rng.normal(size=24)}, "mask": {1: g},
+                   "init": {1: rng.normal(size=32)}}, 32
+    if name == "three_layers":
+        c = init_circuit([24, 32, 8], seed=41, K=15, sigma=0.5)
+        return c, {"clamps": {0: rng.normal(size=24)}, "mask": {1: g}}, 32
+    raise KeyError(name)
+
+
+@pytest.mark.parametrize("clip", [False, True])
+@pytest.mark.parametrize("name", [*OPEN_CASES, *MASKED_CASES])
+def test_open_unit_settle_and_update_match_reference_oracle(name, clip):
+    c, kwargs, _ = _open_case(name)
+    got = settle(c, **kwargs)
+    want = reference_ngc.settle(c, **kwargs)
+    if name in ROUNDED:
+        for f in ("z", "mu", "e"):
+            for u, v in zip(getattr(got, f), getattr(want, f)):
+                np.testing.assert_allclose(u, v, rtol=0, atol=OPEN_TOL)
+        assert got.energy == pytest.approx(want.energy, rel=0, abs=OPEN_TOL)
+        assert not got.z[1][got.mask[1] == 0].any()
+    else:
+        _assert_states_equal(got, want)
+        assert got.energy == want.energy
+    # the update adds no sums: equal bits from the same state, for any mask
+    for state in (want, got):
+        new = update_weights(c, state, eta_W=0.3, eta_E=0.2, clip=clip)
+        ref = reference_ngc.update_weights(c, state, eta_W=0.3, eta_E=0.2, clip=clip)
+        for ell in range(1, c.L + 1):
+            assert np.array_equal(new.W[ell], ref.W[ell]), f"W[{ell}]"
+            assert np.array_equal(new.E[ell], ref.E[ell]), f"E[{ell}]"
+            assert new.W[ell].flags.c_contiguous and new.E[ell].flags.c_contiguous
+        if clip:
+            for M in (new.W[1], new.E[1]):
+                assert (np.linalg.norm(M, axis=0) <= 1.0 + 1e-12).all()
+
+
+@pytest.mark.parametrize("name", [*OPEN_CASES, *MASKED_CASES])
+def test_open_unit_path_runs_where_it_applies(name, monkeypatch):
+    c, kwargs, units = _open_case(name)
+    ran_on = []
+    loop = ngc._settle
+    monkeypatch.setattr(ngc, "_settle", lambda sub, st: ran_on.append(sub.sizes) or loop(sub, st))
+    settle(c, **kwargs)
+    assert ran_on == [(c.sizes[0], units, *c.sizes[2:])]
