@@ -7,24 +7,27 @@ cosine similarity, and cleanup against a lexicon of named random symbols.
 All operations are pure functions over float64 arrays. Binding is computed
 in the Fourier domain; the direct O(d^2) convolution sum is the reference
 the tests check against.
+
+The read path gives the bytes of its plain form (``np.roll``, row norms
+taken on every clean-up); a norm that is NaN or infinite raises.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
+import operator
 
 import numpy as np
 
 __all__ = [
     "random_symbol",
-    "identity_vector",
     "bind",
     "involution",
     "unbind",
     "superpose",
     "permute",
     "cosine",
-    "normalize",
     "cleanup",
     "SymbolLexicon",
 ]
@@ -62,13 +65,6 @@ def random_symbol(name, d, seed=0):
         raise ValueError(f"invalid dimension d={d}; must be >= 1")
     rng = _symbol_rng(name, seed)
     return rng.standard_normal(d) / np.sqrt(d)
-
-
-def identity_vector(d):
-    """Identity element of circular convolution: [1, 0, ..., 0]."""
-    v = np.zeros(d)
-    v[0] = 1.0
-    return v
 
 
 def bind(a, b):
@@ -120,29 +116,39 @@ def superpose(vs, normalize=False):
 
 
 def permute(a, shift):
-    """Cyclic right-shift by `shift` positions (mod d)."""
+    """Cyclic right-shift by the integer `shift` (mod d), as a new array.
+
+    Equal to ``np.roll(a, shift)`` byte for byte: both only copy.  A shift
+    that is not an integer raises rather than being truncated.
+    """
     a = _as_vector(a, "a")
-    return np.roll(a, shift)
+    try:
+        shift = operator.index(shift)
+    except TypeError:
+        raise TypeError(f"permute shift must be an integer, got {shift!r}") from None
+    k = shift % a.shape[0]
+    if k == 0:
+        return a.copy()
+    return np.concatenate((a[-k:], a[:-k]))
 
 
-def normalize(a):
-    """Scale to unit Euclidean norm; zero vectors raise."""
-    a = _as_vector(a, "a")
-    n = np.linalg.norm(a)
+def _check_norm(n, what):
+    """Reject a zero or non-finite (NaN, inf, overflowed) norm."""
+    if not math.isfinite(n):
+        raise ValueError(f"{what} has a non-finite norm ({n})")
     if n == 0.0:
-        raise ValueError("cannot normalize a zero vector")
-    return a / n
+        raise ValueError(f"{what} has zero norm")
 
 
 def cosine(a, b):
-    """Cosine similarity in [-1, 1]; zero-norm operands raise."""
+    """Cosine similarity in [-1, 1]; zero-norm or non-finite operands raise."""
     a = _as_vector(a, "a")
     b = _as_vector(b, "b")
     _check_same_dim(a, b)
     na = np.linalg.norm(a)
     nb = np.linalg.norm(b)
-    if na == 0.0 or nb == 0.0:
-        raise ValueError("cosine undefined for zero-norm vector")
+    _check_norm(na, "cosine operand a")
+    _check_norm(nb, "cosine operand b")
     return float(np.dot(a, b) / (na * nb))
 
 
@@ -150,20 +156,22 @@ def cleanup(v, lex, k=1):
     """Top-k lexicon symbols by descending cosine with the probe `v`.
 
     Ties break by lexicon insertion order. k larger than the lexicon returns
-    every entry ranked.
+    every entry ranked; k < 1 raises.  The matrix, its row norms and the
+    names come from the lexicon's cache; those axis-wise norms can differ
+    from the 1-d norms `cosine` takes in the last bit, so never mix the two.
     """
     if len(lex) == 0:
         raise ValueError("cleanup against an empty lexicon")
+    if k < 1:
+        raise ValueError(f"cleanup needs k >= 1, got {k}")
     v = _as_vector(v, "probe")
     nv = np.linalg.norm(v)
-    if nv == 0.0:
-        raise ValueError("cleanup probe has zero norm")
-    mat = lex.matrix()
+    _check_norm(nv, "cleanup probe")
+    mat, norms, names = lex.stacked()
     if mat.shape[1] != v.shape[0]:
         raise ValueError(f"dimension mismatch: lexicon d={mat.shape[1]} vs probe {v.shape[0]}")
-    scores = mat @ v / (np.linalg.norm(mat, axis=1) * nv)
-    order = np.argsort(-scores, kind="stable")[: min(k, len(lex))]
-    names = lex.names()
+    scores = mat @ v / (norms * nv)
+    order = np.argsort(-scores, kind="stable")[: min(k, len(names))]
     return [(names[i], float(scores[i])) for i in order]
 
 
@@ -173,6 +181,10 @@ class SymbolLexicon:
     Vectors are regenerated from (name, seed) on demand, so a lexicon is
     fully described by its name list, dimension, and seed; rebuilding from
     those yields bit-identical vectors. Read-shared after construction.
+
+    Symbol vectors are read-only.  The stacked matrix, its row norms and the
+    name tuple are built together on first use and cached, also read-only;
+    `add` of a new name drops all three.
     """
 
     def __init__(self, d, seed=0, names=()):
@@ -181,15 +193,17 @@ class SymbolLexicon:
         self.d = int(d)
         self.seed = int(seed)
         self._entries = {}
-        self._matrix = None
+        self._cache = None
         for name in names:
             self.add(name)
 
     def add(self, name):
         """Register `name`, generating its vector; idempotent for known names."""
         if name not in self._entries:
-            self._entries[name] = random_symbol(name, self.d, self.seed)
-            self._matrix = None
+            v = random_symbol(name, self.d, self.seed)
+            v.flags.writeable = False  # a write would leave the cached matrix stale
+            self._entries[name] = v
+            self._cache = None
         return self._entries[name]
 
     def __contains__(self, name):
@@ -204,34 +218,17 @@ class SymbolLexicon:
     def names(self):
         return list(self._entries.keys())
 
+    def stacked(self):
+        """(n, d) matrix, its ``np.linalg.norm(matrix, axis=1)`` and the name
+        tuple, in insertion order (cached together)."""
+        if self._cache is None:
+            mat = np.stack(list(self._entries.values()))
+            norms = np.linalg.norm(mat, axis=1)
+            mat.flags.writeable = False
+            norms.flags.writeable = False
+            self._cache = (mat, norms, tuple(self._entries))
+        return self._cache
+
     def matrix(self):
         """(n, d) matrix of all symbol vectors in insertion order (cached)."""
-        if self._matrix is None:
-            self._matrix = np.stack(list(self._entries.values()))
-        return self._matrix
-
-    def export_text(self):
-        """One line per symbol: name<TAB>d<TAB>seed. Vectors are never serialized."""
-        return "".join(f"{name}\t{self.d}\t{self.seed}\n" for name in self._entries)
-
-    @classmethod
-    def import_text(cls, text):
-        names = []
-        d = None
-        seed = None
-        for lineno, line in enumerate(text.splitlines(), start=1):
-            if not line.strip():
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise ValueError(f"lexicon line {lineno}: expected name<TAB>d<TAB>seed")
-            name, d_s, seed_s = parts
-            d_i, seed_i = int(d_s), int(seed_s)
-            if d is None:
-                d, seed = d_i, seed_i
-            elif (d_i, seed_i) != (d, seed):
-                raise ValueError(f"lexicon line {lineno}: inconsistent (d, seed)")
-            names.append(name)
-        if d is None:
-            raise ValueError("empty lexicon text")
-        return cls(d, seed, names)
+        return self.stacked()[0]

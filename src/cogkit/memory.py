@@ -25,7 +25,7 @@ class WorkingMemoryBuffer:
     """Superposition buffer with decay ``rho`` and an item counter.
 
     ``m`` is the zero vector exactly when ``position`` is zero; ``position``
-    counts encodes since the last clear.
+    counts encodes since the buffer was made empty.
     """
 
     m: np.ndarray
@@ -58,20 +58,18 @@ def wm_encode(buf: WorkingMemoryBuffer, item) -> WorkingMemoryBuffer:
 
 
 def wm_recall(buf: WorkingMemoryBuffer, p, lex: hrr.SymbolLexicon):
-    """Recall the item at position ``p`` (1-based) as a (name, score) pair.
+    """Recall the item at position ``p`` (1-based) as ``(name, score, probe)``.
 
     Un-permutes the buffer by ``p`` and cleans the result up against the
-    lexicon; the score is the winning cosine.
+    lexicon; the score is the winning cosine and ``probe`` the un-permuted
+    buffer itself, so a caller that scores it against a known item needs no
+    second un-permute.  A buffer holding NaN or inf raises ``ValueError``.
     """
     if not 1 <= p <= buf.position:
         raise ValueError(f"recall position {p} out of range 1..{buf.position}")
-    name, score = hrr.cleanup(hrr.permute(buf.m, -p), lex, k=1)[0]
-    return name, score
-
-
-def wm_clear(buf: WorkingMemoryBuffer) -> WorkingMemoryBuffer:
-    """Reset contents and counter, keeping rho and dimension."""
-    return WorkingMemoryBuffer(m=np.zeros(buf.d), rho=buf.rho, position=0, d=buf.d)
+    probe = hrr.permute(buf.m, -p)
+    name, score = hrr.cleanup(probe, lex, k=1)[0]
+    return name, score, probe
 
 
 @dataclass(frozen=True)
@@ -130,13 +128,13 @@ def dm_retrieve(dm: DeclarativeMemory, cue, k, tau=0.1) -> RetrievalResult:
     """Rank stored concepts against ``cue`` by cosine.
 
     Strengths are softmax(scores / tau) over every stored concept; lower tau
-    sharpens the distribution toward the best match.
+    sharpens the distribution toward the best match.  A cue or trace whose
+    norm is zero, NaN or infinite raises ``ValueError``.
     """
     if not dm.traces:
         raise ValueError("retrieve from empty declarative memory")
     cue = np.asarray(cue, dtype=float)
-    if np.linalg.norm(cue) == 0.0:
-        raise ValueError("retrieval cue has zero norm")
+    hrr._check_norm(np.linalg.norm(cue), "retrieval cue")
     if tau <= 0.0:
         raise ValueError(f"temperature tau must be positive, got {tau}")
     names = list(dm.traces)

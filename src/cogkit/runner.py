@@ -450,11 +450,9 @@ def run_recall(cfg, seed=None, out=None, cfg_text=None):
         for name in picked:
             buf = memory.wm_encode(buf, lex[name])
         for p in range(1, length + 1):
-            got, score = memory.wm_recall(buf, p, lex)
+            got, _, probe = memory.wm_recall(buf, p, lex)
             hits[p - 1] += got == picked[p - 1]
-            cosines[p - 1] += hrr.cosine(
-                hrr.permute(buf.m, -p), lex[picked[p - 1]]
-            )
+            cosines[p - 1] += hrr.cosine(probe, lex[picked[p - 1]])
 
     acc = hits / n_lists
     mean_cos = cosines / n_lists

@@ -169,6 +169,7 @@ def test_settling_lowers_energy():
 # ---------------------------------------------------------------------------
 # 5: continual interference protection
 
+@pytest.mark.slow
 def test_gating_protects_first_task(continual_runs):
     runs, elapsed = continual_runs
     gaps = []
@@ -264,6 +265,7 @@ def test_snapshot_restore_resumes_identically():
 # ---------------------------------------------------------------------------
 # 10: stub agents bracket the learned agent
 
+@pytest.mark.slow
 def test_stub_agents_bracket_learned(continual_runs, rps_runs, maze_runs):
     runs, _ = continual_runs
     for seed, (gated, _ungated) in runs.items():

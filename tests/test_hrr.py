@@ -1,19 +1,25 @@
 import numpy as np
 import pytest
 
-from cogkit import hrr
 from cogkit.hrr import (
     SymbolLexicon,
     bind,
     cleanup,
     cosine,
-    identity_vector,
     involution,
     permute,
     random_symbol,
     superpose,
     unbind,
 )
+
+
+def identity_vector(d):
+    return np.eye(1, d)[0]
+
+
+def normalize(a):
+    return a / np.linalg.norm(a)
 
 
 def conv_direct(a, b):
@@ -130,8 +136,8 @@ def test_unbind_recovers_bound_operand():
     d = 512
     cs = []
     for i in range(100):
-        a = hrr.normalize(random_symbol(f"a{i}", d, seed=3))
-        b = hrr.normalize(random_symbol(f"b{i}", d, seed=3))
+        a = normalize(random_symbol(f"a{i}", d, seed=3))
+        b = normalize(random_symbol(f"b{i}", d, seed=3))
         cs.append(cosine(unbind(bind(a, b), b), a))
     assert np.mean(cs) >= 0.6
 
@@ -215,13 +221,107 @@ def test_cleanup_recovers_unbound_symbol():
     assert hits >= 99
 
 
-def test_lexicon_roundtrip_text():
-    lex = SymbolLexicon(48, seed=11, names=["alpha", "beta", "gamma"])
-    text = lex.export_text()
-    back = SymbolLexicon.import_text(text)
-    assert back.names() == lex.names()
-    assert np.array_equal(back.matrix(), lex.matrix())
-    with pytest.raises(ValueError):
-        SymbolLexicon.import_text("")
-    with pytest.raises(ValueError):
-        SymbolLexicon.import_text("a\t8\t1\nb\t16\t1\n")
+# ---------------------------------------------------------------------------
+# the read path against its plain form: np.roll and the uncached clean-up
+
+
+@pytest.mark.parametrize("d", [1, 2, 17])
+def test_permute_equals_roll_for_every_shift(d):
+    a = np.arange(1.0, d + 1.0) + random_symbol("p", d)
+    for shift in range(-2 * d - 1, 2 * d + 2):
+        got = permute(a, shift)
+        assert np.array_equal(got, np.roll(a, shift)), shift
+        assert got.dtype == np.float64 and got.shape == (d,)
+
+
+def test_permute_equals_roll_at_full_width():
+    d = 2048
+    a = random_symbol("wide", d)
+    rng = np.random.default_rng(2048)
+    shifts = [0, 1, -1, 7, -7, d - 1, d, d + 1, -d, 2 * d + 1, -2 * d - 1,
+              *rng.integers(-3 * d, 3 * d, size=40)]
+    for shift in shifts:
+        assert np.array_equal(permute(a, shift), np.roll(a, shift)), shift
+
+
+@pytest.mark.parametrize("shift", [0, 3, 17, -5])
+def test_permute_returns_a_new_array(shift):
+    a = random_symbol("own", 17)
+    keep = a.copy()
+    out = permute(a, shift)
+    out[:] = -1.0
+    assert np.array_equal(a, keep)
+
+
+def test_permute_takes_integer_shifts_only():
+    a = random_symbol("int", 8)
+    assert np.array_equal(permute(a, np.int64(3)), np.roll(a, 3))
+    for bad in (1.5, 1.0, "1", None):
+        with pytest.raises(TypeError, match="shift"):
+            permute(a, bad)
+
+
+def plain_cleanup_scores(v, lex):
+    """The clean-up expression with nothing cached: the read path's oracle."""
+    mat = np.stack([lex[n] for n in lex.names()])
+    return mat @ v / (np.linalg.norm(mat, axis=1) * np.linalg.norm(v))
+
+
+def test_cleanup_matches_the_uncached_expression():
+    lex = SymbolLexicon(2048, seed=9, names=[f"s{i}" for i in range(16)])
+    rng = np.random.default_rng(9)
+    names = lex.names()
+    for _ in range(50):
+        probe = rng.normal(size=2048) + 3.0 * lex[names[rng.integers(16)]]
+        want = plain_cleanup_scores(probe, lex)
+        order = np.argsort(-want, kind="stable")
+        got = cleanup(probe, lex, k=16)
+        assert [n for n, _ in got] == [names[i] for i in order]
+        assert np.array_equal([s for _, s in got], want[order])
+        assert cleanup(probe, lex, k=3) == got[:3]
+
+
+def test_add_after_matrix_refreshes_matrix_norms_and_names():
+    lex = SymbolLexicon(64, seed=10, names=["A", "B"])
+    probe = lex["B"] + 0.5 * random_symbol("C", 64, seed=10)
+    assert lex.matrix().shape == (2, 64)
+    assert [n for n, _ in cleanup(probe, lex, k=5)] == ["B", "A"]
+    lex.add("C")
+    mat, norms, names = lex.stacked()
+    assert np.array_equal(lex.matrix(), np.stack([lex["A"], lex["B"], lex["C"]]))
+    assert np.array_equal(norms, np.linalg.norm(lex.matrix(), axis=1))
+    assert names == ("A", "B", "C")
+    got = cleanup(probe, lex, k=5)
+    assert [n for n, _ in got] == ["B", "C", "A"]
+    assert np.array_equal([s for _, s in got],
+                          np.sort(plain_cleanup_scores(probe, lex))[::-1])
+    lex.add("A")  # known names leave the cache alone
+    assert lex.stacked()[0] is mat
+
+
+def test_lexicon_arrays_are_read_only():
+    lex = SymbolLexicon(16, seed=12, names=["A", "B"])
+    mat, norms, _ = lex.stacked()
+    for arr in (lex["A"], mat, norms):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_reads_raise(bad):
+    lex = SymbolLexicon(16, seed=13, names=["A", "B"])
+    v = lex["A"].copy()
+    v[3] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        cleanup(v, lex)
+    with pytest.raises(ValueError, match="non-finite"):
+        cosine(v, lex["B"])
+    with pytest.raises(ValueError, match="non-finite"):
+        cosine(lex["B"], v)
+
+
+def test_cleanup_rejects_k_below_one():
+    lex = SymbolLexicon(16, seed=14, names=["A", "B"])
+    for k in (0, -1):
+        with pytest.raises(ValueError, match="k >= 1"):
+            cleanup(lex["A"], lex, k=k)

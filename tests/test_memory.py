@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
 
-from cogkit import hrr
+from cogkit import hrr, runner
+from cogkit.config import resolve
 from cogkit.hrr import SymbolLexicon
 from cogkit.memory import (
     DeclarativeMemory,
     WorkingMemoryBuffer,
     dm_retrieve,
     dm_store,
-    wm_clear,
     wm_encode,
     wm_recall,
 )
@@ -32,8 +32,9 @@ def test_single_item_recall_exact():
     lex = make_lex(10, 64)
     buf = wm_encode(WorkingMemoryBuffer.empty(64, rho=1.0), lex["s3"])
     assert np.array_equal(buf.m, hrr.permute(lex["s3"], 1))
-    name, score = wm_recall(buf, 1, lex)
+    name, score, probe = wm_recall(buf, 1, lex)
     assert name == "s3"
+    assert np.array_equal(probe, lex["s3"])
     assert score >= 0.99
 
 
@@ -90,7 +91,7 @@ def test_recall_list_of_seven_beats_chance():
         for i in items:
             buf = wm_encode(buf, lex[f"s{i}"])
         for p in range(1, 8):
-            name, _ = wm_recall(buf, p, lex)
+            name, _, _ = wm_recall(buf, p, lex)
             correct += name == f"s{items[p - 1]}"
             total += 1
     assert correct / total > 1 / 16
@@ -102,20 +103,8 @@ def test_recall_out_of_range():
     for p in (0, 2, -1):
         with pytest.raises(ValueError):
             wm_recall(buf, p, lex)
-
-
-def test_clear():
-    lex = make_lex(2, 16)
-    buf = wm_encode(WorkingMemoryBuffer.empty(16, rho=0.7), lex["s0"])
-    cleared = wm_clear(buf)
-    assert cleared.position == 0
-    assert not cleared.m.any()
-    assert cleared.rho == 0.7 and cleared.d == 16
-    again = wm_clear(cleared)
-    assert again.position == 0 and not again.m.any()
-    assert again.rho == cleared.rho and again.d == cleared.d
     with pytest.raises(ValueError):
-        wm_recall(cleared, 1, lex)
+        wm_recall(WorkingMemoryBuffer.empty(16), 1, lex)
 
 
 def test_store_single_context_is_permuted_symbol():
@@ -243,3 +232,57 @@ def test_retrieve_errors():
         dm_retrieve(dm, np.zeros(16), k=1)
     with pytest.raises(ValueError):
         dm_retrieve(dm, lex["s1"], k=1, tau=0.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_reads_raise(bad):
+    lex = make_lex(3, 16)
+    buf = wm_encode(WorkingMemoryBuffer.empty(16), lex["s0"])
+    m = buf.m.copy()
+    m[5] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        wm_recall(WorkingMemoryBuffer(m=m, rho=buf.rho, position=1, d=16), 1, lex)
+    dm = dm_store(DeclarativeMemory(lexicon=lex), "s0", ["s1"])
+    cue = lex["s1"].copy()
+    cue[2] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        dm_retrieve(dm, cue, k=1)
+    broken = DeclarativeMemory(lexicon=lex, traces={"s0": m}, store_count={"s0": 1})
+    with pytest.raises(ValueError, match="non-finite"):
+        dm_retrieve(broken, lex["s1"], k=1)
+
+
+def plain_recall(d, rho, n_sym, length, n_lists, seed):
+    """run_recall's loop written with np.roll, the uncached clean-up and a
+    second un-permute for the cosine: the oracle of the fast read path."""
+    names = [f"s{i}" for i in range(n_sym)]
+    vecs = [hrr.random_symbol(n, d, seed) for n in names]
+    mat = np.stack(vecs)
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 4000]))
+    hits = np.zeros(length)
+    cosines = np.zeros(length)
+    for _ in range(n_lists):
+        picked = rng.permutation(n_sym)[:length]
+        m = np.zeros(d)
+        for p, i in enumerate(picked, start=1):
+            m = rho * m + np.roll(vecs[i], p)
+        for p in range(1, length + 1):
+            v = np.roll(m, -p)
+            scores = mat @ v / (np.linalg.norm(mat, axis=1) * np.linalg.norm(v))
+            hits[p - 1] += np.argsort(-scores, kind="stable")[0] == picked[p - 1]
+            v = np.roll(m, -p)
+            t = vecs[picked[p - 1]]
+            cosines[p - 1] += float(np.dot(v, t) / (np.linalg.norm(v) * np.linalg.norm(t)))
+    return hits / n_lists, cosines / n_lists
+
+
+@pytest.mark.parametrize("d, rho, n_sym, length, seed", [
+    (2048, 0.9, 16, 7, 1), (64, 0.7, 9, 9, 2), (17, 1.0, 5, 3, 3),
+])
+def test_run_recall_matches_the_plain_loop(d, rho, n_sym, length, seed):
+    cfg = resolve(dict(recall_d=d, recall_rho=rho, recall_lexicon=n_sym,
+                       recall_list_len=length, recall_lists=20))
+    got = runner.run_recall(cfg, seed=seed)
+    acc, cos = plain_recall(d, rho, n_sym, length, 20, seed)
+    assert np.array_equal(got["accuracy"], acc)
+    assert np.array_equal(got["mean_cosine"], cos)
