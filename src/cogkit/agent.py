@@ -208,21 +208,25 @@ def _load_replay(agent, entries):
                  for s, a, r, s_next, done in zip(*(entries[k] for k in _REPLAY)))
 
 
+def _recruited(entries):
+    """How many gate units the snapshot holds: one prototype entry each."""
+    return sum(name.startswith("gate/prototype/") for name in entries)
+
+
 def _load_masks(agent, entries):
     layers = sorted(agent.gate.layer_widths)
     return [{layer: entries[f"gate/mask/{k}/{layer}"] for layer in layers}
-            for k in range(len(entries["gate/usage"]))]
+            for k in range(_recruited(entries))]
 
 
 def _dump_dm(dm):
     return {**{f"dm/trace/{n}": trace for n, trace in dm.traces.items()},
-            "dm/trace_names": list(dm.traces),
-            "dm/store_count": {n: int(c) for n, c in dm.store_count.items()}}
+            "dm/trace_names": list(dm.traces)}
 
 
 def _load_dm(agent, entries):
     traces = {n: entries[f"dm/trace/{n}"] for n in entries["dm/trace_names"]}
-    return replace(agent.dm, traces=traces, store_count=dict(entries["dm/store_count"]))
+    return replace(agent.dm, traces=traces)
 
 
 def _dump_pending(pending):
@@ -239,12 +243,11 @@ _STATE = (
     _Part(*_refill("motor.replay"), _dump_replay, _load_replay),
     _Part(*_attr("gate.prototypes", list),
           lambda protos: {f"gate/prototype/{k}": w for k, w in enumerate(protos)},
-          lambda agent, e: [e[f"gate/prototype/{k}"] for k in range(len(e["gate/usage"]))]),
+          lambda agent, e: [e[f"gate/prototype/{k}"] for k in range(_recruited(e))]),
     _Part(*_attr("gate.masks", list),
           lambda masks: {f"gate/mask/{k}/{layer}": g
                          for k, mask in enumerate(masks) for layer, g in mask.items()},
           _load_masks),
-    _one("gate.usage", "gate/usage", copy=list, out=lambda u: [int(n) for n in u]),
     _one("gate.saturated", "gate/saturated", out=bool),
     _one("gate.rng.bit_generator.state", "gate/rng_state"),
     _Part(*_attr("dm"), _dump_dm, _load_dm),
@@ -368,7 +371,6 @@ class Agent:
             # novelty is undefined while the running mean is still forming;
             # match against existing units but do not recruit on warm-up jitter
             winner, _ = self.gate.match(context)
-            self.gate.usage[winner] += 1
         else:
             winner = self.gate.select_or_recruit(context)
         self.gate.update_winner(winner, context)
@@ -509,12 +511,14 @@ class Agent:
         Entries are read by name, so ones this code no longer writes are
         ignored.  An array whose shape differs from the same entry of an agent
         freshly built from the embedded config, or from what the config gives
-        a recruited gate unit's prototype and masks, is rejected.
+        a recruited gate unit's prototype and masks, is rejected.  Units are
+        counted by their prototype entries, so a gate array beyond that count
+        (a unit whose prototype is missing) is rejected too.
         """
         arrays, meta, _seed = snapshot.read_snapshot(data)
         agent = cls(AgentConfig(**meta["config"]))
         shapes = {name: np.shape(own) for name, own in agent._entries().items()}
-        for k in range(len(meta.get("gate/usage", ()))):
+        for k in range(_recruited(arrays)):
             shapes[f"gate/prototype/{k}"] = (agent.gate.context_dim,)
             for layer, width in agent.gate.layer_widths.items():
                 shapes[f"gate/mask/{k}/{layer}"] = (width,)
@@ -522,6 +526,9 @@ class Agent:
             if name in arrays and arrays[name].shape != shape:
                 raise ValueError(f"snapshot entry {name!r} has shape {arrays[name].shape}, "
                                  f"the config gives {shape}")
+        stray = sorted(name for name in arrays if name.startswith("gate/") and name not in shapes)
+        if stray:
+            raise ValueError(f"snapshot entries {stray} belong to no recruited gate unit")
         entries = {**arrays, **meta}
         for part in _STATE:
             part.put(agent, part.load(agent, entries))

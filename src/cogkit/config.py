@@ -103,19 +103,19 @@ SCHEMA = {
     # experiment
     "seed": (int, 0),
     "readout": (_choice("rl", "supervised"), "rl"),
-    "epochs": (int, 1),
-    "n_tasks": (int, 2),
-    "per_task_train": (int, 500),
-    "per_task_test": (int, 500),
+    "epochs": (_COUNT, 1),
+    "n_tasks": (_COUNT, 2),
+    "per_task_train": (_COUNT, 500),
+    "per_task_test": (_COUNT, 500),
     "train_images": (str, ""),
     "train_labels": (str, ""),
-    "synthetic_per_class": (int, 600),
+    "synthetic_per_class": (_COUNT, 600),
     "env": (_choice("rps", "maze"), "rps"),
-    "rounds": (int, 2000),
-    "episodes": (int, 500),
-    "step_limit": (int, 50),
+    "rounds": (_COUNT, 2000),
+    "episodes": (_COUNT, 500),
+    "step_limit": (_COUNT, 50),
     "rps_policy": (_floats, (0.8, 0.1, 0.1)),
-    "eval_window": (int, 100),
+    "eval_window": (_COUNT, 100),
     # recall protocol
     "recall_d": (_COUNT, 2048),
     "recall_rho": (_DECAY, 0.9),
@@ -163,7 +163,7 @@ SCHEMA = {
     # memory
     "wm_rho": (_DECAY, 0.9),
     "dm_tau": (_POSITIVE, 0.1),
-    "dm_k": (int, 3),
+    "dm_k": (_COUNT, 3),
     # exploration schedule
     "eps_start": (_within(0, 1), 1.0),
     "eps_end": (_within(0, 1), 0.05),

@@ -86,26 +86,12 @@ class Task:
     test_y: np.ndarray
 
 
-@dataclass(frozen=True)
-class TaskStream:
-    tasks: list
-
-    def __len__(self):
-        return len(self.tasks)
-
-    def __iter__(self):
-        return iter(self.tasks)
-
-    def __getitem__(self, i):
-        return self.tasks[i]
-
-
 DEFAULT_PAIRS = ((0, 1), (2, 3), (4, 5), (6, 7), (8, 9))
 
 
 def make_split_mnist(images, labels, pairs=DEFAULT_PAIRS, per_task_train=500,
                      per_task_test=500, seed=0):
-    """Build a task stream by filtering label pairs out of one dataset.
+    """Build a tuple of ``Task`` by filtering label pairs out of one dataset.
 
     Pixels are scaled into [0,1]; within a task the pair's labels remap to
     {0, 1}.  The per-task subsample is a seeded permutation, so the same
@@ -145,7 +131,7 @@ def make_split_mnist(images, labels, pairs=DEFAULT_PAIRS, per_task_train=500,
                 test_y=(y[te] == b).astype(int),
             )
         )
-    return TaskStream(tasks=tasks)
+    return tuple(tasks)
 
 
 def make_synthetic_digits(per_class=600, seed=0, side=28, classes=10):

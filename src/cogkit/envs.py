@@ -52,7 +52,7 @@ class MazeEnv:
         if step_limit < 1:
             raise ValueError(f"step limit must be >= 1, got {step_limit}")
         self.step_limit = int(step_limit)
-        if self.shortest_path_length() is None:
+        if self.start not in self.distance_map():
             raise ValueError("goal is unreachable from start")
         self.pos = self.start
         self.steps = 0
@@ -99,23 +99,8 @@ class MazeEnv:
         self.done = reached or self.steps >= self.step_limit
         return self._observe(), reward, self.done
 
-    def shortest_path_length(self):
-        """BFS distance start -> goal, or None if unreachable."""
-        seen = {self.start}
-        frontier = deque([(self.start, 0)])
-        while frontier:
-            cell, dist = frontier.popleft()
-            if cell == self.goal:
-                return dist
-            for di, dj in MOVES:
-                nxt = (cell[0] + di, cell[1] + dj)
-                if self._free(nxt) and nxt not in seen:
-                    seen.add(nxt)
-                    frontier.append((nxt, dist + 1))
-        return None
-
     def distance_map(self):
-        """BFS distance to the goal from every free cell (for oracle play)."""
+        """BFS distance to the goal from every free cell that can reach it."""
         dist = {self.goal: 0}
         frontier = deque([self.goal])
         while frontier:
@@ -143,7 +128,6 @@ class RpsEnv:
             raise ValueError(f"opponent policy sums to {policy.sum()}, not 1")
         self.policy = policy
         self.rng = np.random.default_rng(seed)
-        self.rounds = 0
 
     @property
     def n_actions(self):
@@ -154,7 +138,6 @@ class RpsEnv:
         if not 0 <= action < 3:
             raise ValueError(f"action {action} not in 0..2")
         opp = int(self.rng.choice(3, p=self.policy))
-        self.rounds += 1
         if action == opp:
             return 0.0, opp
         return (1.0, opp) if (action - opp) % 3 == 1 else (-1.0, opp)

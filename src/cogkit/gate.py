@@ -66,7 +66,6 @@ class CompetitiveGate:
         self.rng = np.random.default_rng(seed)
         self.prototypes = []
         self.masks = []
-        self.usage = []
         self.saturated = False
 
     @property
@@ -120,7 +119,6 @@ class CompetitiveGate:
         k = self.active_count
         self.prototypes.append(context.copy())
         self.masks.append(self._fresh_mask(k))
-        self.usage.append(0)
         return k
 
     def select_or_recruit(self, context):
@@ -140,7 +138,6 @@ class CompetitiveGate:
                     winner = self._recruit(context)
                 else:
                     self.saturated = True
-        self.usage[winner] += 1
         return winner
 
     def update_winner(self, winner, context):
@@ -170,7 +167,6 @@ class ContextTracker:
         if window < 1:
             raise ValueError(f"window must be >= 1, got {window}")
         self.dim = int(dim)
-        self.window = int(window)
         self._buf = deque(maxlen=window)
 
     def update(self, obs):

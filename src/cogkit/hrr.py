@@ -93,12 +93,8 @@ def unbind(c, b):
     return bind(c, involution(b))
 
 
-def superpose(vs, normalize=False):
-    """Element-wise sum of a non-empty list of same-dimension vectors.
-
-    With normalize=True the sum is scaled to unit Euclidean norm; a zero sum
-    cannot be normalized and raises.
-    """
+def superpose(vs):
+    """Element-wise sum of a non-empty list of same-dimension vectors."""
     if len(vs) == 0:
         raise ValueError("superpose of an empty list")
     vecs = [_as_vector(v) for v in vs]
@@ -106,13 +102,7 @@ def superpose(vs, normalize=False):
     for v in vecs[1:]:
         if v.shape[0] != d:
             raise ValueError(f"dimension mismatch in superpose: {d} vs {v.shape[0]}")
-    out = np.sum(vecs, axis=0)
-    if normalize:
-        n = np.linalg.norm(out)
-        if n == 0.0:
-            raise ValueError("cannot normalize a zero superposition")
-        out = out / n
-    return out
+    return np.sum(vecs, axis=0)
 
 
 def permute(a, shift):
@@ -215,9 +205,6 @@ class SymbolLexicon:
     def __getitem__(self, name):
         return self._entries[name]
 
-    def names(self):
-        return list(self._entries.keys())
-
     def stacked(self):
         """(n, d) matrix, its ``np.linalg.norm(matrix, axis=1)`` and the name
         tuple, in insertion order (cached together)."""
@@ -228,7 +215,3 @@ class SymbolLexicon:
             norms.flags.writeable = False
             self._cache = (mat, norms, tuple(self._entries))
         return self._cache
-
-    def matrix(self):
-        """(n, d) matrix of all symbol vectors in insertion order (cached)."""
-        return self.stacked()[0]

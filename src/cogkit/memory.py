@@ -87,17 +87,16 @@ class RetrievalResult:
 
 @dataclass(frozen=True)
 class DeclarativeMemory:
-    """Per-concept holographic traces with store counts.
+    """Per-concept holographic traces.
 
     Traces are unnormalized accumulators, so repeatedly stored associations
-    outweigh rare ones.  A concept stored only with empty contexts has a
-    count but no trace (there is nothing to accumulate), and does not
-    participate in retrieval.
+    outweigh rare ones.  A concept stored only with empty contexts has no
+    trace (there is nothing to accumulate), and does not participate in
+    retrieval.
     """
 
     lexicon: hrr.SymbolLexicon
     traces: dict = field(default_factory=dict)
-    store_count: dict = field(default_factory=dict)
 
 
 def dm_store(dm: DeclarativeMemory, concept, context) -> DeclarativeMemory:
@@ -105,23 +104,22 @@ def dm_store(dm: DeclarativeMemory, concept, context) -> DeclarativeMemory:
 
     The j-th context name (1-based) contributes its lexicon vector shifted by
     j, mirroring the working-memory position scheme.  An empty context leaves
-    the trace untouched but still counts as a store event.
+    the memory as it was.
     """
     for name in (concept, *context):
         if name not in dm.lexicon:
             raise ValueError(f"unknown concept {name!r}; not in lexicon")
+    if not context:
+        return dm
+    addend = hrr.superpose(
+        [hrr.permute(dm.lexicon[name], j) for j, name in enumerate(context, start=1)]
+    )
     traces = dict(dm.traces)
-    counts = dict(dm.store_count)
-    if context:
-        addend = hrr.superpose(
-            [hrr.permute(dm.lexicon[name], j) for j, name in enumerate(context, start=1)]
-        )
-        if concept in traces:
-            traces[concept] = traces[concept] + addend
-        else:
-            traces[concept] = addend
-    counts[concept] = counts.get(concept, 0) + 1
-    return DeclarativeMemory(lexicon=dm.lexicon, traces=traces, store_count=counts)
+    if concept in traces:
+        traces[concept] = traces[concept] + addend
+    else:
+        traces[concept] = addend
+    return DeclarativeMemory(lexicon=dm.lexicon, traces=traces)
 
 
 def dm_retrieve(dm: DeclarativeMemory, cue, k, tau=0.1) -> RetrievalResult:
@@ -129,8 +127,10 @@ def dm_retrieve(dm: DeclarativeMemory, cue, k, tau=0.1) -> RetrievalResult:
 
     Strengths are softmax(scores / tau) over every stored concept; lower tau
     sharpens the distribution toward the best match.  A cue or trace whose
-    norm is zero, NaN or infinite raises ``ValueError``.
+    norm is zero, NaN or infinite, or a ``k`` below 1, raises ``ValueError``.
     """
+    if k < 1:
+        raise ValueError(f"retrieve needs k >= 1, got {k}")
     if not dm.traces:
         raise ValueError("retrieve from empty declarative memory")
     cue = np.asarray(cue, dtype=float)

@@ -1,4 +1,4 @@
-"""Append-only metrics CSV and run metadata.
+"""Append-only metrics rows, their CSV, and run metadata.
 
 Rows are ``step,task,metric,value`` with deterministic float formatting
 (shortest round-trip repr), so identical runs produce identical bytes.  The
@@ -8,7 +8,6 @@ writer flushes on request so an interrupted run still leaves a valid prefix.
 from __future__ import annotations
 
 import numbers
-import time
 
 
 def format_value(value):
@@ -22,12 +21,16 @@ def format_value(value):
 
 
 class MetricsWriter:
+    """Keeps every row in ``rows`` and, given a path, mirrors them to a CSV."""
+
     HEADER = "step,task,metric,value\n"
 
-    def __init__(self, path):
-        self.path = path
-        self._fh = open(path, "w", encoding="utf-8", newline="\n")
-        self._fh.write(self.HEADER)
+    def __init__(self, path=None):
+        self.rows = []
+        self._fh = None
+        if path:
+            self._fh = open(path, "w", encoding="utf-8", newline="\n")
+            self._fh.write(self.HEADER)
         self._last_step = None
 
     def write(self, step, task, metric, value):
@@ -37,13 +40,17 @@ class MetricsWriter:
         self._last_step = step
         if "," in str(metric):
             raise ValueError(f"metric name {metric!r} contains a comma")
-        self._fh.write(f"{step},{int(task)},{metric},{format_value(value)}\n")
+        self.rows.append((step, int(task), metric, value))
+        if self._fh:
+            self._fh.write(f"{step},{int(task)},{metric},{format_value(value)}\n")
 
     def flush(self):
-        self._fh.flush()
+        if self._fh:
+            self._fh.flush()
 
     def close(self):
-        self._fh.close()
+        if self._fh:
+            self._fh.close()
 
     def __enter__(self):
         return self
@@ -62,10 +69,3 @@ def write_metadata(path, seed, cfg_hash, wall_time_s, extra=None):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
-
-class Stopwatch:
-    def __init__(self):
-        self.t0 = time.monotonic()
-
-    def seconds(self):
-        return time.monotonic() - self.t0

@@ -16,6 +16,7 @@ what the learned agent's numbers can mean.
 from __future__ import annotations
 
 import os
+import time
 from dataclasses import fields
 
 import numpy as np
@@ -26,37 +27,9 @@ from .config import config_hash
 from .data import DEFAULT_PAIRS, load_idx, make_split_mnist, make_synthetic_digits
 from .envs import MazeEnv, MOVES, RpsEnv
 from .gate import ContextTracker
-from .metrics import MetricsWriter, Stopwatch, write_metadata
+from .metrics import MetricsWriter, write_metadata
 
 AGENT_KINDS = ("learned", "random", "oracle")
-
-
-class MetricsSink:
-    """Collects rows in memory and mirrors them to a CSV when given a path."""
-
-    def __init__(self, path=None):
-        self.rows = []
-        self._writer = MetricsWriter(path) if path else None
-
-    def emit(self, step, task, metric, value):
-        self.rows.append((int(step), int(task), metric, value))
-        if self._writer:
-            self._writer.write(step, task, metric, value)
-
-    def flush(self):
-        if self._writer:
-            self._writer.flush()
-
-    def close(self):
-        if self._writer:
-            self._writer.close()
-
-    def value(self, metric):
-        """Last emitted value for ``metric``."""
-        for step, task, name, value in reversed(self.rows):
-            if name == metric:
-                return value
-        raise KeyError(metric)
 
 
 def canonical_config_text(cfg):
@@ -81,14 +54,14 @@ def _start_run(cfg, seed, out, cfg_text):
         os.makedirs(out, exist_ok=True)
         sink_path = os.path.join(out, "metrics.csv")
     text = cfg_text if cfg_text is not None else canonical_config_text(cfg)
-    return int(seed), MetricsSink(sink_path), config_hash(text), Stopwatch()
+    return int(seed), MetricsWriter(sink_path), config_hash(text), time.monotonic()
 
 
-def _end_run(out, seed, cfg_hash, watch, sink, extra):
+def _end_run(out, seed, cfg_hash, t0, sink, extra):
     sink.close()
     if out:
         write_metadata(os.path.join(out, "metadata.txt"), seed, cfg_hash,
-                       watch.seconds(), extra)
+                       time.monotonic() - t0, extra)
 
 
 def calibrate_theta(samples, window, factor, eta_c):
@@ -119,6 +92,15 @@ def calibrate_theta(samples, window, factor, eta_c):
         proto = proto + eta_c * (ctx - proto)
     theta = factor * float(np.percentile(dists, 95))
     return max(theta, 1e-9)
+
+
+def _resolve_theta(cfg, obs_samples):
+    """The config's theta, calibrated on ``obs_samples`` when it is "auto"."""
+    theta = cfg["theta"]
+    if theta == "auto":
+        theta = calibrate_theta(obs_samples, cfg["context_window"],
+                                cfg["theta_factor"], cfg["eta_c"])
+    return theta
 
 
 def _agent_config(cfg, **overrides):
@@ -161,7 +143,7 @@ def _eval_tasks(predict, stream, upto, step, sink, best):
         acc = correct / len(task.test_y)
         accs[j] = acc
         best[j] = max(best.get(j, 0.0), acc)
-        sink.emit(step, j, "accuracy", acc)
+        sink.write(step, j, "accuracy", acc)
     sink.flush()
     return accs
 
@@ -172,7 +154,7 @@ def run_continual(cfg, seed=None, out=None, ungated=False, agent_kind="learned",
     and forgetting (mean best-minus-final over tasks)."""
     if agent_kind not in AGENT_KINDS:
         raise ValueError(f"unknown agent kind {agent_kind!r}")
-    seed, sink, cfg_hash, watch = _start_run(cfg, seed, out, cfg_text)
+    seed, sink, cfg_hash, t0 = _start_run(cfg, seed, out, cfg_text)
 
     images, labels = load_dataset(cfg)
     n_tasks = cfg["n_tasks"]
@@ -186,10 +168,7 @@ def run_continual(cfg, seed=None, out=None, ungated=False, agent_kind="learned",
     agent = None
     lookup = {}
     if agent_kind == "learned":
-        theta = cfg["theta"]
-        if theta == "auto":
-            theta = calibrate_theta(stream[0].train_x, cfg["context_window"],
-                                    cfg["theta_factor"], cfg["eta_c"])
+        theta = _resolve_theta(cfg, stream[0].train_x)
         horizon = cfg["epochs"] * n_tasks * cfg["per_task_train"]
         # classification is a one-shot bandit: no bootstrapping
         agent = Agent(_agent_config(
@@ -244,13 +223,13 @@ def run_continual(cfg, seed=None, out=None, ungated=False, agent_kind="learned",
     final = [accs[j] for j in range(n_tasks)]
     acc_mean = float(np.mean(final))
     forgetting = float(np.mean([best[j] - accs[j] for j in range(n_tasks)]))
-    sink.emit(step, -1, "ACC", acc_mean)
-    sink.emit(step, -1, "forgetting", forgetting)
+    sink.write(step, -1, "ACC", acc_mean)
+    sink.write(step, -1, "forgetting", forgetting)
     if agent is not None:
-        sink.emit(step, -1, "units_recruited", agent.gate.active_count)
+        sink.write(step, -1, "units_recruited", agent.gate.active_count)
     sink.flush()
 
-    _end_run(out, seed, cfg_hash, watch, sink, {
+    _end_run(out, seed, cfg_hash, t0, sink, {
         "command": "continual", "agent": agent_kind,
         "ungated": int(ungated), "steps": step,
     })
@@ -262,14 +241,6 @@ def run_continual(cfg, seed=None, out=None, ungated=False, agent_kind="learned",
 # reinforcement-learning suites
 
 
-def _rl_theta(cfg, obs_samples):
-    theta = cfg["theta"]
-    if theta == "auto":
-        theta = calibrate_theta(obs_samples, cfg["context_window"],
-                                cfg["theta_factor"], cfg["eta_c"])
-    return theta
-
-
 def run_rps(cfg, seed=None, out=None, agent_kind="learned", cfg_text=None):
     """Iterated rock-paper-scissors against a stationary mixed opponent.
 
@@ -279,7 +250,7 @@ def run_rps(cfg, seed=None, out=None, agent_kind="learned", cfg_text=None):
     available, otherwise the second half)."""
     if agent_kind not in AGENT_KINDS:
         raise ValueError(f"unknown agent kind {agent_kind!r}")
-    seed, sink, cfg_hash, watch = _start_run(cfg, seed, out, cfg_text)
+    seed, sink, cfg_hash, t0 = _start_run(cfg, seed, out, cfg_text)
 
     rounds = cfg["rounds"]
     policy = np.asarray(cfg["rps_policy"], dtype=float)
@@ -292,7 +263,7 @@ def run_rps(cfg, seed=None, out=None, agent_kind="learned", cfg_text=None):
     if agent_kind == "learned":
         calib = np.eye(3)[np.random.default_rng(calib_seed).choice(
             3, size=100, p=policy)]
-        theta = _rl_theta(cfg, calib)
+        theta = _resolve_theta(cfg, calib)
         agent = Agent(_agent_config(cfg, obs_dim=3, n_actions=3, horizon=rounds,
                                     seed=seed, theta=theta))
     elif agent_kind == "oracle":
@@ -316,7 +287,7 @@ def run_rps(cfg, seed=None, out=None, agent_kind="learned", cfg_text=None):
         obs = np.zeros(3)
         obs[opp] = 1.0
         if (t + 1) % window == 0:
-            sink.emit(t + 1, 0, "mean_payoff", float(np.mean(payoffs[-window:])))
+            sink.write(t + 1, 0, "mean_payoff", float(np.mean(payoffs[-window:])))
             sink.flush()
     if agent is not None:
         agent.finish(r)
@@ -324,12 +295,12 @@ def run_rps(cfg, seed=None, out=None, agent_kind="learned", cfg_text=None):
     lo = 1000 if rounds >= 2000 else rounds // 2
     hi = min(2000, rounds)
     late = float(np.mean(payoffs[lo:hi]))
-    sink.emit(rounds, -1, "late_payoff", late)
+    sink.write(rounds, -1, "late_payoff", late)
     if agent is not None:
-        sink.emit(rounds, -1, "units_recruited", agent.gate.active_count)
+        sink.write(rounds, -1, "units_recruited", agent.gate.active_count)
     sink.flush()
 
-    _end_run(out, seed, cfg_hash, watch, sink, {
+    _end_run(out, seed, cfg_hash, t0, sink, {
         "command": "rl", "env": "rps", "agent": agent_kind, "rounds": rounds,
     })
     return {"late_payoff": late, "mean_payoff": float(np.mean(payoffs)),
@@ -357,7 +328,7 @@ def run_maze(cfg, seed=None, out=None, agent_kind="learned", cfg_text=None):
     over the last ``eval_window`` episodes."""
     if agent_kind not in AGENT_KINDS:
         raise ValueError(f"unknown agent kind {agent_kind!r}")
-    seed, sink, cfg_hash, watch = _start_run(cfg, seed, out, cfg_text)
+    seed, sink, cfg_hash, t0 = _start_run(cfg, seed, out, cfg_text)
 
     env = MazeEnv(step_limit=cfg["step_limit"])
     episodes = cfg["episodes"]
@@ -367,7 +338,7 @@ def run_maze(cfg, seed=None, out=None, agent_kind="learned", cfg_text=None):
 
     agent = None
     if agent_kind == "learned":
-        theta = _rl_theta(cfg, _maze_calibration_obs(env, calib_seed))
+        theta = _resolve_theta(cfg, _maze_calibration_obs(env, calib_seed))
         horizon = episodes * cfg["step_limit"]
         agent = Agent(_agent_config(cfg, obs_dim=env.obs_dim, n_actions=env.n_actions,
                                     horizon=horizon, seed=seed, theta=theta))
@@ -403,19 +374,19 @@ def run_maze(cfg, seed=None, out=None, agent_kind="learned", cfg_text=None):
             reached = reached or r > 0.5
         successes.append(reached)
         returns.append(total)
-        sink.emit(ep, 0, "return", total)
-        sink.emit(ep, 0, "success", reached)
+        sink.write(ep, 0, "return", total)
+        sink.write(ep, 0, "success", reached)
         if (ep + 1) % cfg["eval_window"] == 0:
             sink.flush()
 
     window = min(cfg["eval_window"], episodes)
     rate = float(np.mean(successes[-window:]))
-    sink.emit(episodes, -1, "success_rate_last", rate)
+    sink.write(episodes, -1, "success_rate_last", rate)
     if agent is not None:
-        sink.emit(episodes, -1, "units_recruited", agent.gate.active_count)
+        sink.write(episodes, -1, "units_recruited", agent.gate.active_count)
     sink.flush()
 
-    _end_run(out, seed, cfg_hash, watch, sink, {
+    _end_run(out, seed, cfg_hash, t0, sink, {
         "command": "rl", "env": "maze", "agent": agent_kind, "episodes": episodes,
     })
     return {"success_rate": rate, "mean_return": float(np.mean(returns)),
@@ -428,7 +399,7 @@ def run_maze(cfg, seed=None, out=None, agent_kind="learned", cfg_text=None):
 
 def run_recall(cfg, seed=None, out=None, cfg_text=None):
     """Per-position recall accuracy for random lists in the decay buffer."""
-    seed, sink, cfg_hash, watch = _start_run(cfg, seed, out, cfg_text)
+    seed, sink, cfg_hash, t0 = _start_run(cfg, seed, out, cfg_text)
 
     d = cfg["recall_d"]
     rho = cfg["recall_rho"]
@@ -457,11 +428,11 @@ def run_recall(cfg, seed=None, out=None, cfg_text=None):
     acc = hits / n_lists
     mean_cos = cosines / n_lists
     for p in range(1, length + 1):
-        sink.emit(n_lists, 0, f"recall_acc_pos{p}", float(acc[p - 1]))
-        sink.emit(n_lists, 0, f"recall_cos_pos{p}", float(mean_cos[p - 1]))
+        sink.write(n_lists, 0, f"recall_acc_pos{p}", float(acc[p - 1]))
+        sink.write(n_lists, 0, f"recall_cos_pos{p}", float(mean_cos[p - 1]))
     sink.flush()
 
-    _end_run(out, seed, cfg_hash, watch, sink, {
+    _end_run(out, seed, cfg_hash, t0, sink, {
         "command": "recall", "lists": n_lists,
     })
     return {"accuracy": acc, "mean_cosine": mean_cos, "rows": sink.rows}

@@ -124,11 +124,6 @@ def read_snapshot(data):
     return arrays, meta, seed
 
 
-def save_snapshot(path, arrays, meta, seed=0):
-    with open(path, "wb") as fh:
-        fh.write(write_snapshot(arrays, meta, seed))
-
-
 def load_snapshot(path):
     with open(path, "rb") as fh:
         return read_snapshot(fh.read())

@@ -131,7 +131,7 @@ def test_routing_all_off_leaves_memories_untouched():
         a.cycle(x, r_env=0.1 * i)
     assert a.state.wm.position == 0
     assert not a.state.wm.m.any()
-    assert not a.dm.traces and not a.dm.store_count
+    assert not a.dm.traces
     assert np.array_equal(a.state.buffers["retrieval"], r0)
 
 
@@ -140,7 +140,7 @@ def test_routing_on_moves_memories():
     for x in obs_stream(10, seed=5):
         a.cycle(x)
     assert a.state.wm.position == 10
-    assert a.dm.store_count  # stored a task fact each cycle
+    assert a.dm.traces  # stored a task fact each cycle
     assert a.state.buffers["retrieval"].any()
 
 
@@ -248,8 +248,8 @@ def test_snapshot_entry_names_and_kinds():
         "sensory/E1", "sensory/W1", "wm/m",
     ]
     assert sorted(meta) == [
-        "config", "dm/store_count", "dm/trace_names", "gate/rng_state", "gate/saturated",
-        "gate/usage", "last_energy", "last_winner", "motor/rng_state", "pending/a",
+        "config", "dm/trace_names", "gate/rng_state", "gate/saturated",
+        "last_energy", "last_winner", "motor/rng_state", "pending/a",
         "prev_winner", "step", "wm/position",
     ]
 
@@ -271,11 +271,14 @@ def test_restore_reads_the_parent_layout():
         * a.gate.active_count,
         "lexicon/names": [f"unit{k}" for k in range(a.config.M_max)],
         "last_action": act,
+        # the counters this agent's 15 cycles left in the older layout
+        "gate/usage": [15],
+        "dm/store_count": {"unit0": 15},
     })
     b = Agent.restore(write_snapshot(arrays, meta, seed=seed))
     assert b.snapshot() == blob
     assert np.array_equal(b.bridge1, bridge1) and np.array_equal(b.bridge2, bridge2)
-    assert b.lexicon.names() == meta["lexicon/names"]
+    assert list(b.lexicon.stacked()[2]) == meta["lexicon/names"]
 
 
 def test_restore_rejects_a_wrong_shape():
@@ -297,6 +300,19 @@ def test_restore_rejects_a_wrong_shape_gate_entry(entry, shape):
     arrays, meta, seed = read_snapshot(a.snapshot())
     arrays[entry] = np.zeros(shape)
     with pytest.raises(ValueError, match=rf"'{entry}'.*{shape}"):
+        Agent.restore(write_snapshot(arrays, meta, seed=seed))
+
+
+@pytest.mark.parametrize("unit", [0, 1])
+def test_restore_rejects_a_unit_without_its_prototype(unit):
+    # restore counts units by prototype entries; the unit's masks give it away
+    a = Agent(small_config(seed=19))
+    for x in obs_stream(20, seed=8):
+        a.cycle(x)
+    assert a.gate.active_count == 2
+    arrays, meta, seed = read_snapshot(a.snapshot())
+    del arrays[f"gate/prototype/{unit}"]
+    with pytest.raises(ValueError, match=r"'gate/mask/1/1'.*no recruited gate unit"):
         Agent.restore(write_snapshot(arrays, meta, seed=seed))
 
 
@@ -350,8 +366,10 @@ def test_restored_agent_replays_identically():
     for x in obs_stream(20, seed=8):
         act = a.cycle(x, r_env=r)
         r = 1.0 if act == 2 else 0.0
+    assert a.gate.active_count == 2  # the restore counts units by prototype
     blob = a.snapshot()
     b = Agent.restore(blob)
+    assert len(b.gate.prototypes) == len(b.gate.masks) == 2
     tail = obs_stream(30, seed=9)
     ra = rb = 0.0
     for x in tail:

@@ -132,6 +132,17 @@ RANGE_CASES = [
     ("motor_eta_W", 0.0, -0.01),
     ("motor_eta_E", 0.0, float("nan")),
     ("theta_factor", 2.25, 0.0),
+    ("dm_k", 1, 0),
+    ("dm_k", 3, -1),
+    ("epochs", 1, 0),
+    ("n_tasks", 1, 0),
+    ("per_task_train", 1, 0),
+    ("per_task_test", 1, 0),
+    ("synthetic_per_class", 1, 0),
+    ("rounds", 1, 0),
+    ("episodes", 1, 0),
+    ("step_limit", 1, 0),
+    ("eval_window", 1, 0),
 ]
 
 

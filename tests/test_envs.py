@@ -23,7 +23,7 @@ class TestMaze:
 
     def test_default_layout_shortest_path(self):
         env = MazeEnv()
-        assert env.shortest_path_length() == 8
+        assert env.distance_map()[env.start] == 8
 
     def test_moves_and_border_bump(self):
         env = MazeEnv()

@@ -68,7 +68,6 @@ def test_recruit_on_empty_and_on_novelty():
     # beyond theta: new unit
     assert g.select_or_recruit([5.0, 0.0]) == 1
     assert g.active_count == 2
-    assert g.usage == [2, 1]
 
 
 def test_saturation_falls_back_to_nearest():

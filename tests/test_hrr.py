@@ -144,12 +144,8 @@ def test_unbind_recovers_bound_operand():
 
 def test_superpose_basic():
     assert np.array_equal(superpose([[1.0, 0.0], [0.0, 1.0]]), [1.0, 1.0])
-    a = np.array([3.0, 4.0])
-    assert np.allclose(superpose([a], normalize=True), a / 5.0)
     with pytest.raises(ValueError):
         superpose([])
-    with pytest.raises(ValueError):
-        superpose([[0.0, 0.0]], normalize=True)
 
 
 def test_superpose_preserves_similarity_to_members():
@@ -215,7 +211,7 @@ def test_cleanup_recovers_unbound_symbol():
     hits = 0
     for _ in range(100):
         ia, ib = rng.choice(50, size=2, replace=False)
-        names = lex.names()
+        names = lex.stacked()[2]
         a, b = lex[names[ia]], lex[names[ib]]
         hits += cleanup(unbind(bind(a, b), b), lex, k=1)[0][0] == names[ia]
     assert hits >= 99
@@ -263,14 +259,14 @@ def test_permute_takes_integer_shifts_only():
 
 def plain_cleanup_scores(v, lex):
     """The clean-up expression with nothing cached: the read path's oracle."""
-    mat = np.stack([lex[n] for n in lex.names()])
+    mat = np.stack([lex[n] for n in lex.stacked()[2]])
     return mat @ v / (np.linalg.norm(mat, axis=1) * np.linalg.norm(v))
 
 
 def test_cleanup_matches_the_uncached_expression():
     lex = SymbolLexicon(2048, seed=9, names=[f"s{i}" for i in range(16)])
     rng = np.random.default_rng(9)
-    names = lex.names()
+    names = lex.stacked()[2]
     for _ in range(50):
         probe = rng.normal(size=2048) + 3.0 * lex[names[rng.integers(16)]]
         want = plain_cleanup_scores(probe, lex)
@@ -284,12 +280,12 @@ def test_cleanup_matches_the_uncached_expression():
 def test_add_after_matrix_refreshes_matrix_norms_and_names():
     lex = SymbolLexicon(64, seed=10, names=["A", "B"])
     probe = lex["B"] + 0.5 * random_symbol("C", 64, seed=10)
-    assert lex.matrix().shape == (2, 64)
+    assert lex.stacked()[0].shape == (2, 64)
     assert [n for n, _ in cleanup(probe, lex, k=5)] == ["B", "A"]
     lex.add("C")
     mat, norms, names = lex.stacked()
-    assert np.array_equal(lex.matrix(), np.stack([lex["A"], lex["B"], lex["C"]]))
-    assert np.array_equal(norms, np.linalg.norm(lex.matrix(), axis=1))
+    assert np.array_equal(mat, np.stack([lex["A"], lex["B"], lex["C"]]))
+    assert np.array_equal(norms, np.linalg.norm(mat, axis=1))
     assert names == ("A", "B", "C")
     got = cleanup(probe, lex, k=5)
     assert [n for n, _ in got] == ["B", "C", "A"]

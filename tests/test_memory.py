@@ -111,7 +111,6 @@ def test_store_single_context_is_permuted_symbol():
     lex = make_lex(4, 64)
     dm = dm_store(DeclarativeMemory(lexicon=lex), "s0", ["s1"])
     assert hrr.cosine(dm.traces["s0"], hrr.permute(lex["s1"], 1)) == pytest.approx(1.0)
-    assert dm.store_count["s0"] == 1
 
 
 def test_store_frequency_dominates():
@@ -124,14 +123,15 @@ def test_store_frequency_dominates():
     assert hrr.cosine(trace, hrr.permute(lex["s1"], 1)) > hrr.cosine(
         trace, hrr.permute(lex["s2"], 1)
     )
-    assert dm.store_count["s0"] == 51
 
 
 def test_store_empty_context():
     lex = make_lex(2, 16)
-    dm = dm_store(DeclarativeMemory(lexicon=lex), "s0", [])
-    assert "s0" not in dm.traces  # nothing accumulated, no zero placeholder
-    assert dm.store_count["s0"] == 1
+    dm0 = DeclarativeMemory(lexicon=lex)
+    assert dm_store(dm0, "s0", []) == dm0  # nothing accumulated, no zero placeholder
+    dm1 = dm_store(dm0, "s0", ["s1"])
+    dm2 = dm_store(dm1, "s0", [])
+    assert dm2.traces.keys() == {"s0"} and dm2.traces["s0"] is dm1.traces["s0"]
 
 
 def test_store_unknown_name():
@@ -156,9 +156,10 @@ def test_store_is_value_like():
     lex = make_lex(3, 32)
     dm0 = DeclarativeMemory(lexicon=lex)
     dm1 = dm_store(dm0, "s0", ["s1"])
-    assert not dm0.traces and not dm0.store_count
+    assert not dm0.traces
+    trace = dm1.traces["s0"].copy()
     dm_store(dm1, "s0", ["s2"])
-    assert dm1.store_count["s0"] == 1
+    assert np.array_equal(dm1.traces["s0"], trace)
 
 
 def test_retrieve_singleton_strength():
@@ -218,7 +219,6 @@ def test_retrieve_scale_invariant_ranking():
     scaled = DeclarativeMemory(
         lexicon=lex,
         traces={n: 13.7 * t for n, t in dm.traces.items()},
-        store_count=dict(dm.store_count),
     )
     assert [n for n, _ in dm_retrieve(scaled, cue, k=4).ranked] == base
 
@@ -232,6 +232,9 @@ def test_retrieve_errors():
         dm_retrieve(dm, np.zeros(16), k=1)
     with pytest.raises(ValueError):
         dm_retrieve(dm, lex["s1"], k=1, tau=0.0)
+    for k in (0, -1):
+        with pytest.raises(ValueError, match=rf"k >= 1, got {k}"):
+            dm_retrieve(dm, lex["s1"], k=k)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -247,7 +250,7 @@ def test_non_finite_reads_raise(bad):
     cue[2] = bad
     with pytest.raises(ValueError, match="non-finite"):
         dm_retrieve(dm, cue, k=1)
-    broken = DeclarativeMemory(lexicon=lex, traces={"s0": m}, store_count={"s0": 1})
+    broken = DeclarativeMemory(lexicon=lex, traces={"s0": m})
     with pytest.raises(ValueError, match="non-finite"):
         dm_retrieve(broken, lex["s1"], k=1)
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from cogkit.metrics import MetricsWriter, Stopwatch, format_value, write_metadata
+from cogkit.metrics import MetricsWriter, format_value, write_metadata
 
 
 def test_format_value():
@@ -31,6 +31,17 @@ def test_rows_and_header_bytes(tmp_path):
         "10,0,success,1\n"
     ).encode()
     assert path.read_bytes() == expected
+    assert w.rows == [(0, 0, "accuracy", 0.5), (10, -1, "ACC", 0.75), (10, 0, "success", True)]
+
+
+def test_writer_without_a_path_keeps_rows():
+    with MetricsWriter() as w:
+        w.write(0, 0, "x", 1.0)
+        w.write(1, 0, "x", 2.0)
+        w.flush()
+        with pytest.raises(ValueError, match="backwards"):
+            w.write(0, 0, "x", 3.0)
+    assert w.rows == [(0, 0, "x", 1.0), (1, 0, "x", 2.0)]
 
 
 def test_identical_runs_identical_bytes(tmp_path):
@@ -78,10 +89,3 @@ def test_metadata_file(tmp_path):
     assert lines[1] == "config_hash = " + "ab" * 32
     assert lines[2] == "wall_time_s = 1.235"
     assert lines[3] == "command = continual"
-
-
-def test_stopwatch_is_monotonic():
-    sw = Stopwatch()
-    a = sw.seconds()
-    b = sw.seconds()
-    assert 0.0 <= a <= b

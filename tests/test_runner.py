@@ -8,7 +8,7 @@ import pytest
 from cogkit import runner
 from cogkit.agent import AgentConfig
 from cogkit.config import SCHEMA, parse_config, resolve
-from cogkit.runner import MetricsSink, calibrate_theta, canonical_config_text
+from cogkit.runner import calibrate_theta, canonical_config_text
 
 TINY_RL = dict(
     d=64, sensory_hidden=(16,), sensory_K=8, motor_K=8, motor_state_dim=16,
@@ -208,11 +208,3 @@ class TestHelpers:
         cfg = resolve({"d": 128, "sensory_clip": False, "rps_policy": (0.5, 0.3, 0.2)})
         text = canonical_config_text(cfg)
         assert resolve(parse_config(text)) == cfg
-
-    def test_sink_collects_and_reports_last(self):
-        sink = MetricsSink()
-        sink.emit(0, 0, "x", 1.0)
-        sink.emit(1, 0, "x", 2.0)
-        assert sink.value("x") == 2.0
-        with pytest.raises(KeyError):
-            sink.value("y")

@@ -7,7 +7,6 @@ from cogkit.snapshot import (
     SnapshotVersionError,
     load_snapshot,
     read_snapshot,
-    save_snapshot,
     write_snapshot,
 )
 
@@ -91,7 +90,7 @@ def test_name_collision_rejected():
 def test_file_roundtrip(tmp_path):
     arrays, meta = sample_payload()
     path = tmp_path / "agent.cmca"
-    save_snapshot(path, arrays, meta, seed=7)
+    path.write_bytes(write_snapshot(arrays, meta, seed=7))
     arrays2, meta2, seed = load_snapshot(path)
     assert seed == 7 and meta2 == meta
     assert np.array_equal(arrays2["weights"], arrays["weights"])
