@@ -513,9 +513,12 @@ class Agent:
         freshly built from the embedded config, or from what the config gives
         a recruited gate unit's prototype and masks, is rejected.  Units are
         counted by their prototype entries, so a gate array beyond that count
-        (a unit whose prototype is missing) is rejected too.
+        (a unit whose prototype is missing) is rejected too, and so is a
+        snapshot that lacks an entry the restore reads.
         """
         arrays, meta, _seed = snapshot.read_snapshot(data)
+        if "config" not in meta:
+            raise ValueError("snapshot entry 'config' is missing")
         agent = cls(AgentConfig(**meta["config"]))
         shapes = {name: np.shape(own) for name, own in agent._entries().items()}
         for k in range(_recruited(arrays)):
@@ -531,5 +534,9 @@ class Agent:
             raise ValueError(f"snapshot entries {stray} belong to no recruited gate unit")
         entries = {**arrays, **meta}
         for part in _STATE:
-            part.put(agent, part.load(agent, entries))
+            try:
+                value = part.load(agent, entries)
+            except KeyError as exc:
+                raise ValueError(f"snapshot entry {exc.args[0]!r} is missing") from None
+            part.put(agent, value)
         return agent

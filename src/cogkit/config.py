@@ -75,7 +75,8 @@ def _within(lo, hi, open_lo=False, open_hi=False, parse=float):
 
 
 _COUNT = _within(1, math.inf, open_hi=True, parse=int)  # sizes, K and counts
-_RATE = _within(0, math.inf, open_hi=True)  # learning rates
+_WHOLE = _within(0, math.inf, open_hi=True, parse=int)  # counts that may be 0
+_RATE = _within(0, math.inf, open_hi=True)  # rates and other non-negative reals
 _POSITIVE = _within(0, math.inf, open_lo=True, open_hi=True)
 _DECAY = _within(0, 1, open_lo=True)  # retention factors
 
@@ -96,6 +97,10 @@ def _theta(text):
     if text == "auto":
         return "auto"
     return float(text)
+
+
+# "auto" (calibrated by the runner) or a non-negative number
+_THETA = _checked(_theta, lambda value: value if value == "auto" else _RATE.check(value))
 
 
 # key -> (caster, default); defaults are the values used when a key is absent.
@@ -126,8 +131,8 @@ SCHEMA = {
     "d": (_COUNT, 1024),
     # sensory cortex
     "sensory_hidden": (_SIZES, (360, 360)),
-    "sensory_beta": (float, 0.05),
-    "sensory_gamma": (float, 0.001),
+    "sensory_beta": (_RATE, 0.05),
+    "sensory_gamma": (_RATE, 0.001),
     "sensory_K": (_COUNT, 50),
     "sensory_sigma": (float, 0.05),
     "sensory_eta_W": (_RATE, 0.01),
@@ -136,20 +141,20 @@ SCHEMA = {
     # motor cortex
     "motor_hidden": (_SIZES, ()),
     "motor_state_dim": (_COUNT, 64),
-    "motor_beta": (float, 0.05),
-    "motor_gamma": (float, 0.001),
+    "motor_beta": (_RATE, 0.05),
+    "motor_gamma": (_RATE, 0.001),
     "motor_K": (_COUNT, 20),
     "motor_sigma": (float, 0.05),
     "motor_eta_W": (_RATE, 0.02),
     "motor_eta_E": (_RATE, 0.02),
     "motor_clip": (_bool, False),
     "gamma_d": (_within(0, 1, open_hi=True), 0.95),
-    "alpha_e": (float, 0.0),
-    "r_clip": (float, 1.0),
-    "replay_capacity": (int, 0),
-    "replay_samples": (int, 0),
+    "alpha_e": (_RATE, 0.0),
+    "r_clip": (_POSITIVE, 1.0),
+    "replay_capacity": (_WHOLE, 0),
+    "replay_samples": (_WHOLE, 0),
     # task gate
-    "theta": (_theta, "auto"),
+    "theta": (_THETA, "auto"),
     "theta_factor": (_POSITIVE, 3.0),
     "eta_c": (_within(0, 1), 0.05),
     "M_max": (_COUNT, 8),
@@ -167,7 +172,7 @@ SCHEMA = {
     # exploration schedule
     "eps_start": (_within(0, 1), 1.0),
     "eps_end": (_within(0, 1), 0.05),
-    "eps_decay_frac": (float, 0.5),
+    "eps_decay_frac": (_RATE, 0.5),
 }
 
 

@@ -97,9 +97,9 @@ def init_circuit(sizes, seed, beta=0.05, gamma=0.001, K=50, sigma=0.05, phi=None
         raise ValueError(f"need at least two layer sizes, got {sizes}")
     if any(s < 1 for s in sizes):
         raise ValueError(f"all layer sizes must be >= 1, got {sizes}")
-    if beta <= 0 and beta != 0.0:
+    if not beta >= 0:
         raise ValueError(f"beta must be >= 0, got {beta}")
-    if gamma < 0:
+    if not gamma >= 0:
         raise ValueError(f"gamma must be >= 0, got {gamma}")
     if K < 1:
         raise ValueError(f"K must be >= 1, got {K}")

@@ -7,6 +7,11 @@ directory; it returns a summary dict and (when ``out`` is given) writes
 so a rerun with the same seed and config reproduces the metrics file byte
 for byte.  Wall-clock time goes only into the metadata file.
 
+Config errors (an unknown agent kind, more tasks than digit pairs, a list
+longer than the lexicon) raise before any file is written.  A run that
+raises part way leaves a closed ``metrics.csv`` holding a valid prefix of
+its rows and no ``metadata.txt``; the metadata file marks a finished run.
+
 ``agent_kind`` selects the learned agent or one of two stubs: ``random``
 acts uniformly and never learns, ``oracle`` plays each suite's known best
 strategy.  The stubs share the environment stepping code, so they bound
@@ -17,6 +22,7 @@ from __future__ import annotations
 
 import os
 import time
+from contextlib import contextmanager
 from dataclasses import fields
 
 import numpy as np
@@ -46,22 +52,22 @@ def canonical_config_text(cfg):
     return "\n".join(parts) + "\n"
 
 
-def _start_run(cfg, seed, out, cfg_text):
-    if seed is None:
-        seed = cfg["seed"]
-    sink_path = None
+@contextmanager
+def _recorded(cfg, seed, out, cfg_text, meta):
+    """One run's outputs: yields ``(seed, sink)``, the run seed (the
+    config's when ``seed`` is None) and a writer of ``out/metrics.csv``
+    that is closed however the block exits.  ``metadata.txt`` is written,
+    with ``meta`` as it stands then, only when the block finishes."""
+    seed = int(cfg["seed"] if seed is None else seed)
+    t0 = time.monotonic()
     if out:
         os.makedirs(out, exist_ok=True)
-        sink_path = os.path.join(out, "metrics.csv")
-    text = cfg_text if cfg_text is not None else canonical_config_text(cfg)
-    return int(seed), MetricsWriter(sink_path), config_hash(text), time.monotonic()
-
-
-def _end_run(out, seed, cfg_hash, t0, sink, extra):
-    sink.close()
+    with MetricsWriter(os.path.join(out, "metrics.csv") if out else None) as sink:
+        yield seed, sink
     if out:
-        write_metadata(os.path.join(out, "metadata.txt"), seed, cfg_hash,
-                       time.monotonic() - t0, extra)
+        text = cfg_text if cfg_text is not None else canonical_config_text(cfg)
+        write_metadata(os.path.join(out, "metadata.txt"), seed, config_hash(text),
+                       time.monotonic() - t0, meta)
 
 
 def calibrate_theta(samples, window, factor, eta_c):
@@ -94,20 +100,17 @@ def calibrate_theta(samples, window, factor, eta_c):
     return max(theta, 1e-9)
 
 
-def _resolve_theta(cfg, obs_samples):
-    """The config's theta, calibrated on ``obs_samples`` when it is "auto"."""
+def _learned_agent(cfg, calib_obs, **overrides):
+    """The learned agent, configured by the resolved config's keys of the
+    same name plus ``overrides`` (what the runner works out itself or
+    forces); an "auto" theta is calibrated on ``calib_obs``."""
     theta = cfg["theta"]
     if theta == "auto":
-        theta = calibrate_theta(obs_samples, cfg["context_window"],
+        theta = calibrate_theta(calib_obs, cfg["context_window"],
                                 cfg["theta_factor"], cfg["eta_c"])
-    return theta
-
-
-def _agent_config(cfg, **overrides):
-    """AgentConfig from the resolved config's keys of the same name, plus
-    ``overrides``: what the runner works out itself or forces."""
     names = {f.name for f in fields(AgentConfig)}
-    return AgentConfig(**{**{k: v for k, v in cfg.items() if k in names}, **overrides})
+    shared = {k: v for k, v in cfg.items() if k in names}
+    return Agent(AgentConfig(**{**shared, "theta": theta, **overrides}))
 
 
 # ---------------------------------------------------------------------------
@@ -128,24 +131,22 @@ def load_dataset(cfg):
     return make_synthetic_digits(per_class=cfg["synthetic_per_class"], seed=0)
 
 
-def _fixed_task_context(task, window):
-    return task.test_x[: min(window, len(task.test_x))].mean(axis=0)
-
-
-def _eval_tasks(predict, stream, upto, step, sink, best):
-    """Accuracy of ``predict(x, task_id)`` on every task seen so far."""
-    accs = {}
-    for j in range(upto + 1):
-        task = stream[j]
-        correct = sum(
-            1 for x, y in zip(task.test_x, task.test_y) if predict(x, j) == y
-        )
-        acc = correct / len(task.test_y)
-        accs[j] = acc
-        best[j] = max(best.get(j, 0.0), acc)
-        sink.write(step, j, "accuracy", acc)
-    sink.flush()
-    return accs
+def _train(agent, task, epochs, rng, supervised):
+    """``epochs`` shuffled passes over a task's training set: a supervised
+    step per sample, or a cycle rewarded +1/-1 for the right/wrong label."""
+    r = 0.0
+    for _ in range(epochs):
+        for i in rng.permutation(len(task.train_x)):
+            x, y = task.train_x[i], int(task.train_y[i])
+            if supervised:
+                targets = np.full(2, -1.0)
+                targets[y] = 1.0
+                agent.supervised_step(x, targets)
+            else:
+                a = agent.cycle(x, r, done=False)
+                r = 1.0 if a == y else -1.0
+    if not supervised:
+        agent.finish(r)
 
 
 def run_continual(cfg, seed=None, out=None, ungated=False, agent_kind="learned",
@@ -154,87 +155,58 @@ def run_continual(cfg, seed=None, out=None, ungated=False, agent_kind="learned",
     and forgetting (mean best-minus-final over tasks)."""
     if agent_kind not in AGENT_KINDS:
         raise ValueError(f"unknown agent kind {agent_kind!r}")
-    seed, sink, cfg_hash, t0 = _start_run(cfg, seed, out, cfg_text)
-
-    images, labels = load_dataset(cfg)
     n_tasks = cfg["n_tasks"]
     if n_tasks > len(DEFAULT_PAIRS):
         raise ValueError(f"n_tasks {n_tasks} > {len(DEFAULT_PAIRS)} available pairs")
-    stream = make_split_mnist(images, labels, DEFAULT_PAIRS[:n_tasks],
-                              cfg["per_task_train"], cfg["per_task_test"], seed=seed)
-    obs_dim = stream[0].train_x.shape[1]
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 1000]))
+    meta = {"command": "continual", "agent": agent_kind, "ungated": int(ungated)}
+    with _recorded(cfg, seed, out, cfg_text, meta) as (seed, sink):
+        images, labels = load_dataset(cfg)
+        stream = make_split_mnist(images, labels, DEFAULT_PAIRS[:n_tasks],
+                                  cfg["per_task_train"], cfg["per_task_test"], seed=seed)
+        rng = np.random.default_rng(np.random.SeedSequence([seed, 1000]))
 
-    agent = None
-    lookup = {}
-    if agent_kind == "learned":
-        theta = _resolve_theta(cfg, stream[0].train_x)
-        horizon = cfg["epochs"] * n_tasks * cfg["per_task_train"]
-        # classification is a one-shot bandit: no bootstrapping
-        agent = Agent(_agent_config(
-            cfg, obs_dim=obs_dim, n_actions=2, horizon=horizon, seed=seed, theta=theta,
-            mask_p=1.0 if ungated else cfg["mask_p"], gamma_d=0.0))
-        contexts = {}
-
-        def predict(x, j):
-            if j not in contexts:
-                contexts[j] = _fixed_task_context(stream[j], cfg["context_window"])
-            action, _, _ = agent.probe(x, context=contexts[j])
-            return action
-
-    elif agent_kind == "oracle":
-        for task in stream:
-            for x, y in zip(task.test_x, task.test_y):
-                lookup[(task.task_id, x.tobytes())] = int(y)
-
-        def predict(x, j):
-            return lookup[(j, x.tobytes())]
-
-    else:
-
-        def predict(x, j):
-            return int(rng.integers(2))
-
-    step = 0
-    best = {}
-    accs = {}
-    for task in stream:
+        # answers(task): the predicted label of each of the task's test samples
+        agent = None
         if agent_kind == "learned":
-            supervised = cfg["readout"] == "supervised"
-            r = 0.0
-            for _ in range(cfg["epochs"]):
-                order = rng.permutation(len(task.train_x))
-                for i in order:
-                    x, y = task.train_x[i], int(task.train_y[i])
-                    if supervised:
-                        targets = np.full(2, -1.0)
-                        targets[y] = 1.0
-                        agent.supervised_step(x, targets)
-                    else:
-                        a = agent.cycle(x, r, done=False)
-                        r = 1.0 if a == y else -1.0
-                    step += 1
-            if not supervised:
-                agent.finish(r)
+            # classification is a one-shot bandit: no bootstrapping
+            agent = _learned_agent(
+                cfg, stream[0].train_x, obs_dim=stream[0].train_x.shape[1], n_actions=2,
+                horizon=cfg["epochs"] * n_tasks * cfg["per_task_train"], seed=seed,
+                mask_p=1.0 if ungated else cfg["mask_p"], gamma_d=0.0)
+
+            def answers(task):
+                window = min(cfg["context_window"], len(task.test_x))
+                context = task.test_x[:window].mean(axis=0)
+                return [agent.probe(x, context=context)[0] for x in task.test_x]
+
+        elif agent_kind == "oracle":
+            answers = lambda task: task.test_y
         else:
+            answers = lambda task: [int(rng.integers(2)) for _ in task.test_x]
+
+        step = 0
+        best = [0.0] * n_tasks
+        for t, task in enumerate(stream):
+            if agent is not None:
+                _train(agent, task, cfg["epochs"], rng, cfg["readout"] == "supervised")
             step += cfg["epochs"] * len(task.train_x)
-        accs = _eval_tasks(predict, stream, task.task_id, step, sink, best)
+            final = []
+            for j, seen in enumerate(stream[: t + 1]):
+                correct = sum(1 for a, y in zip(answers(seen), seen.test_y) if a == y)
+                final.append(correct / len(seen.test_y))
+                best[j] = max(best[j], final[j])
+                sink.write(step, j, "accuracy", final[j])
+            sink.flush()
 
-    final = [accs[j] for j in range(n_tasks)]
-    acc_mean = float(np.mean(final))
-    forgetting = float(np.mean([best[j] - accs[j] for j in range(n_tasks)]))
-    sink.write(step, -1, "ACC", acc_mean)
-    sink.write(step, -1, "forgetting", forgetting)
-    if agent is not None:
-        sink.write(step, -1, "units_recruited", agent.gate.active_count)
-    sink.flush()
-
-    _end_run(out, seed, cfg_hash, t0, sink, {
-        "command": "continual", "agent": agent_kind,
-        "ungated": int(ungated), "steps": step,
-    })
-    return {"ACC": acc_mean, "forgetting": forgetting, "final": final,
-            "rows": sink.rows, "agent": agent}
+        acc_mean = float(np.mean(final))
+        forgetting = float(np.mean([b - f for b, f in zip(best, final)]))
+        sink.write(step, -1, "ACC", acc_mean)
+        sink.write(step, -1, "forgetting", forgetting)
+        if agent is not None:
+            sink.write(step, -1, "units_recruited", agent.gate.active_count)
+        meta["steps"] = step
+        return {"ACC": acc_mean, "forgetting": forgetting, "final": final,
+                "rows": sink.rows, "agent": agent}
 
 
 # ---------------------------------------------------------------------------
@@ -250,61 +222,53 @@ def run_rps(cfg, seed=None, out=None, agent_kind="learned", cfg_text=None):
     available, otherwise the second half)."""
     if agent_kind not in AGENT_KINDS:
         raise ValueError(f"unknown agent kind {agent_kind!r}")
-    seed, sink, cfg_hash, t0 = _start_run(cfg, seed, out, cfg_text)
-
     rounds = cfg["rounds"]
-    policy = np.asarray(cfg["rps_policy"], dtype=float)
-    ss = np.random.SeedSequence([seed, 2000])
-    env_seed, calib_seed, stub_seed = ss.spawn(3)
-    env = RpsEnv(policy=policy, seed=env_seed)
-    rng = np.random.default_rng(stub_seed)
+    meta = {"command": "rl", "env": "rps", "agent": agent_kind, "rounds": rounds}
+    with _recorded(cfg, seed, out, cfg_text, meta) as (seed, sink):
+        policy = np.asarray(cfg["rps_policy"], dtype=float)
+        env_seed, calib_seed, stub_seed = np.random.SeedSequence([seed, 2000]).spawn(3)
+        env = RpsEnv(policy=policy, seed=env_seed)
 
-    agent = None
-    if agent_kind == "learned":
-        calib = np.eye(3)[np.random.default_rng(calib_seed).choice(
-            3, size=100, p=policy)]
-        theta = _resolve_theta(cfg, calib)
-        agent = Agent(_agent_config(cfg, obs_dim=3, n_actions=3, horizon=rounds,
-                                    seed=seed, theta=theta))
-    elif agent_kind == "oracle":
-        # expected payoff of action a: P(beats) - P(loses)
-        expect = [policy[(a - 1) % 3] - policy[(a + 1) % 3] for a in range(3)]
-        best_response = int(np.argmax(expect))
-
-    payoffs = []
-    obs = np.full(3, 1.0 / 3.0)
-    r = 0.0
-    window = cfg["eval_window"]
-    for t in range(rounds):
+        # act(obs, r, done) -> action
+        agent = None
         if agent_kind == "learned":
-            a = agent.cycle(obs, r, done=False)
+            calib = np.eye(3)[np.random.default_rng(calib_seed).choice(
+                3, size=100, p=policy)]
+            agent = _learned_agent(cfg, calib, obs_dim=3, n_actions=3, horizon=rounds,
+                                   seed=seed)
+            act = agent.cycle
         elif agent_kind == "oracle":
-            a = best_response
+            # expected payoff of action a: P(beats) - P(loses)
+            expect = [policy[(a - 1) % 3] - policy[(a + 1) % 3] for a in range(3)]
+            best_response = int(np.argmax(expect))
+            act = lambda obs, r, done: best_response
         else:
-            a = int(rng.integers(3))
-        r, opp = env.step(a)
-        payoffs.append(r)
-        obs = np.zeros(3)
-        obs[opp] = 1.0
-        if (t + 1) % window == 0:
-            sink.write(t + 1, 0, "mean_payoff", float(np.mean(payoffs[-window:])))
-            sink.flush()
-    if agent is not None:
-        agent.finish(r)
+            rng = np.random.default_rng(stub_seed)
+            act = lambda obs, r, done: int(rng.integers(3))
 
-    lo = 1000 if rounds >= 2000 else rounds // 2
-    hi = min(2000, rounds)
-    late = float(np.mean(payoffs[lo:hi]))
-    sink.write(rounds, -1, "late_payoff", late)
-    if agent is not None:
-        sink.write(rounds, -1, "units_recruited", agent.gate.active_count)
-    sink.flush()
+        payoffs = []
+        obs = np.full(3, 1.0 / 3.0)
+        r = 0.0
+        window = cfg["eval_window"]
+        for t in range(rounds):
+            r, opp = env.step(act(obs, r, False))
+            payoffs.append(r)
+            obs = np.zeros(3)
+            obs[opp] = 1.0
+            if (t + 1) % window == 0:
+                sink.write(t + 1, 0, "mean_payoff", float(np.mean(payoffs[-window:])))
+                sink.flush()
+        if agent is not None:
+            agent.finish(r)
 
-    _end_run(out, seed, cfg_hash, t0, sink, {
-        "command": "rl", "env": "rps", "agent": agent_kind, "rounds": rounds,
-    })
-    return {"late_payoff": late, "mean_payoff": float(np.mean(payoffs)),
-            "rows": sink.rows, "agent": agent}
+        lo = 1000 if rounds >= 2000 else rounds // 2
+        hi = min(2000, rounds)
+        late = float(np.mean(payoffs[lo:hi]))
+        sink.write(rounds, -1, "late_payoff", late)
+        if agent is not None:
+            sink.write(rounds, -1, "units_recruited", agent.gate.active_count)
+        return {"late_payoff": late, "mean_payoff": float(np.mean(payoffs)),
+                "rows": sink.rows, "agent": agent}
 
 
 def _maze_calibration_obs(env, seed, n=100):
@@ -328,69 +292,63 @@ def run_maze(cfg, seed=None, out=None, agent_kind="learned", cfg_text=None):
     over the last ``eval_window`` episodes."""
     if agent_kind not in AGENT_KINDS:
         raise ValueError(f"unknown agent kind {agent_kind!r}")
-    seed, sink, cfg_hash, t0 = _start_run(cfg, seed, out, cfg_text)
-
-    env = MazeEnv(step_limit=cfg["step_limit"])
     episodes = cfg["episodes"]
-    ss = np.random.SeedSequence([seed, 3000])
-    calib_seed, stub_seed = ss.spawn(2)
-    rng = np.random.default_rng(stub_seed)
+    meta = {"command": "rl", "env": "maze", "agent": agent_kind, "episodes": episodes}
+    with _recorded(cfg, seed, out, cfg_text, meta) as (seed, sink):
+        env = MazeEnv(step_limit=cfg["step_limit"])
+        calib_seed, stub_seed = np.random.SeedSequence([seed, 3000]).spawn(2)
 
-    agent = None
-    if agent_kind == "learned":
-        theta = _resolve_theta(cfg, _maze_calibration_obs(env, calib_seed))
-        horizon = episodes * cfg["step_limit"]
-        agent = Agent(_agent_config(cfg, obs_dim=env.obs_dim, n_actions=env.n_actions,
-                                    horizon=horizon, seed=seed, theta=theta))
-    elif agent_kind == "oracle":
-        dist = env.distance_map()
+        # act(obs, r, done) -> action
+        agent = None
+        if agent_kind == "learned":
+            agent = _learned_agent(
+                cfg, _maze_calibration_obs(env, calib_seed), obs_dim=env.obs_dim,
+                n_actions=env.n_actions, horizon=episodes * cfg["step_limit"], seed=seed)
+            act = agent.cycle
+        elif agent_kind == "oracle":
+            dist = env.distance_map()
 
-        def oracle_action(obs):
-            (idx,) = np.flatnonzero(obs)
-            i, j = divmod(int(idx), env.w)
-            return min(
-                (a for a in range(4)
-                 if (i + MOVES[a][0], j + MOVES[a][1]) in dist),
-                key=lambda a: dist[(i + MOVES[a][0], j + MOVES[a][1])],
-            )
+            def act(obs, r, done):
+                # step to the neighbour nearest the goal
+                (idx,) = np.flatnonzero(obs)
+                i, j = divmod(int(idx), env.w)
+                return min(
+                    (a for a in range(4)
+                     if (i + MOVES[a][0], j + MOVES[a][1]) in dist),
+                    key=lambda a: dist[(i + MOVES[a][0], j + MOVES[a][1])],
+                )
 
-    successes = []
-    returns = []
-    for ep in range(episodes):
-        obs = env.reset()
-        r, done = 0.0, False
-        total, reached = 0.0, False
-        while True:
-            if agent_kind == "learned":
-                a = agent.cycle(obs, r, done)
-            elif agent_kind == "oracle":
-                a = oracle_action(obs)
-            else:
-                a = int(rng.integers(4))
-            if done:
-                break
-            obs, r, done = env.step(a)
-            total += r
-            reached = reached or r > 0.5
-        successes.append(reached)
-        returns.append(total)
-        sink.write(ep, 0, "return", total)
-        sink.write(ep, 0, "success", reached)
-        if (ep + 1) % cfg["eval_window"] == 0:
-            sink.flush()
+        else:
+            rng = np.random.default_rng(stub_seed)
+            act = lambda obs, r, done: int(rng.integers(4))
 
-    window = min(cfg["eval_window"], episodes)
-    rate = float(np.mean(successes[-window:]))
-    sink.write(episodes, -1, "success_rate_last", rate)
-    if agent is not None:
-        sink.write(episodes, -1, "units_recruited", agent.gate.active_count)
-    sink.flush()
+        successes = []
+        returns = []
+        for ep in range(episodes):
+            obs = env.reset()
+            r, done = 0.0, False
+            total, reached = 0.0, False
+            while True:
+                a = act(obs, r, done)
+                if done:
+                    break
+                obs, r, done = env.step(a)
+                total += r
+                reached = reached or r > 0.5
+            successes.append(reached)
+            returns.append(total)
+            sink.write(ep, 0, "return", total)
+            sink.write(ep, 0, "success", reached)
+            if (ep + 1) % cfg["eval_window"] == 0:
+                sink.flush()
 
-    _end_run(out, seed, cfg_hash, t0, sink, {
-        "command": "rl", "env": "maze", "agent": agent_kind, "episodes": episodes,
-    })
-    return {"success_rate": rate, "mean_return": float(np.mean(returns)),
-            "rows": sink.rows, "agent": agent}
+        window = min(cfg["eval_window"], episodes)
+        rate = float(np.mean(successes[-window:]))
+        sink.write(episodes, -1, "success_rate_last", rate)
+        if agent is not None:
+            sink.write(episodes, -1, "units_recruited", agent.gate.active_count)
+        return {"success_rate": rate, "mean_return": float(np.mean(returns)),
+                "rows": sink.rows, "agent": agent}
 
 
 # ---------------------------------------------------------------------------
@@ -399,8 +357,6 @@ def run_maze(cfg, seed=None, out=None, agent_kind="learned", cfg_text=None):
 
 def run_recall(cfg, seed=None, out=None, cfg_text=None):
     """Per-position recall accuracy for random lists in the decay buffer."""
-    seed, sink, cfg_hash, t0 = _start_run(cfg, seed, out, cfg_text)
-
     d = cfg["recall_d"]
     rho = cfg["recall_rho"]
     n_sym = cfg["recall_lexicon"]
@@ -408,31 +364,27 @@ def run_recall(cfg, seed=None, out=None, cfg_text=None):
     n_lists = cfg["recall_lists"]
     if length > n_sym:
         raise ValueError(f"list length {length} exceeds lexicon size {n_sym}")
+    meta = {"command": "recall", "lists": n_lists}
+    with _recorded(cfg, seed, out, cfg_text, meta) as (seed, sink):
+        names = [f"s{i}" for i in range(n_sym)]
+        lex = hrr.SymbolLexicon(d, seed=seed, names=names)
+        rng = np.random.default_rng(np.random.SeedSequence([seed, 4000]))
 
-    names = [f"s{i}" for i in range(n_sym)]
-    lex = hrr.SymbolLexicon(d, seed=seed, names=names)
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 4000]))
+        hits = np.zeros(length)
+        cosines = np.zeros(length)
+        for _ in range(n_lists):
+            picked = [names[k] for k in rng.permutation(n_sym)[:length]]
+            buf = memory.WorkingMemoryBuffer.empty(d, rho)
+            for name in picked:
+                buf = memory.wm_encode(buf, lex[name])
+            for p in range(1, length + 1):
+                got, _, probe = memory.wm_recall(buf, p, lex)
+                hits[p - 1] += got == picked[p - 1]
+                cosines[p - 1] += hrr.cosine(probe, lex[picked[p - 1]])
 
-    hits = np.zeros(length)
-    cosines = np.zeros(length)
-    for _ in range(n_lists):
-        picked = [names[k] for k in rng.permutation(n_sym)[:length]]
-        buf = memory.WorkingMemoryBuffer.empty(d, rho)
-        for name in picked:
-            buf = memory.wm_encode(buf, lex[name])
+        acc = hits / n_lists
+        mean_cos = cosines / n_lists
         for p in range(1, length + 1):
-            got, _, probe = memory.wm_recall(buf, p, lex)
-            hits[p - 1] += got == picked[p - 1]
-            cosines[p - 1] += hrr.cosine(probe, lex[picked[p - 1]])
-
-    acc = hits / n_lists
-    mean_cos = cosines / n_lists
-    for p in range(1, length + 1):
-        sink.write(n_lists, 0, f"recall_acc_pos{p}", float(acc[p - 1]))
-        sink.write(n_lists, 0, f"recall_cos_pos{p}", float(mean_cos[p - 1]))
-    sink.flush()
-
-    _end_run(out, seed, cfg_hash, t0, sink, {
-        "command": "recall", "lists": n_lists,
-    })
-    return {"accuracy": acc, "mean_cosine": mean_cos, "rows": sink.rows}
+            sink.write(n_lists, 0, f"recall_acc_pos{p}", float(acc[p - 1]))
+            sink.write(n_lists, 0, f"recall_cos_pos{p}", float(mean_cos[p - 1]))
+        return {"accuracy": acc, "mean_cosine": mean_cos, "rows": sink.rows}

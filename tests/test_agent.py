@@ -316,6 +316,18 @@ def test_restore_rejects_a_unit_without_its_prototype(unit):
         Agent.restore(write_snapshot(arrays, meta, seed=seed))
 
 
+@pytest.mark.parametrize("entry", ["sensory/W1", "gate/mask/0/1", "step", "config"])
+def test_restore_names_a_missing_entry(entry):
+    a = Agent(small_config(seed=19))
+    for x in obs_stream(20, seed=8):
+        a.cycle(x)
+    assert a.gate.active_count == 2
+    arrays, meta, seed = read_snapshot(a.snapshot())
+    (arrays if entry in arrays else meta).pop(entry)
+    with pytest.raises(ValueError, match=rf"'{entry}' is missing"):
+        Agent.restore(write_snapshot(arrays, meta, seed=seed))
+
+
 def test_gated_wide_agent_rolls_back_a_failed_motor_update(monkeypatch):
     # 784 -> 256 with a quarter of the units open: the sensory update takes
     # the open-unit path, then the motor's update fails

@@ -143,6 +143,20 @@ RANGE_CASES = [
     ("episodes", 1, 0),
     ("step_limit", 1, 0),
     ("eval_window", 1, 0),
+    ("sensory_beta", 0.0, float("nan")),
+    ("sensory_gamma", 0.0, -0.001),
+    ("motor_beta", 0.0, -0.05),
+    ("motor_gamma", 0.0, float("nan")),
+    ("alpha_e", 0.0, -0.1),
+    ("r_clip", 1e-09, 0.0),
+    ("r_clip", 2.0, float("nan")),
+    ("replay_capacity", 0, -3),
+    ("replay_capacity", 64, 2.5),
+    ("replay_samples", 0, -1),
+    ("eps_decay_frac", 0.0, -0.5),
+    ("eps_decay_frac", 0.3, float("nan")),
+    ("theta", 0.0, -1.0),
+    ("theta", "auto", float("nan")),
 ]
 
 

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from cogkit import runner
-from cogkit.agent import AgentConfig
+from cogkit.agent import Agent, AgentConfig
 from cogkit.config import SCHEMA, parse_config, resolve
+from cogkit.metrics import MetricsWriter, format_value
 from cogkit.runner import calibrate_theta, canonical_config_text
 
 TINY_RL = dict(
@@ -172,6 +173,49 @@ class TestRecall:
         cfg = resolve({"recall_list_len": 20, "recall_lexicon": 16})
         with pytest.raises(ValueError, match="lexicon"):
             runner.run_recall(cfg, seed=0)
+
+
+class TestOutputs:
+    def test_config_error_raises_before_any_file(self, tmp_path):
+        cfg = resolve({**TINY_CONTINUAL, "n_tasks": 6})
+        with pytest.raises(ValueError, match="n_tasks 6"):
+            runner.run_continual(cfg, seed=0, out=str(tmp_path))
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_run_closes_its_metrics_and_writes_no_metadata(self, tmp_path,
+                                                                  monkeypatch):
+        writers = []
+
+        class Recording(MetricsWriter):
+            def __init__(self, path=None):
+                super().__init__(path)
+                self.closed = False
+                writers.append(self)
+
+            def close(self):
+                self.closed = True
+                super().close()
+
+        real_cycle, calls = Agent.cycle, []
+
+        def failing_cycle(agent, *args, **kwargs):
+            calls.append(None)
+            if len(calls) == 25:
+                raise RuntimeError("cycle failed")
+            return real_cycle(agent, *args, **kwargs)
+
+        monkeypatch.setattr(runner, "MetricsWriter", Recording)
+        monkeypatch.setattr(Agent, "cycle", failing_cycle)
+        cfg = resolve({**TINY_RL, "rounds": 40, "eval_window": 10})
+        with pytest.raises(RuntimeError, match="cycle failed"):
+            runner.run_rps(cfg, seed=0, out=str(tmp_path))
+        (sink,) = writers
+        assert sink.closed
+        assert [row[0] for row in sink.rows] == [10, 20]
+        assert (tmp_path / "metrics.csv").read_text() == MetricsWriter.HEADER + "".join(
+            f"{step},{task},{metric},{format_value(value)}\n"
+            for step, task, metric, value in sink.rows)
+        assert not (tmp_path / "metadata.txt").exists()
 
 
 class TestDeterminism:
