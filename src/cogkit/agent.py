@@ -26,13 +26,14 @@ seed when an agent is built, so a restore rebuilds it instead of reading it.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, field, make_dataclass, replace
 from operator import attrgetter
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import hrr, memory, ngc, snapshot
+from .config import AGENT_SCHEMA, check
 from .gate import CompetitiveGate, ContextTracker
 from .memory import DeclarativeMemory, WorkingMemoryBuffer
 from .motor import MotorCircuit, Transition, epsilon_at, greedy_action
@@ -40,68 +41,30 @@ from .motor import MotorCircuit, Transition, epsilon_at, greedy_action
 BUFFER_NAMES = ("perception", "retrieval")
 
 
-@dataclass
-class AgentConfig:
-    """Everything needed to rebuild an agent's structure from scratch.
+def _check_config(config):
+    for key in AGENT_SCHEMA:
+        setattr(config, key, check(key, getattr(config, key)))
+    if not config.sensory_hidden:
+        raise ValueError("sensory circuit needs at least one hidden layer")
+    if config.theta == "auto":
+        raise ValueError("theta 'auto' is calibrated by the runner; "
+                         "an AgentConfig needs a number")
 
-    All fields are plain scalars/sequences so the config embeds into the
-    snapshot container as JSON.
-    """
 
-    obs_dim: int
-    n_actions: int
-    d: int = 512
-    seed: int = 0
-    # sensory cortex
-    sensory_hidden: tuple = (128,)
-    sensory_beta: float = 0.05
-    sensory_gamma: float = 0.001
-    sensory_K: int = 30
-    sensory_sigma: float = 0.05
-    sensory_eta_W: float = 0.01
-    sensory_eta_E: float = 0.01
-    sensory_clip: bool = True
-    # motor cortex
-    motor_hidden: tuple = ()
-    motor_state_dim: int = 64
-    motor_beta: float = 0.05
-    motor_gamma: float = 0.001
-    motor_K: int = 20
-    motor_sigma: float = 0.05
-    motor_eta_W: float = 0.02
-    motor_eta_E: float = 0.02
-    motor_clip: bool = False
-    gamma_d: float = 0.95
-    alpha_e: float = 0.0
-    r_clip: float = 1.0
-    replay_capacity: int = 0
-    replay_samples: int = 0
-    # task gate
-    theta: float = 1.0
-    eta_c: float = 0.05
-    M_max: int = 8
-    mask_p: float = 0.5
-    mask_mode: str = "random"
-    gate_metric: str = "euclid"
-    context_window: int = 32
-    route_wm_encode: bool = True
-    route_dm_store: bool = True
-    route_dm_retrieve: bool = True
-    # memory
-    wm_rho: float = 0.9
-    dm_tau: float = 0.1
-    dm_k: int = 3
-    # exploration schedule
-    eps_start: float = 1.0
-    eps_end: float = 0.05
-    eps_decay_frac: float = 0.5
-    horizon: int = 10_000
-
-    def __post_init__(self):
-        self.sensory_hidden = tuple(int(h) for h in self.sensory_hidden)
-        self.motor_hidden = tuple(int(h) for h in self.motor_hidden)
-        if not self.sensory_hidden:
-            raise ValueError("sensory circuit needs at least one hidden layer")
+AgentConfig = make_dataclass(
+    "AgentConfig",
+    [("obs_dim", int), ("n_actions", int),
+     *((key, type(default), field(default=default))
+       for key, (_, default) in AGENT_SCHEMA.items()),
+     ("horizon", int, field(default=10_000))],
+    namespace={
+        "__doc__": """An agent's structure: ``obs_dim``, ``n_actions``, each key of
+        ``config.AGENT_SCHEMA`` with its default and check, and ``horizon``.
+        Plain scalars and sequences, so it embeds in a snapshot as JSON.""",
+        "__module__": __name__,
+        "__post_init__": _check_config,
+    },
+)
 
 
 @dataclass
@@ -263,7 +226,6 @@ _STATE = (
           lambda agent, e: tuple(e.get("ctx/window", ()))),
     _Part(*_attr("pending"), _dump_pending,
           lambda agent, e: None if e["pending/a"] is None else (e["pending/s"], e["pending/a"])),
-    _one("prev_winner", "prev_winner"),
     _one("last_winner", "last_winner"),
     _one("last_energy", "last_energy", out=float),
 )
@@ -331,20 +293,16 @@ class Agent:
             wm=WorkingMemoryBuffer.empty(config.d, rho=config.wm_rho),
         )
         self.pending = None  # (s, a) awaiting its outcome
-        self.prev_winner = None
         self.last_winner = None
         self.last_energy = 0.0
 
     # ---------------------------------------------------------------- cycle
 
     def _latent(self, settled):
-        """Gated top-layer activity through its activation function."""
+        """Top-layer activity through its activation function; it is gated
+        already, as nothing predicts the top layer and closed units stay 0."""
         L = self.sensory.L
-        z = settled.z[L]
-        g = settled.mask.get(L)
-        if g is not None:
-            z = z * g
-        return np.tanh(z) if self.sensory.phi[L] == "tanh" else z
+        return np.tanh(settled.z[L]) if self.sensory.phi[L] == "tanh" else settled.z[L]
 
     def _project_perception(self, latent):
         v = self.bridge1 @ latent
@@ -386,16 +344,15 @@ class Agent:
         latent = self._latent(settled)
         self.state.buffers["perception"] = self._project_perception(latent)
         self.last_energy = settled.energy
-        self.prev_winner = self.last_winner
         self.last_winner = winner
         return latent
 
-    def _route(self, winner):
+    def _route(self, prev_winner, winner):
         c = self.config
         if c.route_wm_encode:
             self.state.wm = memory.wm_encode(self.state.wm, self.state.buffers["perception"])
         if c.route_dm_store:
-            context = [] if self.prev_winner is None else [_unit_name(self.prev_winner)]
+            context = [] if prev_winner is None else [_unit_name(prev_winner)]
             self.dm = memory.dm_store(self.dm, _unit_name(winner), context)
         if c.route_dm_retrieve and self.dm.traces:
             cue = hrr.permute(self.lexicon[_unit_name(winner)], 1)
@@ -430,8 +387,9 @@ class Agent:
         chosen.  On any component failure the agent state is rolled back.
         """
         with self._atomic():
+            prev_winner = self.last_winner
             self.perceive(obs)
-            self._route(self.last_winner)
+            self._route(prev_winner, self.last_winner)
             s = self._motor_state(self.state.buffers["perception"])
             q = self.motor.q_values(s)
             c = self.config
@@ -454,8 +412,9 @@ class Agent:
         running the reward loop.  Returns the greedy action for the
         freshly regressed head."""
         with self._atomic():
+            prev_winner = self.last_winner
             self.perceive(obs)
-            self._route(self.last_winner)
+            self._route(prev_winner, self.last_winner)
             s = self._motor_state(self.state.buffers["perception"])
             self.motor.regress(s, targets)
             q = self.motor.q_values(s)

@@ -84,9 +84,7 @@ _DECAY = _within(0, 1, open_lo=True)  # retention factors
 def _check_sizes(sizes):
     if not isinstance(sizes, (tuple, list)):
         raise ValueError(f"{sizes!r} is not a list of layer sizes")
-    for n in sizes:
-        _COUNT.check(n)
-    return tuple(sizes)
+    return tuple(int(_COUNT.check(n)) for n in sizes)
 
 
 _SIZES = _checked(_ints, _check_sizes)
@@ -104,29 +102,10 @@ _THETA = _checked(_theta, lambda value: value if value == "auto" else _RATE.chec
 
 
 # key -> (caster, default); defaults are the values used when a key is absent.
-SCHEMA = {
-    # experiment
+# The agent's keys: ``agent.AgentConfig`` takes its fields, their defaults and
+# their checks from this table.
+AGENT_SCHEMA = {
     "seed": (int, 0),
-    "readout": (_choice("rl", "supervised"), "rl"),
-    "epochs": (_COUNT, 1),
-    "n_tasks": (_COUNT, 2),
-    "per_task_train": (_COUNT, 500),
-    "per_task_test": (_COUNT, 500),
-    "train_images": (str, ""),
-    "train_labels": (str, ""),
-    "synthetic_per_class": (_COUNT, 600),
-    "env": (_choice("rps", "maze"), "rps"),
-    "rounds": (_COUNT, 2000),
-    "episodes": (_COUNT, 500),
-    "step_limit": (_COUNT, 50),
-    "rps_policy": (_floats, (0.8, 0.1, 0.1)),
-    "eval_window": (_COUNT, 100),
-    # recall protocol
-    "recall_d": (_COUNT, 2048),
-    "recall_rho": (_DECAY, 0.9),
-    "recall_lexicon": (_COUNT, 16),
-    "recall_list_len": (_COUNT, 7),
-    "recall_lists": (_COUNT, 100),
     # holographic space
     "d": (_COUNT, 1024),
     # sensory cortex
@@ -134,7 +113,7 @@ SCHEMA = {
     "sensory_beta": (_RATE, 0.05),
     "sensory_gamma": (_RATE, 0.001),
     "sensory_K": (_COUNT, 50),
-    "sensory_sigma": (float, 0.05),
+    "sensory_sigma": (_RATE, 0.05),
     "sensory_eta_W": (_RATE, 0.01),
     "sensory_eta_E": (_RATE, 0.01),
     "sensory_clip": (_bool, True),
@@ -144,7 +123,7 @@ SCHEMA = {
     "motor_beta": (_RATE, 0.05),
     "motor_gamma": (_RATE, 0.001),
     "motor_K": (_COUNT, 20),
-    "motor_sigma": (float, 0.05),
+    "motor_sigma": (_RATE, 0.05),
     "motor_eta_W": (_RATE, 0.02),
     "motor_eta_E": (_RATE, 0.02),
     "motor_clip": (_bool, False),
@@ -155,7 +134,6 @@ SCHEMA = {
     "replay_samples": (_WHOLE, 0),
     # task gate
     "theta": (_THETA, "auto"),
-    "theta_factor": (_POSITIVE, 3.0),
     "eta_c": (_within(0, 1), 0.05),
     "M_max": (_COUNT, 8),
     "mask_p": (_within(0, 1, open_lo=True), 0.5),
@@ -174,6 +152,45 @@ SCHEMA = {
     "eps_end": (_within(0, 1), 0.05),
     "eps_decay_frac": (_RATE, 0.5),
 }
+
+SCHEMA = {
+    **AGENT_SCHEMA,
+    # experiment
+    "readout": (_choice("rl", "supervised"), "rl"),
+    "epochs": (_COUNT, 1),
+    "n_tasks": (_COUNT, 2),
+    "per_task_train": (_COUNT, 500),
+    "per_task_test": (_COUNT, 500),
+    "train_images": (str, ""),
+    "train_labels": (str, ""),
+    "synthetic_per_class": (_COUNT, 600),
+    "env": (_choice("rps", "maze"), "rps"),
+    "rounds": (_COUNT, 2000),
+    "episodes": (_COUNT, 500),
+    "step_limit": (_COUNT, 50),
+    "rps_policy": (_floats, (0.8, 0.1, 0.1)),
+    "eval_window": (_COUNT, 100),
+    "theta_factor": (_POSITIVE, 3.0),  # scales the theta the runner calibrates
+    # recall protocol
+    "recall_d": (_COUNT, 2048),
+    "recall_rho": (_DECAY, 0.9),
+    "recall_lexicon": (_COUNT, 16),
+    "recall_list_len": (_COUNT, 7),
+    "recall_lists": (_COUNT, 100),
+}
+
+
+def check(key, value):
+    """``value`` for ``key`` once the key's caster has checked it (a list of
+    layer sizes comes back as a tuple of ints); a bad value raises a
+    ValueError naming the key."""
+    caster = SCHEMA[key][0]
+    if not hasattr(caster, "check"):
+        return value
+    try:
+        return caster.check(value)
+    except ValueError as exc:
+        raise ValueError(f"bad value for {key!r}: {exc}") from None
 
 
 def parse_config(text):
@@ -205,13 +222,7 @@ def resolve(overrides=None):
     for key, value in (overrides or {}).items():
         if key not in SCHEMA:
             raise ValueError(f"unknown config key {key!r}")
-        check = getattr(SCHEMA[key][0], "check", None)
-        if check is not None:
-            try:
-                check(value)
-            except ValueError as exc:
-                raise ValueError(f"bad value for {key!r}: {exc}") from None
-        cfg[key] = value
+        cfg[key] = check(key, value)
     return cfg
 
 

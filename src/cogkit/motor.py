@@ -131,7 +131,12 @@ class MotorCircuit:
             y = r + self.gamma_d * float(np.max(q_next))
         if not np.isfinite(y):
             raise ValueError(f"non-finite learning target {y}")
-        state = ngc.settle(self.circuit, clamps={self.circuit.L: s}, pin0={a: y})
+        self._fit(s, {a: y})
+
+    def _fit(self, s, pins):
+        """Settle on state ``s`` with output units held at ``pins``, then
+        update the weights from the settled errors."""
+        state = ngc.settle(self.circuit, clamps={self.circuit.L: s}, pin0=pins)
         self.circuit = ngc.update_weights(
             self.circuit, state, self.eta_W, self.eta_E, clip=self.clip_weights
         )
@@ -144,11 +149,7 @@ class MotorCircuit:
             raise ValueError(f"targets shape {targets.shape} != ({self.n_actions},)")
         if not np.isfinite(targets).all():
             raise ValueError("non-finite regression targets")
-        pins = {i: float(t) for i, t in enumerate(targets)}
-        state = ngc.settle(self.circuit, clamps={self.circuit.L: s}, pin0=pins)
-        self.circuit = ngc.update_weights(
-            self.circuit, state, self.eta_W, self.eta_E, clip=self.clip_weights
-        )
+        self._fit(s, {i: float(t) for i, t in enumerate(targets)})
         return self
 
     def learn(self, t: Transition, sensory_energy=0.0, q_next=None):

@@ -97,10 +97,9 @@ def init_circuit(sizes, seed, beta=0.05, gamma=0.001, K=50, sigma=0.05, phi=None
         raise ValueError(f"need at least two layer sizes, got {sizes}")
     if any(s < 1 for s in sizes):
         raise ValueError(f"all layer sizes must be >= 1, got {sizes}")
-    if not beta >= 0:
-        raise ValueError(f"beta must be >= 0, got {beta}")
-    if not gamma >= 0:
-        raise ValueError(f"gamma must be >= 0, got {gamma}")
+    for name, value in (("beta", beta), ("gamma", gamma), ("sigma", sigma)):
+        if not value >= 0:  # also true for NaN
+            raise ValueError(f"{name} must be >= 0, got {value}")
     if K < 1:
         raise ValueError(f"K must be >= 1, got {K}")
     L = len(sizes) - 1

@@ -23,13 +23,12 @@ from __future__ import annotations
 import os
 import time
 from contextlib import contextmanager
-from dataclasses import fields
 
 import numpy as np
 
 from . import hrr, memory
 from .agent import Agent, AgentConfig
-from .config import config_hash
+from .config import AGENT_SCHEMA, config_hash
 from .data import DEFAULT_PAIRS, load_idx, make_split_mnist, make_synthetic_digits
 from .envs import MazeEnv, MOVES, RpsEnv
 from .gate import ContextTracker
@@ -108,8 +107,7 @@ def _learned_agent(cfg, calib_obs, **overrides):
     if theta == "auto":
         theta = calibrate_theta(calib_obs, cfg["context_window"],
                                 cfg["theta_factor"], cfg["eta_c"])
-    names = {f.name for f in fields(AgentConfig)}
-    shared = {k: v for k, v in cfg.items() if k in names}
+    shared = {k: cfg[k] for k in AGENT_SCHEMA}
     return Agent(AgentConfig(**{**shared, "theta": theta, **overrides}))
 
 

@@ -36,7 +36,7 @@ def test_construction_invariants():
     assert a.state.wm.d == 64
     assert a.bridge1.shape == (64, 16)
     assert a.bridge2.shape == (16, 3 * 64)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="at least one hidden layer"):
         AgentConfig(obs_dim=8, n_actions=2, sensory_hidden=())
 
 
@@ -250,7 +250,7 @@ def test_snapshot_entry_names_and_kinds():
     assert sorted(meta) == [
         "config", "dm/trace_names", "gate/rng_state", "gate/saturated",
         "last_energy", "last_winner", "motor/rng_state", "pending/a",
-        "prev_winner", "step", "wm/position",
+        "step", "wm/position",
     ]
 
 
@@ -271,6 +271,7 @@ def test_restore_reads_the_parent_layout():
         * a.gate.active_count,
         "lexicon/names": [f"unit{k}" for k in range(a.config.M_max)],
         "last_action": act,
+        "prev_winner": 0,
         # the counters this agent's 15 cycles left in the older layout
         "gate/usage": [15],
         "dm/store_count": {"unit0": 15},
@@ -288,6 +289,15 @@ def test_restore_rejects_a_wrong_shape():
     arrays["sensory/W1"] = np.zeros((8, 15))
     # caught while restoring, not by the first cycle's matmul
     with pytest.raises(ValueError, match=r"'sensory/W1'.*\(8, 15\).*\(8, 16\)"):
+        Agent.restore(write_snapshot(arrays, meta, seed=seed))
+
+
+def test_restore_rejects_an_out_of_range_config():
+    a = Agent(small_config())
+    a.cycle(np.ones(8))
+    arrays, meta, seed = read_snapshot(a.snapshot())
+    meta["config"]["sensory_eta_W"] = -1.0
+    with pytest.raises(ValueError, match=r"'sensory_eta_W'.*-1\.0"):
         Agent.restore(write_snapshot(arrays, meta, seed=seed))
 
 

@@ -96,7 +96,7 @@ def test_defaults_without_config(capsys):
 
 
 def test_inspect(tmp_path, capsys):
-    agent = Agent(AgentConfig(obs_dim=6, n_actions=2, d=32,
+    agent = Agent(AgentConfig(obs_dim=6, n_actions=2, d=32, theta=1.0,
                               sensory_hidden=(8,), sensory_K=4, motor_K=4,
                               motor_state_dim=8, context_window=4))
     agent.cycle(np.zeros(6))

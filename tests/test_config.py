@@ -1,10 +1,13 @@
 """Run-configuration parsing."""
 
 import hashlib
+import numbers
 
 import pytest
 
-from cogkit.config import SCHEMA, config_hash, load_config, parse_config, resolve
+from cogkit.agent import AgentConfig
+from cogkit.config import (AGENT_SCHEMA, SCHEMA, config_hash, load_config, parse_config,
+                           resolve)
 
 
 def test_defaults():
@@ -131,6 +134,10 @@ RANGE_CASES = [
     ("sensory_eta_E", 0.0, -0.01),
     ("motor_eta_W", 0.0, -0.01),
     ("motor_eta_E", 0.0, float("nan")),
+    ("sensory_sigma", 0.0, -0.05),
+    ("sensory_sigma", 0.05, float("nan")),
+    ("motor_sigma", 0.0, float("nan")),
+    ("motor_sigma", 0.05, -1.0),
     ("theta_factor", 2.25, 0.0),
     ("dm_k", 1, 0),
     ("dm_k", 3, -1),
@@ -184,3 +191,32 @@ def test_layer_sizes_fail_at_parse_time_and_in_code(key):
     for wrong in ((64, 0), [-1], 64, (2.5,), None):
         with pytest.raises(ValueError, match=rf"'{key}'"):
             resolve({"seed": 1, key: wrong})
+
+
+def test_every_numeric_key_has_a_check():
+    # a number nothing checks reaches the run and fails there, if at all,
+    # under another name; the seed is any integer
+    numeric = {key for key, (_, default) in SCHEMA.items()
+               if isinstance(default, numbers.Number) and not isinstance(default, bool)}
+    assert {key for key in numeric if not hasattr(SCHEMA[key][0], "check")} == {"seed"}
+
+
+def test_agent_config_defaults_are_the_schema_defaults():
+    config = AgentConfig(obs_dim=8, n_actions=3, theta=1.0)
+    cfg = resolve({"theta": 1.0})
+    assert {key: getattr(config, key) for key in AGENT_SCHEMA} == {
+        key: cfg[key] for key in AGENT_SCHEMA}
+    assert (config.obs_dim, config.n_actions, config.horizon) == (8, 3, 10_000)
+
+
+@pytest.mark.parametrize("key, good, bad",
+                         [case for case in ENUM_CASES + RANGE_CASES if case[0] in AGENT_SCHEMA])
+def test_agent_config_checks_each_key(key, good, bad):
+    base = dict(obs_dim=8, n_actions=3, theta=1.0)
+    if good == "auto":  # a schema value the runner replaces before it builds an agent
+        with pytest.raises(ValueError, match="'auto' is calibrated by the runner"):
+            AgentConfig(**{**base, key: good})
+    else:
+        assert getattr(AgentConfig(**{**base, key: good}), key) == good
+    with pytest.raises(ValueError, match=rf"'{key}'"):
+        AgentConfig(**{**base, key: bad})

@@ -38,7 +38,7 @@ def test_init_sigma_zero_and_errors():
         init_circuit([4, 0], seed=0)
     with pytest.raises(ValueError):
         init_circuit([4, 4], seed=0, phi=("identity", "sigmoid"))
-    for arg in ("beta", "gamma"):
+    for arg in ("beta", "gamma", "sigma"):
         for bad in (-0.01, float("nan")):
             with pytest.raises(ValueError, match=rf"{arg} must be >= 0, got {bad}"):
                 init_circuit([4, 4], seed=0, **{arg: bad})
