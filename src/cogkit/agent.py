@@ -80,6 +80,14 @@ def _unit_name(k):
     return f"unit{k}"
 
 
+def _unit(v):
+    """``v`` over its norm, each column on its own when ``v`` is a batch; a
+    zero vector stays zero.  A single vector keeps the 1-d norm, which adds
+    its squares in another order than the column norms."""
+    n = np.linalg.norm(v, axis=0) if v.ndim == 2 else np.linalg.norm(v)
+    return v / np.where(n > 0, n, 1.0)
+
+
 # ------------------------------------------------------------ state table
 
 
@@ -177,9 +185,17 @@ def _recruited(entries):
 
 
 def _load_masks(agent, entries):
+    """The recruited units' masks; each is 0/1 and opens a unit, as the gate
+    makes them and as a probe's batched settle needs them."""
     layers = sorted(agent.gate.layer_widths)
-    return [{layer: entries[f"gate/mask/{k}/{layer}"] for layer in layers}
-            for k in range(_recruited(entries))]
+    masks = [{layer: entries[f"gate/mask/{k}/{layer}"] for layer in layers}
+             for k in range(_recruited(entries))]
+    for k, mask in enumerate(masks):
+        for layer, g in mask.items():
+            if not (((g == 0.0) | (g == 1.0)).all() and g.any()):
+                raise ValueError(f"snapshot entry 'gate/mask/{k}/{layer}' "
+                                 "is not a 0/1 mask opening a unit")
+    return masks
 
 
 def _dump_dm(dm):
@@ -305,15 +321,13 @@ class Agent:
         return np.tanh(settled.z[L]) if self.sensory.phi[L] == "tanh" else settled.z[L]
 
     def _project_perception(self, latent):
-        v = self.bridge1 @ latent
-        n = np.linalg.norm(v)
-        return v / n if n > 0 else v
+        return _unit(self.bridge1 @ latent)
 
     def _motor_state(self, perception):
-        cat = np.concatenate([perception, self.state.buffers["retrieval"], self.state.wm.m])
-        s = self.bridge2 @ cat
-        n = np.linalg.norm(s)
-        return s / n if n > 0 else s
+        shared = np.concatenate([self.state.buffers["retrieval"], self.state.wm.m])
+        if perception.ndim == 2:  # a batch, one column each
+            shared = np.repeat(shared[:, None], perception.shape[1], axis=1)
+        return _unit(self.bridge2 @ np.concatenate([perception, shared]))
 
     def perceive(self, obs):
         """Gate, settle, learn the sensory circuit; fill the perception buffer.
@@ -436,16 +450,32 @@ class Agent:
 
     def probe(self, obs, context=None):
         """Evaluation-only readout: no learning, no recruitment, no buffer
-        writes.  Returns (action, q_values, winner)."""
+        writes.  Returns (action, q_values, winner).
+
+        ``obs`` may also be a batch, one observation per row, read under one
+        context: the gate matches once, the sensory circuit settles the batch
+        at once (row by row when it is deeper than one hidden layer or has
+        beta = 0, the circuits ``ngc.settle`` does not batch), the bridges
+        project it as a matrix and the motor head reads it row by row.  Then
+        the actions come back as a list and the q-values as an array, one row
+        per observation.
+        """
         obs = np.asarray(obs, dtype=float)
-        if obs.shape != (self.config.obs_dim,):
-            raise ValueError(f"observation shape {obs.shape} != ({self.config.obs_dim},)")
+        if obs.ndim not in (1, 2) or obs.shape[-1] != self.config.obs_dim:
+            raise ValueError(f"observation shape {obs.shape} != ([batch,] {self.config.obs_dim})")
         ctx = np.asarray(context, dtype=float) if context is not None else self.tracker.context()
         winner, _ = self.gate.match(ctx)
-        settled = ngc.settle(self.sensory, clamps={0: obs}, mask=self.gate.mask_for(winner))
-        s = self._motor_state(self._project_perception(self._latent(settled)))
-        q = self.motor.q_values(s)
-        return greedy_action(q), q, winner
+        mask = self.gate.mask_for(winner)
+        rows = np.atleast_2d(obs)
+        if self.sensory.L == 1 and self.sensory.beta != 0.0:
+            latent = self._latent(ngc.settle(self.sensory, clamps={0: rows.T}, mask=mask))
+        else:
+            latent = np.column_stack([self._latent(ngc.settle(self.sensory, clamps={0: x},
+                                                              mask=mask)) for x in rows])
+        s = self._motor_state(self._project_perception(latent))
+        q = np.array([self.motor.q_values(column) for column in s.T])
+        actions = [greedy_action(row) for row in q]
+        return (actions[0], q[0], winner) if obs.ndim == 1 else (actions, q, winner)
 
     # ------------------------------------------------------------ snapshot
 

@@ -13,7 +13,7 @@ import math
 import numbers
 
 
-def _bool(text):
+def _parse_bool(text):
     low = text.strip().lower()
     if low in ("1", "true", "yes", "on"):
         return True
@@ -65,7 +65,7 @@ def _within(lo, hi, open_lo=False, open_hi=False, parse=float):
     kind = numbers.Integral if parse is int else numbers.Real
 
     def check(value):
-        if not (isinstance(value, kind)
+        if not (isinstance(value, kind) and not isinstance(value, bool)
                 and (lo < value if open_lo else lo <= value)
                 and (value < hi if open_hi else value <= hi)):
             raise ValueError(f"{value!r} is not in {interval}")
@@ -74,6 +74,14 @@ def _within(lo, hi, open_lo=False, open_hi=False, parse=float):
     return _checked(parse, check)
 
 
+def _check_bool(value):
+    if not isinstance(value, bool):
+        raise ValueError(f"{value!r} is not true or false")
+    return value
+
+
+# a file may say 1/0, true/false, yes/no or on/off; code must give a bool
+_bool = _checked(_parse_bool, _check_bool)
 _COUNT = _within(1, math.inf, open_hi=True, parse=int)  # sizes, K and counts
 _WHOLE = _within(0, math.inf, open_hi=True, parse=int)  # counts that may be 0
 _RATE = _within(0, math.inf, open_hi=True)  # rates and other non-negative reals

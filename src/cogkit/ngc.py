@@ -19,6 +19,15 @@ reaches a prediction, an error or a weight change.  ``settle`` and
 ``update_weights`` then work on the open units alone (see ``_open_units``).
 A mask with every unit open is no mask at all and is dropped on entry.
 
+That circuit, layer 0 clamped to ``x`` and one hidden layer starting at rest,
+is every sensory settle of the agent, and ``settle`` runs it reassociated:
+the feedback ``E @ (x - W @ phi(z))`` equals ``b - G @ phi(z)`` with
+``b = E @ x`` and ``G = E @ W`` formed once per call, so each pass reads the
+small square ``G`` instead of ``W`` and ``E``, and the prediction, error and
+energy are formed once, after the loop.  The numbers equal the loop's up to
+float64 rounding of the reassociated sums.  Only this kernel takes a batch:
+``x`` of shape (n, B) settles B inputs that share the weights and the mask.
+
 Weight matrices are kept in C order: every update returns C-ordered W and E,
 as a restore does, so a restored circuit sums its products in the order the
 live one does and resumes byte for byte.
@@ -144,18 +153,16 @@ def _gate(state, ell, v):
     return v if g is None else v * g
 
 
-def _open_units(circuit, state):
-    """The open units of hidden layer 1, as a slice when they are one run;
-    None unless it is the only hidden layer and has a 0/1 mask that opens
-    at least one unit.
+def _open_units(circuit, mask):
+    """The open units of hidden layer 1 under a validated ``mask``, as a
+    slice when they are one run; None unless it is the only hidden layer and
+    has a 0/1 mask that opens at least one unit.
 
     A closed unit's activity enters every prediction and every weight change
-    multiplied by 0.  Dropping those terms leaves each computed value a sum of
-    the same nonzero terms, and each weight change exactly the same product,
-    so the open-unit path gives the masked path's numbers up to the order
-    BLAS adds the terms of a product.
+    multiplied by 0.  Dropping those terms leaves each weight change exactly
+    the same product, and each computed value a sum of the same nonzero terms.
     """
-    g = state.mask.get(1)
+    g = mask.get(1)
     if circuit.L != 1 or g is None or not ((g == 0.0) | (g == 1.0)).all():
         return None
     idx = np.flatnonzero(g)
@@ -234,6 +241,14 @@ def _track_output(state):
     state.e[0] = z0 - state.mu[0]
 
 
+def _check_bounded(v, beta):
+    if not np.abs(v).max() <= _Z_LIMIT:  # also true for NaN
+        raise DivergenceError(
+            f"state exceeded {_Z_LIMIT:g} during settling; "
+            f"beta={beta} is too large for this circuit"
+        )
+
+
 def settle(circuit, clamps=None, mask=None, init=None, pin0=None):
     """Run up to K predict/correct iterations and return the final state.
 
@@ -248,26 +263,50 @@ def settle(circuit, clamps=None, mask=None, init=None, pin0=None):
     (every hidden layer is clamped, or beta = 0) one pass gives the state
     that K passes would: settling stops after it, divergence check included.
 
-    With one hidden layer that starts at rest under a 0/1 mask and layer 0
-    clamped, the same loop runs on the open units alone: ``W[1][:, open]``
-    and ``E[1][open]`` are gathered once, and the settled activities are
-    scattered back, so closed units stay exactly 0.  A pinned or free layer
-    0, a hidden layer that starts away from 0, and deeper stacks keep the
-    masked computation.  Each step overwrites the fresh state built for this
-    call and nothing else; clamp, init, mask and circuit arrays are only read.
+    One hidden layer that starts at rest, with beta != 0, layer 0 clamped and
+    no mask or a 0/1 mask opening at least one unit, settles in
+    ``_settle_clamped_input`` (see the module docstring); that kernel alone
+    takes a clamp of shape (n, B).  Every other circuit runs the masked loop.
+    Each step overwrites the fresh state built for this call and nothing
+    else; clamp, init, mask and circuit arrays are only read.
     """
-    state = _assemble(circuit, clamps, mask, init, pin0)
-    opened = None
-    if 0 in state.clamps and 1 not in state.clamps and not state.z[1].any():
-        opened = _open_units(circuit, state)
-    if opened is None:
-        return _settle(circuit, _refresh(circuit, state))
-    W1 = np.ascontiguousarray(circuit.W[1][:, opened])
-    E1 = np.ascontiguousarray(circuit.E[1][opened])
-    sub = replace(circuit, sizes=(circuit.sizes[0], len(E1)), W=[None, W1], E=[None, E1])
-    part = _settle(sub, make_state(sub, clamps=state.clamps))
-    state.z[1][opened] = part.z[1]
-    state.mu[0], state.e[0], state.energy = part.mu[0], part.e[0], part.energy
+    clamps = clamps or {}
+    if circuit.L == 1 and circuit.beta != 0.0 and list(clamps) == [0] and not (init or pin0):
+        gates = _validate_mask(circuit, mask)
+        opened = _open_units(circuit, gates) if gates else slice(None)
+        if opened is not None:
+            return _settle_clamped_input(circuit, clamps[0], gates, opened)
+    return _settle(circuit, _refresh(circuit, _assemble(circuit, clamps, mask, init, pin0)))
+
+
+def _settle_clamped_input(circuit, x, mask, opened):
+    """``settle`` of one hidden layer at rest under layer 0 clamped to ``x``
+    of shape (n,) or (n, B), on the ``opened`` units of validated ``mask``
+    (see the module docstring).  Closed units stay exactly 0; a batch's
+    energy is one value per input."""
+    n, m = circuit.sizes
+    X = np.asarray(x, dtype=float)
+    if X.ndim not in (1, 2) or X.shape[0] != n or X.size == 0:
+        raise ValueError(f"clamp for layer 0 has shape {X.shape}, expected ({n},) or ({n}, B)")
+    beta, gamma, phi = circuit.beta, circuit.gamma, circuit.phi[1]
+    _check_bounded(X, beta)
+    W1, E1 = circuit.W[1][:, opened], circuit.E[1][opened]
+    b = E1 @ X
+    G = E1 @ W1
+    z = np.zeros_like(b)
+    for _ in range(circuit.K):
+        step = b - G @ _apply_phi(phi, z)
+        step -= gamma * z
+        step *= beta
+        z += step
+        _check_bounded(z, beta)
+    mu0 = W1 @ _apply_phi(phi, z)
+    e0 = X - mu0
+    z1 = np.zeros((m, *X.shape[1:]))
+    z1[opened] = z
+    state = CircuitState(z=[X.copy(), z1], mu=[mu0], e=[e0, np.zeros_like(z1)],
+                         clamps={0: X}, mask=mask)
+    state.energy = energy(state) if X.ndim == 1 else 0.5 * np.einsum("ij,ij->j", e0, e0)
     return state
 
 
@@ -285,11 +324,7 @@ def _settle(circuit, state):
             step = step + _gate(state, ell, E[ell] @ e[ell - 1])
             z[ell] = z[ell] + beta * step
         for zv in z:
-            if not np.abs(zv).max() <= _Z_LIMIT:  # also true for NaN
-                raise DivergenceError(
-                    f"state exceeded {_Z_LIMIT:g} during settling; "
-                    f"beta={beta} is too large for this circuit"
-                )
+            _check_bounded(zv, beta)
         _refresh(circuit, state)
     if track:
         _track_output(state)  # leave z0 consistent with the final predictions
@@ -311,7 +346,7 @@ def update_weights(circuit, state, eta_W, eta_E, clip=False):
     onto the unit ball when they exceed it, all columns, open or not.  The
     new matrices are C-ordered whatever the old ones were.
     """
-    opened = _open_units(circuit, state)
+    opened = _open_units(circuit, state.mask)
     if opened is None:
         W, E = [None], [None]
         for ell in range(1, circuit.L + 1):

@@ -175,7 +175,7 @@ def run_continual(cfg, seed=None, out=None, ungated=False, agent_kind="learned",
             def answers(task):
                 window = min(cfg["context_window"], len(task.test_x))
                 context = task.test_x[:window].mean(axis=0)
-                return [agent.probe(x, context=context)[0] for x in task.test_x]
+                return agent.probe(task.test_x, context=context)[0]
 
         elif agent_kind == "oracle":
             answers = lambda task: task.test_y

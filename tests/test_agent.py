@@ -1,9 +1,15 @@
 import numpy as np
 import pytest
 
-from cogkit import ngc
+from cogkit import hrr, memory, ngc, runner
 from cogkit.agent import Agent, AgentConfig
+from cogkit.config import resolve
+from cogkit.data import DEFAULT_PAIRS, make_split_mnist
+from cogkit.gate import CompetitiveGate
+from cogkit.motor import MotorCircuit
 from cogkit.snapshot import read_snapshot, write_snapshot
+
+from test_acceptance import CONTINUAL_CFG
 
 
 def small_config(**kw):
@@ -326,6 +332,17 @@ def test_restore_rejects_a_unit_without_its_prototype(unit):
         Agent.restore(write_snapshot(arrays, meta, seed=seed))
 
 
+@pytest.mark.parametrize("bad", [0.5, 0.0, np.nan])
+def test_restore_rejects_a_mask_the_gate_cannot_make(bad):
+    a = Agent(small_config(seed=19))
+    for x in obs_stream(20, seed=8):
+        a.cycle(x)
+    arrays, meta, seed = read_snapshot(a.snapshot())
+    arrays["gate/mask/1/1"] = np.full(16, bad)
+    with pytest.raises(ValueError, match=r"'gate/mask/1/1' is not a 0/1 mask opening a unit"):
+        Agent.restore(write_snapshot(arrays, meta, seed=seed))
+
+
 @pytest.mark.parametrize("entry", ["sensory/W1", "gate/mask/0/1", "step", "config"])
 def test_restore_names_a_missing_entry(entry):
     a = Agent(small_config(seed=19))
@@ -448,3 +465,105 @@ def test_supervised_step_leaves_pending_untouched():
     pending_before = a.pending
     a.supervised_step(np.zeros(8), np.zeros(3))
     assert a.pending is pending_before
+
+
+# the benchmark's continual workload: the acceptance config, shortened
+BENCH_CONTINUAL = {**CONTINUAL_CFG, "per_task_train": 100, "per_task_test": 50, "epochs": 2}
+
+
+@pytest.fixture(scope="module")
+def bench_continual():
+    """The benchmark's trained continual agent at seed 1 and its two tasks."""
+    cfg = resolve(BENCH_CONTINUAL)
+    agent = runner.run_continual(cfg, seed=1)["agent"]
+    tasks = make_split_mnist(*runner.load_dataset(cfg), DEFAULT_PAIRS[:2],
+                             cfg["per_task_train"], cfg["per_task_test"], seed=1)
+    return agent, tasks
+
+
+def test_batched_probe_matches_probing_each_row(bench_continual):
+    agent, tasks = bench_continual
+    before = agent.snapshot()
+    for task in tasks:
+        context = task.test_x[:32].mean(axis=0)
+        actions, q, winner = agent.probe(task.test_x, context=context)
+        rows = [agent.probe(x, context=context) for x in task.test_x]
+        assert actions == [row[0] for row in rows]
+        assert q.shape == (len(task.test_x), 2)
+        np.testing.assert_allclose(q, [row[1] for row in rows], rtol=0, atol=1e-12)
+        assert {winner} == {row[2] for row in rows}
+    assert agent.snapshot() == before
+    for bad in (np.zeros((3, 783)), np.zeros((2, 3, 784)), np.zeros(785)):
+        with pytest.raises(ValueError, match="observation shape"):
+            agent.probe(bad, context=context)
+
+
+def test_batched_probe_of_a_deep_circuit_settles_row_by_row():
+    a = Agent(small_config(sensory_hidden=(16, 12), seed=41))
+    stream = obs_stream(12, seed=15)
+    for x in stream:
+        a.cycle(x, r_env=0.1)
+    batch = np.stack(stream[:5])
+    actions, q, winner = a.probe(batch)
+    rows = [a.probe(x) for x in batch]
+    assert actions == [row[0] for row in rows]
+    np.testing.assert_allclose(q, [row[1] for row in rows], rtol=0, atol=1e-12)
+
+
+# every function a cycle calls that can raise part way through it
+CYCLE_CALLS = [
+    (ngc, "settle"), (ngc, "_settle_clamped_input"), (ngc, "update_weights"),
+    (memory, "wm_encode"), (memory, "dm_store"), (memory, "dm_retrieve"), (hrr, "permute"),
+    (CompetitiveGate, "select_or_recruit"), (CompetitiveGate, "match"),
+    (CompetitiveGate, "update_winner"), (CompetitiveGate, "mask_for"),
+    (MotorCircuit, "_fit"), (MotorCircuit, "act"),
+]
+
+
+def _fail_on_call(monkeypatch, owner, name, k):
+    """Make the ``k``-th call of ``owner.name`` raise; returns the call list."""
+    real, calls = getattr(owner, name), []
+
+    def failing(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == k:
+            raise RuntimeError("injected")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, failing)
+    return calls
+
+
+@pytest.mark.parametrize("owner, name", CYCLE_CALLS,
+                         ids=[f"{owner.__name__}.{name}" for owner, name in CYCLE_CALLS])
+def test_a_failure_anywhere_in_a_cycle_rolls_back(owner, name, monkeypatch):
+    stream = obs_stream(32, seed=14)
+
+    def warmed():  # routing on, replay on, past the context warm-up
+        agent = Agent(small_config(seed=23, replay_capacity=8, replay_samples=1))
+        for x in stream[:12]:
+            agent.cycle(x, r_env=0.5)
+        return agent
+
+    def resume(agent):
+        r, actions = 0.5, []
+        for x in stream[12:]:
+            actions.append(agent.cycle(x, r_env=r))
+            r = 1.0 if actions[-1] == 1 else -1.0
+        return actions, agent.snapshot()
+
+    agent = warmed()
+    before = agent.snapshot()
+    calls = _fail_on_call(monkeypatch, owner, name, 0)
+    agent.cycle(stream[12], r_env=0.5)
+    monkeypatch.undo()
+    assert calls
+    want = resume(warmed())  # 20 cycles of an agent that never failed
+    for k in range(1, len(calls) + 1):
+        agent = warmed()
+        _fail_on_call(monkeypatch, owner, name, k)
+        with pytest.raises(RuntimeError, match="injected"):
+            agent.cycle(stream[12], r_env=0.5)
+        monkeypatch.undo()
+        assert agent.snapshot() == before
+        assert resume(agent) == want

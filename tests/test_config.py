@@ -102,7 +102,8 @@ ENUM_CASES = [
 
 # numeric keys bounded to an interval: each closed end is a good value, each
 # open end and a value past a closed end a bad one; whole-number keys also
-# reject a fraction
+# reject a fraction, and every numeric key a bool.  The switches' bad values
+# are words that are not booleans.
 RANGE_CASES = [
     ("mask_p", 1.0, 0.0),
     ("mask_p", 0.25, 1.5),
@@ -164,7 +165,19 @@ RANGE_CASES = [
     ("eps_decay_frac", 0.3, float("nan")),
     ("theta", 0.0, -1.0),
     ("theta", "auto", float("nan")),
+    ("d", 1, True),
+    ("replay_samples", 0, False),
+    ("mask_p", 1.0, True),
+    ("sensory_K", 30, True),
+    ("sensory_clip", True, "maybe"),
+    ("motor_clip", False, "maybe"),
+    ("route_wm_encode", True, "sometimes"),
+    ("route_dm_store", False, "2"),
+    ("route_dm_retrieve", True, "y"),
 ]
+
+BOOL_KEYS = ["sensory_clip", "motor_clip", "route_wm_encode", "route_dm_store",
+             "route_dm_retrieve"]
 
 
 @pytest.mark.parametrize("key, good, bad", ENUM_CASES + RANGE_CASES)
@@ -191,6 +204,18 @@ def test_layer_sizes_fail_at_parse_time_and_in_code(key):
     for wrong in ((64, 0), [-1], 64, (2.5,), None):
         with pytest.raises(ValueError, match=rf"'{key}'"):
             resolve({"seed": 1, key: wrong})
+
+
+@pytest.mark.parametrize("key", BOOL_KEYS)
+def test_bool_keys_take_only_bools_from_code(key):
+    # a file's words are parsed, but in code a non-empty string is true
+    assert parse_config(f"{key} = no\n") == {key: False}
+    assert resolve({key: False})[key] is False
+    for wrong in ("no", "false", 0, 1, 1.0, None):
+        with pytest.raises(ValueError, match=rf"'{key}'.*not true or false"):
+            resolve({key: wrong})
+        with pytest.raises(ValueError, match=rf"'{key}'"):
+            AgentConfig(obs_dim=8, n_actions=3, theta=1.0, **{key: wrong})
 
 
 def test_every_numeric_key_has_a_check():

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -372,6 +374,22 @@ ORACLE_CASES = [
 ]
 
 
+# cases that settle in the clamped-input kernel
+KERNEL_CASES = {"input_clamped", "input_clamped_block_mask"}
+
+
+def kernel_tol(circuit):
+    """How far the clamped-input kernel may stray from the oracle's loop.
+
+    The kernel sums ``E @ x``, ``E @ W`` and ``G @ phi(z)`` where the loop
+    sums ``E @ e0`` and ``W @ phi(z)``: other sums of at most ``max(sizes)``
+    terms each, so each of the K passes differs by float64 rounding of such a
+    product.  Held to 10 times that; 1.07e-12 for the open cases' 24 -> 32
+    circuit at K = 15, whose largest difference is 3.3e-15.
+    """
+    return 10 * circuit.K * max(circuit.sizes) * np.finfo(float).eps
+
+
 def _assert_states_equal(got, want):
     for name in ("z", "mu", "e"):
         a, b = getattr(got, name), getattr(want, name)
@@ -380,13 +398,29 @@ def _assert_states_equal(got, want):
             assert np.array_equal(u, v), f"{name}[{ell}] differs"
 
 
+def _assert_states_close(got, want, tol):
+    """Equal within ``tol``, energy included; closed units exactly 0."""
+    for name in ("z", "mu", "e"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert len(a) == len(b), name
+        for u, v in zip(a, b):
+            np.testing.assert_allclose(u, v, rtol=0, atol=tol, err_msg=name)
+    assert got.energy == pytest.approx(want.energy, rel=0, abs=tol)
+    g = want.mask.get(1)
+    if g is not None:
+        assert not np.signbit(got.z[1][g == 0]).any() and not got.z[1][g == 0].any()
+
+
 @pytest.mark.parametrize("name", ORACLE_CASES)
 def test_settle_matches_reference_oracle(name):
     c, kwargs = _oracle_case(name)
     got = settle(c, **kwargs)
     want = reference_ngc.settle(c, **kwargs)
-    _assert_states_equal(got, want)
-    assert got.energy == want.energy
+    if name in KERNEL_CASES:
+        _assert_states_close(got, want, kernel_tol(c))
+    else:
+        _assert_states_equal(got, want)
+        assert got.energy == want.energy
 
 
 @pytest.mark.parametrize("name", ORACLE_CASES)
@@ -401,6 +435,15 @@ def test_predict_matches_reference_and_leaves_input(name):
     _assert_states_equal(make_state(c, **kwargs), reference_ngc.make_state(c, **kwargs))
 
 
+def _record_phi(monkeypatch):
+    """The shapes of the activities ``settle`` puts through phi, in order."""
+    shapes = []
+    apply_phi = ngc._apply_phi
+    monkeypatch.setattr(ngc, "_apply_phi", lambda name, v: shapes.append(v.shape)
+                        or apply_phi(name, v))
+    return shapes
+
+
 @pytest.mark.parametrize("name, passes", [
     ("top_clamped", 1),
     ("top_clamped_pinned", 1),
@@ -410,11 +453,11 @@ def test_predict_matches_reference_and_leaves_input(name):
 ])
 def test_settle_stops_after_one_pass_only_when_nothing_can_move(name, passes, monkeypatch):
     c, kwargs = _oracle_case(name)
-    calls = []
-    refresh = ngc._refresh
-    monkeypatch.setattr(ngc, "_refresh", lambda *a: calls.append(1) or refresh(*a))
+    calls = _record_phi(monkeypatch)
     settle(c, **kwargs)
-    assert len(calls) == 1 + passes  # make_state refreshes once before the loop
+    # the loop applies phi to every hidden layer once before its first pass
+    # and once per pass; the kernel applies it once per pass and once after
+    assert len(calls) == (1 + passes) * c.L
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 2e6])
@@ -447,9 +490,9 @@ def test_motor_q_values_nan_state_raises_divergence():
         m.q_values(s)
 
 
-# Open-unit path: one hidden layer, layer 0 clamped, a 0/1 mask.  The name
-# says which units of the 32 are open; the last three cases must keep the
-# masked computation.
+# Open units: one hidden layer, layer 0 clamped, a 0/1 mask, so the
+# clamped-input kernel runs on the open units alone.  The name says which
+# units of the 32 are open; the last three cases must keep the masked loop.
 OPEN_CASES = {
     "block_at_0": range(0, 8),
     "block_in_middle": range(12, 20),
@@ -459,12 +502,6 @@ OPEN_CASES = {
     "all_open": range(32),
 }
 MASKED_CASES = ["pinned_layer_0", "init_on_layer_1", "three_layers"]
-# A scattered mask and a single unit leave BLAS adding the open terms of a
-# product in another order than with the closed zeros between them, so they
-# are held to float64 rounding of K passes over products of at most 32
-# terms, not to equal bits.
-ROUNDED = {"random", "single_unit"}
-OPEN_TOL = 10 * 15 * 32 * np.finfo(float).eps
 
 
 def _open_case(name):
@@ -495,12 +532,8 @@ def test_open_unit_settle_and_update_match_reference_oracle(name, clip):
     c, kwargs, _ = _open_case(name)
     got = settle(c, **kwargs)
     want = reference_ngc.settle(c, **kwargs)
-    if name in ROUNDED:
-        for f in ("z", "mu", "e"):
-            for u, v in zip(getattr(got, f), getattr(want, f)):
-                np.testing.assert_allclose(u, v, rtol=0, atol=OPEN_TOL)
-        assert got.energy == pytest.approx(want.energy, rel=0, abs=OPEN_TOL)
-        assert not got.z[1][got.mask[1] == 0].any()
+    if name in OPEN_CASES:
+        _assert_states_close(got, want, kernel_tol(c))
     else:
         _assert_states_equal(got, want)
         assert got.energy == want.energy
@@ -520,8 +553,85 @@ def test_open_unit_settle_and_update_match_reference_oracle(name, clip):
 @pytest.mark.parametrize("name", [*OPEN_CASES, *MASKED_CASES])
 def test_open_unit_path_runs_where_it_applies(name, monkeypatch):
     c, kwargs, units = _open_case(name)
-    ran_on = []
-    loop = ngc._settle
-    monkeypatch.setattr(ngc, "_settle", lambda sub, st: ran_on.append(sub.sizes) or loop(sub, st))
+    shapes = _record_phi(monkeypatch)
     settle(c, **kwargs)
-    assert ran_on == [(c.sizes[0], units, *c.sizes[2:])]
+    # every pass (and, in the loop, the refresh before it) puts each hidden
+    # layer through phi: the kernel's one layer has the open units only
+    assert set(shapes) == {(units,), *((n,) for n in c.sizes[2:])}
+    assert len(shapes) == (c.K + 1) * c.L
+
+
+# The clamped-input kernel on a batch: X of shape (n, B), one input a column.
+@pytest.mark.parametrize("name", ["block_in_middle", "random", "all_open"])
+def test_batch_settle_matches_settling_each_input(name):
+    c, kwargs, units = _open_case(name)
+    X = np.random.default_rng(42).normal(size=(24, 7))
+    got = settle(c, clamps={0: X}, mask=kwargs["mask"])
+    assert got.z[1].shape == (32, 7) and got.energy.shape == (7,)
+    tol = kernel_tol(c)
+    for j in range(X.shape[1]):
+        one = settle(c, clamps={0: X[:, j]}, mask=kwargs["mask"])
+        for f in ("z", "mu", "e"):
+            for u, v in zip(getattr(got, f), getattr(one, f)):
+                np.testing.assert_allclose(u[:, j], v, rtol=0, atol=tol, err_msg=f)
+        assert got.energy[j] == pytest.approx(one.energy, rel=0, abs=tol)
+    assert np.array_equal(got.z[0], X)
+    closed = kwargs["mask"][1] == 0
+    assert not got.z[1][closed].any() and not np.signbit(got.z[1][closed]).any()
+
+
+# circuits the kernel does not take: (layer sizes, beta, settle kwargs)
+OUTSIDE_KERNEL = {
+    "deep": ([8, 12, 6], 0.05, {"clamps": {0: np.zeros((8, 3))}}),
+    "beta_zero": ([8, 12], 0.0, {"clamps": {0: np.zeros((8, 3))}}),
+    "init_on_layer_1": ([8, 12], 0.05, {"clamps": {0: np.zeros((8, 3))},
+                                        "init": {1: np.zeros(12)}}),
+    "fractional_mask": ([8, 12], 0.05, {"clamps": {0: np.zeros((8, 3))},
+                                        "mask": {1: np.full(12, 0.5)}}),
+    "closed_mask": ([8, 12], 0.05, {"clamps": {0: np.zeros((8, 3))},
+                                    "mask": {1: np.zeros(12)}}),
+    "pinned": ([8, 12], 0.05, {"clamps": {1: np.zeros((12, 3))}, "pin0": {0: 0.5}}),
+}
+
+
+@pytest.mark.parametrize("name", OUTSIDE_KERNEL)
+def test_batch_clamp_outside_the_kernel_is_rejected(name):
+    sizes, beta, kwargs = OUTSIDE_KERNEL[name]
+    c = init_circuit(sizes, seed=43, beta=beta, K=5)
+    (ell, X), = kwargs["clamps"].items()
+    with pytest.raises(ValueError, match=rf"layer {ell} has shape \({X.shape[0]}, 3\)"):
+        settle(c, **kwargs)
+
+
+def test_kernel_rejects_a_misshapen_clamp():
+    c = init_circuit([8, 12], seed=44, K=5)
+    for shape in [(9,), (9, 3), (8, 3, 2), (8, 0), ()]:
+        with pytest.raises(ValueError, match=rf"shape {re.escape(str(shape))}"):
+            settle(c, clamps={0: np.zeros(shape)})
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 2e6])
+@pytest.mark.parametrize("batch", [False, True])
+def test_divergent_clamp_raises_on_entry(bad, batch, monkeypatch):
+    c = init_circuit([6, 10], seed=45, K=15)
+    x = np.random.default_rng(45).normal(size=(6, 4) if batch else 6)
+    x[2] = bad
+    passes = _record_phi(monkeypatch)
+    with pytest.raises(DivergenceError, match="beta=0.05"):
+        settle(c, clamps={0: x}, mask={1: np.repeat([0.0, 1.0], 5)})
+    assert passes == []  # before the first pass
+    monkeypatch.undo()
+    with pytest.raises(DivergenceError):
+        reference_ngc.settle(c, clamps={0: x if not batch else x[:, 0]})
+
+
+@pytest.mark.parametrize("batch", [False, True])
+def test_nan_feedback_row_is_caught_mid_loop(batch, monkeypatch):
+    c = init_circuit([6, 10], seed=46, K=15)
+    c.E[1][3, :] = np.nan
+    x = np.random.default_rng(46).normal(size=(6, 4) if batch else 6)
+    passes = _record_phi(monkeypatch)
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(DivergenceError, match="beta=0.05"):
+            settle(c, clamps={0: x})
+    assert passes == [(10, 4) if batch else (10,)]  # caught after the first pass
