@@ -28,6 +28,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, make_dataclass, replace
 from operator import attrgetter
+from types import MappingProxyType
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -185,8 +186,8 @@ def _recruited(entries):
 
 
 def _load_masks(agent, entries):
-    """The recruited units' masks; each is 0/1 and opens a unit, as the gate
-    makes them and as a probe's batched settle needs them."""
+    """The recruited units' masks, read-only; each is 0/1 and opens a unit,
+    as the gate makes them."""
     layers = sorted(agent.gate.layer_widths)
     masks = [{layer: entries[f"gate/mask/{k}/{layer}"] for layer in layers}
              for k in range(_recruited(entries))]
@@ -195,7 +196,8 @@ def _load_masks(agent, entries):
             if not (((g == 0.0) | (g == 1.0)).all() and g.any()):
                 raise ValueError(f"snapshot entry 'gate/mask/{k}/{layer}' "
                                  "is not a 0/1 mask opening a unit")
-    return masks
+            g.flags.writeable = False
+    return [MappingProxyType(mask) for mask in masks]
 
 
 def _dump_dm(dm):
@@ -318,7 +320,7 @@ class Agent:
         """Top-layer activity through its activation function; it is gated
         already, as nothing predicts the top layer and closed units stay 0."""
         L = self.sensory.L
-        return np.tanh(settled.z[L]) if self.sensory.phi[L] == "tanh" else settled.z[L]
+        return ngc._apply_phi(self.sensory.phi[L], settled.z[L])
 
     def _project_perception(self, latent):
         return _unit(self.bridge1 @ latent)
@@ -454,11 +456,10 @@ class Agent:
 
         ``obs`` may also be a batch, one observation per row, read under one
         context: the gate matches once, the sensory circuit settles the batch
-        at once (row by row when it is deeper than one hidden layer or has
-        beta = 0, the circuits ``ngc.settle`` does not batch), the bridges
-        project it as a matrix and the motor head reads it row by row.  Then
-        the actions come back as a list and the q-values as an array, one row
-        per observation.
+        at once (row by row when it is deeper than one hidden layer, which
+        ``ngc.settle`` does not batch), the bridges project it as a matrix and
+        the motor head reads it row by row.  Then the actions come back as a
+        list and the q-values as an array, one row per observation.
         """
         obs = np.asarray(obs, dtype=float)
         if obs.ndim not in (1, 2) or obs.shape[-1] != self.config.obs_dim:
@@ -467,7 +468,7 @@ class Agent:
         winner, _ = self.gate.match(ctx)
         mask = self.gate.mask_for(winner)
         rows = np.atleast_2d(obs)
-        if self.sensory.L == 1 and self.sensory.beta != 0.0:
+        if self.sensory.L == 1:
             latent = self._latent(ngc.settle(self.sensory, clamps={0: rows.T}, mask=mask))
         else:
             latent = np.column_stack([self._latent(ngc.settle(self.sensory, clamps={0: x},
@@ -508,7 +509,11 @@ class Agent:
         arrays, meta, _seed = snapshot.read_snapshot(data)
         if "config" not in meta:
             raise ValueError("snapshot entry 'config' is missing")
-        agent = cls(AgentConfig(**meta["config"]))
+        try:
+            config = AgentConfig(**meta["config"])
+        except TypeError as exc:  # not a mapping, or a key unknown or missing
+            raise ValueError(f"snapshot entry 'config' is damaged: {exc}") from None
+        agent = cls(config)
         shapes = {name: np.shape(own) for name, own in agent._entries().items()}
         for k in range(_recruited(arrays)):
             shapes[f"gate/prototype/{k}"] = (agent.gate.context_dim,)

@@ -10,6 +10,7 @@ layer, so a revisited task re-opens exactly the subnetwork it trained before.
 from __future__ import annotations
 
 from collections import deque
+from types import MappingProxyType
 
 import numpy as np
 
@@ -112,8 +113,9 @@ class CompetitiveGate:
                 idx = self.rng.choice(width, size=n_on, replace=False)
             g = np.zeros(width)
             g[idx] = 1.0
+            g.flags.writeable = False
             mask[layer] = g
-        return mask
+        return MappingProxyType(mask)
 
     def _recruit(self, context):
         k = self.active_count
@@ -150,10 +152,10 @@ class CompetitiveGate:
         return self
 
     def mask_for(self, winner):
-        """The winner's immutable per-layer gating mask."""
+        """The winner's per-layer gating mask, read-only since it was made."""
         if not 0 <= winner < self.active_count:
             raise ValueError(f"unit {winner} is not recruited")
-        return {layer: g.copy() for layer, g in self.masks[winner].items()}
+        return self.masks[winner]
 
 
 class ContextTracker:

@@ -13,20 +13,21 @@ and its synapses (both the columns it sends and the rows that predict it)
 receive exactly zero change, which is what makes task-specific subnetworks
 non-interfering.
 
-With one hidden layer, a clamped input and a 0/1 mask, that subnetwork is the
-whole computation: a closed unit starts at 0 and stays there, so it never
-reaches a prediction, an error or a weight change.  ``settle`` and
+A mask is 0/1.  With one hidden layer and a clamped input, its subnetwork
+is the whole computation: a closed unit starts at 0 and stays there, so it
+never reaches a prediction, an error or a weight change.  ``settle`` and
 ``update_weights`` then work on the open units alone (see ``_open_units``).
 A mask with every unit open is no mask at all and is dropped on entry.
 
-That circuit, layer 0 clamped to ``x`` and one hidden layer starting at rest,
-is every sensory settle of the agent, and ``settle`` runs it reassociated:
-the feedback ``E @ (x - W @ phi(z))`` equals ``b - G @ phi(z)`` with
-``b = E @ x`` and ``G = E @ W`` formed once per call, so each pass reads the
-small square ``G`` instead of ``W`` and ``E``, and the prediction, error and
-energy are formed once, after the loop.  The numbers equal the loop's up to
-float64 rounding of the reassociated sums.  Only this kernel takes a batch:
-``x`` of shape (n, B) settles B inputs that share the weights and the mask.
+That circuit, one hidden layer with layer 0 its only clamp and no init or
+pins, is every sensory settle of the agent, and ``settle`` runs it
+reassociated: the feedback ``E @ (x - W @ phi(z))`` equals
+``b - G @ phi(z)`` with ``b = E @ x`` and ``G = E @ W`` formed once per
+call, so each pass reads the small square ``G`` instead of ``W`` and ``E``,
+and the prediction, error and energy are formed once, after the loop.  The
+numbers equal the loop's up to float64 rounding of the reassociated sums.
+Only this kernel takes a batch: ``x`` of shape (n, B) settles B inputs that
+share the weights and the mask.
 
 Weight matrices are kept in C order: every update returns C-ordered W and E,
 as a restore does, so a restored circuit sums its products in the order the
@@ -141,9 +142,9 @@ def _validate_mask(circuit, mask):
         if not 1 <= ell <= circuit.L:
             raise ValueError(f"gating mask on layer {ell}; only hidden layers 1..{circuit.L}")
         g = _check_layer_vec(circuit, ell, g, "gating mask")
-        if (g < 0).any() or (g > 1).any():
-            raise ValueError(f"gate values for layer {ell} outside [0, 1]")
-        if not (g == 1.0).all():  # multiplying by 1 changes nothing
+        if not ((g == 0.0) | (g == 1.0)).all():
+            raise ValueError(f"gating mask for layer {ell} is not 0/1")
+        if not g.all():  # multiplying by 1 changes nothing
             out[ell] = g
     return out
 
@@ -155,20 +156,17 @@ def _gate(state, ell, v):
 
 def _open_units(circuit, mask):
     """The open units of hidden layer 1 under a validated ``mask``, as a
-    slice when they are one run; None unless it is the only hidden layer and
-    has a 0/1 mask that opens at least one unit.
+    slice when they are one run; None unless the only hidden layer is masked.
 
     A closed unit's activity enters every prediction and every weight change
     multiplied by 0.  Dropping those terms leaves each weight change exactly
     the same product, and each computed value a sum of the same nonzero terms.
     """
     g = mask.get(1)
-    if circuit.L != 1 or g is None or not ((g == 0.0) | (g == 1.0)).all():
+    if circuit.L != 1 or g is None:
         return None
     idx = np.flatnonzero(g)
-    if idx.size == 0:
-        return None
-    if idx[-1] - idx[0] + 1 == idx.size:
+    if idx.size and idx[-1] - idx[0] + 1 == idx.size:
         return slice(int(idx[0]), int(idx[-1]) + 1)
     return idx
 
@@ -183,6 +181,7 @@ def _assemble(circuit, clamps, mask, init, pin0):
             if not 0 <= ell <= circuit.L:
                 raise ValueError(f"{name} on layer {ell}; circuit has layers 0..{circuit.L}")
             d[int(ell)] = _check_layer_vec(circuit, ell, d[ell], name)
+            _check_given(ell, d[ell], name)
     pin = {}
     for idx, val in (pin0 or {}).items():
         if 0 in clamps:
@@ -204,7 +203,8 @@ def _assemble(circuit, clamps, mask, init, pin0):
 
 def make_state(circuit, clamps=None, mask=None, init=None, pin0=None):
     """Assemble a fresh state: clamped layers fixed, the rest from ``init``
-    (zeros by default), with predictions and errors refreshed once."""
+    (zeros by default), with predictions and errors refreshed once.  A clamp
+    or init that is not finite or beyond 1e6 raises ``DivergenceError``."""
     return _refresh(circuit, _assemble(circuit, clamps, mask, init, pin0))
 
 
@@ -242,11 +242,16 @@ def _track_output(state):
 
 
 def _check_bounded(v, beta):
-    if not np.abs(v).max() <= _Z_LIMIT:  # also true for NaN
+    if not np.abs(v).max(initial=0.0) <= _Z_LIMIT:  # also true for NaN
         raise DivergenceError(
             f"state exceeded {_Z_LIMIT:g} during settling; "
             f"beta={beta} is too large for this circuit"
         )
+
+
+def _check_given(ell, v, name):
+    if not np.abs(v).max(initial=0.0) <= _Z_LIMIT:  # also true for NaN
+        raise DivergenceError(f"{name} for layer {ell} is not finite or exceeds {_Z_LIMIT:g}")
 
 
 def settle(circuit, clamps=None, mask=None, init=None, pin0=None):
@@ -260,36 +265,33 @@ def settle(circuit, clamps=None, mask=None, init=None, pin0=None):
     no state changes at all.
 
     Predictions depend only on layers 1..L, so when none of them can move
-    (every hidden layer is clamped, or beta = 0) one pass gives the state
-    that K passes would: settling stops after it, divergence check included.
+    (every hidden layer is clamped, or beta = 0) no pass runs.  Each value
+    is checked against divergence once, when it is set: clamps and inits on
+    entry, free layers after each step, a tracked layer 0 after its last.
 
-    One hidden layer that starts at rest, with beta != 0, layer 0 clamped and
-    no mask or a 0/1 mask opening at least one unit, settles in
-    ``_settle_clamped_input`` (see the module docstring); that kernel alone
-    takes a clamp of shape (n, B).  Every other circuit runs the masked loop.
+    One hidden layer, layer 0 its only clamp, no init or pins: that circuit
+    settles in ``_settle_clamped_input`` (see the module docstring), which
+    alone takes a clamp of shape (n, B); all others run the masked loop.
     Each step overwrites the fresh state built for this call and nothing
     else; clamp, init, mask and circuit arrays are only read.
     """
-    clamps = clamps or {}
-    if circuit.L == 1 and circuit.beta != 0.0 and list(clamps) == [0] and not (init or pin0):
-        gates = _validate_mask(circuit, mask)
-        opened = _open_units(circuit, gates) if gates else slice(None)
-        if opened is not None:
-            return _settle_clamped_input(circuit, clamps[0], gates, opened)
+    if circuit.L == 1 and list(clamps or {}) == [0] and not (init or pin0):
+        return _settle_clamped_input(circuit, clamps[0], _validate_mask(circuit, mask))
     return _settle(circuit, _refresh(circuit, _assemble(circuit, clamps, mask, init, pin0)))
 
 
-def _settle_clamped_input(circuit, x, mask, opened):
+def _settle_clamped_input(circuit, x, mask):
     """``settle`` of one hidden layer at rest under layer 0 clamped to ``x``
-    of shape (n,) or (n, B), on the ``opened`` units of validated ``mask``
-    (see the module docstring).  Closed units stay exactly 0; a batch's
-    energy is one value per input."""
+    of shape (n,) or (n, B), on the units validated ``mask`` opens (see the
+    module docstring).  Closed units stay exactly 0; a batch's energy is one
+    value per input."""
     n, m = circuit.sizes
     X = np.asarray(x, dtype=float)
     if X.ndim not in (1, 2) or X.shape[0] != n or X.size == 0:
         raise ValueError(f"clamp for layer 0 has shape {X.shape}, expected ({n},) or ({n}, B)")
+    _check_given(0, X, "clamp")
     beta, gamma, phi = circuit.beta, circuit.gamma, circuit.phi[1]
-    _check_bounded(X, beta)
+    opened = _open_units(circuit, mask) if mask else slice(None)
     W1, E1 = circuit.W[1][:, opened], circuit.E[1][opened]
     b = E1 @ X
     G = E1 @ W1
@@ -316,18 +318,18 @@ def _settle(circuit, state):
     beta, gamma = circuit.beta, circuit.gamma
     track = beta != 0.0 and 0 not in state.clamps
     free = [ell for ell in range(1, circuit.L + 1) if beta != 0.0 and ell not in state.clamps]
-    for _ in range(circuit.K if free else 1):
+    for _ in range(circuit.K if free else 0):
         if track:
             _track_output(state)
         for ell in free:
             step = -gamma * z[ell] - e[ell]
             step = step + _gate(state, ell, E[ell] @ e[ell - 1])
             z[ell] = z[ell] + beta * step
-        for zv in z:
-            _check_bounded(zv, beta)
+            _check_bounded(z[ell], beta)
         _refresh(circuit, state)
     if track:
         _track_output(state)  # leave z0 consistent with the final predictions
+        _check_bounded(z[0], beta)
     state.energy = energy(state)
     return state
 

@@ -343,6 +343,20 @@ def test_restore_rejects_a_mask_the_gate_cannot_make(bad):
         Agent.restore(write_snapshot(arrays, meta, seed=seed))
 
 
+@pytest.mark.parametrize("damage, named", [
+    (lambda config: list(config), "mapping"),
+    (lambda config: {**config, "sensory_width": 16}, "'sensory_width'"),
+    (lambda config: {k: v for k, v in config.items() if k != "obs_dim"}, "'obs_dim'"),
+], ids=["not_a_mapping", "unknown_key", "missing_key"])
+def test_restore_rejects_a_damaged_config(damage, named):
+    a = Agent(small_config())
+    a.cycle(np.ones(8))
+    arrays, meta, seed = read_snapshot(a.snapshot())
+    meta["config"] = damage(meta["config"])
+    with pytest.raises(ValueError, match=rf"snapshot entry 'config'.*{named}"):
+        Agent.restore(write_snapshot(arrays, meta, seed=seed))
+
+
 @pytest.mark.parametrize("entry", ["sensory/W1", "gate/mask/0/1", "step", "config"])
 def test_restore_names_a_missing_entry(entry):
     a = Agent(small_config(seed=19))
@@ -510,9 +524,26 @@ def test_batched_probe_of_a_deep_circuit_settles_row_by_row():
     np.testing.assert_allclose(q, [row[1] for row in rows], rtol=0, atol=1e-12)
 
 
+def test_batched_probe_with_beta_zero_settles_the_batch_at_once(monkeypatch):
+    a = Agent(small_config(sensory_beta=0.0, seed=42))
+    stream = obs_stream(12, seed=16)
+    for x in stream:
+        a.cycle(x, r_env=0.1)
+    batch = np.stack(stream[:5])
+    rows = [a.probe(x) for x in batch]
+    settles = []
+    settle = ngc.settle
+    monkeypatch.setattr(ngc, "settle", lambda *args, **kw: settles.append(0) or settle(*args, **kw))
+    actions, q, winner = a.probe(batch)
+    assert len(settles) == 1 + len(batch)  # the sensory batch, then each row's motor head
+    assert actions == [row[0] for row in rows]
+    np.testing.assert_allclose(q, [row[1] for row in rows], rtol=0, atol=1e-12)
+
+
 # every function a cycle calls that can raise part way through it
 CYCLE_CALLS = [
-    (ngc, "settle"), (ngc, "_settle_clamped_input"), (ngc, "update_weights"),
+    (ngc, "settle"), (ngc, "_settle_clamped_input"), (ngc, "_check_given"),
+    (ngc, "update_weights"),
     (memory, "wm_encode"), (memory, "dm_store"), (memory, "dm_retrieve"), (hrr, "permute"),
     (CompetitiveGate, "select_or_recruit"), (CompetitiveGate, "match"),
     (CompetitiveGate, "update_winner"), (CompetitiveGate, "mask_for"),

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from cogkit.agent import Agent, AgentConfig
 from cogkit.gate import CompetitiveGate, ContextTracker
 
 
@@ -145,8 +146,19 @@ def test_mask_density_and_immutability():
     m1_again = g.mask_for(0)
     assert np.array_equal(m1_again[1], m1[1])  # ...never changes old masks
     assert np.array_equal(m1_again[2], m1[2])
-    m1_again[1][:] = 7.0  # callers get copies, not the stored mask
+    assert m1_again[1] is g.masks[0][1]  # callers get the stored mask...
+    with pytest.raises(ValueError, match="read-only"):
+        m1_again[1][:] = 7.0  # ...which no one can write
+    with pytest.raises(TypeError):
+        m1_again[1] = np.ones(40)
     assert np.array_equal(g.mask_for(0)[1], m1[1])
+    # a restored mask is read-only too
+    a = Agent(AgentConfig(obs_dim=8, n_actions=3, d=64, sensory_hidden=(16,), theta=2.0))
+    a.cycle(np.ones(8))
+    restored = Agent.restore(a.snapshot()).gate.mask_for(0)
+    assert np.array_equal(restored[1], a.gate.mask_for(0)[1])
+    with pytest.raises(ValueError, match="read-only"):
+        restored[1][0] = 1.0 - restored[1][0]
 
 
 def test_mask_full_density_is_all_ones():

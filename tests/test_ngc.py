@@ -1,4 +1,5 @@
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -338,6 +339,11 @@ def _oracle_case(name):
     if name == "input_clamped_block_mask":
         c = init_circuit([12, 16], seed=22, K=15)
         return c, {"clamps": {0: vec(12)}, "mask": {1: blocks(16, 4, 8)}}
+    if name == "input_clamped_beta_zero":
+        return init_circuit([12, 16], seed=20, beta=0.0, K=15), {"clamps": {0: vec(12)}}
+    if name == "input_clamped_closed_mask":
+        c = init_circuit([12, 16], seed=19, K=15)
+        return c, {"clamps": {0: vec(12)}, "mask": {1: np.zeros(16)}}
     if name == "top_clamped":
         return init_circuit([3, 16], seed=23, K=15), {"clamps": {1: vec(16)}}
     if name == "top_clamped_pinned":
@@ -364,6 +370,8 @@ def _oracle_case(name):
 ORACLE_CASES = [
     "input_clamped",
     "input_clamped_block_mask",
+    "input_clamped_beta_zero",
+    "input_clamped_closed_mask",
     "top_clamped",
     "top_clamped_pinned",
     "top_clamped_free_middle_pinned",
@@ -375,7 +383,8 @@ ORACLE_CASES = [
 
 
 # cases that settle in the clamped-input kernel
-KERNEL_CASES = {"input_clamped", "input_clamped_block_mask"}
+KERNEL_CASES = {"input_clamped", "input_clamped_block_mask", "input_clamped_beta_zero",
+                "input_clamped_closed_mask"}
 
 
 def kernel_tol(circuit):
@@ -445,9 +454,9 @@ def _record_phi(monkeypatch):
 
 
 @pytest.mark.parametrize("name, passes", [
-    ("top_clamped", 1),
-    ("top_clamped_pinned", 1),
-    ("beta_zero", 1),
+    ("top_clamped", 0),
+    ("top_clamped_pinned", 0),
+    ("beta_zero", 0),
     ("top_clamped_free_middle_pinned", 15),
     ("input_clamped", 15),
 ])
@@ -456,19 +465,33 @@ def test_settle_stops_after_one_pass_only_when_nothing_can_move(name, passes, mo
     calls = _record_phi(monkeypatch)
     settle(c, **kwargs)
     # the loop applies phi to every hidden layer once before its first pass
-    # and once per pass; the kernel applies it once per pass and once after
+    # and once per pass (no pass runs when no hidden layer can move); the
+    # kernel applies it once per pass and once after
     assert len(calls) == (1 + passes) * c.L
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 2e6])
-def test_divergence_in_clamped_top_raises_on_single_pass(bad):
+def test_divergence_in_clamped_top_raises_on_single_pass(bad, monkeypatch):
     c = init_circuit([3, 16], seed=30, K=15)
     top = np.random.default_rng(30).normal(size=16)
     top[5] = bad
-    with pytest.raises(DivergenceError, match="beta=0.05"):
+    passes = _record_phi(monkeypatch)
+    with pytest.raises(DivergenceError, match=r"clamp for layer 1 is not finite or exceeds 1e\+06"):
         settle(c, clamps={1: top})
+    assert passes == []  # on entry, before any prediction
+    monkeypatch.undo()
     with pytest.raises(DivergenceError):
         reference_ngc.settle(c, clamps={1: top})
+
+
+@pytest.mark.parametrize("name", ["clamp", "init"])
+def test_divergent_init_or_clamp_is_named_on_entry(name):
+    # beta = 0 runs no pass, so only the entry check can see it
+    c = init_circuit([4, 6, 3], seed=0, beta=0.0)
+    bad = {1: np.array([1.0, np.nan, 0.0, 0.0, 0.0, 0.0])}
+    kwargs = {"clamps": bad} if name == "clamp" else {"clamps": {0: np.zeros(4)}, "init": bad}
+    with pytest.raises(DivergenceError, match=rf"{name} for layer 1 is not finite"):
+        settle(c, **kwargs)
 
 
 def test_nan_arising_in_free_layer_is_caught():
@@ -500,6 +523,7 @@ OPEN_CASES = {
     "random": [1, 2, 5, 9, 10, 17, 23, 30],
     "single_unit": [13],
     "all_open": range(32),
+    "closed_mask": [],
 }
 MASKED_CASES = ["pinned_layer_0", "init_on_layer_1", "three_layers"]
 
@@ -562,34 +586,38 @@ def test_open_unit_path_runs_where_it_applies(name, monkeypatch):
 
 
 # The clamped-input kernel on a batch: X of shape (n, B), one input a column.
-@pytest.mark.parametrize("name", ["block_in_middle", "random", "all_open"])
+# beta_zero keeps every unit of its block mask at rest; closed_mask opens none.
+@pytest.mark.parametrize("name", ["block_in_middle", "random", "all_open", "beta_zero",
+                                  "closed_mask"])
 def test_batch_settle_matches_settling_each_input(name):
-    c, kwargs, units = _open_case(name)
+    c, kwargs, units = _open_case("block_in_middle" if name == "beta_zero" else name)
+    mask = kwargs["mask"]
+    if name == "beta_zero":
+        c = replace(c, beta=0.0)
     X = np.random.default_rng(42).normal(size=(24, 7))
-    got = settle(c, clamps={0: X}, mask=kwargs["mask"])
+    got = settle(c, clamps={0: X}, mask=mask)
     assert got.z[1].shape == (32, 7) and got.energy.shape == (7,)
     tol = kernel_tol(c)
     for j in range(X.shape[1]):
-        one = settle(c, clamps={0: X[:, j]}, mask=kwargs["mask"])
-        for f in ("z", "mu", "e"):
-            for u, v in zip(getattr(got, f), getattr(one, f)):
-                np.testing.assert_allclose(u[:, j], v, rtol=0, atol=tol, err_msg=f)
-        assert got.energy[j] == pytest.approx(one.energy, rel=0, abs=tol)
+        one = settle(c, clamps={0: X[:, j]}, mask=mask)
+        ref = reference_ngc.settle(c, clamps={0: X[:, j]}, mask=mask)
+        for want in (one, ref):
+            for f in ("z", "mu", "e"):
+                for u, v in zip(getattr(got, f), getattr(want, f)):
+                    np.testing.assert_allclose(u[:, j], v, rtol=0, atol=tol, err_msg=f)
+            assert got.energy[j] == pytest.approx(want.energy, rel=0, abs=tol)
     assert np.array_equal(got.z[0], X)
-    closed = kwargs["mask"][1] == 0
+    closed = mask[1] == 0
     assert not got.z[1][closed].any() and not np.signbit(got.z[1][closed]).any()
+    if name in ("beta_zero", "closed_mask"):
+        assert not got.z[1].any() and np.array_equal(got.e[0], X)
 
 
 # circuits the kernel does not take: (layer sizes, beta, settle kwargs)
 OUTSIDE_KERNEL = {
     "deep": ([8, 12, 6], 0.05, {"clamps": {0: np.zeros((8, 3))}}),
-    "beta_zero": ([8, 12], 0.0, {"clamps": {0: np.zeros((8, 3))}}),
     "init_on_layer_1": ([8, 12], 0.05, {"clamps": {0: np.zeros((8, 3))},
                                         "init": {1: np.zeros(12)}}),
-    "fractional_mask": ([8, 12], 0.05, {"clamps": {0: np.zeros((8, 3))},
-                                        "mask": {1: np.full(12, 0.5)}}),
-    "closed_mask": ([8, 12], 0.05, {"clamps": {0: np.zeros((8, 3))},
-                                    "mask": {1: np.zeros(12)}}),
     "pinned": ([8, 12], 0.05, {"clamps": {1: np.zeros((12, 3))}, "pin0": {0: 0.5}}),
 }
 
@@ -601,6 +629,17 @@ def test_batch_clamp_outside_the_kernel_is_rejected(name):
     (ell, X), = kwargs["clamps"].items()
     with pytest.raises(ValueError, match=rf"layer {ell} has shape \({X.shape[0]}, 3\)"):
         settle(c, **kwargs)
+
+
+@pytest.mark.parametrize("bad", [0.5, np.nan])
+@pytest.mark.parametrize("sizes, ell", [([8, 12], 1), ([8, 12, 6], 2)], ids=["kernel", "loop"])
+def test_fractional_mask_is_rejected(sizes, ell, bad):
+    # the gate makes 0/1 masks only, and a restore takes no other kind
+    c = init_circuit(sizes, seed=43, K=5)
+    g = np.ones(sizes[ell])
+    g[3] = bad
+    with pytest.raises(ValueError, match=rf"gating mask for layer {ell} is not 0/1"):
+        settle(c, clamps={0: np.zeros((8, 3)) if ell == 1 else np.zeros(8)}, mask={ell: g})
 
 
 def test_kernel_rejects_a_misshapen_clamp():
@@ -617,7 +656,7 @@ def test_divergent_clamp_raises_on_entry(bad, batch, monkeypatch):
     x = np.random.default_rng(45).normal(size=(6, 4) if batch else 6)
     x[2] = bad
     passes = _record_phi(monkeypatch)
-    with pytest.raises(DivergenceError, match="beta=0.05"):
+    with pytest.raises(DivergenceError, match=r"clamp for layer 0 is not finite or exceeds 1e\+06"):
         settle(c, clamps={0: x}, mask={1: np.repeat([0.0, 1.0], 5)})
     assert passes == []  # before the first pass
     monkeypatch.undo()
