@@ -455,11 +455,10 @@ class Agent:
         writes.  Returns (action, q_values, winner).
 
         ``obs`` may also be a batch, one observation per row, read under one
-        context: the gate matches once, the sensory circuit settles the batch
-        at once (row by row when it is deeper than one hidden layer, which
-        ``ngc.settle`` does not batch), the bridges project it as a matrix and
-        the motor head reads it row by row.  Then the actions come back as a
-        list and the q-values as an array, one row per observation.
+        context.  Either way one pipeline runs: one gate match, one sensory
+        settle of the batch, both bridges as matrices, one motor settle.  For
+        a batch the actions come back as a list and the q-values as an array,
+        one row per observation.
         """
         obs = np.asarray(obs, dtype=float)
         if obs.ndim not in (1, 2) or obs.shape[-1] != self.config.obs_dim:
@@ -467,14 +466,9 @@ class Agent:
         ctx = np.asarray(context, dtype=float) if context is not None else self.tracker.context()
         winner, _ = self.gate.match(ctx)
         mask = self.gate.mask_for(winner)
-        rows = np.atleast_2d(obs)
-        if self.sensory.L == 1:
-            latent = self._latent(ngc.settle(self.sensory, clamps={0: rows.T}, mask=mask))
-        else:
-            latent = np.column_stack([self._latent(ngc.settle(self.sensory, clamps={0: x},
-                                                              mask=mask)) for x in rows])
-        s = self._motor_state(self._project_perception(latent))
-        q = np.array([self.motor.q_values(column) for column in s.T])
+        settled = ngc.settle(self.sensory, clamps={0: np.atleast_2d(obs).T}, mask=mask)
+        s = self._motor_state(self._project_perception(self._latent(settled)))
+        q = self.motor.q_values(s).T
         actions = [greedy_action(row) for row in q]
         return (actions[0], q[0], winner) if obs.ndim == 1 else (actions, q, winner)
 

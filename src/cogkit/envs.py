@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import operator
 from collections import deque
 
 import numpy as np
@@ -85,7 +86,7 @@ class MazeEnv:
         """Apply a move; walls and borders leave the position unchanged."""
         if self.done:
             raise RuntimeError("step() after episode end; call reset()")
-        if not 0 <= action < 4:
+        if not 0 <= operator.index(action) < 4:
             raise ValueError(f"action {action} not in 0..3")
         di, dj = MOVES[action]
         target = (self.pos[0] + di, self.pos[1] + dj)
@@ -135,7 +136,7 @@ class RpsEnv:
 
     def step(self, action):
         """Play one round; returns (reward, opponent_action)."""
-        if not 0 <= action < 3:
+        if not 0 <= operator.index(action) < 3:
             raise ValueError(f"action {action} not in 0..2")
         opp = int(self.rng.choice(3, p=self.policy))
         if action == opp:

@@ -10,6 +10,7 @@ generator, which is what makes whole episodes replayable.
 
 from __future__ import annotations
 
+import operator
 from collections import deque
 from dataclasses import dataclass
 
@@ -109,8 +110,8 @@ class MotorCircuit:
         return s
 
     def q_values(self, s):
-        """Predicted action values: settle with the top layer clamped to s."""
-        s = self._check_state_vec(s)
+        """Predicted action values: settle with the top layer clamped to s,
+        or to a batch of states, one per column."""
         state = ngc.settle(self.circuit, clamps={self.circuit.L: s})
         return state.mu[0].copy()
 
@@ -159,7 +160,7 @@ class MotorCircuit:
         bonus.  ``q_next`` may carry precomputed q_values(t.s_next) to skip
         a settle when the caller already has them.
         """
-        if not 0 <= t.a < self.n_actions:
+        if not 0 <= operator.index(t.a) < self.n_actions:
             raise ValueError(f"action {t.a} out of range 0..{self.n_actions - 1}")
         s = self._check_state_vec(t.s)
         s_next = self._check_state_vec(t.s_next)

@@ -13,11 +13,10 @@ and its synapses (both the columns it sends and the rows that predict it)
 receive exactly zero change, which is what makes task-specific subnetworks
 non-interfering.
 
-A mask is 0/1.  With one hidden layer and a clamped input, its subnetwork
-is the whole computation: a closed unit starts at 0 and stays there, so it
-never reaches a prediction, an error or a weight change.  ``settle`` and
-``update_weights`` then work on the open units alone (see ``_open_units``).
-A mask with every unit open is no mask at all and is dropped on entry.
+A mask is 0/1, so ``update_weights`` writes only the open units' columns
+and rows (see ``_open_units``).  With one hidden layer and a clamped input,
+a closed unit starts at 0 and stays there, so ``settle`` works on the open
+units alone.  A mask with every unit open is no mask at all and is dropped.
 
 That circuit, one hidden layer with layer 0 its only clamp and no init or
 pins, is every sensory settle of the agent, and ``settle`` runs it
@@ -26,8 +25,9 @@ reassociated: the feedback ``E @ (x - W @ phi(z))`` equals
 call, so each pass reads the small square ``G`` instead of ``W`` and ``E``,
 and the prediction, error and energy are formed once, after the loop.  The
 numbers equal the loop's up to float64 rounding of the reassociated sums.
-Only this kernel takes a batch: ``x`` of shape (n, B) settles B inputs that
-share the weights and the mask.
+Every settle takes a batch too: clamps and inits all of shape (n, B) settle
+B inputs that share the weights and masks, one per column, each with its own
+energy.
 
 Weight matrices are kept in C order: every update returns C-ordered W and E,
 as a restore does, so a restored circuit sums its products in the order the
@@ -127,12 +127,12 @@ def init_circuit(sizes, seed, beta=0.05, gamma=0.001, K=50, sigma=0.05, phi=None
     return NgcCircuit(sizes=sizes, W=W, E=E, phi=phi, beta=beta, gamma=gamma, K=K)
 
 
-def _check_layer_vec(circuit, ell, v, what):
+def _check_layer_vec(circuit, ell, v, what, batch=False):
     v = np.asarray(v, dtype=float)
-    if v.shape != (circuit.sizes[ell],):
-        raise ValueError(
-            f"{what} for layer {ell} has shape {v.shape}, expected ({circuit.sizes[ell]},)"
-        )
+    n = circuit.sizes[ell]
+    if v.shape != (n,) and not (batch and v.ndim == 2 and v.shape[0] == n and v.size):
+        expected = f"({n},) or ({n}, B)" if batch else f"({n},)"
+        raise ValueError(f"{what} for layer {ell} has shape {v.shape}, expected {expected}")
     return v
 
 
@@ -151,20 +151,21 @@ def _validate_mask(circuit, mask):
 
 def _gate(state, ell, v):
     g = state.mask.get(ell)
-    return v if g is None else v * g
+    if g is None:
+        return v
+    return v * (g if v.ndim == 1 else g[:, None])
 
 
-def _open_units(circuit, mask):
-    """The open units of hidden layer 1 under a validated ``mask``, as a
-    slice when they are one run; None unless the only hidden layer is masked.
+def _open_units(g):
+    """The units a validated mask ``g`` opens: a slice when they are one run,
+    else an index array; every unit, ``slice(None)``, when ``g`` is None.
 
     A closed unit's activity enters every prediction and every weight change
     multiplied by 0.  Dropping those terms leaves each weight change exactly
     the same product, and each computed value a sum of the same nonzero terms.
     """
-    g = mask.get(1)
-    if circuit.L != 1 or g is None:
-        return None
+    if g is None:
+        return slice(None)
     idx = np.flatnonzero(g)
     if idx.size and idx[-1] - idx[0] + 1 == idx.size:
         return slice(int(idx[0]), int(idx[-1]) + 1)
@@ -173,15 +174,22 @@ def _open_units(circuit, mask):
 
 def _assemble(circuit, clamps, mask, init, pin0):
     """A fresh state with clamped layers fixed and the rest from ``init``
-    (zeros by default); predictions and errors are left unset."""
+    (zeros by default), predictions and errors unset; checks every input."""
     clamps = dict(clamps or {})
     init = dict(init or {})
+    batch = None  # the shape every clamp and init shares past its first axis
     for name, d in (("clamp", clamps), ("init", init)):
         for ell in list(d):
             if not 0 <= ell <= circuit.L:
                 raise ValueError(f"{name} on layer {ell}; circuit has layers 0..{circuit.L}")
-            d[int(ell)] = _check_layer_vec(circuit, ell, d[ell], name)
-            _check_given(ell, d[ell], name)
+            v = d[int(ell)] = _check_layer_vec(circuit, ell, d[ell], name, batch=True)
+            _check_given(ell, v, name)
+            if batch is None:
+                batch = v.shape[1:]
+            elif v.shape[1:] != batch:
+                raise ValueError(f"{name} for layer {ell} has shape {v.shape}; every clamp "
+                                 f"and init must share one batch shape, here {batch}")
+    batch = batch or ()
     pin = {}
     for idx, val in (pin0 or {}).items():
         if 0 in clamps:
@@ -190,11 +198,12 @@ def _assemble(circuit, clamps, mask, init, pin0):
             raise ValueError(f"pinned unit {idx} out of range for layer 0")
         pin[int(idx)] = float(val)
     start = {**init, **clamps}
-    z = [start[ell].copy() if ell in start else np.zeros(n) for ell, n in enumerate(circuit.sizes)]
+    z = [start[ell].copy() if ell in start else np.zeros((n, *batch))
+         for ell, n in enumerate(circuit.sizes)]
     return CircuitState(
         z=z,
         mu=[None] * circuit.L,
-        e=[None] * circuit.L + [np.zeros(circuit.sizes[-1])],
+        e=[None] * circuit.L + [np.zeros((circuit.sizes[-1], *batch))],
         clamps=clamps,
         mask=_validate_mask(circuit, mask),
         pin0=pin,
@@ -227,8 +236,11 @@ def predict(circuit, state):
 
 
 def energy(state):
-    """Total free energy: half the squared norm of every error vector."""
-    return float(sum(0.5 * np.dot(ev, ev) for ev in state.e))
+    """Total free energy: half the squared norm of every error vector; one
+    value per column for a batch."""
+    if state.e[0].ndim == 1:
+        return float(sum(0.5 * np.dot(ev, ev) for ev in state.e))
+    return sum(0.5 * np.einsum("ij,ij->j", ev, ev) for ev in state.e)
 
 
 def _track_output(state):
@@ -269,46 +281,41 @@ def settle(circuit, clamps=None, mask=None, init=None, pin0=None):
     is checked against divergence once, when it is set: clamps and inits on
     entry, free layers after each step, a tracked layer 0 after its last.
 
-    One hidden layer, layer 0 its only clamp, no init or pins: that circuit
-    settles in ``_settle_clamped_input`` (see the module docstring), which
-    alone takes a clamp of shape (n, B); all others run the masked loop.
-    Each step overwrites the fresh state built for this call and nothing
-    else; clamp, init, mask and circuit arrays are only read.
+    It builds its state in ``_assemble``, and the circuit's shape picks the
+    path: one hidden layer, layer 0 its only clamp, no init or pins settles
+    in ``_settle_clamped_input``; all others run the masked loop.  Each step
+    overwrites the fresh state built for this call and nothing else; clamp,
+    init, mask and circuit arrays are only read.
     """
-    if circuit.L == 1 and list(clamps or {}) == [0] and not (init or pin0):
-        return _settle_clamped_input(circuit, clamps[0], _validate_mask(circuit, mask))
-    return _settle(circuit, _refresh(circuit, _assemble(circuit, clamps, mask, init, pin0)))
+    state = _assemble(circuit, clamps, mask, init, pin0)
+    if circuit.L == 1 and list(state.clamps) == [0] and not (init or pin0):
+        return _settle_clamped_input(circuit, state)
+    return _settle(circuit, _refresh(circuit, state))
 
 
-def _settle_clamped_input(circuit, x, mask):
-    """``settle`` of one hidden layer at rest under layer 0 clamped to ``x``
-    of shape (n,) or (n, B), on the units validated ``mask`` opens (see the
-    module docstring).  Closed units stay exactly 0; a batch's energy is one
-    value per input."""
-    n, m = circuit.sizes
-    X = np.asarray(x, dtype=float)
-    if X.ndim not in (1, 2) or X.shape[0] != n or X.size == 0:
-        raise ValueError(f"clamp for layer 0 has shape {X.shape}, expected ({n},) or ({n}, B)")
-    _check_given(0, X, "clamp")
+def _settle_clamped_input(circuit, state):
+    """``settle`` of one hidden layer at rest under a clamped layer 0, on the
+    units the mask of the assembled ``state`` opens (see the module
+    docstring).  Fills in ``z[1]``, ``mu[0]``, ``e[0]`` and the energy;
+    closed units stay exactly 0, and with beta = 0 no pass runs."""
+    X = state.z[0]
     beta, gamma, phi = circuit.beta, circuit.gamma, circuit.phi[1]
-    opened = _open_units(circuit, mask) if mask else slice(None)
+    opened = _open_units(state.mask.get(1))
     W1, E1 = circuit.W[1][:, opened], circuit.E[1][opened]
-    b = E1 @ X
-    G = E1 @ W1
-    z = np.zeros_like(b)
-    for _ in range(circuit.K):
-        step = b - G @ _apply_phi(phi, z)
-        step -= gamma * z
-        step *= beta
-        z += step
-        _check_bounded(z, beta)
-    mu0 = W1 @ _apply_phi(phi, z)
-    e0 = X - mu0
-    z1 = np.zeros((m, *X.shape[1:]))
-    z1[opened] = z
-    state = CircuitState(z=[X.copy(), z1], mu=[mu0], e=[e0, np.zeros_like(z1)],
-                         clamps={0: X}, mask=mask)
-    state.energy = energy(state) if X.ndim == 1 else 0.5 * np.einsum("ij,ij->j", e0, e0)
+    z = np.zeros((W1.shape[1], *X.shape[1:]))
+    if beta != 0.0:
+        b = E1 @ X
+        G = E1 @ W1
+        for _ in range(circuit.K):
+            step = b - G @ _apply_phi(phi, z)
+            step -= gamma * z
+            step *= beta
+            z += step
+            _check_bounded(z, beta)
+    state.z[1][opened] = z
+    state.mu[0] = W1 @ _apply_phi(phi, z)
+    state.e[0] = X - state.mu[0]
+    state.energy = energy(state)
     return state
 
 
@@ -341,26 +348,22 @@ def update_weights(circuit, state, eta_W, eta_E, clip=False):
     with the gated activity above; W gets eta_W times it and E gets eta_E
     times its transpose.  Errors at gated-off hidden units are zeroed on the
     postsynaptic side too, so a closed gate means zero change in both the
-    unit's outgoing columns and the rows predicting it.  With one hidden
-    layer under a 0/1 mask, only the open units' columns of W and rows of E
-    are computed, into copies of the old matrices; every other entry would
-    have gained exactly 0.  With ``clip``, columns of W and E are rescaled
-    onto the unit ball when they exceed it, all columns, open or not.  The
-    new matrices are C-ordered whatever the old ones were.
+    unit's outgoing columns and the rows predicting it.  Each layer's change
+    goes into the columns of a copy of W and rows of a copy of E that its
+    mask opens (all of them without one); every other entry would gain
+    exactly 0.  With ``clip``, columns of W and E are rescaled onto the unit
+    ball when they exceed it, all columns, open or not.  The new matrices
+    are C-ordered whatever the old ones were.
     """
-    opened = _open_units(circuit, state.mask)
-    if opened is None:
-        W, E = [None], [None]
-        for ell in range(1, circuit.L + 1):
-            pre = _apply_phi(circuit.phi[ell], _gate(state, ell, state.z[ell]))
-            grad = np.outer(_gate(state, ell - 1, state.e[ell - 1]), pre)
-            W.append(np.add(circuit.W[ell], eta_W * grad, order="C"))
-            E.append(np.add(circuit.E[ell], eta_E * grad.T, order="C"))
-    else:
-        grad = np.outer(state.e[0], _apply_phi(circuit.phi[1], state.z[1][opened]))
-        W, E = [None, circuit.W[1].copy()], [None, circuit.E[1].copy()]
-        W[1][:, opened] += eta_W * grad
-        E[1][opened] += eta_E * grad.T
+    W, E = [None], [None]
+    for ell in range(1, circuit.L + 1):
+        opened = _open_units(state.mask.get(ell))
+        pre = _apply_phi(circuit.phi[ell], state.z[ell][opened])
+        grad = np.outer(_gate(state, ell - 1, state.e[ell - 1]), pre)
+        W.append(circuit.W[ell].copy())
+        E.append(circuit.E[ell].copy())
+        W[ell][:, opened] += eta_W * grad
+        E[ell][opened] += eta_E * grad.T
     if clip:
         for M in W[1:] + E[1:]:
             norms = np.linalg.norm(M, axis=0)

@@ -512,7 +512,7 @@ def test_batched_probe_matches_probing_each_row(bench_continual):
             agent.probe(bad, context=context)
 
 
-def test_batched_probe_of_a_deep_circuit_settles_row_by_row():
+def test_batched_probe_of_a_deep_circuit_matches_probing_each_row():
     a = Agent(small_config(sensory_hidden=(16, 12), seed=41))
     stream = obs_stream(12, seed=15)
     for x in stream:
@@ -535,7 +535,7 @@ def test_batched_probe_with_beta_zero_settles_the_batch_at_once(monkeypatch):
     settle = ngc.settle
     monkeypatch.setattr(ngc, "settle", lambda *args, **kw: settles.append(0) or settle(*args, **kw))
     actions, q, winner = a.probe(batch)
-    assert len(settles) == 1 + len(batch)  # the sensory batch, then each row's motor head
+    assert len(settles) == 2  # the sensory batch, then the motor head's
     assert actions == [row[0] for row in rows]
     np.testing.assert_allclose(q, [row[1] for row in rows], rtol=0, atol=1e-12)
 

@@ -95,6 +95,16 @@ class TestMaze:
         with pytest.raises(ValueError):
             env.step(4)
 
+    @pytest.mark.parametrize("action", [1.5, 1.0, "1"])
+    def test_non_integer_action_is_rejected(self, action):
+        env = MazeEnv()
+        env.reset()
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            env.step(action)
+        assert env.steps == 0
+        env.step(np.int64(1))
+        assert env.pos == (1, 0)
+
     def test_layout_validation(self):
         with pytest.raises(ValueError):
             MazeEnv(layout=("..", ".G"))  # no start
@@ -131,6 +141,13 @@ class TestRps:
         env = RpsEnv()
         with pytest.raises(ValueError):
             env.step(3)
+
+    @pytest.mark.parametrize("action", [0.5, 1.0, "1"])
+    def test_non_integer_action_is_rejected(self, action):
+        env = RpsEnv(policy=(1.0, 0.0, 0.0), seed=0)
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            env.step(action)
+        assert env.step(np.int64(1)) == (1.0, 0)
 
     def test_opponent_stream_is_seeded(self):
         a = RpsEnv(seed=42)

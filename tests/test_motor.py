@@ -157,6 +157,18 @@ def test_learn_transition_validation():
         m.learn(Transition(s=np.zeros(3), a=0, r_env=0.0, s_next=s, done=True))
 
 
+@pytest.mark.parametrize("a", [1.5, 1.0, "1"])
+def test_learn_rejects_a_non_integer_action(a):
+    m = MotorCircuit(3, 4, seed=10)
+    s = np.ones(4)
+    before = m.circuit
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        m.learn(Transition(s=s, a=a, r_env=1.0, s_next=s, done=True))
+    assert m.circuit is before
+    m.learn(Transition(s=s, a=np.int64(1), r_env=1.0, s_next=s, done=True))
+    assert m.circuit is not before
+
+
 def test_reward_clipping_bounds_target():
     m1 = MotorCircuit(2, 4, seed=11, sigma=0.0, eta_W=0.1, eta_E=0.1, r_clip=1.0)
     m2 = MotorCircuit(2, 4, seed=11, sigma=0.0, eta_W=0.1, eta_E=0.1, r_clip=1.0)

@@ -394,7 +394,9 @@ def kernel_tol(circuit):
     sums ``E @ e0`` and ``W @ phi(z)``: other sums of at most ``max(sizes)``
     terms each, so each of the K passes differs by float64 rounding of such a
     product.  Held to 10 times that; 1.07e-12 for the open cases' 24 -> 32
-    circuit at K = 15, whose largest difference is 3.3e-15.
+    circuit at K = 15, whose largest difference is 3.3e-15.  A batch strays
+    from its inputs settled one at a time in the same way, through
+    matrix-matrix products; on the oracle cases by at most 1.1e-16.
     """
     return 10 * circuit.K * max(circuit.sizes) * np.finfo(float).eps
 
@@ -444,6 +446,22 @@ def test_predict_matches_reference_and_leaves_input(name):
     _assert_states_equal(make_state(c, **kwargs), reference_ngc.make_state(c, **kwargs))
 
 
+@pytest.mark.parametrize("clip", [False, True])
+@pytest.mark.parametrize("name", ORACLE_CASES)
+def test_update_matches_reference_oracle(name, clip):
+    c, kwargs = _oracle_case(name)
+    # ten times the weights puts most columns outside the unit ball, so a
+    # clip rescales closed units' columns too
+    c = replace(c, W=[None, *(10 * W for W in c.W[1:])], E=[None, *(10 * E for E in c.E[1:])])
+    for state in (reference_ngc.settle(c, **kwargs), settle(c, **kwargs)):
+        new = update_weights(c, state, eta_W=0.3, eta_E=0.2, clip=clip)
+        ref = reference_ngc.update_weights(c, state, eta_W=0.3, eta_E=0.2, clip=clip)
+        for ell in range(1, c.L + 1):
+            assert np.array_equal(new.W[ell], ref.W[ell]), f"W[{ell}]"
+            assert np.array_equal(new.E[ell], ref.E[ell]), f"E[{ell}]"
+            assert new.W[ell].flags.c_contiguous and new.E[ell].flags.c_contiguous
+
+
 def _record_phi(monkeypatch):
     """The shapes of the activities ``settle`` puts through phi, in order."""
     shapes = []
@@ -457,6 +475,7 @@ def _record_phi(monkeypatch):
     ("top_clamped", 0),
     ("top_clamped_pinned", 0),
     ("beta_zero", 0),
+    ("input_clamped_beta_zero", 0),
     ("top_clamped_free_middle_pinned", 15),
     ("input_clamped", 15),
 ])
@@ -613,22 +632,46 @@ def test_batch_settle_matches_settling_each_input(name):
         assert not got.z[1].any() and np.array_equal(got.e[0], X)
 
 
-# circuits the kernel does not take: (layer sizes, beta, settle kwargs)
-OUTSIDE_KERNEL = {
-    "deep": ([8, 12, 6], 0.05, {"clamps": {0: np.zeros((8, 3))}}),
-    "init_on_layer_1": ([8, 12], 0.05, {"clamps": {0: np.zeros((8, 3))},
-                                        "init": {1: np.zeros(12)}}),
-    "pinned": ([8, 12], 0.05, {"clamps": {1: np.zeros((12, 3))}, "pin0": {0: 0.5}}),
-}
+GIVEN = ("clamps", "init")  # the settle kwargs that hold one array per layer
 
 
-@pytest.mark.parametrize("name", OUTSIDE_KERNEL)
-def test_batch_clamp_outside_the_kernel_is_rejected(name):
-    sizes, beta, kwargs = OUTSIDE_KERNEL[name]
-    c = init_circuit(sizes, seed=43, beta=beta, K=5)
-    (ell, X), = kwargs["clamps"].items()
-    with pytest.raises(ValueError, match=rf"layer {ell} has shape \({X.shape[0]}, 3\)"):
-        settle(c, **kwargs)
+def _batch_of_3(kwargs, rng):
+    """``kwargs`` with each clamp and init the first column of a batch of 3."""
+    return {k: {ell: np.column_stack([v, rng.normal(size=(len(v), 2))]) for ell, v in d.items()}
+            if k in GIVEN else d for k, d in kwargs.items()}
+
+
+def _column(kwargs, j):
+    """``kwargs`` with column ``j`` of each batched clamp and init."""
+    return {k: {ell: v[:, j] for ell, v in d.items()} if k in GIVEN else d
+            for k, d in kwargs.items()}
+
+
+@pytest.mark.parametrize("name", ORACLE_CASES)
+def test_every_settle_takes_a_batch(name):
+    c, kwargs = _oracle_case(name)
+    batched = _batch_of_3(kwargs, np.random.default_rng(47))
+    got = settle(c, **batched)
+    assert got.energy.shape == (3,)
+    tol = kernel_tol(c)
+    for j in range(3):
+        one = settle(c, **_column(batched, j))
+        for f in ("z", "mu", "e"):
+            for u, v in zip(getattr(got, f), getattr(one, f)):
+                assert u.shape == (*v.shape, 3)
+                np.testing.assert_allclose(u[:, j], v, rtol=0, atol=tol, err_msg=f)
+        assert got.energy[j] == pytest.approx(one.energy, rel=0, abs=tol)
+    for ell, X in batched.get("clamps", {}).items():
+        assert np.array_equal(got.z[ell], X)
+
+
+@pytest.mark.parametrize("init_shape", [(12, 2), (12,)])
+def test_clamps_and_inits_of_different_batch_shapes_are_rejected(init_shape):
+    c = init_circuit([8, 12, 6], seed=43, K=5)
+    with pytest.raises(ValueError, match=r"init for layer 1 has shape .*one batch shape, here \(3,\)"):
+        settle(c, clamps={0: np.zeros((8, 3))}, init={1: np.zeros(init_shape)})
+    with pytest.raises(ValueError, match="one batch shape"):
+        make_state(c, clamps={0: np.zeros(8), 2: np.zeros((6, 3))})
 
 
 @pytest.mark.parametrize("bad", [0.5, np.nan])
