@@ -17,19 +17,19 @@ action (callers usually discard it and reset), but no new pending transition,
 so episodes never bleed into each other.  Any exception inside a cycle rolls
 the whole agent back to its pre-cycle state.
 
-Everything a cycle can change is listed once, in ``_STATE``; rollback
-capture and snapshot/restore are both driven by that table.  What no cycle
-changes, the two bridges and the unit symbols, is drawn from the config's
-seed when an agent is built, so a restore rebuilds it instead of reading it.
+Everything a cycle can change is listed once, in ``_STATE``, a table of
+attribute paths that drives rollback and snapshot/restore.  A cycle replaces
+each of those values and never writes into one, so rollback holds references
+only.  What no cycle changes, the two bridges and the unit symbols, is drawn
+from the config's seed when an agent is built, so a restore rebuilds it.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field, make_dataclass, replace
+from dataclasses import asdict, field, make_dataclass, replace
 from operator import attrgetter
 from types import MappingProxyType
-from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -38,8 +38,6 @@ from .config import AGENT_SCHEMA, check
 from .gate import CompetitiveGate, ContextTracker
 from .memory import DeclarativeMemory, WorkingMemoryBuffer
 from .motor import MotorCircuit, Transition, epsilon_at, greedy_action
-
-BUFFER_NAMES = ("perception", "retrieval")
 
 
 def _check_config(config):
@@ -68,15 +66,6 @@ AgentConfig = make_dataclass(
 )
 
 
-@dataclass
-class CognitiveState:
-    """Named buffers, working memory, and the cycle counter."""
-
-    buffers: dict
-    wm: WorkingMemoryBuffer
-    step: int = 0
-
-
 def _unit_name(k):
     return f"unit{k}"
 
@@ -92,56 +81,35 @@ def _unit(v):
 # ------------------------------------------------------------ state table
 
 
-class _Part(NamedTuple):
-    """One piece of agent state and the snapshot entries that hold it.
+class _Part:
+    """One piece of agent state, at the dotted attribute ``path``, and the
+    snapshot entries that hold it.
 
-    ``take(agent)`` captures it by reference.  Cycles replace arrays and
-    circuits rather than writing into them, so only containers they mutate in
-    place (lists, dicts, deques) get a shallow copy.  ``put(agent, value)``
-    writes a captured or loaded value back.  ``dump(value)`` returns its
+    A cycle replaces the value at ``path`` and never writes into it, so
+    ``take(agent)`` captures it by reference and ``put(agent, value)`` sets a
+    captured or loaded value back on its owner.  ``dump(value)`` returns its
     snapshot entries by name (arrays become array entries, anything else JSON
     metadata); ``load(agent, entries)`` reads them back for a freshly built
     ``agent``.
     """
 
-    take: Callable
-    put: Callable
-    dump: Callable
-    load: Callable
+    def __init__(self, path, dump, load):
+        self.take = attrgetter(path)
+        owner, _, name = path.rpartition(".")
+        owner = attrgetter(owner) if owner else (lambda agent: agent)
+        self.put = lambda agent, value: setattr(owner(agent), name, value)
+        self.dump = dump
+        self.load = load
 
 
-def _attr(path, copy=None):
-    """(take, put) for the attribute at dotted ``path``; ``copy`` makes the
-    capture of a container that is mutated in place."""
-    get = attrgetter(path)
-    owner, _, name = path.rpartition(".")
-    owner = attrgetter(owner) if owner else (lambda agent: agent)
-    take = get if copy is None else (lambda agent: copy(get(agent)))
-    return take, lambda agent, value: setattr(owner(agent), name, value)
-
-
-def _refill(path):
-    """(take, put) for a bounded deque owned for life: captured as a tuple,
-    put back by refilling it in place so its maxlen stays."""
-    get = attrgetter(path)
-
-    def put(agent, value):
-        dq = get(agent)
-        if dq is not None:  # no replay deque at replay_capacity 0
-            dq.clear()
-            dq.extend(value)
-
-    return (lambda agent: tuple(get(agent) or ())), put
-
-
-def _one(path, key, out=None, copy=None):
+def _one(path, key, out=None):
     """A part kept as the single entry ``key``; ``out`` converts its value to
     the stored form."""
 
     def dump(value):
         return {key: value if out is None else out(value)}
 
-    return _Part(*_attr(path, copy), dump, lambda agent, entries: entries[key])
+    return _Part(path, dump, lambda agent, entries: entries[key])
 
 
 def _circuit(path, prefix):
@@ -159,7 +127,7 @@ def _circuit(path, prefix):
         return replace(c, W=c.W[:1] + [entries[f"{prefix}/W{ell}"] for ell in layers],
                        E=c.E[:1] + [entries[f"{prefix}/E{ell}"] for ell in layers])
 
-    return _Part(*_attr(path), dump, load)
+    return _Part(path, dump, load)
 
 
 _REPLAY = ("replay/s", "replay/a", "replay/r", "replay/s_next", "replay/done")
@@ -174,10 +142,12 @@ def _dump_replay(entries):
 
 
 def _load_replay(agent, entries):
-    if "replay/a" not in entries:
+    """The stored transitions, the latest ``replay_capacity`` of them."""
+    capacity = agent.motor.replay_capacity
+    if not capacity or "replay/a" not in entries:
         return ()
     return tuple((s, int(a), float(r), s_next, bool(done))
-                 for s, a, r, s_next, done in zip(*(entries[k] for k in _REPLAY)))
+                 for s, a, r, s_next, done in zip(*(entries[k] for k in _REPLAY)))[-capacity:]
 
 
 def _recruited(entries):
@@ -189,15 +159,15 @@ def _load_masks(agent, entries):
     """The recruited units' masks, read-only; each is 0/1 and opens a unit,
     as the gate makes them."""
     layers = sorted(agent.gate.layer_widths)
-    masks = [{layer: entries[f"gate/mask/{k}/{layer}"] for layer in layers}
-             for k in range(_recruited(entries))]
+    masks = tuple({layer: entries[f"gate/mask/{k}/{layer}"] for layer in layers}
+                  for k in range(_recruited(entries)))
     for k, mask in enumerate(masks):
         for layer, g in mask.items():
             if not (((g == 0.0) | (g == 1.0)).all() and g.any()):
                 raise ValueError(f"snapshot entry 'gate/mask/{k}/{layer}' "
                                  "is not a 0/1 mask opening a unit")
             g.flags.writeable = False
-    return [MappingProxyType(mask) for mask in masks]
+    return tuple(MappingProxyType(mask) for mask in masks)
 
 
 def _dump_dm(dm):
@@ -216,33 +186,32 @@ def _dump_pending(pending):
     return {"pending/s": pending[0], "pending/a": int(pending[1])}
 
 
-# Every piece of state a cycle can change.
+# Every piece of state a cycle can change; an RNG's state reads as a fresh dict.
 _STATE = (
     _circuit("sensory", "sensory"),
     _circuit("motor.circuit", "motor"),
     _one("motor.rng.bit_generator.state", "motor/rng_state"),
-    _Part(*_refill("motor.replay"), _dump_replay, _load_replay),
-    _Part(*_attr("gate.prototypes", list),
+    _Part("motor.replay", _dump_replay, _load_replay),
+    _Part("gate.prototypes",
           lambda protos: {f"gate/prototype/{k}": w for k, w in enumerate(protos)},
-          lambda agent, e: [e[f"gate/prototype/{k}"] for k in range(_recruited(e))]),
-    _Part(*_attr("gate.masks", list),
+          lambda agent, e: tuple(e[f"gate/prototype/{k}"] for k in range(_recruited(e)))),
+    _Part("gate.masks",
           lambda masks: {f"gate/mask/{k}/{layer}": g
                          for k, mask in enumerate(masks) for layer, g in mask.items()},
           _load_masks),
     _one("gate.saturated", "gate/saturated", out=bool),
     _one("gate.rng.bit_generator.state", "gate/rng_state"),
-    _Part(*_attr("dm"), _dump_dm, _load_dm),
-    _Part(*_attr("state.buffers", dict),
-          lambda bufs: {f"buffer/{n}": bufs[n] for n in BUFFER_NAMES},
-          lambda agent, e: {n: e[f"buffer/{n}"] for n in BUFFER_NAMES}),
-    _Part(*_attr("state.wm"),
+    _Part("dm", _dump_dm, _load_dm),
+    _one("perception", "buffer/perception"),
+    _one("retrieval", "buffer/retrieval"),
+    _Part("wm",
           lambda wm: {"wm/m": wm.m, "wm/position": int(wm.position)},
-          lambda agent, e: replace(agent.state.wm, m=e["wm/m"], position=e["wm/position"])),
-    _one("state.step", "step", out=int),
-    _Part(*_refill("tracker._buf"),
+          lambda agent, e: replace(agent.wm, m=e["wm/m"], position=e["wm/position"])),
+    _one("step", "step", out=int),
+    _Part("tracker.window",
           lambda window: {"ctx/window": np.stack(window)} if window else {},
-          lambda agent, e: tuple(e.get("ctx/window", ()))),
-    _Part(*_attr("pending"), _dump_pending,
+          lambda agent, e: tuple(e.get("ctx/window", ()))[-agent.tracker.capacity:]),
+    _Part("pending", _dump_pending,
           lambda agent, e: None if e["pending/a"] is None else (e["pending/s"], e["pending/a"])),
     _one("last_winner", "last_winner"),
     _one("last_energy", "last_energy", out=float),
@@ -306,10 +275,10 @@ class Agent:
         self.bridge2 = rng2.normal(
             scale=1.0 / np.sqrt(3 * config.d), size=(config.motor_state_dim, 3 * config.d)
         )
-        self.state = CognitiveState(
-            buffers={name: np.zeros(config.d) for name in BUFFER_NAMES},
-            wm=WorkingMemoryBuffer.empty(config.d, rho=config.wm_rho),
-        )
+        self.perception = np.zeros(config.d)  # the percept in holographic space
+        self.retrieval = np.zeros(config.d)  # the blend of retrieved unit symbols
+        self.wm = WorkingMemoryBuffer.empty(config.d, rho=config.wm_rho)
+        self.step = 0  # cycles run
         self.pending = None  # (s, a) awaiting its outcome
         self.last_winner = None
         self.last_energy = 0.0
@@ -326,7 +295,7 @@ class Agent:
         return _unit(self.bridge1 @ latent)
 
     def _motor_state(self, perception):
-        shared = np.concatenate([self.state.buffers["retrieval"], self.state.wm.m])
+        shared = np.concatenate([self.retrieval, self.wm.m])
         if perception.ndim == 2:  # a batch, one column each
             shared = np.repeat(shared[:, None], perception.shape[1], axis=1)
         return _unit(self.bridge2 @ np.concatenate([perception, shared]))
@@ -358,7 +327,7 @@ class Agent:
             clip=self.config.sensory_clip,
         )
         latent = self._latent(settled)
-        self.state.buffers["perception"] = self._project_perception(latent)
+        self.perception = self._project_perception(latent)
         self.last_energy = settled.energy
         self.last_winner = winner
         return latent
@@ -366,7 +335,7 @@ class Agent:
     def _route(self, prev_winner, winner):
         c = self.config
         if c.route_wm_encode:
-            self.state.wm = memory.wm_encode(self.state.wm, self.state.buffers["perception"])
+            self.wm = memory.wm_encode(self.wm, self.perception)
         if c.route_dm_store:
             context = [] if prev_winner is None else [_unit_name(prev_winner)]
             self.dm = memory.dm_store(self.dm, _unit_name(winner), context)
@@ -379,7 +348,7 @@ class Agent:
             )
             n = np.linalg.norm(blend)
             if n > 0:
-                self.state.buffers["retrieval"] = blend / n
+                self.retrieval = blend / n
 
     def _rollback(self, cap):
         for part, value in zip(_STATE, cap):
@@ -387,7 +356,8 @@ class Agent:
 
     @contextmanager
     def _atomic(self):
-        """Roll the whole agent back if the block raises."""
+        """Roll the whole agent back if the block raises, by putting back the
+        value each part held before it."""
         cap = [part.take(self) for part in _STATE]
         try:
             yield
@@ -406,10 +376,10 @@ class Agent:
             prev_winner = self.last_winner
             self.perceive(obs)
             self._route(prev_winner, self.last_winner)
-            s = self._motor_state(self.state.buffers["perception"])
+            s = self._motor_state(self.perception)
             q = self.motor.q_values(s)
             c = self.config
-            eps = epsilon_at(self.state.step, c.horizon, c.eps_start, c.eps_end, c.eps_decay_frac)
+            eps = epsilon_at(self.step, c.horizon, c.eps_start, c.eps_end, c.eps_decay_frac)
             action = self.motor.act(q, eps)
             if self.pending is not None:
                 s_prev, a_prev = self.pending
@@ -419,7 +389,7 @@ class Agent:
                     q_next=None if done else q,
                 )
             self.pending = None if done else (s, action)
-            self.state.step += 1
+            self.step += 1
             return action
 
     def supervised_step(self, obs, targets):
@@ -431,10 +401,10 @@ class Agent:
             prev_winner = self.last_winner
             self.perceive(obs)
             self._route(prev_winner, self.last_winner)
-            s = self._motor_state(self.state.buffers["perception"])
+            s = self._motor_state(self.perception)
             self.motor.regress(s, targets)
             q = self.motor.q_values(s)
-            self.state.step += 1
+            self.step += 1
             return greedy_action(q)
 
     def finish(self, r_env, done=True):

@@ -98,6 +98,16 @@ def _check_sizes(sizes):
 _SIZES = _checked(_ints, _check_sizes)
 
 
+def _check_policy(policy):
+    """Three non-negative probabilities summing to 1, as ``RpsEnv`` needs."""
+    if not isinstance(policy, (tuple, list)) or len(policy) != 3:
+        raise ValueError(f"{policy!r} is not three probabilities")
+    policy = tuple(float(_RATE.check(p)) for p in policy)
+    if abs(sum(policy) - 1.0) > 1e-9:
+        raise ValueError(f"{policy!r} sums to {sum(policy)}, not 1")
+    return policy
+
+
 def _theta(text):
     text = text.strip()
     if text == "auto":
@@ -113,7 +123,7 @@ _THETA = _checked(_theta, lambda value: value if value == "auto" else _RATE.chec
 # The agent's keys: ``agent.AgentConfig`` takes its fields, their defaults and
 # their checks from this table.
 AGENT_SCHEMA = {
-    "seed": (int, 0),
+    "seed": (_WHOLE, 0),
     # holographic space
     "d": (_COUNT, 1024),
     # sensory cortex
@@ -176,7 +186,7 @@ SCHEMA = {
     "rounds": (_COUNT, 2000),
     "episodes": (_COUNT, 500),
     "step_limit": (_COUNT, 50),
-    "rps_policy": (_floats, (0.8, 0.1, 0.1)),
+    "rps_policy": (_checked(_floats, _check_policy), (0.8, 0.1, 0.1)),
     "eval_window": (_COUNT, 100),
     "theta_factor": (_POSITIVE, 3.0),  # scales the theta the runner calibrates
     # recall protocol

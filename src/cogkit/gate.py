@@ -5,11 +5,12 @@ recent observations).  The nearest prototype wins; a context farther than the
 novelty threshold from every prototype recruits a fresh unit instead, up to
 capacity.  Each unit carries an immutable binary mask per gated cortical
 layer, so a revisited task re-opens exactly the subnetwork it trained before.
+The gate's ``prototypes`` and ``masks`` and the tracker's ``window`` are
+tuples that each change replaces, never writes into.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from types import MappingProxyType
 
 import numpy as np
@@ -65,8 +66,8 @@ class CompetitiveGate:
         self.mask_mode = mask_mode
         self.metric = metric
         self.rng = np.random.default_rng(seed)
-        self.prototypes = []
-        self.masks = []
+        self.prototypes = ()
+        self.masks = ()
         self.saturated = False
 
     @property
@@ -119,8 +120,8 @@ class CompetitiveGate:
 
     def _recruit(self, context):
         k = self.active_count
-        self.prototypes.append(context.copy())
-        self.masks.append(self._fresh_mask(k))
+        self.prototypes += (context.copy(),)
+        self.masks += (self._fresh_mask(k),)
         return k
 
     def select_or_recruit(self, context):
@@ -148,7 +149,8 @@ class CompetitiveGate:
             raise ValueError(f"unit {winner} is not recruited")
         context = self._check_context(context)
         w = self.prototypes[winner]
-        self.prototypes[winner] = w + self.eta_c * (context - w)
+        self.prototypes = (*self.prototypes[:winner], w + self.eta_c * (context - w),
+                           *self.prototypes[winner + 1:])
         return self
 
     def mask_for(self, winner):
@@ -159,7 +161,8 @@ class CompetitiveGate:
 
 
 class ContextTracker:
-    """Running mean of the last ``window`` observations.
+    """Running mean of the last ``capacity`` observations, which it keeps,
+    oldest first, as the tuple ``window``.
 
     Feeds the gate a slowly varying context so task switches show up as a
     prototype-distance jump rather than per-sample noise.
@@ -169,19 +172,20 @@ class ContextTracker:
         if window < 1:
             raise ValueError(f"window must be >= 1, got {window}")
         self.dim = int(dim)
-        self._buf = deque(maxlen=window)
+        self.capacity = int(window)
+        self.window = ()
 
     def update(self, obs):
-        obs = np.asarray(obs, dtype=float)
+        obs = np.array(obs, dtype=float)  # a copy: the caller may reuse its array
         if obs.shape != (self.dim,):
             raise ValueError(f"observation shape {obs.shape} does not match dim {self.dim}")
-        self._buf.append(obs)
+        self.window = (*self.window, obs)[-self.capacity:]
         return self.context()
 
     def context(self):
-        if not self._buf:
+        if not self.window:
             raise ValueError("context requested before any observation")
-        return np.mean(self._buf, axis=0)
+        return np.mean(self.window, axis=0)
 
     def __len__(self):
-        return len(self._buf)
+        return len(self.window)

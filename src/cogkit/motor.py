@@ -5,13 +5,13 @@ state representation and whose layer 0 holds one unit per action.  Settling
 with nothing pinned yields Q-value predictions; learning pins the taken
 action's unit to a bootstrapped target so that exactly one error row drives
 the weight update.  Exploration and replay sampling draw from one seeded
-generator, which is what makes whole episodes replayable.
+generator, which is what makes whole episodes replayable.  The replay store
+``replay`` is a tuple that each learn step replaces, as it does the circuit.
 """
 
 from __future__ import annotations
 
 import operator
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,9 +56,9 @@ class MotorCircuit:
     """Discrete-action value head with clamp-based Q-learning.
 
     ``hidden`` lists intermediate layer sizes between the action readout
-    (layer 0) and the state layer (top).  ``replay_capacity`` > 0 keeps a
-    ring buffer of past transitions; each learn step then also replays
-    ``replay_samples`` of them with fresh bootstrapped targets.
+    (layer 0) and the state layer (top).  ``replay_capacity`` > 0 keeps up
+    to that many past transitions in ``replay``; each learn step then also
+    replays ``replay_samples`` of them with fresh bootstrapped targets.
     """
 
     def __init__(
@@ -100,7 +100,8 @@ class MotorCircuit:
             (n_actions, *hidden, state_dim), seed=seed, beta=beta, gamma=gamma, K=K, sigma=sigma
         )
         self.rng = np.random.default_rng(seed)
-        self.replay = deque(maxlen=replay_capacity) if replay_capacity > 0 else None
+        self.replay_capacity = int(replay_capacity)
+        self.replay = ()
         self.replay_samples = int(replay_samples)
 
     def _check_state_vec(self, s):
@@ -169,8 +170,9 @@ class MotorCircuit:
         r = float(np.clip(t.r_env, -self.r_clip, self.r_clip))
         r += epistemic_reward(sensory_energy, self.alpha_e, self.r_clip)
         self._apply(s, t.a, r, s_next, t.done, q_next=q_next)
-        if self.replay is not None:
-            self.replay.append((s.copy(), int(t.a), r, s_next.copy(), bool(t.done)))
+        if self.replay_capacity > 0:
+            kept = (s.copy(), int(t.a), r, s_next.copy(), bool(t.done))
+            self.replay = (*self.replay, kept)[-self.replay_capacity:]
             if self.replay_samples > 0 and len(self.replay) > 1:
                 picks = self.rng.integers(len(self.replay), size=self.replay_samples)
                 for i in picks:

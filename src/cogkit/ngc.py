@@ -36,6 +36,7 @@ live one does and resumes byte for byte.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -196,7 +197,7 @@ def _assemble(circuit, clamps, mask, init, pin0):
             raise ValueError("cannot pin layer-0 units when layer 0 is clamped")
         if not 0 <= idx < circuit.sizes[0]:
             raise ValueError(f"pinned unit {idx} out of range for layer 0")
-        pin[int(idx)] = float(val)
+        pin[operator.index(idx)] = float(val)
     start = {**init, **clamps}
     z = [start[ell].copy() if ell in start else np.zeros((n, *batch))
          for ell, n in enumerate(circuit.sizes)]

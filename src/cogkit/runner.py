@@ -28,7 +28,7 @@ import numpy as np
 
 from . import hrr, memory
 from .agent import Agent, AgentConfig
-from .config import AGENT_SCHEMA, config_hash
+from .config import AGENT_SCHEMA, check, config_hash
 from .data import DEFAULT_PAIRS, load_idx, make_split_mnist, make_synthetic_digits
 from .envs import MazeEnv, MOVES, RpsEnv
 from .gate import ContextTracker
@@ -54,10 +54,11 @@ def canonical_config_text(cfg):
 @contextmanager
 def _recorded(cfg, seed, out, cfg_text, meta):
     """One run's outputs: yields ``(seed, sink)``, the run seed (the
-    config's when ``seed`` is None) and a writer of ``out/metrics.csv``
-    that is closed however the block exits.  ``metadata.txt`` is written,
-    with ``meta`` as it stands then, only when the block finishes."""
-    seed = int(cfg["seed"] if seed is None else seed)
+    config's when ``seed`` is None, checked as the config's is before any
+    file is made) and a writer of ``out/metrics.csv`` that is closed however
+    the block exits.  ``metadata.txt`` is written, with ``meta`` as it stands
+    then, only when the block finishes."""
+    seed = int(check("seed", cfg["seed"] if seed is None else seed))
     t0 = time.monotonic()
     if out:
         os.makedirs(out, exist_ok=True)

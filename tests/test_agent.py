@@ -5,7 +5,7 @@ from cogkit import hrr, memory, ngc, runner
 from cogkit.agent import Agent, AgentConfig
 from cogkit.config import resolve
 from cogkit.data import DEFAULT_PAIRS, make_split_mnist
-from cogkit.gate import CompetitiveGate
+from cogkit.gate import CompetitiveGate, ContextTracker
 from cogkit.motor import MotorCircuit
 from cogkit.snapshot import read_snapshot, write_snapshot
 
@@ -37,9 +37,8 @@ def obs_stream(n, seed=0, dim=8):
 
 def test_construction_invariants():
     a = Agent(small_config())
-    assert set(a.state.buffers) == {"perception", "retrieval"}
-    assert all(v.shape == (64,) for v in a.state.buffers.values())
-    assert a.state.wm.d == 64
+    assert a.perception.shape == a.retrieval.shape == (64,)
+    assert a.wm.d == 64
     assert a.bridge1.shape == (64, 16)
     assert a.bridge2.shape == (16, 3 * 64)
     with pytest.raises(ValueError, match="at least one hidden layer"):
@@ -49,7 +48,7 @@ def test_construction_invariants():
 def test_perceive_fills_normalized_buffer():
     a = Agent(small_config())
     a.perceive(np.ones(8))
-    p = a.state.buffers["perception"]
+    p = a.perception
     assert np.linalg.norm(p) == pytest.approx(1.0)
     assert a.last_winner == 0
     assert a.last_energy >= 0.0
@@ -89,7 +88,7 @@ def test_first_cycle_produces_action_without_learning():
     assert action in (0, 1, 2)
     assert np.array_equal(a.motor.circuit.W[1], W_before)  # nothing pending yet
     assert a.pending is not None
-    assert a.state.step == 1
+    assert a.step == 1
 
 
 def test_second_cycle_learns_pending_transition():
@@ -132,22 +131,22 @@ def test_routing_all_off_leaves_memories_untouched():
         route_wm_encode=False, route_dm_store=False, route_dm_retrieve=False
     )
     a = Agent(cfg)
-    r0 = a.state.buffers["retrieval"].copy()
+    r0 = a.retrieval.copy()
     for i, x in enumerate(obs_stream(20, seed=4)):
         a.cycle(x, r_env=0.1 * i)
-    assert a.state.wm.position == 0
-    assert not a.state.wm.m.any()
+    assert a.wm.position == 0
+    assert not a.wm.m.any()
     assert not a.dm.traces
-    assert np.array_equal(a.state.buffers["retrieval"], r0)
+    assert np.array_equal(a.retrieval, r0)
 
 
 def test_routing_on_moves_memories():
     a = Agent(small_config())
     for x in obs_stream(10, seed=5):
         a.cycle(x)
-    assert a.state.wm.position == 10
+    assert a.wm.position == 10
     assert a.dm.traces  # stored a task fact each cycle
-    assert a.state.buffers["retrieval"].any()
+    assert a.retrieval.any()
 
 
 def test_cycle_atomic_rollback_on_failure():
@@ -470,7 +469,7 @@ def test_supervised_step_learns_a_fixed_mapping():
         a.supervised_step(x1, np.array([-1.0, 1.0, -1.0]))
     assert a.probe(x0)[0] == 0
     assert a.probe(x1)[0] == 1
-    assert a.state.step == 80
+    assert a.step == 80
 
 
 def test_supervised_step_leaves_pending_untouched():
@@ -545,9 +544,24 @@ CYCLE_CALLS = [
     (ngc, "settle"), (ngc, "_settle_clamped_input"), (ngc, "_check_given"),
     (ngc, "update_weights"),
     (memory, "wm_encode"), (memory, "dm_store"), (memory, "dm_retrieve"), (hrr, "permute"),
+    (ContextTracker, "update"),
     (CompetitiveGate, "select_or_recruit"), (CompetitiveGate, "match"),
     (CompetitiveGate, "update_winner"), (CompetitiveGate, "mask_for"),
     (MotorCircuit, "_fit"), (MotorCircuit, "act"),
+]
+
+# the other atomic entry points, and what each calls of the functions above:
+# a supervised step all but the exploring ``act``, a finish the motor update
+ENTRY_POINTS = {
+    "cycle": lambda agent, x: agent.cycle(x, r_env=0.5),
+    "supervised_step": lambda agent, x: agent.supervised_step(x, np.array([1.0, -1.0, -1.0])),
+    "finish": lambda agent, x: agent.finish(r_env=0.5),
+}
+ATOMIC_CALLS = [
+    *(("cycle", *call) for call in CYCLE_CALLS),
+    *(("supervised_step", *call) for call in CYCLE_CALLS if call != (MotorCircuit, "act")),
+    *(("finish", *call) for call in [(ngc, "settle"), (ngc, "_check_given"),
+                                     (ngc, "update_weights"), (MotorCircuit, "_fit")]),
 ]
 
 
@@ -565,9 +579,11 @@ def _fail_on_call(monkeypatch, owner, name, k):
     return calls
 
 
-@pytest.mark.parametrize("owner, name", CYCLE_CALLS,
-                         ids=[f"{owner.__name__}.{name}" for owner, name in CYCLE_CALLS])
-def test_a_failure_anywhere_in_a_cycle_rolls_back(owner, name, monkeypatch):
+@pytest.mark.parametrize("entry, owner, name", ATOMIC_CALLS, ids=[
+    # a cycle's cases are named by the call alone
+    f"{'' if entry == 'cycle' else entry + '-'}{owner.__name__}.{name}"
+    for entry, owner, name in ATOMIC_CALLS])
+def test_a_failure_anywhere_in_a_cycle_rolls_back(entry, owner, name, monkeypatch):
     stream = obs_stream(32, seed=14)
 
     def warmed():  # routing on, replay on, past the context warm-up
@@ -586,7 +602,7 @@ def test_a_failure_anywhere_in_a_cycle_rolls_back(owner, name, monkeypatch):
     agent = warmed()
     before = agent.snapshot()
     calls = _fail_on_call(monkeypatch, owner, name, 0)
-    agent.cycle(stream[12], r_env=0.5)
+    ENTRY_POINTS[entry](agent, stream[12])
     monkeypatch.undo()
     assert calls
     want = resume(warmed())  # 20 cycles of an agent that never failed
@@ -594,7 +610,7 @@ def test_a_failure_anywhere_in_a_cycle_rolls_back(owner, name, monkeypatch):
         agent = warmed()
         _fail_on_call(monkeypatch, owner, name, k)
         with pytest.raises(RuntimeError, match="injected"):
-            agent.cycle(stream[12], r_env=0.5)
+            ENTRY_POINTS[entry](agent, stream[12])
         monkeypatch.undo()
         assert agent.snapshot() == before
         assert resume(agent) == want

@@ -105,6 +105,8 @@ ENUM_CASES = [
 # reject a fraction, and every numeric key a bool.  The switches' bad values
 # are words that are not booleans.
 RANGE_CASES = [
+    ("seed", 0, -1),
+    ("seed", 7, 1.5),
     ("mask_p", 1.0, 0.0),
     ("mask_p", 0.25, 1.5),
     ("gamma_d", 0.0, 1.0),
@@ -184,7 +186,7 @@ BOOL_KEYS = ["sensory_clip", "motor_clip", "route_wm_encode", "route_dm_store",
 def test_enum_keys_fail_at_parse_time(key, good, bad):
     assert parse_config(f"{key} = {good}\n") == {key: good}
     with pytest.raises(ValueError, match=rf"line 2.*'{key}'.*{bad}"):
-        parse_config(f"seed = 1\n{key} = {bad}\n")
+        parse_config(f"# the second line\n{key} = {bad}\n")
 
 
 @pytest.mark.parametrize("key, good, bad", ENUM_CASES + RANGE_CASES)
@@ -206,6 +208,19 @@ def test_layer_sizes_fail_at_parse_time_and_in_code(key):
             resolve({"seed": 1, key: wrong})
 
 
+@pytest.mark.parametrize("bad", ["0.5,0.6,0.1", "1,0", "-0.2,0.6,0.6", "nan,0.5,0.5",
+                                 "0.25,0.25,0.25,0.25"])
+def test_rps_policy_is_checked_at_parse_time_and_in_code(bad):
+    # three non-negative numbers summing to 1, as the opponent needs
+    assert parse_config("rps_policy = 1,0,0\n") == {"rps_policy": (1.0, 0.0, 0.0)}
+    with pytest.raises(ValueError, match=r"line 2.*'rps_policy'"):
+        parse_config(f"seed = 1\nrps_policy = {bad}\n")
+    assert resolve({"rps_policy": [0.2, 0.3, 0.5]})["rps_policy"] == (0.2, 0.3, 0.5)
+    for wrong in (tuple(float(p) for p in bad.split(",")), 0.5, "0.8,0.1,0.1", None):
+        with pytest.raises(ValueError, match="'rps_policy'"):
+            resolve({"rps_policy": wrong})
+
+
 @pytest.mark.parametrize("key", BOOL_KEYS)
 def test_bool_keys_take_only_bools_from_code(key):
     # a file's words are parsed, but in code a non-empty string is true
@@ -220,10 +235,10 @@ def test_bool_keys_take_only_bools_from_code(key):
 
 def test_every_numeric_key_has_a_check():
     # a number nothing checks reaches the run and fails there, if at all,
-    # under another name; the seed is any integer
+    # under another name
     numeric = {key for key, (_, default) in SCHEMA.items()
                if isinstance(default, numbers.Number) and not isinstance(default, bool)}
-    assert {key for key in numeric if not hasattr(SCHEMA[key][0], "check")} == {"seed"}
+    assert {key for key in numeric if not hasattr(SCHEMA[key][0], "check")} == set()
 
 
 def test_agent_config_defaults_are_the_schema_defaults():

@@ -237,3 +237,16 @@ def test_context_tracker_window_mean():
         t.update([1.0, 2.0, 3.0])
     with pytest.raises(ValueError):
         ContextTracker(2, window=0)
+
+
+def test_context_tracker_replaces_its_window_and_keeps_no_callers_array():
+    t = ContextTracker(2, window=2)
+    x = np.ones(2)
+    t.update(x)
+    first = t.window
+    x[:] = 5.0  # the caller reuses its array
+    t.update(x)
+    t.update(x)
+    assert len(first) == 1 and np.array_equal(first[0], [1.0, 1.0])
+    assert isinstance(t.window, tuple) and len(t.window) == 2
+    assert np.array_equal(t.context(), [5.0, 5.0])

@@ -159,6 +159,19 @@ def test_settle_pinned_output_errors_are_sparse():
     assert np.array_equal(s.z[0][[0, 2]], s.mu[0][[0, 2]])
 
 
+@pytest.mark.parametrize("idx", [1.5, 1.0, np.float64(1.0)])
+def test_a_pinned_unit_is_an_integer(idx):
+    # a fraction would otherwise be truncated and pin the unit below it
+    c = init_circuit([3, 8, 5], seed=8)
+    top = np.random.default_rng(8).normal(size=5)
+    for run in (settle, make_state):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            run(c, clamps={2: top}, pin0={idx: 0.7})
+    s = settle(c, clamps={2: top}, pin0={np.int64(1): 0.7})
+    assert s.pin0 == {1: 0.7}
+    assert np.array_equal(s.z[0], settle(c, clamps={2: top}, pin0={1: 0.7}).z[0])
+
+
 def test_settle_free_output_tracks_prediction():
     c = init_circuit([3, 8], seed=9)
     s = settle(c, init={1: np.random.default_rng(9).normal(size=8)})

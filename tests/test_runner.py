@@ -71,6 +71,22 @@ class TestContinual:
         with pytest.raises(ValueError, match="agent kind"):
             runner.run_continual(resolve(TINY_CONTINUAL), seed=0, agent_kind="best")
 
+    def test_supervised_readout_regresses_instead_of_cycling(self, monkeypatch):
+        calls = {"cycle": 0, "supervised_step": 0, "finish": 0}
+        for name in calls:
+            def counted(agent, *args, _real=getattr(Agent, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _real(agent, *args, **kwargs)
+
+            monkeypatch.setattr(Agent, name, counted)
+        cfg = resolve({**TINY_CONTINUAL, "readout": "supervised"})
+        out = runner.run_continual(cfg, seed=0)
+        # one supervised step per training sample of each task, no cycle
+        assert calls == {"cycle": 0, "supervised_step": 2 * 40, "finish": 0}
+        assert out["agent"].step == 2 * 40
+        assert out["agent"].pending is None
+        assert runner.run_continual(cfg, seed=0)["rows"] == out["rows"]
+
     def test_writes_metrics_and_metadata(self, tmp_path):
         cfg = resolve(TINY_CONTINUAL)
         runner.run_continual(cfg, seed=0, out=str(tmp_path), agent_kind="random")
@@ -180,6 +196,15 @@ class TestOutputs:
         cfg = resolve({**TINY_CONTINUAL, "n_tasks": 6})
         with pytest.raises(ValueError, match="n_tasks 6"):
             runner.run_continual(cfg, seed=0, out=str(tmp_path))
+        # an opponent policy RpsEnv cannot play, from a config file
+        for policy in ("0.5,0.6,0.1", "1,0", "-0.2,0.6,0.6"):
+            with pytest.raises(ValueError, match="'rps_policy'"):
+                runner.run_rps(resolve(parse_config(f"rps_policy = {policy}\n")),
+                               seed=0, out=str(tmp_path))
+        # a run seed given apart from the config, as --seed gives it
+        for seed in (-1, 1.5):
+            with pytest.raises(ValueError, match="'seed'"):
+                runner.run_rps(resolve(TINY_RL), seed=seed, out=str(tmp_path))
         assert list(tmp_path.iterdir()) == []
 
     def test_failed_run_closes_its_metrics_and_writes_no_metadata(self, tmp_path,
