@@ -198,17 +198,18 @@ SCHEMA = {
 }
 
 
-def check(key, value):
+def check(key, value, name=None):
     """``value`` for ``key`` once the key's caster has checked it (a list of
     layer sizes comes back as a tuple of ints); a bad value raises a
-    ValueError naming the key."""
+    ValueError naming ``name``, the key by default.  Components check the
+    arguments that a key sets with this, under the argument's own name."""
     caster = SCHEMA[key][0]
     if not hasattr(caster, "check"):
         return value
     try:
         return caster.check(value)
     except ValueError as exc:
-        raise ValueError(f"bad value for {key!r}: {exc}") from None
+        raise ValueError(f"bad value for {name or key!r}: {exc}") from None
 
 
 def parse_config(text):

@@ -7,6 +7,8 @@ from collections import deque
 
 import numpy as np
 
+from .config import check
+
 DEFAULT_MAZE = (
     "S....",
     ".##..",
@@ -50,9 +52,7 @@ class MazeEnv:
         if len(starts) != 1 or len(goals) != 1:
             raise ValueError("maze needs exactly one S and one G")
         self.start, self.goal = starts[0], goals[0]
-        if step_limit < 1:
-            raise ValueError(f"step limit must be >= 1, got {step_limit}")
-        self.step_limit = int(step_limit)
+        self.step_limit = int(check("step_limit", step_limit))
         if self.start not in self.distance_map():
             raise ValueError("goal is unreachable from start")
         self.pos = self.start
@@ -123,11 +123,9 @@ class RpsEnv:
 
     def __init__(self, policy=(0.8, 0.1, 0.1), seed=0):
         policy = np.asarray(policy, dtype=float)
-        if policy.shape != (3,) or (policy < 0).any():
-            raise ValueError("opponent policy must be 3 non-negative probabilities")
-        if abs(policy.sum() - 1.0) > 1e-9:
-            raise ValueError(f"opponent policy sums to {policy.sum()}, not 1")
-        self.policy = policy
+        if policy.shape != (3,):
+            raise ValueError(f"opponent policy has shape {policy.shape}, not (3,)")
+        self.policy = np.array(check("rps_policy", tuple(policy), name="policy"))
         self.rng = np.random.default_rng(seed)
 
     @property

@@ -15,6 +15,8 @@ from types import MappingProxyType
 
 import numpy as np
 
+from .config import check
+
 
 class CompetitiveGate:
     """Hard winner-take-all detector with novelty-based recruitment.
@@ -24,13 +26,15 @@ class CompetitiveGate:
     context_dim : dimensionality of context vectors.
     layer_widths : map of gated layer index -> layer width; every recruited
         unit gets one {0,1} mask per entry.
-    theta : novelty distance threshold (>= 0).
+    theta : novelty distance threshold (>= 0), in the gate's own metric.
     eta_c : prototype learning rate in [0, 1].
     M_max : unit capacity.
     p : mask density; each mask has exactly round(p * width) ones.
     mask_mode : "random" for i.i.d. subsets, "blocks" for contiguous blocks
         (disjoint across units while k * round(p*width) fits in the layer).
     metric : "euclid" or "cosine" prototype distance.
+
+    Each is checked with the check of the config key that sets it.
     """
 
     def __init__(
@@ -45,26 +49,17 @@ class CompetitiveGate:
         metric="euclid",
         seed=0,
     ):
-        if theta < 0:
-            raise ValueError(f"theta must be >= 0, got {theta}")
-        if not 0.0 <= eta_c <= 1.0:
-            raise ValueError(f"eta_c must be in [0, 1], got {eta_c}")
-        if M_max < 1:
-            raise ValueError(f"M_max must be >= 1, got {M_max}")
-        if not 0.0 < p <= 1.0:
-            raise ValueError(f"mask density p must be in (0, 1], got {p}")
-        if mask_mode not in ("random", "blocks"):
-            raise ValueError(f"unknown mask_mode {mask_mode!r}")
-        if metric not in ("euclid", "cosine"):
-            raise ValueError(f"unknown metric {metric!r}")
+        if check("theta", theta) == "auto":
+            raise ValueError("bad value for 'theta': 'auto' is calibrated by the runner; "
+                             "a gate needs a number")
         self.context_dim = int(context_dim)
         self.layer_widths = {int(l): int(w) for l, w in dict(layer_widths).items()}
         self.theta = float(theta)
-        self.eta_c = float(eta_c)
-        self.M_max = int(M_max)
-        self.p = float(p)
-        self.mask_mode = mask_mode
-        self.metric = metric
+        self.eta_c = float(check("eta_c", eta_c))
+        self.M_max = int(check("M_max", M_max))
+        self.p = float(check("mask_p", p, name="p"))
+        self.mask_mode = check("mask_mode", mask_mode)
+        self.metric = check("gate_metric", metric, name="metric")
         self.rng = np.random.default_rng(seed)
         self.prototypes = ()
         self.masks = ()
@@ -169,10 +164,8 @@ class ContextTracker:
     """
 
     def __init__(self, dim, window=32):
-        if window < 1:
-            raise ValueError(f"window must be >= 1, got {window}")
         self.dim = int(dim)
-        self.capacity = int(window)
+        self.capacity = int(check("context_window", window, name="window"))
         self.window = ()
 
     def update(self, obs):

@@ -20,6 +20,8 @@ import operator
 
 import numpy as np
 
+from .config import check
+
 __all__ = [
     "random_symbol",
     "bind",
@@ -117,8 +119,6 @@ def permute(a, shift):
     except TypeError:
         raise TypeError(f"permute shift must be an integer, got {shift!r}") from None
     k = shift % a.shape[0]
-    if k == 0:
-        return a.copy()
     return np.concatenate((a[-k:], a[:-k]))
 
 
@@ -178,9 +178,7 @@ class SymbolLexicon:
     """
 
     def __init__(self, d, seed=0, names=()):
-        if d < 1:
-            raise ValueError(f"invalid dimension d={d}; must be >= 1")
-        self.d = int(d)
+        self.d = int(check("d", d))
         self.seed = int(seed)
         self._entries = {}
         self._cache = None

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import hrr
+from .config import check
 
 
 @dataclass(frozen=True)
@@ -35,10 +36,8 @@ class WorkingMemoryBuffer:
 
     @classmethod
     def empty(cls, d, rho=1.0):
-        if not 0.0 < rho <= 1.0:
-            raise ValueError(f"decay rho must be in (0, 1], got {rho}")
-        if d < 1:
-            raise ValueError(f"invalid dimension d={d}; must be >= 1")
+        check("d", d)
+        check("wm_rho", rho, name="rho")
         return cls(m=np.zeros(d), rho=float(rho), position=0, d=int(d))
 
 
@@ -127,16 +126,14 @@ def dm_retrieve(dm: DeclarativeMemory, cue, k, tau=0.1) -> RetrievalResult:
 
     Strengths are softmax(scores / tau) over every stored concept; lower tau
     sharpens the distribution toward the best match.  A cue or trace whose
-    norm is zero, NaN or infinite, or a ``k`` below 1, raises ``ValueError``.
+    norm is zero, NaN or infinite, or a bad ``k`` or ``tau``, raises ``ValueError``.
     """
-    if k < 1:
-        raise ValueError(f"retrieve needs k >= 1, got {k}")
+    check("dm_k", k, name="k")
+    check("dm_tau", tau, name="tau")
     if not dm.traces:
         raise ValueError("retrieve from empty declarative memory")
     cue = np.asarray(cue, dtype=float)
     hrr._check_norm(np.linalg.norm(cue), "retrieval cue")
-    if tau <= 0.0:
-        raise ValueError(f"temperature tau must be positive, got {tau}")
     names = list(dm.traces)
     scores = np.array([hrr.cosine(cue, dm.traces[n]) for n in names])
     order = np.argsort(-scores, kind="stable")

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ngc
+from .config import check
 
 
 @dataclass
@@ -59,6 +60,7 @@ class MotorCircuit:
     (layer 0) and the state layer (top).  ``replay_capacity`` > 0 keeps up
     to that many past transitions in ``replay``; each learn step then also
     replays ``replay_samples`` of them with fresh bootstrapped targets.
+    Each argument a config key sets is checked with that key's check.
     """
 
     def __init__(
@@ -82,27 +84,21 @@ class MotorCircuit:
     ):
         if n_actions < 2:
             raise ValueError(f"need at least 2 actions, got {n_actions}")
-        if not 0.0 <= gamma_d < 1.0:
-            raise ValueError(f"discount gamma_d must be in [0, 1), got {gamma_d}")
-        if alpha_e < 0:
-            raise ValueError(f"alpha_e must be >= 0, got {alpha_e}")
-        if r_clip <= 0:
-            raise ValueError(f"r_clip must be positive, got {r_clip}")
         self.n_actions = int(n_actions)
-        self.state_dim = int(state_dim)
-        self.gamma_d = float(gamma_d)
-        self.alpha_e = float(alpha_e)
-        self.r_clip = float(r_clip)
-        self.eta_W = float(eta_W)
-        self.eta_E = float(eta_E)
-        self.clip_weights = bool(clip_weights)
+        self.state_dim = int(check("motor_state_dim", state_dim, name="state_dim"))
+        self.gamma_d = float(check("gamma_d", gamma_d))
+        self.alpha_e = float(check("alpha_e", alpha_e))
+        self.r_clip = float(check("r_clip", r_clip))
+        self.eta_W = float(check("motor_eta_W", eta_W, name="eta_W"))
+        self.eta_E = float(check("motor_eta_E", eta_E, name="eta_E"))
+        self.clip_weights = check("motor_clip", clip_weights, name="clip_weights")
         self.circuit = ngc.init_circuit(
             (n_actions, *hidden, state_dim), seed=seed, beta=beta, gamma=gamma, K=K, sigma=sigma
         )
         self.rng = np.random.default_rng(seed)
-        self.replay_capacity = int(replay_capacity)
+        self.replay_capacity = int(check("replay_capacity", replay_capacity))
         self.replay = ()
-        self.replay_samples = int(replay_samples)
+        self.replay_samples = int(check("replay_samples", replay_samples))
 
     def _check_state_vec(self, s):
         s = np.asarray(s, dtype=float)

@@ -41,6 +41,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .config import check
+
 _Z_LIMIT = 1e6
 
 
@@ -108,11 +110,8 @@ def init_circuit(sizes, seed, beta=0.05, gamma=0.001, K=50, sigma=0.05, phi=None
         raise ValueError(f"need at least two layer sizes, got {sizes}")
     if any(s < 1 for s in sizes):
         raise ValueError(f"all layer sizes must be >= 1, got {sizes}")
-    for name, value in (("beta", beta), ("gamma", gamma), ("sigma", sigma)):
-        if not value >= 0:  # also true for NaN
-            raise ValueError(f"{name} must be >= 0, got {value}")
-    if K < 1:
-        raise ValueError(f"K must be >= 1, got {K}")
+    for name, value in (("beta", beta), ("gamma", gamma), ("sigma", sigma), ("K", K)):
+        check(f"sensory_{name}", value, name=name)
     L = len(sizes) - 1
     phi = ("identity",) + ("tanh",) * L if phi is None else tuple(phi)
     if len(phi) != L + 1:

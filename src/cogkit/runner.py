@@ -31,7 +31,7 @@ from .agent import Agent, AgentConfig
 from .config import AGENT_SCHEMA, check, config_hash
 from .data import DEFAULT_PAIRS, load_idx, make_split_mnist, make_synthetic_digits
 from .envs import MazeEnv, MOVES, RpsEnv
-from .gate import ContextTracker
+from .gate import CompetitiveGate, ContextTracker
 from .metrics import MetricsWriter, write_metadata
 
 AGENT_KINDS = ("learned", "random", "oracle")
@@ -70,32 +70,33 @@ def _recorded(cfg, seed, out, cfg_text, meta):
                        time.monotonic() - t0, meta)
 
 
-def calibrate_theta(samples, window, factor, eta_c):
+def calibrate_theta(samples, window, factor, eta_c, metric="euclid"):
     """Novelty threshold from a short calibration stream.
 
-    Replays the gate's own dynamics on ~100 samples: a running-mean context
-    chased by a single prototype at rate ``eta_c``.  theta is ``factor``
-    times the 95th percentile of the steady-state context-to-prototype
-    distances (the warm-up, where the running mean is still sliding away
-    from the first sample, is excluded), i.e. comfortably above anything
-    one stationary source produces, so only a genuine distribution shift
+    Runs the gate itself on ~100 samples: a running-mean context chased by
+    the one unit of a ``CompetitiveGate`` of ``metric`` at rate ``eta_c``,
+    its distance read from ``match`` and its prototype moved by
+    ``update_winner``, so theta is in the metric the gate will use.  theta
+    is ``factor`` times the 95th percentile of the steady-state distances
+    (the warm-up, where the running mean is still sliding away from the
+    first sample, is excluded), i.e. comfortably above anything one
+    stationary source produces, so only a genuine distribution shift
     clears it.
     """
     samples = np.asarray(samples, dtype=float)[:100]
     if len(samples) < 2:
         raise ValueError("calibration needs at least 2 samples")
     tracker = ContextTracker(samples.shape[1], window)
-    proto = None
+    gate = CompetitiveGate(samples.shape[1], {}, theta=0.0, eta_c=eta_c, M_max=1,
+                           metric=metric)
+    gate.select_or_recruit(tracker.update(samples[0]))
     dists = []
     skip = min(window, len(samples) // 2)
-    for i, x in enumerate(samples):
+    for i, x in enumerate(samples[1:], start=1):
         ctx = tracker.update(x)
-        if proto is None:
-            proto = ctx.copy()
-            continue
         if i >= skip:
-            dists.append(float(np.linalg.norm(ctx - proto)))
-        proto = proto + eta_c * (ctx - proto)
+            dists.append(gate.match(ctx)[1])
+        gate.update_winner(0, ctx)
     theta = factor * float(np.percentile(dists, 95))
     return max(theta, 1e-9)
 
@@ -107,7 +108,7 @@ def _learned_agent(cfg, calib_obs, **overrides):
     theta = cfg["theta"]
     if theta == "auto":
         theta = calibrate_theta(calib_obs, cfg["context_window"],
-                                cfg["theta_factor"], cfg["eta_c"])
+                                cfg["theta_factor"], cfg["eta_c"], cfg["gate_metric"])
     shared = {k: cfg[k] for k in AGENT_SCHEMA}
     return Agent(AgentConfig(**{**shared, "theta": theta, **overrides}))
 

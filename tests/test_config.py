@@ -3,11 +3,18 @@
 import hashlib
 import numbers
 
+import numpy as np
 import pytest
 
 from cogkit.agent import AgentConfig
 from cogkit.config import (AGENT_SCHEMA, SCHEMA, config_hash, load_config, parse_config,
                            resolve)
+from cogkit.envs import MazeEnv, RpsEnv
+from cogkit.gate import CompetitiveGate, ContextTracker
+from cogkit.hrr import SymbolLexicon
+from cogkit.memory import DeclarativeMemory, WorkingMemoryBuffer, dm_retrieve, dm_store
+from cogkit.motor import MotorCircuit
+from cogkit.ngc import init_circuit
 
 
 def test_defaults():
@@ -260,3 +267,52 @@ def test_agent_config_checks_each_key(key, good, bad):
         assert getattr(AgentConfig(**{**base, key: good}), key) == good
     with pytest.raises(ValueError, match=rf"'{key}'"):
         AgentConfig(**{**base, key: bad})
+
+
+def _retrieve(**kw):
+    lex = SymbolLexicon(16, names=("a", "b"))
+    dm = dm_store(DeclarativeMemory(lexicon=lex), "a", ["b"])
+    return dm_retrieve(dm, lex["b"], **{"k": 1, **kw})
+
+
+# a component argument that a config key sets, with a bad value for it:
+# the component checks it with that key's check and names the argument
+NAN = float("nan")
+COMPONENT_CASES = [
+    ("theta", lambda: CompetitiveGate(4, {}, theta=NAN)),
+    ("theta", lambda: CompetitiveGate(4, {}, theta="auto")),
+    ("eta_c", lambda: CompetitiveGate(4, {}, theta=1.0, eta_c=1.5)),
+    ("M_max", lambda: CompetitiveGate(4, {}, theta=1.0, M_max=2.5)),
+    ("M_max", lambda: CompetitiveGate(4, {}, theta=1.0, M_max=True)),
+    ("p", lambda: CompetitiveGate(4, {}, theta=1.0, p=0.0)),
+    ("mask_mode", lambda: CompetitiveGate(4, {}, theta=1.0, mask_mode="block")),
+    ("metric", lambda: CompetitiveGate(4, {}, theta=1.0, metric="manhattan")),
+    ("window", lambda: ContextTracker(4, window=2.5)),
+    ("gamma_d", lambda: MotorCircuit(2, 4, gamma_d=1.0)),
+    ("alpha_e", lambda: MotorCircuit(2, 4, alpha_e=NAN)),
+    ("r_clip", lambda: MotorCircuit(2, 4, r_clip=NAN)),
+    ("eta_W", lambda: MotorCircuit(2, 4, eta_W=-1)),
+    ("eta_E", lambda: MotorCircuit(2, 4, eta_E=NAN)),
+    ("replay_capacity", lambda: MotorCircuit(2, 4, replay_capacity=-3)),
+    ("replay_samples", lambda: MotorCircuit(2, 4, replay_samples=2.5)),
+    ("clip_weights", lambda: MotorCircuit(2, 4, clip_weights="no")),
+    ("state_dim", lambda: MotorCircuit(2, 2.5)),
+    ("K", lambda: MotorCircuit(2, 4, K=0)),
+    ("K", lambda: init_circuit([4, 4], seed=0, K=2.5)),
+    ("K", lambda: init_circuit([4, 4], seed=0, K=True)),
+    ("beta", lambda: init_circuit([4, 4], seed=0, beta=NAN)),
+    ("d", lambda: WorkingMemoryBuffer.empty(2.5)),
+    ("rho", lambda: WorkingMemoryBuffer.empty(8, rho=0.0)),
+    ("k", lambda: _retrieve(k=0)),
+    ("tau", lambda: _retrieve(tau=NAN)),
+    ("step_limit", lambda: MazeEnv(step_limit=2.5)),
+    ("policy", lambda: RpsEnv(policy=(NAN, 0.5, 0.5))),
+    ("policy", lambda: RpsEnv(policy=np.array([0.5, 0.6, -0.1]))),
+    ("d", lambda: SymbolLexicon(2.5)),
+]
+
+
+@pytest.mark.parametrize("arg, build", COMPONENT_CASES)
+def test_components_check_arguments_with_the_schema_checks(arg, build):
+    with pytest.raises(ValueError, match=rf"^bad value for '{arg}': "):
+        build()

@@ -233,7 +233,7 @@ def test_retrieve_errors():
     with pytest.raises(ValueError):
         dm_retrieve(dm, lex["s1"], k=1, tau=0.0)
     for k in (0, -1):
-        with pytest.raises(ValueError, match=rf"k >= 1, got {k}"):
+        with pytest.raises(ValueError, match=rf"'k': {k} is not in \[1, inf\)"):
             dm_retrieve(dm, lex["s1"], k=k)
 
 

@@ -8,6 +8,7 @@ import pytest
 from cogkit import runner
 from cogkit.agent import Agent, AgentConfig
 from cogkit.config import SCHEMA, parse_config, resolve
+from cogkit.gate import ContextTracker
 from cogkit.metrics import MetricsWriter, format_value
 from cogkit.runner import calibrate_theta, canonical_config_text
 
@@ -42,6 +43,22 @@ class TestContinual:
                        "synthetic_per_class": 300})
         out = runner.run_continual(cfg, seed=3, agent_kind="random")
         assert 0.35 < out["ACC"] < 0.65
+
+    def test_cosine_gate_recruits_a_second_unit_at_the_task_switch(self, monkeypatch):
+        # theta = auto is calibrated in the gate's own metric, so a cosine
+        # gate's theta is a cosine distance, which the task switch clears
+        units = []
+        train = runner._train
+
+        def counted(agent, *args):
+            train(agent, *args)
+            units.append(agent.gate.active_count)
+
+        monkeypatch.setattr(runner, "_train", counted)
+        cfg = resolve({**TINY_CONTINUAL, "gate_metric": "cosine"})
+        out = runner.run_continual(cfg, seed=1)
+        assert units == [1, 2]
+        assert out["agent"].gate.theta < 1.0
 
     def test_learned_agent_beats_chance_on_one_task(self):
         # cortex frozen: a 16-unit circuit saturates on images this
@@ -272,6 +289,35 @@ class TestHelpers:
     def test_calibrate_theta_constant_stream(self):
         samples = np.ones((50, 4))
         assert calibrate_theta(samples, 8, 2.0, 0.05) == 1e-9
+
+    @pytest.mark.parametrize("seed, n, dim, window, eta_c, factor", [
+        (0, 100, 10, 16, 0.05, 3.0),
+        (1, 150, 64, 32, 0.02, 2.25),
+        (2, 40, 5, 8, 0.3, 1.0),
+        (3, 3, 4, 4, 1.0, 2.0),
+    ])
+    def test_calibrate_theta_of_a_euclid_gate_is_the_old_chase(
+            self, seed, n, dim, window, eta_c, factor):
+        # the chase calibrate_theta ran before it ran the gate: its own
+        # Euclidean distance and prototype update
+        def chase(samples):
+            tracker = ContextTracker(samples.shape[1], window)
+            proto, dists = None, []
+            skip = min(window, len(samples[:100]) // 2)
+            for i, x in enumerate(samples[:100]):
+                ctx = tracker.update(x)
+                if proto is None:
+                    proto = ctx.copy()
+                    continue
+                if i >= skip:
+                    dists.append(float(np.linalg.norm(ctx - proto)))
+                proto = proto + eta_c * (ctx - proto)
+            return max(factor * float(np.percentile(dists, 95)), 1e-9)
+
+        rng = np.random.default_rng(seed)
+        for samples in (rng.normal(0, 1, size=(n, dim)), rng.random((n, dim))):
+            assert calibrate_theta(samples, window, factor, eta_c) == chase(samples)
+            assert calibrate_theta(samples, window, factor, eta_c, "euclid") == chase(samples)
 
     def test_canonical_text_parses_back(self):
         cfg = resolve({"d": 128, "sensory_clip": False, "rps_policy": (0.5, 0.3, 0.2)})
