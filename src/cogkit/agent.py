@@ -74,7 +74,7 @@ def _unit(v):
     """``v`` over its norm, each column on its own when ``v`` is a batch; a
     zero vector stays zero.  A single vector keeps the 1-d norm, which adds
     its squares in another order than the column norms."""
-    n = np.linalg.norm(v, axis=0) if v.ndim == 2 else np.linalg.norm(v)
+    n = np.linalg.norm(v, axis=0) if v.ndim == 2 else hrr._norm(v)
     return v / np.where(n > 0, n, 1.0)
 
 
@@ -90,16 +90,17 @@ class _Part:
     captured or loaded value back on its owner.  ``dump(value)`` returns its
     snapshot entries by name (arrays become array entries, anything else JSON
     metadata); ``load(agent, entries)`` reads them back for a freshly built
-    ``agent``.
+    ``agent``.  ``entry`` names the stored form in error messages.
     """
 
-    def __init__(self, path, dump, load):
+    def __init__(self, path, dump, load, entry=None):
         self.take = attrgetter(path)
         owner, _, name = path.rpartition(".")
         owner = attrgetter(owner) if owner else (lambda agent: agent)
         self.put = lambda agent, value: setattr(owner(agent), name, value)
         self.dump = dump
         self.load = load
+        self.entry = entry or path
 
 
 def _one(path, key, out=None):
@@ -109,7 +110,7 @@ def _one(path, key, out=None):
     def dump(value):
         return {key: value if out is None else out(value)}
 
-    return _Part(path, dump, lambda agent, entries: entries[key])
+    return _Part(path, dump, lambda agent, entries: entries[key], entry=key)
 
 
 def _circuit(path, prefix):
@@ -295,10 +296,10 @@ class Agent:
         return _unit(self.bridge1 @ latent)
 
     def _motor_state(self, perception):
-        shared = np.concatenate([self.retrieval, self.wm.m])
+        shared = (self.retrieval, self.wm.m)
         if perception.ndim == 2:  # a batch, one column each
-            shared = np.repeat(shared[:, None], perception.shape[1], axis=1)
-        return _unit(self.bridge2 @ np.concatenate([perception, shared]))
+            shared = [np.broadcast_to(v[:, None], (len(v), perception.shape[1])) for v in shared]
+        return _unit(self.bridge2 @ np.concatenate([perception, *shared]))
 
     def perceive(self, obs):
         """Gate, settle, learn the sensory circuit; fill the perception buffer.
@@ -346,7 +347,7 @@ class Agent:
                 float(w) * self.lexicon[name]
                 for (name, _), w in zip(result.ranked, result.strengths)
             )
-            n = np.linalg.norm(blend)
+            n = hrr._norm(blend)
             if n > 0:
                 self.retrieval = blend / n
 
@@ -496,5 +497,9 @@ class Agent:
                 value = part.load(agent, entries)
             except KeyError as exc:
                 raise ValueError(f"snapshot entry {exc.args[0]!r} is missing") from None
-            part.put(agent, value)
+            try:
+                part.put(agent, value)  # an RNG's state setter checks what it is given
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
+                raise ValueError(f"snapshot entry {part.entry!r} is damaged: "
+                                 f"{type(exc).__name__}: {exc}") from None
         return agent

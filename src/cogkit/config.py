@@ -12,6 +12,8 @@ import hashlib
 import math
 import numbers
 
+import numpy as np
+
 
 def _parse_bool(text):
     low = text.strip().lower()
@@ -58,14 +60,24 @@ def _choice(*options):
     return _checked(str.strip, check)
 
 
+# Concrete types that are numbers.Integral (or numbers.Real) and not bool.  A
+# check looks a value's type up here first, which costs far less than asking
+# the abstract classes; any other type still gets the full test.
+_INTEGRAL_TYPES = frozenset({int, np.int8, np.int16, np.int32, np.int64,
+                             np.uint8, np.uint16, np.uint32, np.uint64})
+_REAL_TYPES = _INTEGRAL_TYPES | {float, np.float16, np.float32, np.float64}
+
+
 def _within(lo, hi, open_lo=False, open_hi=False, parse=float):
     """Caster for a number in the interval from ``lo`` to ``hi``, each end
     closed unless marked open; with ``parse=int`` the number must be whole."""
     interval = f"{'(' if open_lo else '['}{lo}, {hi}{')' if open_hi else ']'}"
     kind = numbers.Integral if parse is int else numbers.Real
+    types = _INTEGRAL_TYPES if parse is int else _REAL_TYPES
 
     def check(value):
-        if not (isinstance(value, kind) and not isinstance(value, bool)
+        if not ((type(value) in types
+                 or isinstance(value, kind) and not isinstance(value, bool))
                 and (lo < value if open_lo else lo <= value)
                 and (value < hi if open_hi else value <= hi)):
             raise ValueError(f"{value!r} is not in {interval}")

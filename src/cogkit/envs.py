@@ -126,6 +126,9 @@ class RpsEnv:
         if policy.shape != (3,):
             raise ValueError(f"opponent policy has shape {policy.shape}, not (3,)")
         self.policy = np.array(check("rps_policy", tuple(policy), name="policy"))
+        # the cumulative policy, normalised as Generator.choice normalises p
+        self._cdf = self.policy.cumsum()
+        self._cdf /= self._cdf[-1]
         self.rng = np.random.default_rng(seed)
 
     @property
@@ -136,7 +139,9 @@ class RpsEnv:
         """Play one round; returns (reward, opponent_action)."""
         if not 0 <= operator.index(action) < 3:
             raise ValueError(f"action {action} not in 0..2")
-        opp = int(self.rng.choice(3, p=self.policy))
+        # rng.choice(3, p=self.policy) without its checks: one uniform draw
+        # placed in the cumulative policy, as choice places it
+        opp = int(self._cdf.searchsorted(self.rng.random(), side="right"))
         if action == opp:
             return 0.0, opp
         return (1.0, opp) if (action - opp) % 3 == 1 else (-1.0, opp)

@@ -178,7 +178,8 @@ class ContextTracker:
     def context(self):
         if not self.window:
             raise ValueError("context requested before any observation")
-        return np.mean(self.window, axis=0)
+        # np.mean(self.window, axis=0) without its wrapper: the same sum and division
+        return np.add.reduce(np.array(self.window), axis=0) / len(self.window)
 
     def __len__(self):
         return len(self.window)

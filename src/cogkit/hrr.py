@@ -122,6 +122,13 @@ def permute(a, shift):
     return np.concatenate((a[-k:], a[:-k]))
 
 
+def _norm(v):
+    """``np.linalg.norm(v)`` of a float64 vector: the same dot product of
+    the raveled vector with itself and square root, without the wrapper."""
+    v = v.ravel(order="K")
+    return np.sqrt(v.dot(v))
+
+
 def _check_norm(n, what):
     """Reject a zero or non-finite (NaN, inf, overflowed) norm."""
     if not math.isfinite(n):
@@ -135,8 +142,8 @@ def cosine(a, b):
     a = _as_vector(a, "a")
     b = _as_vector(b, "b")
     _check_same_dim(a, b)
-    na = np.linalg.norm(a)
-    nb = np.linalg.norm(b)
+    na = _norm(a)
+    nb = _norm(b)
     _check_norm(na, "cosine operand a")
     _check_norm(nb, "cosine operand b")
     return float(np.dot(a, b) / (na * nb))
@@ -155,7 +162,7 @@ def cleanup(v, lex, k=1):
     if k < 1:
         raise ValueError(f"cleanup needs k >= 1, got {k}")
     v = _as_vector(v, "probe")
-    nv = np.linalg.norm(v)
+    nv = _norm(v)
     _check_norm(nv, "cleanup probe")
     mat, norms, names = lex.stacked()
     if mat.shape[1] != v.shape[0]:

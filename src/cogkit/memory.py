@@ -110,9 +110,9 @@ def dm_store(dm: DeclarativeMemory, concept, context) -> DeclarativeMemory:
             raise ValueError(f"unknown concept {name!r}; not in lexicon")
     if not context:
         return dm
-    addend = hrr.superpose(
-        [hrr.permute(dm.lexicon[name], j) for j, name in enumerate(context, start=1)]
-    )
+    parts = [hrr.permute(dm.lexicon[name], j) for j, name in enumerate(context, start=1)]
+    # the sum of one vector is that vector, and permute made it a fresh copy
+    addend = parts[0] if len(parts) == 1 else hrr.superpose(parts)
     traces = dict(dm.traces)
     if concept in traces:
         traces[concept] = traces[concept] + addend
@@ -133,7 +133,7 @@ def dm_retrieve(dm: DeclarativeMemory, cue, k, tau=0.1) -> RetrievalResult:
     if not dm.traces:
         raise ValueError("retrieve from empty declarative memory")
     cue = np.asarray(cue, dtype=float)
-    hrr._check_norm(np.linalg.norm(cue), "retrieval cue")
+    hrr._check_norm(hrr._norm(cue), "retrieval cue")
     names = list(dm.traces)
     scores = np.array([hrr.cosine(cue, dm.traces[n]) for n in names])
     order = np.argsort(-scores, kind="stable")

@@ -23,7 +23,7 @@ pins, is every sensory settle of the agent, and ``settle`` runs it
 reassociated: the feedback ``E @ (x - W @ phi(z))`` equals
 ``b - G @ phi(z)`` with ``b = E @ x`` and ``G = E @ W`` formed once per
 call, so each pass reads the small square ``G`` instead of ``W`` and ``E``,
-and the prediction, error and energy are formed once, after the loop.  The
+and the prediction and error are formed once, after the loop.  The
 numbers equal the loop's up to float64 rounding of the reassociated sums.
 Every settle takes a batch too: clamps and inits all of shape (n, B) settle
 B inputs that share the weights and masks, one per column, each with its own
@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -78,8 +79,9 @@ class CircuitState:
     """Activities, predictions, and errors, plus what was held fixed.
 
     ``z`` and ``e`` have one entry per layer 0..L (e[L] is always zero);
-    ``mu`` has entries for layers 0..L-1.  ``energy`` is filled in by
-    ``settle`` with the final free energy.
+    ``mu`` has entries for layers 0..L-1.  ``energy`` is the free energy of
+    the errors, taken when first read: a settle whose energy nobody reads
+    never sums it.
     """
 
     z: list
@@ -88,7 +90,10 @@ class CircuitState:
     clamps: dict = field(default_factory=dict)
     mask: dict = field(default_factory=dict)
     pin0: dict = field(default_factory=dict)
-    energy: float | None = None
+
+    @cached_property
+    def energy(self):
+        return energy(self)  # the module's function
 
 
 def _apply_phi(name, v):
@@ -142,10 +147,12 @@ def _validate_mask(circuit, mask):
         if not 1 <= ell <= circuit.L:
             raise ValueError(f"gating mask on layer {ell}; only hidden layers 1..{circuit.L}")
         g = _check_layer_vec(circuit, ell, g, "gating mask")
-        if not ((g == 0.0) | (g == 1.0)).all():
+        n_open = np.count_nonzero(g == 1.0)
+        if n_open == g.size:  # multiplying by 1 changes nothing
+            continue
+        if n_open + np.count_nonzero(g == 0.0) != g.size:  # NaN is neither
             raise ValueError(f"gating mask for layer {ell} is not 0/1")
-        if not g.all():  # multiplying by 1 changes nothing
-            out[ell] = g
+        out[ell] = g
     return out
 
 
@@ -280,6 +287,9 @@ def settle(circuit, clamps=None, mask=None, init=None, pin0=None):
     (every hidden layer is clamped, or beta = 0) no pass runs.  Each value
     is checked against divergence once, when it is set: clamps and inits on
     entry, free layers after each step, a tracked layer 0 after its last.
+    The clamped-input kernel skips its per-step checks only where a bound
+    formed before its first pass proves that none could fail (see
+    ``_passes_stay_bounded``), so it raises where and when the checks would.
 
     It builds its state in ``_assemble``, and the circuit's shape picks the
     path: one hidden layer, layer 0 its only clamp, no init or pins settles
@@ -296,8 +306,10 @@ def settle(circuit, clamps=None, mask=None, init=None, pin0=None):
 def _settle_clamped_input(circuit, state):
     """``settle`` of one hidden layer at rest under a clamped layer 0, on the
     units the mask of the assembled ``state`` opens (see the module
-    docstring).  Fills in ``z[1]``, ``mu[0]``, ``e[0]`` and the energy;
-    closed units stay exactly 0, and with beta = 0 no pass runs."""
+    docstring).  Fills in ``z[1]``, ``mu[0]`` and ``e[0]``; closed units
+    stay exactly 0, and with beta = 0 no pass runs.  Each pass is checked
+    against divergence unless ``_passes_stay_bounded`` proves that no check
+    could fail."""
     X = state.z[0]
     beta, gamma, phi = circuit.beta, circuit.gamma, circuit.phi[1]
     opened = _open_units(state.mask.get(1))
@@ -306,17 +318,39 @@ def _settle_clamped_input(circuit, state):
     if beta != 0.0:
         b = E1 @ X
         G = E1 @ W1
+        checked = not _passes_stay_bounded(circuit, b, G)
         for _ in range(circuit.K):
             step = b - G @ _apply_phi(phi, z)
             step -= gamma * z
             step *= beta
             z += step
-            _check_bounded(z, beta)
+            if checked:
+                _check_bounded(z, beta)
     state.z[1][opened] = z
     state.mu[0] = W1 @ _apply_phi(phi, z)
     state.e[0] = X - state.mu[0]
-    state.energy = energy(state)
     return state
+
+
+def _passes_stay_bounded(circuit, b, G):
+    """Whether no pass of ``_settle_clamped_input`` on ``b = E @ x`` and
+    ``G = E @ W`` can take a unit past ``_Z_LIMIT``, so that no per-pass
+    check could fail.
+
+    A pass sets ``z <- (1 - beta*gamma) z + beta (b - G tanh(z))``.  As
+    |tanh| <= 1, a unit's feedback is at most max|b| + the largest row sum
+    of |G| in size, and with 0 <= beta*gamma <= 2 the factor on ``z`` is at
+    most 1 in size.  So from z = 0 each pass adds at most |beta| times that
+    bound, and K passes stay within K times it.  Held to half the limit,
+    which leaves far more room than float64 rounding of K passes can take.
+    A NaN or inf in ``b`` or ``G`` makes the bound NaN or inf, and false.
+    """
+    beta = circuit.beta
+    if circuit.phi[1] != "tanh" or not 0.0 <= beta * circuit.gamma <= 2.0:
+        return False
+    feedback = (np.maximum.reduce(np.abs(b), axis=None, initial=0.0)
+                + np.maximum.reduce(np.add.reduce(np.abs(G), axis=1), initial=0.0))
+    return bool(circuit.K * abs(beta) * feedback <= 0.5 * _Z_LIMIT)
 
 
 def _settle(circuit, state):
@@ -337,7 +371,6 @@ def _settle(circuit, state):
     if track:
         _track_output(state)  # leave z0 consistent with the final predictions
         _check_bounded(z[0], beta)
-    state.energy = energy(state)
     return state
 
 
@@ -366,8 +399,9 @@ def update_weights(circuit, state, eta_W, eta_E, clip=False):
         E[ell][opened] += eta_E * grad.T
     if clip:
         for M in W[1:] + E[1:]:
-            norms = np.linalg.norm(M, axis=0)
+            # np.linalg.norm(M, axis=0), the same sums without its wrapper
+            norms = np.sqrt(np.add.reduce(M * M, axis=0))
             big = norms > 1.0
-            if big.any():
+            if np.count_nonzero(big):
                 M[:, big] /= norms[big]
-    return replace(circuit, W=W, E=E)
+    return NgcCircuit(circuit.sizes, W, E, circuit.phi, circuit.beta, circuit.gamma, circuit.K)

@@ -10,6 +10,7 @@ replay-identical restores.
 from __future__ import annotations
 
 import json
+import math
 import struct
 
 import numpy as np
@@ -100,14 +101,18 @@ def read_snapshot(data):
     seen = set()
     for i in range(count):
         name_len, kind = r.unpack("<HB", f"entry {i} header")
-        name = r.take(name_len, f"entry {i} name").decode("utf-8")
+        raw_name = r.take(name_len, f"entry {i} name")
+        try:
+            name = raw_name.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise SnapshotFormatError(f"entry {i} name is not valid UTF-8: {exc}") from None
         if name in seen:
             raise SnapshotFormatError(f"duplicate entry name {name!r}")
         seen.add(name)
         if kind == _KIND_ARRAY:
             (ndim,) = r.unpack("<B", f"array {name!r} rank")
             shape = r.unpack(f"<{ndim}Q", f"array {name!r} shape")
-            n_items = int(np.prod(shape)) if ndim else 1
+            n_items = math.prod(shape)  # exact, where np.prod wraps past int64
             raw = r.take(8 * n_items, f"array {name!r} data")
             arrays[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
         elif kind == _KIND_META:

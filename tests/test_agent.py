@@ -45,6 +45,19 @@ def test_construction_invariants():
         AgentConfig(obs_dim=8, n_actions=2, sensory_hidden=())
 
 
+def test_a_cycle_sums_only_the_energy_it_reads(monkeypatch):
+    # the sensory settle's energy is the epistemic signal; the two motor
+    # settles' energies are never read, so never summed
+    a = Agent(small_config(replay_capacity=0))
+    a.cycle(np.ones(8))
+    states = []
+    energy = ngc.energy
+    monkeypatch.setattr(ngc, "energy", lambda state: states.append(state) or energy(state))
+    a.cycle(np.ones(8), r_env=0.5)
+    assert len(states) == 1 and a.last_energy == energy(states[0])
+    assert states[0].z[0].shape == (8,)  # the sensory circuit's input
+
+
 def test_perceive_fills_normalized_buffer():
     a = Agent(small_config())
     a.perceive(np.ones(8))
@@ -368,6 +381,21 @@ def test_restore_names_a_missing_entry(entry):
         Agent.restore(write_snapshot(arrays, meta, seed=seed))
 
 
+@pytest.mark.parametrize("entry", ["motor/rng_state", "gate/rng_state"])
+@pytest.mark.parametrize("damage", [
+    lambda state: {"bit_generator": "PCG64", "stat": {}},
+    lambda state: {**state, "state": {"state": state["state"]["state"]}},
+    lambda state: "PCG64",
+], ids=["no_inner_state", "no_inc", "not_a_mapping"])
+def test_restore_names_a_damaged_rng_state(entry, damage):
+    a = Agent(small_config())
+    a.cycle(np.ones(8))
+    arrays, meta, seed = read_snapshot(a.snapshot())
+    meta[entry] = damage(meta[entry])
+    with pytest.raises(ValueError, match=rf"snapshot entry '{entry}' is damaged"):
+        Agent.restore(write_snapshot(arrays, meta, seed=seed))
+
+
 def test_gated_wide_agent_rolls_back_a_failed_motor_update(monkeypatch):
     # 784 -> 256 with a quarter of the units open: the sensory update takes
     # the open-unit path, then the motor's update fails
@@ -542,7 +570,7 @@ def test_batched_probe_with_beta_zero_settles_the_batch_at_once(monkeypatch):
 # every function a cycle calls that can raise part way through it
 CYCLE_CALLS = [
     (ngc, "settle"), (ngc, "_settle_clamped_input"), (ngc, "_check_given"),
-    (ngc, "update_weights"),
+    (ngc, "_passes_stay_bounded"), (ngc, "energy"), (ngc, "update_weights"),
     (memory, "wm_encode"), (memory, "dm_store"), (memory, "dm_retrieve"), (hrr, "permute"),
     (ContextTracker, "update"),
     (CompetitiveGate, "select_or_recruit"), (CompetitiveGate, "match"),

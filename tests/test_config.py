@@ -1,11 +1,13 @@
 """Run-configuration parsing."""
 
 import hashlib
+import math
 import numbers
 
 import numpy as np
 import pytest
 
+from cogkit import config
 from cogkit.agent import AgentConfig
 from cogkit.config import (AGENT_SCHEMA, SCHEMA, config_hash, load_config, parse_config,
                            resolve)
@@ -316,3 +318,30 @@ COMPONENT_CASES = [
 def test_components_check_arguments_with_the_schema_checks(arg, build):
     with pytest.raises(ValueError, match=rf"^bad value for '{arg}': "):
         build()
+
+
+
+@pytest.mark.parametrize("value", [
+    3, 0, -2, 2.5, 0.0, 1.0, float("nan"), float("inf"), True, False,
+    np.int8(3), np.int64(-2), np.uint16(7), np.float16(0.5), np.float32(2.5),
+    np.float64(0.0), np.float64(np.nan), np.bool_(True), np.longdouble(1.5), "3", None,
+])
+@pytest.mark.parametrize("interval", [
+    dict(lo=0, hi=math.inf, open_hi=True, parse=int),
+    dict(lo=1, hi=math.inf, open_hi=True, parse=int),
+    dict(lo=0, hi=1, open_lo=True),
+    dict(lo=0, hi=math.inf, open_lo=True, open_hi=True),
+], ids=["whole", "count", "decay", "positive"])
+def test_the_type_fast_path_decides_as_the_abstract_classes_do(interval, value, monkeypatch):
+    fast = config._within(**interval).check
+    monkeypatch.setattr(config, "_INTEGRAL_TYPES", frozenset())
+    monkeypatch.setattr(config, "_REAL_TYPES", frozenset())
+    slow = config._within(**interval).check  # numbers.Integral / numbers.Real alone
+
+    def verdict(check):
+        try:
+            return check(value) is value
+        except ValueError:
+            return False
+
+    assert verdict(fast) == verdict(slow)

@@ -162,6 +162,16 @@ class TestRps:
         freq = np.bincount(draws, minlength=3) / len(draws)
         assert np.allclose(freq, [0.8, 0.1, 0.1], atol=0.02)
 
+    @pytest.mark.parametrize("policy", [(0.8, 0.1, 0.1), (1 / 3, 1 / 3, 1 / 3), (0.0, 0.5, 0.5),
+                                        (0.2, 0.0, 0.8), (1.0, 0.0, 0.0), (0.1, 0.7, 0.2)])
+    def test_opponent_draws_what_generator_choice_draws(self, policy):
+        # the oracle: Generator.choice with p, from a generator of the same seed
+        env = RpsEnv(policy=policy, seed=17)
+        rng = np.random.default_rng(17)
+        got = [env.step(0)[1] for _ in range(20000)]
+        assert got == [int(rng.choice(3, p=env.policy)) for _ in range(20000)]
+        assert env.rng.random() == rng.random()  # and leaves the stream where it does
+
     def test_best_response_expected_payoff(self):
         # against (0.8, 0.1, 0.1), always-paper earns 0.8 - 0.1 = 0.7
         env = RpsEnv(policy=(0.8, 0.1, 0.1), seed=3)

@@ -239,6 +239,14 @@ def test_context_tracker_window_mean():
         ContextTracker(2, window=0)
 
 
+def test_context_tracker_mean_has_the_bytes_of_np_mean():
+    rng = np.random.default_rng(9)
+    t = ContextTracker(5, window=7)
+    for _ in range(20):
+        t.update(rng.normal(size=5) * 10.0 ** rng.integers(-3, 4))
+        assert t.context().tobytes() == np.mean(t.window, axis=0).tobytes()
+
+
 def test_context_tracker_replaces_its_window_and_keeps_no_callers_array():
     t = ContextTracker(2, window=2)
     x = np.ones(2)

@@ -113,6 +113,20 @@ def test_store_single_context_is_permuted_symbol():
     assert hrr.cosine(dm.traces["s0"], hrr.permute(lex["s1"], 1)) == pytest.approx(1.0)
 
 
+def test_a_one_name_store_adds_what_superpose_adds():
+    # the oracle: the sum that superpose forms, here of one permuted vector
+    lex = make_lex(4, 64, seed=5)
+    dm = DeclarativeMemory(lexicon=lex)
+    want = None
+    for name in ["s1", "s2", "s1"]:
+        dm = dm_store(dm, "s0", [name])
+        addend = hrr.superpose([hrr.permute(lex[name], 1)])
+        want = addend if want is None else want + addend
+        assert np.array_equal(dm.traces["s0"], want)
+    assert not np.shares_memory(dm_store(DeclarativeMemory(lexicon=lex), "s3", ["s1"])
+                                .traces["s3"], lex["s1"])
+
+
 def test_store_frequency_dominates():
     lex = make_lex(4, 256, seed=3)
     dm = DeclarativeMemory(lexicon=lex)

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cogkit import ngc
+from cogkit import ngc, runner
 from cogkit.motor import MotorCircuit
 from cogkit.ngc import (
     DivergenceError,
@@ -17,6 +17,7 @@ from cogkit.ngc import (
 )
 
 import reference_ngc
+from test_acceptance import MAZE_CFG, RPS_CFG
 
 
 def test_init_deterministic_and_shaped():
@@ -730,3 +731,116 @@ def test_nan_feedback_row_is_caught_mid_loop(batch, monkeypatch):
         with pytest.raises(DivergenceError, match="beta=0.05"):
             settle(c, clamps={0: x})
     assert passes == [(10, 4) if batch else (10,)]  # caught after the first pass
+
+
+# The kernel's bound: where ``_passes_stay_bounded`` holds, the per-pass
+# checks are skipped.  Forcing it false runs every check, as the kernel did
+# before the bound; the two must give the same bytes, and raise after the
+# same pass where the bound fails.
+
+
+def _bound_results(monkeypatch, force_checks=False):
+    """What ``_passes_stay_bounded`` answers, in order; with ``force_checks``
+    it answers False, so every pass is checked."""
+    answers, bounded = [], ngc._passes_stay_bounded
+
+    def recorded(*args):
+        answers.append(False if force_checks else bounded(*args))
+        return answers[-1]
+
+    monkeypatch.setattr(ngc, "_passes_stay_bounded", recorded)
+    return answers
+
+
+def _count_checks(monkeypatch):
+    calls, check = [], ngc._check_bounded
+    monkeypatch.setattr(ngc, "_check_bounded", lambda v, beta: calls.append(1) or check(v, beta))
+    return calls
+
+
+BOUNDED_CASES = [("oracle", n) for n in sorted(KERNEL_CASES - {"input_clamped_beta_zero"})] + [
+    ("open", n) for n in OPEN_CASES]
+
+
+@pytest.mark.parametrize("batch", [False, True])
+@pytest.mark.parametrize("kind, name", BOUNDED_CASES)
+def test_bounded_kernel_equals_the_kernel_checking_every_pass(kind, name, batch, monkeypatch):
+    c, kwargs = _oracle_case(name) if kind == "oracle" else _open_case(name)[:2]
+    if batch:
+        kwargs = _batch_of_3(kwargs, np.random.default_rng(49))
+    answers, checks = _bound_results(monkeypatch), _count_checks(monkeypatch)
+    got = settle(c, **kwargs)
+    assert answers == [True] and checks == []
+    monkeypatch.undo()
+    answers, checks = _bound_results(monkeypatch, force_checks=True), _count_checks(monkeypatch)
+    want = settle(c, **kwargs)
+    assert answers == [False] and len(checks) == c.K
+    _assert_states_equal(got, want)
+    assert np.array_equal(got.energy, want.energy)
+
+
+# (circuit, input) that leave the bound and diverge part way through the
+# loop; the pass each raises after, single input and batch, is the one the
+# kernel raised after when it checked every pass
+DIVERGENT_CASES = {
+    "beta_gamma_past_two": (dict(seed=48, beta=1.0, gamma=3.0), 100.0, 17),
+    "large_beta": (dict(seed=48, beta=3e5, gamma=0.0), 1.0, 13),
+    "large_weights": (dict(seed=50, beta=1.0, gamma=0.001, sigma=100.0), 1.0, 10),
+}
+
+
+@pytest.mark.parametrize("batch", [False, True])
+@pytest.mark.parametrize("name", DIVERGENT_CASES)
+def test_finite_divergence_still_raises_after_the_same_pass(name, batch, monkeypatch):
+    kw, scale, raised_after = DIVERGENT_CASES[name]
+    c = init_circuit([6, 10], K=30, **kw)
+    x = scale * np.random.default_rng(kw["seed"]).normal(size=(6, 4) if batch else 6)
+    seen = []
+    for force_checks in (False, True):
+        answers = _bound_results(monkeypatch, force_checks)
+        passes = _record_phi(monkeypatch)
+        with pytest.raises(DivergenceError, match=f"beta={c.beta}"):
+            settle(c, clamps={0: x})
+        assert answers == [False]
+        seen.append(len(passes))
+        monkeypatch.undo()
+    assert seen == [raised_after, raised_after]
+    assert 1 < raised_after < c.K
+
+
+def test_the_bound_needs_tanh_a_decay_factor_within_one_and_finite_feedback():
+    c = init_circuit([6, 10], seed=51, K=30)
+    x = np.random.default_rng(51).normal(size=6)
+    b, G = c.E[1] @ x, c.E[1] @ c.W[1]
+    assert ngc._passes_stay_bounded(c, b, G)
+    assert not ngc._passes_stay_bounded(replace(c, phi=("identity", "identity")), b, G)
+    assert ngc._passes_stay_bounded(replace(c, beta=0.5, gamma=4.0), b, G)  # beta*gamma = 2
+    assert not ngc._passes_stay_bounded(replace(c, beta=0.5, gamma=4.5), b, G)
+    assert not ngc._passes_stay_bounded(replace(c, beta=0.5, gamma=np.nan), b, G)
+    for bad in (np.nan, np.inf):
+        b_bad, G_bad = b.copy(), G.copy()
+        b_bad[2], G_bad[4, 1] = bad, bad
+        assert not ngc._passes_stay_bounded(c, b_bad, G)
+        assert not ngc._passes_stay_bounded(c, b, G_bad)
+
+
+def _run_bytes(run, cfg, out):
+    run(cfg, seed=3, out=str(out))
+    return (out / "metrics.csv").read_bytes()
+
+
+@pytest.mark.parametrize("env", ["rps", "maze"])
+def test_runs_write_the_same_bytes_with_the_bound_forced_off(env, tmp_path, monkeypatch):
+    if env == "rps":  # the benchmark's shape: d = 2048, every route on
+        cfg = {**RPS_CFG, "rounds": 300, "d": 2048, "route_wm_encode": True,
+               "route_dm_store": True, "route_dm_retrieve": True}
+        run = runner.run_rps
+    else:
+        cfg, run = {**MAZE_CFG, "episodes": 30}, runner.run_maze
+    answers = _bound_results(monkeypatch)
+    bounded = _run_bytes(run, cfg, tmp_path / "bounded")
+    assert answers and all(answers)
+    monkeypatch.undo()
+    answers = _bound_results(monkeypatch, force_checks=True)
+    assert _run_bytes(run, cfg, tmp_path / "checked") == bounded
+    assert answers and not any(answers)

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -94,3 +96,27 @@ def test_file_roundtrip(tmp_path):
     arrays2, meta2, seed = load_snapshot(path)
     assert seed == 7 and meta2 == meta
     assert np.array_equal(arrays2["weights"], arrays["weights"])
+
+
+def _container(*entries):
+    """A version-1 container made by hand from raw (name bytes, kind, body)
+    entries, so that it can hold what ``write_snapshot`` never writes."""
+    chunks = [b"CMCA", struct.pack("<IQ", 1, 0), struct.pack("<I", len(entries))]
+    for name, kind, body in entries:
+        chunks += [struct.pack("<HB", len(name), kind), name, body]
+    return b"".join(chunks)
+
+
+def test_a_name_that_is_not_utf8_is_a_format_error():
+    data = _container((b"ok", 1, struct.pack("<I", 1) + b"1"),
+                      (b"bad\xffname", 1, struct.pack("<I", 1) + b"1"))
+    with pytest.raises(SnapshotFormatError, match="entry 1 name is not valid UTF-8"):
+        read_snapshot(data)
+
+
+@pytest.mark.parametrize("shape", [(2**62, 4), (2**32, 2**32, 2**32), (2**64 - 1,)])
+def test_a_shape_past_int64_is_counted_exactly(shape):
+    # np.prod would wrap the first to 0 items; the data is not there
+    body = struct.pack(f"<B{len(shape)}Q", len(shape), *shape) + bytes(64)
+    with pytest.raises(SnapshotTruncatedError, match="array 'w' data"):
+        read_snapshot(_container((b"w", 0, body)))
