@@ -34,14 +34,14 @@ from types import MappingProxyType
 import numpy as np
 
 from . import hrr, memory, ngc, snapshot
-from .config import AGENT_SCHEMA, check
+from .config import AGENT_FIELDS, AGENT_SCHEMA, check
 from .gate import CompetitiveGate, ContextTracker
 from .memory import DeclarativeMemory, WorkingMemoryBuffer
 from .motor import MotorCircuit, Transition, epsilon_at, greedy_action
 
 
 def _check_config(config):
-    for key in AGENT_SCHEMA:
+    for key in (*AGENT_FIELDS, *AGENT_SCHEMA):
         setattr(config, key, check(key, getattr(config, key)))
     if not config.sensory_hidden:
         raise ValueError("sensory circuit needs at least one hidden layer")
@@ -58,8 +58,9 @@ AgentConfig = make_dataclass(
      ("horizon", int, field(default=10_000))],
     namespace={
         "__doc__": """An agent's structure: ``obs_dim``, ``n_actions``, each key of
-        ``config.AGENT_SCHEMA`` with its default and check, and ``horizon``.
-        Plain scalars and sequences, so it embeds in a snapshot as JSON.""",
+        ``config.AGENT_SCHEMA`` with its default, and ``horizon``, each checked
+        with its check in ``config``.  Plain scalars and sequences, so it
+        embeds in a snapshot as JSON.""",
         "__module__": __name__,
         "__post_init__": _check_config,
     },
@@ -287,10 +288,9 @@ class Agent:
     # ---------------------------------------------------------------- cycle
 
     def _latent(self, settled):
-        """Top-layer activity through its activation function; it is gated
-        already, as nothing predicts the top layer and closed units stay 0."""
-        L = self.sensory.L
-        return ngc._apply_phi(self.sensory.phi[L], settled.z[L])
+        """Top-layer activity through the activation; it is gated already,
+        as nothing predicts the top layer and closed units stay 0."""
+        return ngc.phi(settled.z[self.sensory.L])
 
     def _project_perception(self, latent):
         return _unit(self.bridge1 @ latent)

@@ -183,6 +183,14 @@ AGENT_SCHEMA = {
     "eps_decay_frac": (_RATE, 0.5),
 }
 
+# The agent's fields that no key sets, as a run takes them from its task and
+# its length; ``check`` checks them by name as it checks a key.
+AGENT_FIELDS = {
+    "obs_dim": _COUNT,
+    "n_actions": _within(2, math.inf, open_hi=True, parse=int),
+    "horizon": _COUNT,
+}
+
 SCHEMA = {
     **AGENT_SCHEMA,
     # experiment
@@ -211,11 +219,12 @@ SCHEMA = {
 
 
 def check(key, value, name=None):
-    """``value`` for ``key`` once the key's caster has checked it (a list of
-    layer sizes comes back as a tuple of ints); a bad value raises a
-    ValueError naming ``name``, the key by default.  Components check the
-    arguments that a key sets with this, under the argument's own name."""
-    caster = SCHEMA[key][0]
+    """``value`` for ``key``, a key or one of ``AGENT_FIELDS``, once its
+    caster has checked it (a list of layer sizes comes back as a tuple of
+    ints); a bad value raises a ValueError naming ``name``, the key by
+    default.  Components check the arguments that a key sets with this,
+    under the argument's own name."""
+    caster = SCHEMA[key][0] if key in SCHEMA else AGENT_FIELDS[key]
     if not hasattr(caster, "check"):
         return value
     try:

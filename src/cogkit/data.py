@@ -8,6 +8,7 @@ one big-endian 32-bit length per dimension, then the raw row-major payload.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -45,7 +46,7 @@ def parse_idx(data):
     if len(data) < header_end:
         raise IdxTruncatedError(f"rank {rank} needs {header_end} header bytes, got {len(data)}")
     shape = struct.unpack(f">{rank}I", data[4:header_end])
-    n_items = int(np.prod(shape)) if rank else 1
+    n_items = math.prod(shape)  # exact, where a damaged header asks past int64
     payload = data[header_end:]
     if len(payload) < n_items:
         raise IdxTruncatedError(

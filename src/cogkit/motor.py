@@ -82,9 +82,7 @@ class MotorCircuit:
         replay_capacity=0,
         replay_samples=0,
     ):
-        if n_actions < 2:
-            raise ValueError(f"need at least 2 actions, got {n_actions}")
-        self.n_actions = int(n_actions)
+        self.n_actions = int(check("n_actions", n_actions))
         self.state_dim = int(check("motor_state_dim", state_dim, name="state_dim"))
         self.gamma_d = float(check("gamma_d", gamma_d))
         self.alpha_e = float(check("alpha_e", alpha_e))

@@ -64,7 +64,6 @@ class NgcCircuit:
     sizes: tuple
     W: list
     E: list
-    phi: tuple
     beta: float = 0.05
     gamma: float = 0.001
     K: int = 50
@@ -96,20 +95,14 @@ class CircuitState:
         return energy(self)  # the module's function
 
 
-def _apply_phi(name, v):
-    if name == "tanh":
-        return np.tanh(v)
-    if name == "identity":
-        return v
-    raise ValueError(f"unknown activation {name!r}")
+def phi(v):
+    """The activation of every layer above layer 0, whose own activity is
+    never put through one: tanh."""
+    return np.tanh(v)
 
 
-def init_circuit(sizes, seed, beta=0.05, gamma=0.001, K=50, sigma=0.05, phi=None):
-    """Build a circuit with i.i.d. Normal(0, sigma^2) weights.
-
-    ``phi`` is a per-layer activation name list; the default is identity at
-    layer 0 and tanh everywhere above.
-    """
+def init_circuit(sizes, seed, beta=0.05, gamma=0.001, K=50, sigma=0.05):
+    """Build a circuit with i.i.d. Normal(0, sigma^2) weights."""
     sizes = tuple(int(s) for s in sizes)
     if len(sizes) < 2:
         raise ValueError(f"need at least two layer sizes, got {sizes}")
@@ -118,18 +111,13 @@ def init_circuit(sizes, seed, beta=0.05, gamma=0.001, K=50, sigma=0.05, phi=None
     for name, value in (("beta", beta), ("gamma", gamma), ("sigma", sigma), ("K", K)):
         check(f"sensory_{name}", value, name=name)
     L = len(sizes) - 1
-    phi = ("identity",) + ("tanh",) * L if phi is None else tuple(phi)
-    if len(phi) != L + 1:
-        raise ValueError(f"phi needs {L + 1} entries, got {len(phi)}")
-    for name in phi:
-        _apply_phi(name, np.zeros(1))  # validate names early
     rng = np.random.default_rng(seed)
     W = [None]
     E = [None]
     for ell in range(1, L + 1):
         W.append(sigma * rng.standard_normal((sizes[ell - 1], sizes[ell])))
         E.append(sigma * rng.standard_normal((sizes[ell], sizes[ell - 1])))
-    return NgcCircuit(sizes=sizes, W=W, E=E, phi=phi, beta=beta, gamma=gamma, K=K)
+    return NgcCircuit(sizes=sizes, W=W, E=E, beta=beta, gamma=gamma, K=K)
 
 
 def _check_layer_vec(circuit, ell, v, what, batch=False):
@@ -229,7 +217,7 @@ def _refresh(circuit, state):
     predictions and errors from the current activities; returns ``state``."""
     z, mu, e = state.z, state.mu, state.e
     for ell in range(1, circuit.L + 1):
-        mu[ell - 1] = circuit.W[ell] @ _apply_phi(circuit.phi[ell], _gate(state, ell, z[ell]))
+        mu[ell - 1] = circuit.W[ell] @ phi(_gate(state, ell, z[ell]))
         e[ell - 1] = z[ell - 1] - mu[ell - 1]
     return state
 
@@ -277,11 +265,12 @@ def settle(circuit, clamps=None, mask=None, init=None, pin0=None):
     """Run up to K predict/correct iterations and return the final state.
 
     Clamped layers stay bit-identical.  An unclamped layer 0 tracks its own
-    prediction each step (so its error is zero), except at pinned units,
-    which are held to their target values and therefore carry exactly the
-    error needed to pull the prediction toward the target.  Hidden states
-    move by ``beta * (-gamma*z - e + (E @ e_below) * gate)``; with beta = 0
-    no state changes at all.
+    prediction each step and ends at it (so its error is zero), except at
+    pinned units, which are held to their target values and therefore carry
+    exactly the error needed to pull the prediction toward the target; that
+    holds for any beta.  Hidden states move by
+    ``beta * (-gamma*z - e + (E @ e_below) * gate)``, so beta decides only
+    whether they move: with beta = 0 none does.
 
     Predictions depend only on layers 1..L, so when none of them can move
     (every hidden layer is clamped, or beta = 0) no pass runs.  Each value
@@ -292,13 +281,13 @@ def settle(circuit, clamps=None, mask=None, init=None, pin0=None):
     ``_passes_stay_bounded``), so it raises where and when the checks would.
 
     It builds its state in ``_assemble``, and the circuit's shape picks the
-    path: one hidden layer, layer 0 its only clamp, no init or pins settles
-    in ``_settle_clamped_input``; all others run the masked loop.  Each step
-    overwrites the fresh state built for this call and nothing else; clamp,
-    init, mask and circuit arrays are only read.
+    path: one hidden layer, layer 0 its only clamp (which rules out pins) and
+    no init settles in ``_settle_clamped_input``; all others run the masked
+    loop.  Each step overwrites the fresh state built for this call and
+    nothing else; clamp, init, mask and circuit arrays are only read.
     """
     state = _assemble(circuit, clamps, mask, init, pin0)
-    if circuit.L == 1 and list(state.clamps) == [0] and not (init or pin0):
+    if circuit.L == 1 and list(state.clamps) == [0] and not init:
         return _settle_clamped_input(circuit, state)
     return _settle(circuit, _refresh(circuit, state))
 
@@ -311,7 +300,7 @@ def _settle_clamped_input(circuit, state):
     against divergence unless ``_passes_stay_bounded`` proves that no check
     could fail."""
     X = state.z[0]
-    beta, gamma, phi = circuit.beta, circuit.gamma, circuit.phi[1]
+    beta, gamma = circuit.beta, circuit.gamma
     opened = _open_units(state.mask.get(1))
     W1, E1 = circuit.W[1][:, opened], circuit.E[1][opened]
     z = np.zeros((W1.shape[1], *X.shape[1:]))
@@ -320,14 +309,14 @@ def _settle_clamped_input(circuit, state):
         G = E1 @ W1
         checked = not _passes_stay_bounded(circuit, b, G)
         for _ in range(circuit.K):
-            step = b - G @ _apply_phi(phi, z)
+            step = b - G @ phi(z)
             step -= gamma * z
             step *= beta
             z += step
             if checked:
                 _check_bounded(z, beta)
     state.z[1][opened] = z
-    state.mu[0] = W1 @ _apply_phi(phi, z)
+    state.mu[0] = W1 @ phi(z)
     state.e[0] = X - state.mu[0]
     return state
 
@@ -346,7 +335,7 @@ def _passes_stay_bounded(circuit, b, G):
     A NaN or inf in ``b`` or ``G`` makes the bound NaN or inf, and false.
     """
     beta = circuit.beta
-    if circuit.phi[1] != "tanh" or not 0.0 <= beta * circuit.gamma <= 2.0:
+    if not 0.0 <= beta * circuit.gamma <= 2.0:
         return False
     feedback = (np.maximum.reduce(np.abs(b), axis=None, initial=0.0)
                 + np.maximum.reduce(np.add.reduce(np.abs(G), axis=1), initial=0.0))
@@ -357,7 +346,7 @@ def _settle(circuit, state):
     """The predict/correct loop of ``settle``, on a refreshed ``state``."""
     z, e, E = state.z, state.e, circuit.E
     beta, gamma = circuit.beta, circuit.gamma
-    track = beta != 0.0 and 0 not in state.clamps
+    track = 0 not in state.clamps
     free = [ell for ell in range(1, circuit.L + 1) if beta != 0.0 and ell not in state.clamps]
     for _ in range(circuit.K if free else 0):
         if track:
@@ -391,7 +380,7 @@ def update_weights(circuit, state, eta_W, eta_E, clip=False):
     W, E = [None], [None]
     for ell in range(1, circuit.L + 1):
         opened = _open_units(state.mask.get(ell))
-        pre = _apply_phi(circuit.phi[ell], state.z[ell][opened])
+        pre = phi(state.z[ell][opened])
         grad = np.outer(_gate(state, ell - 1, state.e[ell - 1]), pre)
         W.append(circuit.W[ell].copy())
         E.append(circuit.E[ell].copy())
@@ -404,4 +393,4 @@ def update_weights(circuit, state, eta_W, eta_E, clip=False):
             big = norms > 1.0
             if np.count_nonzero(big):
                 M[:, big] /= norms[big]
-    return NgcCircuit(circuit.sizes, W, E, circuit.phi, circuit.beta, circuit.gamma, circuit.K)
+    return NgcCircuit(circuit.sizes, W, E, circuit.beta, circuit.gamma, circuit.K)

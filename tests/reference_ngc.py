@@ -17,7 +17,7 @@ from dataclasses import replace
 import numpy as np
 
 from cogkit import ngc
-from cogkit.ngc import _Z_LIMIT, DivergenceError, _apply_phi, energy
+from cogkit.ngc import _Z_LIMIT, DivergenceError, energy, phi
 
 
 def _gated(state, ell):
@@ -40,7 +40,7 @@ def predict(circuit, state):
         raise ValueError(f"state has {len(state.z)} layers, circuit expects {L + 1}")
     mu = []
     for ell in range(1, L + 1):
-        a = _apply_phi(circuit.phi[ell], _gated(state, ell))
+        a = phi(_gated(state, ell))
         mu.append(circuit.W[ell] @ a)
     e = [state.z[ell] - mu[ell] for ell in range(L)]
     e.append(np.zeros(circuit.sizes[L]))
@@ -52,8 +52,8 @@ def settle(circuit, clamps=None, mask=None, init=None, pin0=None):
     state = make_state(circuit, clamps=clamps, mask=mask, init=init, pin0=pin0)
 
     def track_output(st):
-        # An unclamped layer 0 follows its own prediction; pinned units stay
-        # at their targets, so only they carry error.
+        # An unclamped layer 0 follows its own prediction, whatever beta;
+        # pinned units stay at their targets, so only they carry error.
         if 0 in st.clamps:
             return
         z0 = st.mu[0].copy()
@@ -80,8 +80,7 @@ def settle(circuit, clamps=None, mask=None, init=None, pin0=None):
                     f"beta={circuit.beta} is too large for this circuit"
                 )
         state = predict(circuit, state)
-    if circuit.beta != 0.0:
-        track_output(state)  # leave z0 consistent with the final predictions
+    track_output(state)  # leave z0 consistent with the final predictions
     state.energy = energy(state)
     return state
 
@@ -91,7 +90,7 @@ def update_weights(circuit, state, eta_W, eta_E, clip=False):
     W = [None]
     E = [None]
     for ell in range(1, circuit.L + 1):
-        pre = _apply_phi(circuit.phi[ell], _gated(state, ell))
+        pre = phi(_gated(state, ell))
         below = state.e[ell - 1]
         g = state.mask.get(ell - 1)
         grad = np.outer(below if g is None else below * g, pre)

@@ -319,6 +319,17 @@ def test_restore_rejects_an_out_of_range_config():
         Agent.restore(write_snapshot(arrays, meta, seed=seed))
 
 
+@pytest.mark.parametrize("field, bad", [("obs_dim", 0), ("n_actions", 2.5), ("horizon", -5),
+                                        ("horizon", "x")])
+def test_restore_rejects_a_bad_agent_field(field, bad):
+    a = Agent(small_config())
+    a.cycle(np.ones(8))
+    arrays, meta, seed = read_snapshot(a.snapshot())
+    meta["config"][field] = bad
+    with pytest.raises(ValueError, match=rf"^bad value for '{field}': "):
+        Agent.restore(write_snapshot(arrays, meta, seed=seed))
+
+
 @pytest.mark.parametrize("entry, shape", [("gate/prototype/0", (5,)),
                                           ("gate/mask/0/1", (15,))])
 def test_restore_rejects_a_wrong_shape_gate_entry(entry, shape):

@@ -271,6 +271,17 @@ def test_agent_config_checks_each_key(key, good, bad):
         AgentConfig(**{**base, key: bad})
 
 
+@pytest.mark.parametrize("field, bad", [
+    ("obs_dim", 0), ("obs_dim", 8.0), ("n_actions", 1), ("n_actions", 2.5),
+    ("n_actions", True), ("horizon", -5), ("horizon", 0), ("horizon", "x"),
+])
+def test_agent_config_checks_the_fields_no_key_sets(field, bad):
+    base = dict(obs_dim=8, n_actions=3, theta=1.0)
+    with pytest.raises(ValueError, match=rf"^bad value for '{field}': "):
+        AgentConfig(**{**base, field: bad})
+    assert getattr(AgentConfig(**{**base, field: 2}), field) == 2
+
+
 def _retrieve(**kw):
     lex = SymbolLexicon(16, names=("a", "b"))
     dm = dm_store(DeclarativeMemory(lexicon=lex), "a", ["b"])
@@ -299,6 +310,7 @@ COMPONENT_CASES = [
     ("replay_samples", lambda: MotorCircuit(2, 4, replay_samples=2.5)),
     ("clip_weights", lambda: MotorCircuit(2, 4, clip_weights="no")),
     ("state_dim", lambda: MotorCircuit(2, 2.5)),
+    ("n_actions", lambda: MotorCircuit(2.5, 4)),
     ("K", lambda: MotorCircuit(2, 4, K=0)),
     ("K", lambda: init_circuit([4, 4], seed=0, K=2.5)),
     ("K", lambda: init_circuit([4, 4], seed=0, K=True)),

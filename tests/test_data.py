@@ -1,5 +1,6 @@
 """IDX parsing and split-task stream construction."""
 
+import math
 import struct
 
 import numpy as np
@@ -78,6 +79,15 @@ class TestParse:
             parse_idx(blob[:6])  # inside a dim field
         with pytest.raises(IdxTruncatedError):
             parse_idx(blob[:-1])  # one payload byte short
+
+    @pytest.mark.parametrize("shape", [(65536,) * 4, (2**32 - 1,) * 3, (2**32 - 1,) * 4])
+    def test_a_count_past_int64_is_exact(self, shape):
+        # each shape counts 2**64 items or more; a header with no payload is
+        # short by exactly that count
+        header = struct.pack(f">BBBB{len(shape)}I", 0, 0, 0x08, len(shape), *shape)
+        with pytest.raises(IdxTruncatedError,
+                           match=rf"needs {math.prod(shape)} payload bytes, got 0$"):
+            parse_idx(header)
 
     def test_trailing_garbage(self):
         blob = idx_bytes(np.zeros(3, dtype=np.uint8))

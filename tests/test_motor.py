@@ -203,6 +203,20 @@ def test_regress_pulls_all_outputs_toward_targets():
     assert after.max() < 0.15
 
 
+def test_regress_at_beta_zero_reaches_its_targets():
+    # the motor's only layer above its actions is the clamped state, so no
+    # pass runs at any beta; its pins drive learning at beta = 0 as at 0.05
+    s = np.ones(4) / 2.0
+    targets = np.array([1.0, -1.0, 0.5])
+    motors = [MotorCircuit(3, 4, seed=13, eta_W=0.1, eta_E=0.1, beta=b) for b in (0.0, 0.05)]
+    for m in motors:
+        for _ in range(200):
+            m.regress(s, targets)
+    q = [m.q_values(s) for m in motors]
+    assert np.array_equal(q[0], q[1])
+    np.testing.assert_allclose(q[0], targets, rtol=0, atol=1e-3)
+
+
 def test_regress_validation():
     m = MotorCircuit(2, 4, seed=14)
     with pytest.raises(ValueError):

@@ -40,8 +40,6 @@ def test_init_sigma_zero_and_errors():
         init_circuit([4], seed=0)
     with pytest.raises(ValueError):
         init_circuit([4, 0], seed=0)
-    with pytest.raises(ValueError):
-        init_circuit([4, 4], seed=0, phi=("identity", "sigmoid"))
     for arg in ("beta", "gamma", "sigma"):
         for bad in (-0.01, float("nan")):
             with pytest.raises(ValueError, match=rf"'{arg}': {bad} is not in \[0, inf\)"):
@@ -63,10 +61,10 @@ def test_predict_fully_masked_layer():
 
 
 def test_predict_identity_generative_map():
-    c = init_circuit([3, 3], seed=0, phi=("identity", "identity"))
+    c = init_circuit([3, 3], seed=0)
     c.W[1] = np.eye(3)
-    x = np.array([0.3, -1.1, 2.0])
-    s = make_state(c, clamps={0: x}, init={1: x})
+    x = np.array([0.3, -0.8, 0.95])
+    s = make_state(c, clamps={0: x}, init={1: np.arctanh(x)})
     assert np.allclose(s.e[0], 0.0, atol=1e-15)
 
 
@@ -142,10 +140,11 @@ def test_settle_reduces_energy_from_random_state():
 
 
 def test_settle_divergence_guard_names_beta():
-    c = init_circuit([2, 2], seed=0, beta=1.0, gamma=0.0, K=50, phi=("identity", "identity"))
+    # tanh bounds the feedback, so only a step this large leaves the limit
+    c = init_circuit([2, 2], seed=0, beta=1e5, gamma=0.0, K=50)
     c.W[1] = 2.0 * np.eye(2)
     c.E[1] = 2.0 * np.eye(2)
-    with pytest.raises(DivergenceError, match="beta=1.0"):
+    with pytest.raises(DivergenceError, match="beta=100000.0"):
         settle(c, clamps={0: np.array([10.0, 10.0])}, init={1: np.array([5.0, -5.0])})
 
 
@@ -158,6 +157,21 @@ def test_settle_pinned_output_errors_are_sparse():
     assert s.e[0][0] == 0.0 and s.e[0][2] == 0.0
     assert s.e[0][1] != 0.0
     assert np.array_equal(s.z[0][[0, 2]], s.mu[0][[0, 2]])
+
+
+@pytest.mark.parametrize("sizes", [[3, 16], [3, 8, 16]])
+def test_beta_zero_still_ends_layer_0_at_its_prediction(sizes):
+    # beta decides only whether passes run: with none, an unclamped layer 0
+    # still ends at its prediction with its pins held
+    c = init_circuit(sizes, seed=52, beta=0.0, K=15)
+    rng = np.random.default_rng(52)
+    kwargs = {"clamps": {c.L: rng.normal(size=16)}, "pin0": {1: 0.7},
+              "init": {ell: rng.normal(size=sizes[ell]) for ell in range(1, c.L)}}
+    for run in (settle, reference_ngc.settle):
+        s = run(c, **kwargs)
+        assert s.mu[0].any() and s.z[0][1] == 0.7
+        assert np.array_equal(s.z[0][[0, 2]], s.mu[0][[0, 2]])
+        assert not s.e[0][[0, 2]].any() and s.e[0][1] == 0.7 - s.mu[0][1]
 
 
 @pytest.mark.parametrize("idx", [1.5, 1.0, np.float64(1.0)])
@@ -180,12 +194,10 @@ def test_settle_free_output_tracks_prediction():
     assert not s.e[0].any()
 
 
-def local_energy(circuit, state, ell, Wl):
+def local_energy(state, ell, Wl):
     """0.5 * ||z[ell-1] - Wl @ phi(gated z[ell])||^2 at fixed activities."""
     g = state.mask.get(ell)
-    a = state.z[ell] if g is None else state.z[ell] * g
-    if circuit.phi[ell] == "tanh":
-        a = np.tanh(a)
+    a = ngc.phi(state.z[ell] if g is None else state.z[ell] * g)
     err = state.z[ell - 1] - Wl @ a
     return 0.5 * float(np.dot(err, err))
 
@@ -199,7 +211,7 @@ def fd_gradient(circuit, state, ell, h=1e-6):
             Wp[i, j] += h
             Wm[i, j] -= h
             grad[i, j] = (
-                local_energy(circuit, state, ell, Wp) - local_energy(circuit, state, ell, Wm)
+                local_energy(state, ell, Wp) - local_energy(state, ell, Wm)
             ) / (2 * h)
     return grad
 
@@ -362,6 +374,9 @@ def _oracle_case(name):
         return init_circuit([3, 16], seed=23, K=15), {"clamps": {1: vec(16)}}
     if name == "top_clamped_pinned":
         return init_circuit([3, 16], seed=24, K=15), {"clamps": {1: vec(16)}, "pin0": {1: 0.7}}
+    if name == "top_clamped_pinned_beta_zero":
+        c = init_circuit([3, 16], seed=24, beta=0.0, K=15)
+        return c, {"clamps": {1: vec(16)}, "pin0": {1: 0.7}}
     if name == "top_clamped_free_middle_pinned":
         c = init_circuit([3, 8, 16], seed=25, K=15)
         return c, {"clamps": {2: vec(16)}, "pin0": {0: -0.4, 2: 0.9}}
@@ -388,6 +403,7 @@ ORACLE_CASES = [
     "input_clamped_closed_mask",
     "top_clamped",
     "top_clamped_pinned",
+    "top_clamped_pinned_beta_zero",
     "top_clamped_free_middle_pinned",
     "both_ends_clamped",
     "all_free",
@@ -479,15 +495,15 @@ def test_update_matches_reference_oracle(name, clip):
 def _record_phi(monkeypatch):
     """The shapes of the activities ``settle`` puts through phi, in order."""
     shapes = []
-    apply_phi = ngc._apply_phi
-    monkeypatch.setattr(ngc, "_apply_phi", lambda name, v: shapes.append(v.shape)
-                        or apply_phi(name, v))
+    phi = ngc.phi
+    monkeypatch.setattr(ngc, "phi", lambda v: shapes.append(v.shape) or phi(v))
     return shapes
 
 
 @pytest.mark.parametrize("name, passes", [
     ("top_clamped", 0),
     ("top_clamped_pinned", 0),
+    ("top_clamped_pinned_beta_zero", 0),
     ("beta_zero", 0),
     ("input_clamped_beta_zero", 0),
     ("top_clamped_free_middle_pinned", 15),
@@ -813,7 +829,6 @@ def test_the_bound_needs_tanh_a_decay_factor_within_one_and_finite_feedback():
     x = np.random.default_rng(51).normal(size=6)
     b, G = c.E[1] @ x, c.E[1] @ c.W[1]
     assert ngc._passes_stay_bounded(c, b, G)
-    assert not ngc._passes_stay_bounded(replace(c, phi=("identity", "identity")), b, G)
     assert ngc._passes_stay_bounded(replace(c, beta=0.5, gamma=4.0), b, G)  # beta*gamma = 2
     assert not ngc._passes_stay_bounded(replace(c, beta=0.5, gamma=4.5), b, G)
     assert not ngc._passes_stay_bounded(replace(c, beta=0.5, gamma=np.nan), b, G)
