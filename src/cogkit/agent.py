@@ -34,7 +34,7 @@ from types import MappingProxyType
 import numpy as np
 
 from . import hrr, memory, ngc, snapshot
-from .config import AGENT_FIELDS, AGENT_SCHEMA, check
+from .config import AGENT_FIELDS, AGENT_SCHEMA, check, check_vector
 from .gate import CompetitiveGate, ContextTracker
 from .memory import DeclarativeMemory, WorkingMemoryBuffer
 from .motor import MotorCircuit, Transition, epsilon_at, greedy_action
@@ -48,6 +48,9 @@ def _check_config(config):
     if config.theta == "auto":
         raise ValueError("theta 'auto' is calibrated by the runner; "
                          "an AgentConfig needs a number")
+    if config.motor_hidden and config.motor_beta == 0.0:
+        raise ValueError(f"motor_hidden {config.motor_hidden} cannot learn at motor_beta "
+                         f"{config.motor_beta}: its units would never leave 0")
 
 
 AgentConfig = make_dataclass(
@@ -188,6 +191,33 @@ def _dump_pending(pending):
     return {"pending/s": pending[0], "pending/a": int(pending[1])}
 
 
+def _whole(v):
+    return type(v) is int and v >= 0  # JSON gives int, never bool, for a count
+
+
+def _check_entries(config, entries):
+    """Reject an entry that no cycle leaves: a count below 0, a winner that is
+    not a recruited unit, a pending action out of range, a flag that is not a
+    bool, or a pending state or context-window row of the wrong length."""
+    units, actions = _recruited(entries), config.n_actions
+    rules = {
+        "step": (_whole, "a whole number >= 0"),
+        "wm/position": (_whole, "a whole number >= 0"),
+        "last_winner": (lambda v: v is None or _whole(v) and v < units,
+                        f"None or a recruited unit, 0..{units - 1}"),
+        "pending/a": (lambda v: v is None or _whole(v) and v < actions,
+                      f"None or an action, 0..{actions - 1}"),
+        "gate/saturated": (lambda v: type(v) is bool, "true or false"),
+    }
+    for name, (ok, what) in rules.items():
+        if name in entries and not ok(entries[name]):
+            raise ValueError(f"bad value for {name!r}: {entries[name]!r} is not {what}")
+    if "pending/s" in entries:
+        check_vector("pending/s", entries["pending/s"], config.motor_state_dim)
+    for i, row in enumerate(np.atleast_1d(entries.get("ctx/window", ()))):
+        check_vector(f"ctx/window[{i}]", row, config.obs_dim)
+
+
 # Every piece of state a cycle can change; an RNG's state reads as a fresh dict.
 _STATE = (
     _circuit("sensory", "sensory"),
@@ -307,9 +337,7 @@ class Agent:
         Returns the holographic latent.  Also records the settled free energy
         (the epistemic signal) and the winning gate unit.
         """
-        obs = np.asarray(obs, dtype=float)
-        if obs.shape != (self.config.obs_dim,):
-            raise ValueError(f"observation shape {obs.shape} != ({self.config.obs_dim},)")
+        obs = check_vector("obs", obs, self.config.obs_dim)
         context = self.tracker.update(obs)
         if self.gate.active_count and len(self.tracker) < self.config.context_window:
             # novelty is undefined while the running mean is still forming;
@@ -469,7 +497,9 @@ class Agent:
         a recruited gate unit's prototype and masks, is rejected.  Units are
         counted by their prototype entries, so a gate array beyond that count
         (a unit whose prototype is missing) is rejected too, and so is a
-        snapshot that lacks an entry the restore reads.
+        snapshot that lacks an entry the restore reads, or holds a count,
+        winner, pending action, flag, pending state or context row that no
+        cycle leaves (see ``_check_entries``).  Each error names the entry.
         """
         arrays, meta, _seed = snapshot.read_snapshot(data)
         if "config" not in meta:
@@ -492,6 +522,7 @@ class Agent:
         if stray:
             raise ValueError(f"snapshot entries {stray} belong to no recruited gate unit")
         entries = {**arrays, **meta}
+        _check_entries(config, entries)
         for part in _STATE:
             try:
                 value = part.load(agent, entries)

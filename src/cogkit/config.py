@@ -233,6 +233,18 @@ def check(key, value, name=None):
         raise ValueError(f"bad value for {name or key!r}: {exc}") from None
 
 
+def check_vector(name, v, n=None):
+    """``v`` as a float64 array once it is checked to be a non-empty 1-d
+    vector, ``n`` long when ``n`` is given; otherwise a ValueError naming
+    ``name``, the shape given and the shape expected.  Components check
+    every vector argument with this."""
+    a = np.asarray(v, dtype=float)
+    if a.ndim != 1 or not a.size or n is not None and a.size != n:
+        expected = "(n,) with n >= 1" if n is None else f"({n},)"
+        raise ValueError(f"bad shape for {name!r}: {a.shape}, expected {expected}")
+    return a
+
+
 def parse_config(text):
     """Parse config text into a typed dict of explicitly set keys."""
     out = {}

@@ -7,7 +7,7 @@ from collections import deque
 
 import numpy as np
 
-from .config import check
+from .config import check, check_vector
 
 DEFAULT_MAZE = (
     "S....",
@@ -122,9 +122,7 @@ class RpsEnv:
     """
 
     def __init__(self, policy=(0.8, 0.1, 0.1), seed=0):
-        policy = np.asarray(policy, dtype=float)
-        if policy.shape != (3,):
-            raise ValueError(f"opponent policy has shape {policy.shape}, not (3,)")
+        policy = check_vector("policy", policy, 3)
         self.policy = np.array(check("rps_policy", tuple(policy), name="policy"))
         # the cumulative policy, normalised as Generator.choice normalises p
         self._cdf = self.policy.cumsum()

@@ -15,7 +15,8 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .config import check
+from . import hrr
+from .config import check, check_vector
 
 
 class CompetitiveGate:
@@ -71,19 +72,8 @@ class CompetitiveGate:
 
     def _distance(self, context, w):
         if self.metric == "cosine":
-            na, nb = np.linalg.norm(context), np.linalg.norm(w)
-            if na == 0.0 or nb == 0.0:
-                raise ValueError("cosine distance undefined for zero-norm vector")
-            return 1.0 - float(np.dot(context, w) / (na * nb))
+            return 1.0 - hrr.cosine(context, w)
         return float(np.linalg.norm(context - w))
-
-    def _check_context(self, context):
-        context = np.asarray(context, dtype=float)
-        if context.shape != (self.context_dim,):
-            raise ValueError(
-                f"context shape {context.shape} does not match dim {self.context_dim}"
-            )
-        return context
 
     def match(self, context):
         """Nearest recruited prototype: (winner index, distance).
@@ -92,7 +82,7 @@ class CompetitiveGate:
         """
         if not self.prototypes:
             raise ValueError("match on a gate with no recruited units")
-        context = self._check_context(context)
+        context = check_vector("context", context, self.context_dim)
         dists = [self._distance(context, w) for w in self.prototypes]
         winner = int(np.argmin(dists))
         return winner, dists[winner]
@@ -126,7 +116,7 @@ class CompetitiveGate:
         capacity the gate falls back to the nearest winner and sets the
         sticky ``saturated`` flag instead of recruiting.
         """
-        context = self._check_context(context)
+        context = check_vector("context", context, self.context_dim)
         if not self.prototypes:
             winner = self._recruit(context)
         else:
@@ -142,7 +132,7 @@ class CompetitiveGate:
         """Move only the winning prototype toward the context (hard WTA)."""
         if not 0 <= winner < self.active_count:
             raise ValueError(f"unit {winner} is not recruited")
-        context = self._check_context(context)
+        context = check_vector("context", context, self.context_dim)
         w = self.prototypes[winner]
         self.prototypes = (*self.prototypes[:winner], w + self.eta_c * (context - w),
                            *self.prototypes[winner + 1:])
@@ -169,9 +159,7 @@ class ContextTracker:
         self.window = ()
 
     def update(self, obs):
-        obs = np.array(obs, dtype=float)  # a copy: the caller may reuse its array
-        if obs.shape != (self.dim,):
-            raise ValueError(f"observation shape {obs.shape} does not match dim {self.dim}")
+        obs = check_vector("obs", obs, self.dim).copy()  # the caller may reuse its array
         self.window = (*self.window, obs)[-self.capacity:]
         return self.context()
 

@@ -20,7 +20,7 @@ import operator
 
 import numpy as np
 
-from .config import check
+from .config import check, check_vector
 
 __all__ = [
     "random_symbol",
@@ -33,20 +33,6 @@ __all__ = [
     "cleanup",
     "SymbolLexicon",
 ]
-
-
-def _as_vector(v, name="vector"):
-    a = np.asarray(v, dtype=np.float64)
-    if a.ndim != 1 or a.shape[0] < 1:
-        raise ValueError(f"{name} must be a 1-d vector, got shape {a.shape}")
-    return a
-
-
-def _check_same_dim(a, b):
-    if a.shape[0] != b.shape[0]:
-        raise ValueError(
-            f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}"
-        )
 
 
 def _symbol_rng(name, seed):
@@ -74,16 +60,14 @@ def bind(a, b):
 
     Commutative and bilinear; computed via real FFTs.
     """
-    a = _as_vector(a, "a")
-    b = _as_vector(b, "b")
-    _check_same_dim(a, b)
-    d = a.shape[0]
-    return np.fft.irfft(np.fft.rfft(a) * np.fft.rfft(b), n=d)
+    a = check_vector("a", a)
+    b = check_vector("b", b, a.size)
+    return np.fft.irfft(np.fft.rfft(a) * np.fft.rfft(b), n=a.size)
 
 
 def involution(a):
     """Index-reversal a*_j = a_{(-j) mod d}; the approximate inverse element."""
-    a = _as_vector(a, "a")
+    a = check_vector("a", a)
     out = np.empty_like(a)
     out[0] = a[0]
     out[1:] = a[:0:-1]
@@ -99,11 +83,8 @@ def superpose(vs):
     """Element-wise sum of a non-empty list of same-dimension vectors."""
     if len(vs) == 0:
         raise ValueError("superpose of an empty list")
-    vecs = [_as_vector(v) for v in vs]
-    d = vecs[0].shape[0]
-    for v in vecs[1:]:
-        if v.shape[0] != d:
-            raise ValueError(f"dimension mismatch in superpose: {d} vs {v.shape[0]}")
+    d = check_vector("vs[0]", vs[0]).size
+    vecs = [check_vector(f"vs[{i}]", v, d) for i, v in enumerate(vs)]
     return np.sum(vecs, axis=0)
 
 
@@ -113,7 +94,7 @@ def permute(a, shift):
     Equal to ``np.roll(a, shift)`` byte for byte: both only copy.  A shift
     that is not an integer raises rather than being truncated.
     """
-    a = _as_vector(a, "a")
+    a = check_vector("a", a)
     try:
         shift = operator.index(shift)
     except TypeError:
@@ -139,9 +120,8 @@ def _check_norm(n, what):
 
 def cosine(a, b):
     """Cosine similarity in [-1, 1]; zero-norm or non-finite operands raise."""
-    a = _as_vector(a, "a")
-    b = _as_vector(b, "b")
-    _check_same_dim(a, b)
+    a = check_vector("a", a)
+    b = check_vector("b", b, a.size)
     na = _norm(a)
     nb = _norm(b)
     _check_norm(na, "cosine operand a")
@@ -161,12 +141,10 @@ def cleanup(v, lex, k=1):
         raise ValueError("cleanup against an empty lexicon")
     if k < 1:
         raise ValueError(f"cleanup needs k >= 1, got {k}")
-    v = _as_vector(v, "probe")
+    v = check_vector("probe", v, lex.d)
     nv = _norm(v)
     _check_norm(nv, "cleanup probe")
     mat, norms, names = lex.stacked()
-    if mat.shape[1] != v.shape[0]:
-        raise ValueError(f"dimension mismatch: lexicon d={mat.shape[1]} vs probe {v.shape[0]}")
     scores = mat @ v / (norms * nv)
     order = np.argsort(-scores, kind="stable")[: min(k, len(names))]
     return [(names[i], float(scores[i])) for i in order]

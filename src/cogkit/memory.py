@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import hrr
-from .config import check
+from .config import check, check_vector
 
 
 @dataclass(frozen=True)
@@ -47,9 +47,7 @@ def wm_encode(buf: WorkingMemoryBuffer, item) -> WorkingMemoryBuffer:
     The buffer decays by ``rho`` and the item is added under a cyclic shift
     of ``position + 1``, so position p is recovered later by shifting back.
     """
-    item = np.asarray(item, dtype=float)
-    if item.shape != (buf.d,):
-        raise ValueError(f"item dimension {item.shape} does not match buffer d={buf.d}")
+    item = check_vector("item", item, buf.d)
     p = buf.position + 1
     return WorkingMemoryBuffer(
         m=buf.rho * buf.m + hrr.permute(item, p), rho=buf.rho, position=p, d=buf.d

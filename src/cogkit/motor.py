@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ngc
-from .config import check
+from .config import check, check_vector
 
 
 @dataclass
@@ -60,7 +60,8 @@ class MotorCircuit:
     (layer 0) and the state layer (top).  ``replay_capacity`` > 0 keeps up
     to that many past transitions in ``replay``; each learn step then also
     replays ``replay_samples`` of them with fresh bootstrapped targets.
-    Each argument a config key sets is checked with that key's check.
+    Each argument a config key sets is checked with that key's check, and a
+    hidden layer needs ``beta`` > 0 to learn.
     """
 
     def __init__(
@@ -93,16 +94,13 @@ class MotorCircuit:
         self.circuit = ngc.init_circuit(
             (n_actions, *hidden, state_dim), seed=seed, beta=beta, gamma=gamma, K=K, sigma=sigma
         )
+        if hidden and beta == 0.0:
+            raise ValueError(f"hidden layers {tuple(hidden)} cannot learn at beta {beta}: "
+                             "their units would never leave 0")
         self.rng = np.random.default_rng(seed)
         self.replay_capacity = int(check("replay_capacity", replay_capacity))
         self.replay = ()
         self.replay_samples = int(check("replay_samples", replay_samples))
-
-    def _check_state_vec(self, s):
-        s = np.asarray(s, dtype=float)
-        if s.shape != (self.state_dim,):
-            raise ValueError(f"state shape {s.shape} does not match dim {self.state_dim}")
-        return s
 
     def q_values(self, s):
         """Predicted action values: settle with the top layer clamped to s,
@@ -139,10 +137,8 @@ class MotorCircuit:
 
     def regress(self, s, targets):
         """Supervised variant: pin every output unit to its target value."""
-        s = self._check_state_vec(s)
-        targets = np.asarray(targets, dtype=float)
-        if targets.shape != (self.n_actions,):
-            raise ValueError(f"targets shape {targets.shape} != ({self.n_actions},)")
+        s = check_vector("s", s, self.state_dim)
+        targets = check_vector("targets", targets, self.n_actions)
         if not np.isfinite(targets).all():
             raise ValueError("non-finite regression targets")
         self._fit(s, {i: float(t) for i, t in enumerate(targets)})
@@ -157,8 +153,8 @@ class MotorCircuit:
         """
         if not 0 <= operator.index(t.a) < self.n_actions:
             raise ValueError(f"action {t.a} out of range 0..{self.n_actions - 1}")
-        s = self._check_state_vec(t.s)
-        s_next = self._check_state_vec(t.s_next)
+        s = check_vector("t.s", t.s, self.state_dim)
+        s_next = check_vector("t.s_next", t.s_next, self.state_dim)
         if not np.isfinite(t.r_env):
             raise ValueError(f"non-finite reward {t.r_env}")
         r = float(np.clip(t.r_env, -self.r_clip, self.r_clip))

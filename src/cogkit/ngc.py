@@ -42,7 +42,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .config import check
+from .config import check, check_vector
 
 _Z_LIMIT = 1e6
 
@@ -120,12 +120,12 @@ def init_circuit(sizes, seed, beta=0.05, gamma=0.001, K=50, sigma=0.05):
     return NgcCircuit(sizes=sizes, W=W, E=E, beta=beta, gamma=gamma, K=K)
 
 
-def _check_layer_vec(circuit, ell, v, what, batch=False):
+def _check_layer_vec(circuit, ell, v, what):
     v = np.asarray(v, dtype=float)
     n = circuit.sizes[ell]
-    if v.shape != (n,) and not (batch and v.ndim == 2 and v.shape[0] == n and v.size):
-        expected = f"({n},) or ({n}, B)" if batch else f"({n},)"
-        raise ValueError(f"{what} for layer {ell} has shape {v.shape}, expected {expected}")
+    if v.shape != (n,) and not (v.ndim == 2 and v.shape[0] == n and v.size):
+        raise ValueError(f"{what} for layer {ell} has shape {v.shape}, "
+                         f"expected ({n},) or ({n}, B)")
     return v
 
 
@@ -134,7 +134,7 @@ def _validate_mask(circuit, mask):
     for ell, g in (mask or {}).items():
         if not 1 <= ell <= circuit.L:
             raise ValueError(f"gating mask on layer {ell}; only hidden layers 1..{circuit.L}")
-        g = _check_layer_vec(circuit, ell, g, "gating mask")
+        g = check_vector(f"mask[{ell}]", g, circuit.sizes[ell])
         n_open = np.count_nonzero(g == 1.0)
         if n_open == g.size:  # multiplying by 1 changes nothing
             continue
@@ -177,7 +177,7 @@ def _assemble(circuit, clamps, mask, init, pin0):
         for ell in list(d):
             if not 0 <= ell <= circuit.L:
                 raise ValueError(f"{name} on layer {ell}; circuit has layers 0..{circuit.L}")
-            v = d[int(ell)] = _check_layer_vec(circuit, ell, d[ell], name, batch=True)
+            v = d[int(ell)] = _check_layer_vec(circuit, ell, d[ell], name)
             _check_given(ell, v, name)
             if batch is None:
                 batch = v.shape[1:]

@@ -342,6 +342,33 @@ def test_restore_rejects_a_wrong_shape_gate_entry(entry, shape):
         Agent.restore(write_snapshot(arrays, meta, seed=seed))
 
 
+@pytest.mark.parametrize("entry, bad", [
+    ("step", -3), ("step", 2.5), ("wm/position", -2), ("last_winner", 5), ("last_winner", -1),
+    ("pending/a", 7), ("gate/saturated", "x"),
+    ("pending/s", np.zeros(3)), ("ctx/window", np.zeros((2, 5))),
+], ids=lambda v: f"shape{v.shape}" if isinstance(v, np.ndarray) else None)
+def test_restore_rejects_an_entry_no_cycle_leaves(entry, bad):
+    a = Agent(small_config())
+    for x in obs_stream(12):
+        a.cycle(x)
+    assert a.gate.active_count == 1 and a.pending is not None
+    arrays, meta, seed = read_snapshot(a.snapshot())
+    (arrays if isinstance(bad, np.ndarray) else meta)[entry] = bad
+    with pytest.raises(ValueError, match=rf"^bad (value|shape) for '{entry}"):
+        Agent.restore(write_snapshot(arrays, meta, seed=seed))
+
+
+def test_a_motor_hidden_layer_needs_motor_beta_above_zero():
+    with pytest.raises(ValueError, match=r"motor_hidden \(8,\) cannot learn at motor_beta 0\.0"):
+        small_config(motor_hidden=(8,), motor_beta=0.0)
+    small_config(motor_hidden=(), motor_beta=0.0)
+    a = Agent(small_config(motor_hidden=(8,)))
+    arrays, meta, seed = read_snapshot(a.snapshot())
+    meta["config"]["motor_beta"] = 0.0
+    with pytest.raises(ValueError, match="cannot learn at motor_beta 0.0"):
+        Agent.restore(write_snapshot(arrays, meta, seed=seed))
+
+
 @pytest.mark.parametrize("unit", [0, 1])
 def test_restore_rejects_a_unit_without_its_prototype(unit):
     # restore counts units by prototype entries; the unit's masks give it away

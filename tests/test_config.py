@@ -3,20 +3,22 @@
 import hashlib
 import math
 import numbers
+import re
 
 import numpy as np
 import pytest
 
-from cogkit import config
-from cogkit.agent import AgentConfig
-from cogkit.config import (AGENT_SCHEMA, SCHEMA, config_hash, load_config, parse_config,
-                           resolve)
+from cogkit import config, hrr
+from cogkit.agent import Agent, AgentConfig
+from cogkit.config import (AGENT_SCHEMA, SCHEMA, check_vector, config_hash, load_config,
+                           parse_config, resolve)
 from cogkit.envs import MazeEnv, RpsEnv
 from cogkit.gate import CompetitiveGate, ContextTracker
 from cogkit.hrr import SymbolLexicon
-from cogkit.memory import DeclarativeMemory, WorkingMemoryBuffer, dm_retrieve, dm_store
-from cogkit.motor import MotorCircuit
-from cogkit.ngc import init_circuit
+from cogkit.memory import (DeclarativeMemory, WorkingMemoryBuffer, dm_retrieve, dm_store,
+                           wm_encode)
+from cogkit.motor import MotorCircuit, Transition
+from cogkit.ngc import init_circuit, settle
 
 
 def test_defaults():
@@ -357,3 +359,71 @@ def test_the_type_fast_path_decides_as_the_abstract_classes_do(interval, value, 
             return False
 
     assert verdict(fast) == verdict(slow)
+
+
+def test_check_vector_returns_the_vector_as_float64():
+    v = np.arange(3.0)
+    assert check_vector("v", v, 3) is v  # a float64 vector is not copied
+    got = check_vector("v", [1, 2])
+    assert got.dtype == np.float64 and np.array_equal(got, [1.0, 2.0])
+
+
+def _gate_with_a_unit():
+    gate = CompetitiveGate(4, {}, theta=1.0)
+    gate.select_or_recruit(np.ones(4))
+    return gate
+
+
+def _small_agent():
+    return Agent(AgentConfig(obs_dim=8, n_actions=3, d=16, sensory_hidden=(4,),
+                             motor_state_dim=4, theta=1.0))
+
+
+# every entry point that takes a 1-d vector: (case id, argument name, the
+# length it needs or None for any, a call that passes ``v`` as it)
+ONES = np.ones(4)
+VECTOR_CASES = [
+    ("bind-a", "a", None, lambda v: hrr.bind(v, ONES)),
+    ("bind-b", "b", 4, lambda v: hrr.bind(ONES, v)),
+    ("involution", "a", None, hrr.involution),
+    ("superpose-first", "vs[0]", None, lambda v: hrr.superpose([v, ONES])),
+    ("superpose-second", "vs[1]", 4, lambda v: hrr.superpose([ONES, v])),
+    ("permute", "a", None, lambda v: hrr.permute(v, 1)),
+    ("cosine-a", "a", None, lambda v: hrr.cosine(v, ONES)),
+    ("cosine-b", "b", 4, lambda v: hrr.cosine(ONES, v)),
+    ("cleanup", "probe", 8, lambda v: hrr.cleanup(v, SymbolLexicon(8, names=("x", "y")))),
+    ("gate-select", "context", 4,
+     lambda v: CompetitiveGate(4, {}, theta=1.0).select_or_recruit(v)),
+    ("gate-match", "context", 4, lambda v: _gate_with_a_unit().match(v)),
+    ("gate-update", "context", 4, lambda v: _gate_with_a_unit().update_winner(0, v)),
+    ("tracker", "obs", 4, lambda v: ContextTracker(4).update(v)),
+    ("regress-s", "s", 4, lambda v: MotorCircuit(2, 4).regress(v, np.zeros(2))),
+    ("regress-targets", "targets", 2, lambda v: MotorCircuit(2, 4).regress(ONES, v)),
+    ("learn-s", "t.s", 4, lambda v: MotorCircuit(2, 4).learn(Transition(v, 0, 0.0, ONES, True))),
+    ("learn-s_next", "t.s_next", 4,
+     lambda v: MotorCircuit(2, 4).learn(Transition(ONES, 0, 0.0, v, True))),
+    ("wm_encode", "item", 16, lambda v: wm_encode(WorkingMemoryBuffer.empty(16), v)),
+    ("perceive", "obs", 8, lambda v: _small_agent().perceive(v)),
+    ("rps", "policy", 3, lambda v: RpsEnv(policy=v)),
+    ("mask", "mask[1]", 6,
+     lambda v: settle(init_circuit([4, 6], seed=0), clamps={0: ONES}, mask={1: v})),
+]
+BAD_VECTORS = {
+    "short": lambda n: np.ones(n - 1),
+    "long": lambda n: np.ones(n + 1),
+    "2d": lambda n: np.ones((2, n or 4)),
+    "empty": lambda n: np.ones(0),
+}
+
+
+@pytest.mark.parametrize("arg, n, call, bad", [
+    pytest.param(arg, n, call, bad, id=f"{case}-{kind}")
+    for case, arg, n, call in VECTOR_CASES
+    for kind, bad in BAD_VECTORS.items() if n or kind not in ("short", "long")
+])
+def test_vector_arguments_follow_one_rule(arg, n, call, bad):
+    v = bad(n)
+    expected = "(n,) with n >= 1" if n is None else f"({n},)"
+    message = f"bad shape for {arg!r}: {v.shape}, expected {expected}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(v)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from cogkit import hrr
 from cogkit.agent import Agent, AgentConfig
 from cogkit.gate import CompetitiveGate, ContextTracker
 
@@ -210,6 +211,22 @@ def test_cosine_metric():
     # same direction, different magnitude: distance 0 under cosine
     winner, dist = g.match([7.0, 0.0])
     assert winner == 0 and dist == pytest.approx(0.0)
+
+
+def test_cosine_distance_is_one_minus_hrr_cosine():
+    rng = np.random.default_rng(31)
+    for _ in range(200):
+        w, context = rng.normal(size=(2, 6))
+        g = make_gate(context_dim=6, metric="cosine", theta=0.5)
+        g.select_or_recruit(w)
+        assert g.match(context) == (0, 1.0 - hrr.cosine(context, w))
+    with pytest.raises(ValueError, match="non-finite"):
+        g.match(np.full(6, np.nan))
+    for zero_first in (True, False):
+        g = make_gate(context_dim=6, metric="cosine", theta=0.5)
+        g.select_or_recruit(np.zeros(6) if zero_first else w)
+        with pytest.raises(ValueError, match="zero norm"):
+            g.match(w if zero_first else np.zeros(6))
 
 
 def test_masks_deterministic_per_seed():

@@ -105,11 +105,6 @@ def test_bind_matches_direct_sum(d):
         assert np.linalg.norm(got - ref) <= 1e-10 * max(np.linalg.norm(ref), 1.0)
 
 
-def test_bind_dimension_mismatch():
-    with pytest.raises(ValueError):
-        bind([1.0, 2.0], [1.0, 2.0, 3.0])
-
-
 def test_involution_small_case():
     assert np.array_equal(involution([1.0, 2.0, 3.0]), [1.0, 3.0, 2.0])
     assert np.array_equal(involution([1.0, 0.0, 0.0]), [1.0, 0.0, 0.0])

@@ -48,12 +48,6 @@ def test_two_items_rho_one_is_plain_sum():
     assert buf.position == 2
 
 
-def test_encode_dimension_mismatch():
-    buf = WorkingMemoryBuffer.empty(16)
-    with pytest.raises(ValueError):
-        wm_encode(buf, np.zeros(17))
-
-
 def test_encode_does_not_mutate_input():
     lex = make_lex(2, 32)
     buf = WorkingMemoryBuffer.empty(32, rho=0.5)

@@ -19,6 +19,10 @@ def test_constructor_validation():
         MotorCircuit(3, 4, alpha_e=-0.1)
     with pytest.raises(ValueError):
         MotorCircuit(3, 4, r_clip=0.0)
+    # a hidden layer's units would stay at 0, so tanh(0) would give W1 no change
+    with pytest.raises(ValueError, match=r"hidden layers \(8,\) cannot learn at beta 0\.0"):
+        MotorCircuit(3, 4, hidden=(8,), beta=0.0)
+    MotorCircuit(3, 4, hidden=(), beta=0.0)
 
 
 def test_q_values_zero_weights():

@@ -1,0 +1,100 @@
+"""Print digests that show whether a change moved any output bytes.
+
+    python tools/digests.py [--src DIR] [--seeds 1,2,3] [CONFIG ...]
+
+Runs each config at each seed and prints one line per run:
+
+    <config> seed=<seed> metrics=<sha256 of metrics.csv> snapshot=<sha256>
+
+where ``snapshot`` is the sha256 of the trained agent's ``snapshot()``, or
+``-`` for a run with no agent.  The configs are the acceptance suite's
+(``tests/test_acceptance.py``: continual gated and ungated, rps, maze) and
+the benchmark's (``perfbench/suites.py``: continual, rps, recall), imported
+from those files; names on the command line pick a subset.  Runs write to a
+temporary directory that is removed afterwards.
+
+``--src`` picks the cogkit source to run (``src`` of this checkout by
+default), so two checkouts compare as
+
+    python tools/digests.py --src ../parent/src > parent.txt
+    python tools/digests.py > change.txt && diff parent.txt change.txt
+
+BLAS runs on one thread, as in the benchmark.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import importlib
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def runs():
+    """Config name -> run(seed, out), which returns the runner's summary."""
+    from cogkit import runner
+    from cogkit.config import resolve
+
+    # both files import their siblings by name, as their own runners do
+    for folder in ("tests", "perfbench"):
+        if str(ROOT / folder) not in sys.path:
+            sys.path.insert(0, str(ROOT / folder))
+    acc = importlib.import_module("test_acceptance")
+    suites = importlib.import_module("suites")
+    table = {
+        "acceptance-continual": lambda seed, out: runner.run_continual(
+            acc.CONTINUAL_CFG, seed=seed, out=out),
+        "acceptance-continual-ungated": lambda seed, out: runner.run_continual(
+            acc.CONTINUAL_CFG, seed=seed, out=out, ungated=True),
+        "acceptance-rps": lambda seed, out: runner.run_rps(acc.RPS_CFG, seed=seed, out=out),
+        "acceptance-maze": lambda seed, out: runner.run_maze(acc.MAZE_CFG, seed=seed, out=out),
+    }
+    for name, work in suites.WORKLOADS.items():
+        table[f"bench-{name}"] = (lambda seed, out, work=work, cfg=resolve(work.config):
+                                  work.run(cfg, seed, out))
+    return table
+
+
+def digest_line(name, run, seed, out):
+    """The line for one run of config ``name`` at ``seed``, written to ``out``."""
+    summary = run(seed, out)
+    metrics = hashlib.sha256((out / "metrics.csv").read_bytes()).hexdigest()
+    agent = summary.get("agent")
+    snap = "-" if agent is None else hashlib.sha256(agent.snapshot()).hexdigest()
+    return f"{name} seed={seed} metrics={metrics} snapshot={snap}"
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("configs", nargs="*", help="config names (default: all)")
+    parser.add_argument("--src", type=Path, default=ROOT / "src", help="cogkit source to run")
+    parser.add_argument("--seeds", default="1,2,3", help="comma-separated seeds")
+    args = parser.parse_args(argv)
+    for var in THREAD_VARS:
+        os.environ[var] = "1"  # before NumPy loads BLAS
+    src = args.src.resolve()
+    sys.path.insert(0, str(src))
+    import cogkit
+
+    if Path(cogkit.__file__).resolve().parent != src / "cogkit":
+        raise SystemExit(f"cogkit came from {cogkit.__file__}, not {src}")
+    table = runs()
+    unknown = sorted(set(args.configs) - set(table))
+    if unknown:
+        raise SystemExit(f"unknown configs {unknown}; known: {', '.join(table)}")
+    seeds = [int(s) for s in args.seeds.split(",")]
+    with tempfile.TemporaryDirectory(prefix="cogkit-digests-") as tmp:
+        for name in args.configs or table:
+            for seed in seeds:
+                out = Path(tmp) / name / str(seed)
+                print(digest_line(name, table[name], seed, out), flush=True)
+
+
+if __name__ == "__main__":
+    main()
