@@ -1,15 +1,22 @@
 """The integrated agent: buffers, cycle protocol, and persistence.
 
-One cognitive cycle runs perceive -> route -> act -> learn.  Perception
-settles the sensory circuit on the observation under the gate winner's mask
-and projects the gated top-layer activity into holographic space through a
-fixed random bridge.  The config's three ``route_*`` flags then decide which
-buffer transfers happen: encoding the percept into working memory, storing a
-task-transition fact into declarative memory, and/or retrieving an expected
-next task into the retrieval buffer.  A second fixed bridge compresses
-[perception || retrieval || wm] into the motor state, the motor head picks an
-action, and the transition begun on the previous cycle is completed and
-learned from.
+One cognitive cycle senses, acts and learns, and each phase lives in one
+method:
+
+- ``_percept`` settles the sensory circuit on an observation under the gate
+  winner's mask and projects the gated top-layer activity into holographic
+  space through a fixed random bridge.  ``perceive`` (which also picks the
+  winner and learns) and ``probe`` (a batch, learning nothing) read through it.
+- ``_sense`` perceives, then routes: the config's three ``route_*`` flags
+  decide which buffer transfers happen, encoding the percept into working
+  memory, storing a task-transition fact into declarative memory, and/or
+  retrieving an expected next task into the retrieval buffer.  A second
+  fixed bridge compresses [perception || retrieval || wm] into the motor
+  state.  ``cycle`` and ``supervised_step`` sense through it.
+- ``cycle`` acts: the motor head picks an action (``supervised_step``
+  regresses the head onto given targets instead).
+- ``_learn`` completes the transition begun on the previous cycle and
+  passes it to the motor head; ``cycle`` and ``finish`` learn through it.
 
 ``cycle(obs, r_env, done)`` therefore treats ``r_env``/``done`` as the
 outcome of the PREVIOUS action.  A terminal observation still yields an
@@ -196,10 +203,16 @@ def _whole(v):
 
 
 def _check_entries(config, entries):
-    """Reject an entry that no cycle leaves: a count below 0, a winner that is
-    not a recruited unit, a pending action out of range, a flag that is not a
-    bool, or a pending state or context-window row of the wrong length."""
+    """Reject an entry that no cycle leaves: more gate units than ``M_max``, a
+    count below 0, a winner that is not a recruited unit, a pending action out
+    of range, a flag that is not a bool, a free energy that is not a finite
+    number >= 0, a trace of a name the lexicon lacks, a replay action, flag or
+    reward no learn step stores, or a vector or replay row of the wrong length."""
     units, actions = _recruited(entries), config.n_actions
+    names = [_unit_name(k) for k in range(config.M_max)]
+    if units > config.M_max:
+        raise ValueError(f"bad value for 'gate/prototype/{config.M_max}': {units} gate units, "
+                         f"more than M_max {config.M_max}")
     rules = {
         "step": (_whole, "a whole number >= 0"),
         "wm/position": (_whole, "a whole number >= 0"),
@@ -208,10 +221,29 @@ def _check_entries(config, entries):
         "pending/a": (lambda v: v is None or _whole(v) and v < actions,
                       f"None or an action, 0..{actions - 1}"),
         "gate/saturated": (lambda v: type(v) is bool, "true or false"),
+        "last_energy": (lambda v: type(v) in (int, float) and 0 <= v < np.inf,
+                        "a finite number >= 0"),
+        "dm/trace_names": (lambda v: type(v) is list and all(n in names for n in v),
+                           f"a list of lexicon names, {names[0]}..{names[-1]}"),
+        "replay/a": (lambda v: ((v % 1 == 0) & (v >= 0) & (v < actions)).all(),
+                     f"a whole action, 0..{actions - 1}"),
+        "replay/r": (lambda v: np.isfinite(v).all(), "finite"),
+        "replay/done": (lambda v: ((v == 0) | (v == 1)).all(), "0 or 1"),
     }
+    if "replay/a" in entries:  # the five replay arrays hold one row per transition
+        n = getattr(entries["replay/a"], "size", 0)
+        for name in _REPLAY:
+            want = (n, config.motor_state_dim) if name in ("replay/s", "replay/s_next") else (n,)
+            got = getattr(entries.get(name), "shape", "not an array")
+            if name in entries and got != want:
+                raise ValueError(f"bad shape for {name!r}: {got}, expected {want}")
     for name, (ok, what) in rules.items():
         if name in entries and not ok(entries[name]):
-            raise ValueError(f"bad value for {name!r}: {entries[name]!r} is not {what}")
+            given = "a row" if isinstance(entries[name], np.ndarray) else repr(entries[name])
+            raise ValueError(f"bad value for {name!r}: {given} is not {what}")
+    for name in entries.get("dm/trace_names", ()):
+        if f"dm/trace/{name}" in entries:
+            check_vector(f"dm/trace/{name}", entries[f"dm/trace/{name}"], config.d)
     if "pending/s" in entries:
         check_vector("pending/s", entries["pending/s"], config.motor_state_dim)
     for i, row in enumerate(np.atleast_1d(entries.get("ctx/window", ()))):
@@ -317,13 +349,12 @@ class Agent:
 
     # ---------------------------------------------------------------- cycle
 
-    def _latent(self, settled):
-        """Top-layer activity through the activation; it is gated already,
-        as nothing predicts the top layer and closed units stay 0."""
-        return ngc.phi(settled.z[self.sensory.L])
-
-    def _project_perception(self, latent):
-        return _unit(self.bridge1 @ latent)
+    def _percept(self, obs, mask):
+        """The sensory circuit settled on ``obs`` (one per column for a batch)
+        under ``mask``, and the percept: its top-layer activity, gated already
+        as closed units stay 0, through ``phi`` and ``bridge1``, unit length."""
+        settled = ngc.settle(self.sensory, clamps={0: obs}, mask=mask)
+        return settled, _unit(self.bridge1 @ ngc.phi(settled.z[self.sensory.L]))
 
     def _motor_state(self, perception):
         shared = (self.retrieval, self.wm.m)
@@ -334,11 +365,10 @@ class Agent:
     def perceive(self, obs):
         """Gate, settle, learn the sensory circuit; fill the perception buffer.
 
-        Returns the holographic latent.  Also records the settled free energy
+        Returns the percept it stores.  Also records the settled free energy
         (the epistemic signal) and the winning gate unit.
         """
-        obs = check_vector("obs", obs, self.config.obs_dim)
-        context = self.tracker.update(obs)
+        context = self.tracker.update(obs)  # checks obs
         if self.gate.active_count and len(self.tracker) < self.config.context_window:
             # novelty is undefined while the running mean is still forming;
             # match against existing units but do not recruit on warm-up jitter
@@ -346,8 +376,7 @@ class Agent:
         else:
             winner = self.gate.select_or_recruit(context)
         self.gate.update_winner(winner, context)
-        mask = self.gate.mask_for(winner)
-        settled = ngc.settle(self.sensory, clamps={0: obs}, mask=mask)
+        settled, percept = self._percept(obs, self.gate.mask_for(winner))
         self.sensory = ngc.update_weights(
             self.sensory,
             settled,
@@ -355,11 +384,24 @@ class Agent:
             self.config.sensory_eta_E,
             clip=self.config.sensory_clip,
         )
-        latent = self._latent(settled)
-        self.perception = self._project_perception(latent)
+        self.perception = percept
         self.last_energy = settled.energy
         self.last_winner = winner
-        return latent
+        return percept
+
+    def _sense(self, obs):
+        """Perceive, route from the previous winner; returns the motor state."""
+        prev_winner = self.last_winner
+        self.perceive(obs)
+        self._route(prev_winner, self.last_winner)
+        return self._motor_state(self.perception)
+
+    def _learn(self, r_env, s_next, done, q_next=None):
+        """Complete the pending transition, learn from it and clear it."""
+        s, a = self.pending
+        self.motor.learn(Transition(s=s, a=a, r_env=r_env, s_next=s_next, done=done),
+                         sensory_energy=self.last_energy, q_next=q_next)
+        self.pending = None
 
     def _route(self, prev_winner, winner):
         c = self.config
@@ -402,21 +444,13 @@ class Agent:
         chosen.  On any component failure the agent state is rolled back.
         """
         with self._atomic():
-            prev_winner = self.last_winner
-            self.perceive(obs)
-            self._route(prev_winner, self.last_winner)
-            s = self._motor_state(self.perception)
+            s = self._sense(obs)
             q = self.motor.q_values(s)
             c = self.config
             eps = epsilon_at(self.step, c.horizon, c.eps_start, c.eps_end, c.eps_decay_frac)
             action = self.motor.act(q, eps)
             if self.pending is not None:
-                s_prev, a_prev = self.pending
-                self.motor.learn(
-                    Transition(s=s_prev, a=a_prev, r_env=r_env, s_next=s, done=done),
-                    sensory_energy=self.last_energy,
-                    q_next=None if done else q,
-                )
+                self._learn(r_env, s, done, q_next=None if done else q)
             self.pending = None if done else (s, action)
             self.step += 1
             return action
@@ -427,10 +461,7 @@ class Agent:
         running the reward loop.  Returns the greedy action for the
         freshly regressed head."""
         with self._atomic():
-            prev_winner = self.last_winner
-            self.perceive(obs)
-            self._route(prev_winner, self.last_winner)
-            s = self._motor_state(self.perception)
+            s = self._sense(obs)
             self.motor.regress(s, targets)
             q = self.motor.q_values(s)
             self.step += 1
@@ -442,12 +473,7 @@ class Agent:
         if self.pending is None:
             return
         with self._atomic():
-            s_prev, a_prev = self.pending
-            self.motor.learn(
-                Transition(s=s_prev, a=a_prev, r_env=r_env, s_next=s_prev, done=done),
-                sensory_energy=self.last_energy,
-            )
-            self.pending = None
+            self._learn(r_env, self.pending[0], done)
 
     def probe(self, obs, context=None):
         """Evaluation-only readout: no learning, no recruitment, no buffer
@@ -464,10 +490,8 @@ class Agent:
             raise ValueError(f"observation shape {obs.shape} != ([batch,] {self.config.obs_dim})")
         ctx = np.asarray(context, dtype=float) if context is not None else self.tracker.context()
         winner, _ = self.gate.match(ctx)
-        mask = self.gate.mask_for(winner)
-        settled = ngc.settle(self.sensory, clamps={0: np.atleast_2d(obs).T}, mask=mask)
-        s = self._motor_state(self._project_perception(self._latent(settled)))
-        q = self.motor.q_values(s).T
+        _, percept = self._percept(np.atleast_2d(obs).T, self.gate.mask_for(winner))
+        q = self.motor.q_values(self._motor_state(percept)).T
         actions = [greedy_action(row) for row in q]
         return (actions[0], q[0], winner) if obs.ndim == 1 else (actions, q, winner)
 
@@ -497,9 +521,10 @@ class Agent:
         a recruited gate unit's prototype and masks, is rejected.  Units are
         counted by their prototype entries, so a gate array beyond that count
         (a unit whose prototype is missing) is rejected too, and so is a
-        snapshot that lacks an entry the restore reads, or holds a count,
-        winner, pending action, flag, pending state or context row that no
-        cycle leaves (see ``_check_entries``).  Each error names the entry.
+        snapshot that lacks an entry the restore reads, or holds more units
+        than ``M_max``, or a count, winner, pending action, flag, free energy,
+        trace, replay row, pending state or context row that no cycle leaves
+        (see ``_check_entries``).  Each error names the entry.
         """
         arrays, meta, _seed = snapshot.read_snapshot(data)
         if "config" not in meta:

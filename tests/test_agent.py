@@ -1,8 +1,11 @@
+import dataclasses
+from collections.abc import Mapping
+
 import numpy as np
 import pytest
 
 from cogkit import hrr, memory, ngc, runner
-from cogkit.agent import Agent, AgentConfig
+from cogkit.agent import _STATE, Agent, AgentConfig
 from cogkit.config import resolve
 from cogkit.data import DEFAULT_PAIRS, make_split_mnist
 from cogkit.gate import CompetitiveGate, ContextTracker
@@ -212,6 +215,54 @@ def test_rollback_after_the_motor_learned_from_replay(monkeypatch):
     assert a.snapshot() == twin.snapshot()
 
 
+def _arrays_in(value):
+    """Every array ``value`` holds, through tuples, lists, mappings and dataclasses."""
+    if isinstance(value, np.ndarray):
+        return [value]
+    if dataclasses.is_dataclass(value):
+        value = [getattr(value, f.name) for f in dataclasses.fields(value)]
+    elif isinstance(value, Mapping):
+        value = list(value.values())
+    elif not isinstance(value, (tuple, list)):
+        return []
+    return [a for v in value for a in _arrays_in(v)]
+
+
+def test_a_step_rebinds_only_state_parts_and_writes_into_none():
+    # the rollback invariant: capturing each _STATE part by reference is enough
+    a = Agent(small_config(seed=29, M_max=2, replay_capacity=8, replay_samples=2))
+    owners = {"": a, "gate.": a.gate, "motor.": a.motor, "tracker.": a.tracker}
+    rngs = {"gate.rng.bit_generator.state": a.gate.rng,
+            "motor.rng.bit_generator.state": a.motor.rng}
+    rebound, written = set(), []
+
+    def step(call):
+        attrs = {prefix: dict(vars(owner)) for prefix, owner in owners.items()}
+        states = {path: rng.bit_generator.state for path, rng in rngs.items()}
+        held = [(v, v.tobytes()) for part in _STATE for v in _arrays_in(part.take(a))]
+        call()
+        rebound.update(prefix + name for prefix, owner in owners.items()
+                       for name, value in vars(owner).items()
+                       if name not in attrs[prefix] or attrs[prefix][name] is not value)
+        rebound.update(path for path, rng in rngs.items() if rng.bit_generator.state != states[path])
+        written.extend(v.shape for v, before in held if v.tobytes() != before)
+
+    rng, r = np.random.default_rng(3), 0.0
+    for center in (np.full(8, 2.0), np.full(8, -2.0), np.tile([2.0, -2.0], 4)):
+        for _ in range(16):
+            x = center + 0.1 * rng.normal(size=8)
+            step(lambda: a.cycle(x, r_env=r))
+            r = -r if r else 0.5
+    for _ in range(3):
+        step(lambda: a.supervised_step(x, np.array([1.0, -1.0, 0.0])))
+    step(lambda: a.finish(r_env=1.0))
+    assert a.gate.active_count == 2 and a.gate.saturated
+    assert len(a.motor.replay) == 8 and a.pending is None
+    # each part's ``take`` is ``attrgetter(path)``, which pickles as its path
+    assert rebound == {part.take.__reduce__()[1][0] for part in _STATE}  # and reaches each
+    assert written == []
+
+
 def test_finish_flushes_pending():
     a = Agent(small_config())
     a.cycle(np.ones(8))
@@ -355,6 +406,58 @@ def test_restore_rejects_an_entry_no_cycle_leaves(entry, bad):
     arrays, meta, seed = read_snapshot(a.snapshot())
     (arrays if isinstance(bad, np.ndarray) else meta)[entry] = bad
     with pytest.raises(ValueError, match=rf"^bad (value|shape) for '{entry}"):
+        Agent.restore(write_snapshot(arrays, meta, seed=seed))
+
+
+def _units_past_m_max(arrays, meta):
+    for k in range(1, 5):
+        arrays[f"gate/prototype/{k}"] = arrays["gate/prototype/0"]
+        arrays[f"gate/mask/{k}/1"] = arrays["gate/mask/0/1"]
+
+
+def _trace_outside_the_lexicon(arrays, meta):
+    meta["dm/trace_names"] = ["unit9"]
+    arrays["dm/trace/unit9"] = arrays.pop("dm/trace/unit0")
+
+
+def _rewrite(entry, change):
+    """A damage that replaces the value of ``entry`` with ``change(value)``."""
+    def damage(arrays, meta):
+        store = arrays if entry in arrays else meta
+        store[entry] = change(store[entry])
+    return entry, damage
+
+
+# each damage leaves a snapshot that restores at a build without the checks,
+# and fails only in a later cycle, replay step or finish
+DAMAGE = {
+    "units-past-M_max": ("gate/prototype/2", _units_past_m_max),
+    "trace-outside-lexicon": ("dm/trace_names", _trace_outside_the_lexicon),
+    "trace-short": _rewrite("dm/trace/unit0", lambda v: v[:10]),
+    "replay-action-out-of-range": _rewrite("replay/a", lambda v: v + 7),
+    "replay-action-not-whole": _rewrite("replay/a", lambda v: v + 0.5),
+    "replay-state-narrow": _rewrite("replay/s", lambda v: v[:, :5]),
+    "replay-next-state-narrow": _rewrite("replay/s_next", lambda v: v[:, :5]),
+    "replay-reward-short": _rewrite("replay/r", lambda v: v[:-1]),
+    "replay-reward-nan": _rewrite("replay/r", lambda v: np.full_like(v, np.nan)),
+    "replay-done-half": _rewrite("replay/done", lambda v: v + 0.5),
+    "energy-negative": _rewrite("last_energy", lambda v: -1.0),
+    "energy-string": _rewrite("last_energy", lambda v: "x"),
+    "energy-nan": _rewrite("last_energy", lambda v: np.nan),
+}
+
+
+@pytest.mark.parametrize("case", DAMAGE)
+def test_restore_rejects_memory_replay_and_energy_no_cycle_leaves(case):
+    a = Agent(small_config(seed=17, replay_capacity=8, replay_samples=1, M_max=2))
+    r = 0.0
+    for x in obs_stream(15, seed=7):
+        r = 0.5 if a.cycle(x, r_env=r) == 1 else -0.5
+    assert len(a.motor.replay) == 8 and list(a.dm.traces) == ["unit0"]
+    arrays, meta, seed = read_snapshot(a.snapshot())
+    entry, damage = DAMAGE[case]
+    damage(arrays, meta)
+    with pytest.raises(ValueError, match=rf"^bad (value|shape) for '{entry}'"):
         Agent.restore(write_snapshot(arrays, meta, seed=seed))
 
 

@@ -1,0 +1,67 @@
+"""The pair runner ``tools/pairs.py``, on fixed numbers and stand-in benchmarks."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "pairs.py"
+spec = importlib.util.spec_from_file_location("pairs", TOOL)
+pairs = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(pairs)
+
+METRICS = [
+    {"name": "ops_per_s", "unit": "1/s", "better": "higher", "bound": 0.25},
+    {"name": "peak_rss_mb", "unit": "MB", "better": "lower", "bound": 0.1},
+]
+
+
+def test_summary_of_fixed_pairs():
+    parent = [{"ops_per_s": v, "peak_rss_mb": 50.0} for v in (100.0, 110.0, 90.0, 120.0, 80.0)]
+    change = [{"ops_per_s": v, "peak_rss_mb": m}
+              for v, m in zip((105.0, 100.0, 95.0, 125.0, 85.0), (56.0, 55.0, 54.0, 50.0, 49.0))]
+    ops, rss = pairs.summarise(parent, change, METRICS)
+    assert (ops["parent"], ops["q1"], ops["q3"], ops["change"]) == (100.0, 90.0, 110.0, 100.0)
+    assert ops["rel"] == 0.0 and ops["won"] == 4 and ops["pairs"] == 5
+    assert not ops["over_bound"]
+    # lower is better: the change is worse by 8%, within its bound of 10%
+    assert rss["change"] == 54.0 and rss["rel"] == pytest.approx(0.08)
+    assert rss["won"] == 1 and not rss["over_bound"]
+    line = pairs.format_row(rss)
+    assert line.split() == "peak_rss_mb parent 50 [50, 50] change 54 MB +8.0% won 1/5".split()
+
+
+def test_a_metric_worse_than_its_bound_is_marked():
+    parent = [{"ops_per_s": 100.0, "peak_rss_mb": 50.0}] * 2
+    change = [{"ops_per_s": 74.0, "peak_rss_mb": 55.5}] * 2
+    ops, rss = pairs.summarise(parent, change, METRICS)
+    assert ops["over_bound"] and rss["over_bound"]
+    assert pairs.format_row(ops).endswith("won 0/2  OVER BOUND")
+
+
+def test_one_pair_has_its_value_as_quartiles():
+    assert pairs.quartiles([3.0]) == (3.0, 3.0, 3.0)
+
+
+def _checkout(tmp_path, last_line, code=0):
+    """A stand-in checkout whose benchmark prints ``last_line`` and exits ``code``."""
+    bench = tmp_path / "perfbench"
+    bench.mkdir()
+    (bench / "run.py").write_text(f"import sys\nprint('machine {{}}')\nprint({last_line!r})\n"
+                                  f"sys.exit({code})\n", encoding="utf-8")
+    return tmp_path
+
+
+def test_run_once_reads_the_last_line(tmp_path):
+    line = '{"correct": true, "metrics": {"ops_per_s": {"value": 7.5, "unit": "1/s"}}}'
+    assert pairs.run_once(_checkout(tmp_path, line), "rps", 1, 29) == {"ops_per_s": 7.5}
+
+
+@pytest.mark.parametrize("line, code", [
+    ('{"correct": false, "metrics": {}}', 1),
+    ('{"correct": false, "metrics": {}}', 0),
+    ("no result", 0),
+], ids=["failed", "incorrect", "no_json"])
+def test_run_once_stops_on_a_failed_run(tmp_path, line, code):
+    with pytest.raises(SystemExit, match="the rps run failed"):
+        pairs.run_once(_checkout(tmp_path, line, code), "rps", 1, 29)

@@ -1,0 +1,110 @@
+"""Compare two checkouts on one benchmark workload in alternating pairs.
+
+    python tools/pairs.py --parent DIR --change DIR --workload W \\
+        [--pairs 5] [--seconds 10] [--seed 29]
+
+``DIR`` is the root of a checkout.  Use sibling checkouts of the two
+commits, for example one made with ``git worktree add ../parent <commit>``
+next to this one.  Each pair runs each checkout's own
+``perfbench/run.py --workload W --seed S --seconds T --trace 0`` once, and
+the side that runs first alternates from pair to pair, so a drift in the
+machine's speed falls on both sides alike.  Every run replaces its
+checkout's git-ignored ``perfbench/out/<workload>``.
+
+Each run's last output line is read as the benchmark's JSON result.  A run
+that exits non-zero, ends in no JSON object or reports ``correct: false``
+stops the tool with exit code 1.
+
+Then, for each end-to-end metric of the change's ``BENCHMARK.json``, one line:
+
+    <metric> parent <median> [<q1>, <q3>] change <median> <relative change>
+    won <pairs the change won>/<pairs>
+
+A pair is won when the change's value is better by the metric's ``better``.
+A metric whose change median is worse than the parent's median by more
+than ``bound`` times the parent's median is marked ``OVER BOUND``.
+Standard library only, so it runs in any checkout.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+
+def run_once(checkout, workload, seconds, seed):
+    """The metric values of one ``--trace 0`` run of ``checkout``'s benchmark."""
+    cmd = [sys.executable, str(Path(checkout) / "perfbench" / "run.py"), "--workload", workload,
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+    done = subprocess.run(cmd, capture_output=True, text=True)
+    lines = done.stdout.strip().splitlines()
+    try:
+        result = json.loads(lines[-1])
+    except (IndexError, json.JSONDecodeError):
+        result = None
+    if done.returncode or not isinstance(result, dict) or result.get("correct") is not True:
+        sys.stderr.write(done.stdout + done.stderr)
+        raise SystemExit(f"{checkout}: the {workload} run failed (exit {done.returncode})")
+    return {name: m["value"] for name, m in result["metrics"].items()}
+
+
+def quartiles(values):
+    """(q1, median, q3) of ``values``, the quartiles taken inclusively."""
+    if len(values) < 2:
+        return values[0], values[0], values[0]
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, median, q3
+
+
+def summarise(parent, change, metrics):
+    """One row per metric of ``metrics`` (``BENCHMARK.json``'s ``end_to_end``)
+    from ``parent`` and ``change``, lists of per-run metric values in pair order."""
+    rows = []
+    for m in metrics:
+        name, sign = m["name"], 1 if m["better"] == "higher" else -1
+        p = [run[name] for run in parent]
+        c = [run[name] for run in change]
+        q1, p_med, q3 = quartiles(p)
+        c_med = statistics.median(c)
+        rel = (c_med - p_med) / p_med if p_med else 0.0
+        rows.append({
+            "name": name, "unit": m["unit"], "parent": p_med, "q1": q1, "q3": q3,
+            "change": c_med, "rel": rel,
+            "won": sum(sign * (cv - pv) > 0 for pv, cv in zip(p, c)), "pairs": len(p),
+            "over_bound": -sign * rel > m["bound"],
+        })
+    return rows
+
+
+def format_row(row):
+    return (f"{row['name']:<12} parent {row['parent']:.4g} [{row['q1']:.4g}, {row['q3']:.4g}] "
+            f"change {row['change']:.4g} {row['unit']} {row['rel']:+.1%} "
+            f"won {row['won']}/{row['pairs']}" + ("  OVER BOUND" if row["over_bound"] else ""))
+
+
+def main(argv=None):
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("--parent", required=True)
+    p.add_argument("--change", required=True)
+    p.add_argument("--workload", required=True)
+    p.add_argument("--pairs", type=int, default=5)
+    p.add_argument("--seconds", type=float, default=10)
+    p.add_argument("--seed", type=int, default=29)
+    args = p.parse_args(argv)
+    spec = json.loads((Path(args.change) / "BENCHMARK.json").read_text(encoding="utf-8"))
+    runs = {"parent": [], "change": []}
+    for i in range(args.pairs):
+        for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
+            checkout = getattr(args, side)
+            runs[side].append(run_once(checkout, args.workload, args.seconds, args.seed))
+    print(f"{args.workload}: {args.pairs} pairs, seed {args.seed}, {args.seconds:g} s each")
+    for row in summarise(runs["parent"], runs["change"], spec["end_to_end"]):
+        print(format_row(row))
+
+
+if __name__ == "__main__":
+    main()
