@@ -28,7 +28,8 @@ Everything a cycle can change is listed once, in ``_STATE``, a table of
 attribute paths that drives rollback and snapshot/restore.  A cycle replaces
 each of those values and never writes into one, so rollback holds references
 only.  What no cycle changes, the two bridges and the unit symbols, is drawn
-from the config's seed when an agent is built, so a restore rebuilds it.
+from the config's seed when an agent is built, so a restore rebuilds it; it
+loads the circuits' weights and draws none.
 """
 
 from __future__ import annotations
@@ -286,17 +287,19 @@ class Agent:
     """Common-model agent wiring sensory, gate, memory, and motor modules."""
 
     def __init__(self, config: AgentConfig):
+        self._build(config, draw=True)
+
+    def _build(self, config, draw):
+        """Build every part from ``config``.  With ``draw`` False both circuits
+        are blank (``ngc.blank_circuit``) instead of seeded draws, for a
+        restore to fill; the bridges and the unit symbols are drawn either way."""
         self.config = config
         ss = np.random.SeedSequence(config.seed)
         s_sensory, s_motor, s_gate, s_b1, s_b2 = ss.spawn(5)
-        self.sensory = ngc.init_circuit(
-            (config.obs_dim, *config.sensory_hidden),
-            seed=s_sensory,
-            beta=config.sensory_beta,
-            gamma=config.sensory_gamma,
-            K=config.sensory_K,
-            sigma=config.sensory_sigma,
-        )
+        sizes = (config.obs_dim, *config.sensory_hidden)
+        kind = dict(beta=config.sensory_beta, gamma=config.sensory_gamma, K=config.sensory_K)
+        self.sensory = (ngc.init_circuit(sizes, seed=s_sensory, sigma=config.sensory_sigma, **kind)
+                        if draw else ngc.blank_circuit(sizes, **kind))
         self.motor = MotorCircuit(
             config.n_actions,
             config.motor_state_dim,
@@ -314,6 +317,7 @@ class Agent:
             clip_weights=config.motor_clip,
             replay_capacity=config.replay_capacity,
             replay_samples=config.replay_samples,
+            _draw=draw,
         )
         widths = {i + 1: w for i, w in enumerate(config.sensory_hidden)}
         self.gate = CompetitiveGate(
@@ -346,6 +350,7 @@ class Agent:
         self.pending = None  # (s, a) awaiting its outcome
         self.last_winner = None
         self.last_energy = 0.0
+        self._capturing = False  # inside an _atomic block
 
     # ---------------------------------------------------------------- cycle
 
@@ -366,28 +371,30 @@ class Agent:
         """Gate, settle, learn the sensory circuit; fill the perception buffer.
 
         Returns the percept it stores.  Also records the settled free energy
-        (the epistemic signal) and the winning gate unit.
+        (the epistemic signal) and the winning gate unit.  On a failure the
+        agent is rolled back, as by a cycle.
         """
-        context = self.tracker.update(obs)  # checks obs
-        if self.gate.active_count and len(self.tracker) < self.config.context_window:
-            # novelty is undefined while the running mean is still forming;
-            # match against existing units but do not recruit on warm-up jitter
-            winner, _ = self.gate.match(context)
-        else:
-            winner = self.gate.select_or_recruit(context)
-        self.gate.update_winner(winner, context)
-        settled, percept = self._percept(obs, self.gate.mask_for(winner))
-        self.sensory = ngc.update_weights(
-            self.sensory,
-            settled,
-            self.config.sensory_eta_W,
-            self.config.sensory_eta_E,
-            clip=self.config.sensory_clip,
-        )
-        self.perception = percept
-        self.last_energy = settled.energy
-        self.last_winner = winner
-        return percept
+        with self._atomic():
+            context = self.tracker.update(obs)  # checks obs
+            if self.gate.active_count and len(self.tracker) < self.config.context_window:
+                # novelty is undefined while the running mean is still forming;
+                # match against existing units but do not recruit on warm-up jitter
+                winner, _ = self.gate.match(context)
+            else:
+                winner = self.gate.select_or_recruit(context)
+            self.gate.update_winner(winner, context)
+            settled, percept = self._percept(obs, self.gate.mask_for(winner))
+            self.sensory = ngc.update_weights(
+                self.sensory,
+                settled,
+                self.config.sensory_eta_W,
+                self.config.sensory_eta_E,
+                clip=self.config.sensory_clip,
+            )
+            self.perception = percept
+            self.last_energy = settled.energy
+            self.last_winner = winner
+            return percept
 
     def _sense(self, obs):
         """Perceive, route from the previous winner; returns the motor state."""
@@ -428,13 +435,20 @@ class Agent:
     @contextmanager
     def _atomic(self):
         """Roll the whole agent back if the block raises, by putting back the
-        value each part held before it."""
+        value each part held before it.  A block inside another captures
+        nothing: the outer one rolls back."""
+        if self._capturing:
+            yield
+            return
         cap = [part.take(self) for part in _STATE]
+        self._capturing = True
         try:
             yield
         except Exception:
             self._rollback(cap)
             raise
+        finally:
+            self._capturing = False
 
     def cycle(self, obs, r_env=0.0, done=False):
         """One full cognitive cycle; returns the chosen action.
@@ -515,16 +529,18 @@ class Agent:
     def restore(cls, data):
         """Rebuild an agent that behaves identically to the snapshotted one.
 
-        Entries are read by name, so ones this code no longer writes are
-        ignored.  An array whose shape differs from the same entry of an agent
-        freshly built from the embedded config, or from what the config gives
-        a recruited gate unit's prototype and masks, is rejected.  Units are
-        counted by their prototype entries, so a gate array beyond that count
-        (a unit whose prototype is missing) is rejected too, and so is a
-        snapshot that lacks an entry the restore reads, or holds more units
-        than ``M_max``, or a count, winner, pending action, flag, free energy,
-        trace, replay row, pending state or context row that no cycle leaves
-        (see ``_check_entries``).  Each error names the entry.
+        The agent is built from the embedded config with both circuits blank:
+        their weights come from the snapshot, so none are drawn.  Entries are
+        read by name, so ones this code no longer writes are ignored.  An
+        array whose shape differs from the same entry of that agent, or from
+        what the config gives a recruited gate unit's prototype and masks, is
+        rejected.  Units are counted by their prototype entries, so a gate
+        array beyond that count (a unit whose prototype is missing) is
+        rejected too, and so is a snapshot that lacks an entry the restore
+        reads, or holds more units than ``M_max``, or a count, winner, pending
+        action, flag, free energy, trace, replay row, pending state or context
+        row that no cycle leaves (see ``_check_entries``).  Each error names
+        the entry.
         """
         arrays, meta, _seed = snapshot.read_snapshot(data)
         if "config" not in meta:
@@ -533,7 +549,8 @@ class Agent:
             config = AgentConfig(**meta["config"])
         except TypeError as exc:  # not a mapping, or a key unknown or missing
             raise ValueError(f"snapshot entry 'config' is damaged: {exc}") from None
-        agent = cls(config)
+        agent = cls.__new__(cls)
+        agent._build(config, draw=False)  # the snapshot holds both circuits' weights
         shapes = {name: np.shape(own) for name, own in agent._entries().items()}
         for k in range(_recruited(arrays)):
             shapes[f"gate/prototype/{k}"] = (agent.gate.context_dim,)

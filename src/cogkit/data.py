@@ -47,7 +47,7 @@ def parse_idx(data):
         raise IdxTruncatedError(f"rank {rank} needs {header_end} header bytes, got {len(data)}")
     shape = struct.unpack(f">{rank}I", data[4:header_end])
     n_items = math.prod(shape)  # exact, where a damaged header asks past int64
-    payload = data[header_end:]
+    payload = memoryview(data)[header_end:]  # a view: the one copy is the array's
     if len(payload) < n_items:
         raise IdxTruncatedError(
             f"shape {shape} needs {n_items} payload bytes, got {len(payload)}"
@@ -96,17 +96,24 @@ def make_split_mnist(images, labels, pairs=DEFAULT_PAIRS, per_task_train=500,
 
     Pixels are scaled into [0,1]; within a task the pair's labels remap to
     {0, 1}.  The per-task subsample is a seeded permutation, so the same
-    seed always selects the same examples.
+    seed always selects the same examples.  Only the rows a task keeps are
+    turned into floats and scaled; every input row is range-checked.
     """
     images = np.asarray(images)
-    x = images.reshape(len(images), -1).astype(float)
-    if images.dtype == np.uint8:
-        x /= 255.0
-    if x.size and (x.min() < 0.0 or x.max() > 1.0):
+    flat = images.reshape(len(images), -1)
+    scaled = images.dtype == np.uint8  # uint8 / 255 always lands in [0, 1]
+    if not scaled and flat.size and (flat.min() < 0.0 or flat.max() > 1.0):
         raise ValueError("pixel values outside [0, 1] after scaling")
+
+    def rows(picked):
+        x = flat[picked].astype(float)
+        if scaled:
+            x /= 255.0
+        return x
+
     y = np.asarray(labels).astype(int).ravel()
-    if len(x) != len(y):
-        raise ValueError(f"{len(x)} images but {len(y)} labels")
+    if len(flat) != len(y):
+        raise ValueError(f"{len(flat)} images but {len(y)} labels")
     present = set(np.unique(y))
     tasks = []
     for task_id, (a, b) in enumerate(pairs):
@@ -126,9 +133,9 @@ def make_split_mnist(images, labels, pairs=DEFAULT_PAIRS, per_task_train=500,
             Task(
                 task_id=task_id,
                 pair=(a, b),
-                train_x=x[tr],
+                train_x=rows(tr),
                 train_y=(y[tr] == b).astype(int),
-                test_x=x[te],
+                test_x=rows(te),
                 test_y=(y[te] == b).astype(int),
             )
         )
@@ -173,10 +180,11 @@ def make_synthetic_digits(per_class=600, seed=0, side=28, classes=10):
     up = np.ones((4, 4))
     for c in range(classes):
         base = np.kron(protos[c], up)[:side, :side]
-        for i in range(per_class):
-            noise = rng.normal(0.0, 20.0, size=(side, side))
-            img = np.clip(base + noise, 0, 255)
-            images[c * per_class + i] = img.astype(np.uint8)
-            labels[c * per_class + i] = c
+        # one draw per class is the stream the per-sample draws were
+        noise = rng.normal(0.0, 20.0, size=(per_class, side, side))
+        noise += base
+        np.clip(noise, 0, 255, out=noise)
+        images[c * per_class:(c + 1) * per_class] = noise  # truncates, as astype does
+        labels[c * per_class:(c + 1) * per_class] = c
     order = rng.permutation(len(images))
     return images[order], labels[order]

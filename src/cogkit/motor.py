@@ -61,7 +61,8 @@ class MotorCircuit:
     to that many past transitions in ``replay``; each learn step then also
     replays ``replay_samples`` of them with fresh bootstrapped targets.
     Each argument a config key sets is checked with that key's check, and a
-    hidden layer needs ``beta`` > 0 to learn.
+    hidden layer needs ``beta`` > 0 to learn.  ``_draw`` False leaves the
+    weights blank for a restore to load (``ngc.blank_circuit``).
     """
 
     def __init__(
@@ -82,6 +83,8 @@ class MotorCircuit:
         clip_weights=False,
         replay_capacity=0,
         replay_samples=0,
+        *,
+        _draw=True,
     ):
         self.n_actions = int(check("n_actions", n_actions))
         self.state_dim = int(check("motor_state_dim", state_dim, name="state_dim"))
@@ -91,8 +94,10 @@ class MotorCircuit:
         self.eta_W = float(check("motor_eta_W", eta_W, name="eta_W"))
         self.eta_E = float(check("motor_eta_E", eta_E, name="eta_E"))
         self.clip_weights = check("motor_clip", clip_weights, name="clip_weights")
-        self.circuit = ngc.init_circuit(
-            (n_actions, *hidden, state_dim), seed=seed, beta=beta, gamma=gamma, K=K, sigma=sigma
+        sizes = (n_actions, *hidden, state_dim)
+        self.circuit = (
+            ngc.init_circuit(sizes, seed=seed, beta=beta, gamma=gamma, K=K, sigma=sigma)
+            if _draw else ngc.blank_circuit(sizes, beta=beta, gamma=gamma, K=K)
         )
         if hidden and beta == 0.0:
             raise ValueError(f"hidden layers {tuple(hidden)} cannot learn at beta {beta}: "

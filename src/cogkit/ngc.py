@@ -120,6 +120,17 @@ def init_circuit(sizes, seed, beta=0.05, gamma=0.001, K=50, sigma=0.05):
     return NgcCircuit(sizes=sizes, W=W, E=E, beta=beta, gamma=gamma, K=K)
 
 
+def blank_circuit(sizes, beta=0.05, gamma=0.001, K=50):
+    """A circuit of ``sizes`` whose weights are read-only zeros that hold no
+    memory and are drawn from nothing: the frame a restore loads saved
+    weights into."""
+    W, E = [None], [None]
+    for ell in range(1, len(sizes)):
+        W.append(np.broadcast_to(0.0, (sizes[ell - 1], sizes[ell])))
+        E.append(np.broadcast_to(0.0, (sizes[ell], sizes[ell - 1])))
+    return NgcCircuit(sizes=tuple(sizes), W=W, E=E, beta=beta, gamma=gamma, K=K)
+
+
 def _check_layer_vec(circuit, ell, v, what):
     v = np.asarray(v, dtype=float)
     n = circuit.sizes[ell]

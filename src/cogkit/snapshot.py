@@ -58,10 +58,10 @@ def write_snapshot(arrays, meta, seed=0):
         chunks.append(struct.pack("<HB", len(raw_name), kind))
         chunks.append(raw_name)
         if kind == _KIND_ARRAY:
-            arr = np.asarray(value, dtype="<f8")
+            arr = np.asarray(value, dtype="<f8", order="C")  # copies only if it must
             chunks.append(struct.pack("<B", arr.ndim))
             chunks.append(struct.pack(f"<{arr.ndim}Q", *arr.shape))
-            chunks.append(arr.tobytes(order="C"))
+            chunks.append(arr.reshape(-1).view(np.uint8))  # join copies it, once
         else:
             raw = json.dumps(value, sort_keys=True).encode("utf-8")
             chunks.append(struct.pack("<I", len(raw)))
@@ -70,8 +70,10 @@ def write_snapshot(arrays, meta, seed=0):
 
 
 class _Reader:
+    """Takes slices of ``data`` as views: the one copy of an array is its own."""
+
     def __init__(self, data):
-        self.data = data
+        self.data = memoryview(data)
         self.pos = 0
 
     def take(self, n, what):
@@ -92,7 +94,7 @@ def read_snapshot(data):
     r = _Reader(data)
     magic = r.take(4, "header")
     if magic != MAGIC:
-        raise SnapshotFormatError(f"bad magic {magic!r}; expected {MAGIC!r}")
+        raise SnapshotFormatError(f"bad magic {bytes(magic)!r}; expected {MAGIC!r}")
     version, seed = r.unpack("<IQ", "header")
     if version != VERSION:
         raise SnapshotVersionError(f"unsupported container version {version}")
@@ -103,7 +105,7 @@ def read_snapshot(data):
         name_len, kind = r.unpack("<HB", f"entry {i} header")
         raw_name = r.take(name_len, f"entry {i} name")
         try:
-            name = raw_name.decode("utf-8")
+            name = str(raw_name, "utf-8")
         except UnicodeDecodeError as exc:
             raise SnapshotFormatError(f"entry {i} name is not valid UTF-8: {exc}") from None
         if name in seen:
@@ -119,7 +121,7 @@ def read_snapshot(data):
             (raw_len,) = r.unpack("<I", f"metadata {name!r} length")
             raw = r.take(raw_len, f"metadata {name!r}")
             try:
-                meta[name] = json.loads(raw.decode("utf-8"))
+                meta[name] = json.loads(str(raw, "utf-8"))
             except (UnicodeDecodeError, json.JSONDecodeError) as exc:
                 raise SnapshotFormatError(f"metadata {name!r} is not valid JSON: {exc}")
         else:

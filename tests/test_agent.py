@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 from collections.abc import Mapping
 
 import numpy as np
@@ -70,6 +71,25 @@ def test_perceive_fills_normalized_buffer():
     assert a.last_energy >= 0.0
     with pytest.raises(ValueError):
         a.perceive(np.ones(9))
+
+
+def test_a_failed_perceive_rolls_back():
+    a = Agent(small_config())
+    a.cycle(np.ones(8))
+    before = a.snapshot()
+    with pytest.raises(ngc.DivergenceError):
+        a.perceive(np.full(8, 1e7))  # after the context window and the gate have moved
+    assert a.snapshot() == before
+
+
+def test_a_cycle_captures_its_state_once(monkeypatch):
+    a = Agent(small_config())
+    a.cycle(np.ones(8))
+    takes = []
+    take = _STATE[0].take
+    monkeypatch.setattr(_STATE[0], "take", lambda agent: takes.append(0) or take(agent))
+    a.cycle(np.ones(8), r_env=0.5)  # perceive's block, inside the cycle's, captures nothing
+    assert len(takes) == 1
 
 
 def test_identical_observations_share_winner_and_mask():
@@ -621,6 +641,21 @@ def test_restore_resumes_byte_identically_past_numpy_layout_switch(mask_p):
     assert a.snapshot() == b.snapshot()
 
 
+def test_restore_draws_no_circuit_weights(monkeypatch):
+    a = Agent(small_config(seed=17, motor_hidden=(6,)))
+    for x in obs_stream(5, seed=7):
+        a.cycle(x, r_env=0.5)
+    blob = a.snapshot()
+    drawn = []
+    init = ngc.init_circuit
+    monkeypatch.setattr(ngc, "init_circuit", lambda *args, **kw: drawn.append(0) or init(*args, **kw))
+    b = Agent.restore(blob)
+    assert drawn == []
+    assert b.snapshot() == blob
+    assert np.array_equal(b.bridge1, a.bridge1) and np.array_equal(b.bridge2, a.bridge2)
+    assert all(np.array_equal(b.lexicon[n], a.lexicon[n]) for n in ("unit0", "unit1"))
+
+
 def test_restore_rejects_corruption():
     a = Agent(small_config())
     a.cycle(np.ones(8))
@@ -783,3 +818,18 @@ def test_a_failure_anywhere_in_a_cycle_rolls_back(entry, owner, name, monkeypatc
         monkeypatch.undo()
         assert agent.snapshot() == before
         assert resume(agent) == want
+
+
+def test_snapshot_copies_each_array_once(bench_continual):
+    agent, _ = bench_continual
+    entries = agent._entries()
+    arrays = {k: v for k, v in entries.items() if isinstance(v, np.ndarray)}
+    meta = {k: v for k, v in entries.items() if k not in arrays}
+    tracemalloc.start()
+    try:
+        blob = write_snapshot(arrays, meta, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert blob == agent.snapshot()
+    assert peak < 1.3 * len(blob)  # tobytes, then the join, took twice the output

@@ -2,9 +2,11 @@
 
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
+import reference_data
 
 from cogkit.data import (
     DEFAULT_PAIRS,
@@ -210,3 +212,68 @@ class TestSyntheticDigits:
                                   per_task_train=40, per_task_test=20, seed=0)
         assert len(stream) == 2
         assert stream[1].pair == (2, 3)
+
+
+def _same_array(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.flags.c_contiguous and want.flags.c_contiguous
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("per_class, seed", [(900, 0), (30, 0), (10, 4), (60, 1), (1, 3), (0, 2)])
+def test_synthetic_digits_match_the_per_sample_draws(per_class, seed):
+    got = make_synthetic_digits(per_class=per_class, seed=seed)
+    want = reference_data.make_synthetic_digits(per_class=per_class, seed=seed)
+    for g, w in zip(got, want):
+        _same_array(g, w)
+
+
+@pytest.mark.parametrize("kind", ["uint8", "float"])
+@pytest.mark.parametrize("seed", [0, 1, 7])
+def test_split_matches_scaling_the_whole_set(kind, seed):
+    images, labels = make_synthetic_digits(per_class=40, seed=seed)
+    if kind == "float":
+        images = images / 255.0
+    args = (images, labels, DEFAULT_PAIRS[:3], 20, 12)
+    got = make_split_mnist(*args, seed=seed)
+    want = reference_data.make_split_mnist(*args, seed=seed)
+    assert len(got) == len(want) == 3
+    for g, w in zip(got, want):
+        assert (g.task_id, g.pair) == (w.task_id, w.pair)
+        for name in ("train_x", "train_y", "test_x", "test_y"):
+            _same_array(getattr(g, name), getattr(w, name))
+
+
+@pytest.mark.parametrize("bad", [1.5, -0.25])
+def test_an_out_of_range_pixel_in_a_row_no_task_keeps_raises(bad):
+    images, labels = make_synthetic_digits(per_class=20, seed=0)
+    images = images / 255.0
+    images[np.flatnonzero(labels == 9)[0], 3, 3] = bad  # class 9 is in no pair below
+    for build in (make_split_mnist, reference_data.make_split_mnist):
+        with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
+            build(images, labels, pairs=((0, 1),), per_task_train=5, per_task_test=5)
+
+
+def test_split_holds_only_the_rows_it_keeps():
+    # the benchmark's data: 9,000 synthetic images, 2 pairs x 150 rows; turning
+    # the whole set into floats first peaked at about 63 MB
+    images, labels = make_synthetic_digits(per_class=900, seed=0)
+    tracemalloc.start()
+    try:
+        make_split_mnist(images, labels, DEFAULT_PAIRS[:2], 100, 50, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
+
+
+def test_parse_idx_copies_the_payload_once():
+    data = idx_bytes(np.arange(2**20, dtype=np.uint64).astype(np.uint8).reshape(1024, 1024))
+    tracemalloc.start()
+    try:
+        arr = parse_idx(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert arr.flags.owndata and not np.shares_memory(arr, np.frombuffer(data, np.uint8))
+    assert peak < 1.25 * 2**20  # a bytes slice and then a copy took twice that

@@ -1,7 +1,9 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
+import reference_snapshot
 
 from cogkit.snapshot import (
     SnapshotFormatError,
@@ -120,3 +122,52 @@ def test_a_shape_past_int64_is_counted_exactly(shape):
     body = struct.pack(f"<B{len(shape)}Q", len(shape), *shape) + bytes(64)
     with pytest.raises(SnapshotTruncatedError, match="array 'w' data"):
         read_snapshot(_container((b"w", 0, body)))
+
+
+def _layouts():
+    """Arrays of each layout and dtype ``write_snapshot`` may be handed."""
+    rng = np.random.default_rng(3)
+    grid = rng.normal(size=(6, 5))
+    return {
+        "c_order": grid,
+        "f_order": np.asfortranarray(grid),
+        "sliced": grid[1::2, ::-2],
+        "zero_d": np.asarray(2.5),
+        "scalar": np.float64(-1.25),
+        "empty": np.zeros((0, 4)),
+        "empty_f": np.zeros((3, 0), order="F"),
+        "float32": rng.normal(size=7).astype(np.float32),
+        "big_endian": grid.astype(">f8"),
+        "ints": np.arange(5),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_layouts()))
+def test_write_matches_the_tobytes_reference(name):
+    arrays = {name: _layouts()[name]}
+    meta = {"step": 3}
+    assert write_snapshot(arrays, meta, seed=5) == reference_snapshot.write_snapshot(
+        arrays, meta, seed=5)
+
+
+def test_write_matches_the_tobytes_reference_for_all_layouts_at_once():
+    arrays, meta = _layouts(), {"nested": {"a": [1, 2]}}
+    assert write_snapshot(arrays, meta) == reference_snapshot.write_snapshot(arrays, meta)
+
+
+def test_read_arrays_own_their_data():
+    arrays, meta = sample_payload()
+    data = write_snapshot(arrays, meta)
+    blob = np.frombuffer(data, np.uint8)
+    for name, arr in read_snapshot(data)[0].items():
+        assert arr.flags.owndata and arr.flags.writeable, name
+        assert not np.shares_memory(arr, blob), name
+    big = {"w": np.arange(2**17, dtype=float)}  # 1 MiB
+    data = write_snapshot(big, {})
+    tracemalloc.start()
+    try:
+        read_snapshot(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * 2**20  # a bytes slice and then a copy took twice that
