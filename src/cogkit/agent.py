@@ -26,10 +26,18 @@ the whole agent back to its pre-cycle state.
 
 Everything a cycle can change is listed once, in ``_STATE``, a table of
 attribute paths that drives rollback and snapshot/restore.  A cycle replaces
-each of those values and never writes into one, so rollback holds references
-only.  What no cycle changes, the two bridges and the unit symbols, is drawn
-from the config's seed when an agent is built, so a restore rebuilds it; it
-loads the circuits' weights and draws none.
+each of those values and writes into none, except the sensory circuit's
+``W[ell]`` and ``E[ell]``: its update writes their open columns and rows,
+and the columns a clip divides, in place, after appending what it
+overwrites to the block's journal.  So a rollback writes the journal back,
+latest first, and then puts back the references it captured.  The circuit
+also keeps W's column norms, which a masked update takes again only for
+the columns that changed since.  They are derived: journaled like the
+weights, never stored, and taken again from W after a restore, so a
+rolled-back or resumed agent goes on byte for byte.  What no cycle changes,
+the two bridges and the unit symbols, is drawn from the config's seed when
+an agent is built, so a restore rebuilds it; it loads the circuits' weights
+and draws none.
 """
 
 from __future__ import annotations
@@ -97,9 +105,12 @@ class _Part:
     """One piece of agent state, at the dotted attribute ``path``, and the
     snapshot entries that hold it.
 
-    A cycle replaces the value at ``path`` and never writes into it, so
-    ``take(agent)`` captures it by reference and ``put(agent, value)`` sets a
-    captured or loaded value back on its owner.  ``dump(value)`` returns its
+    A cycle replaces the value at ``path`` and never writes into it, with
+    one exception: the sensory circuit keeps its identity, and its update
+    writes ``W[ell]`` and ``E[ell]`` in place after journaling what it
+    overwrites (``ngc.update_weights``).  So ``take(agent)`` captures a value
+    by reference, a rollback writes the journal back, and ``put(agent,
+    value)`` sets a captured or loaded value back on its owner.  ``dump(value)`` returns its
     snapshot entries by name (arrays become array entries, anything else JSON
     metadata); ``load(agent, entries)`` reads them back for a freshly built
     ``agent``.  ``entry`` names the stored form in error messages.
@@ -350,7 +361,7 @@ class Agent:
         self.pending = None  # (s, a) awaiting its outcome
         self.last_winner = None
         self.last_energy = 0.0
-        self._capturing = False  # inside an _atomic block
+        self._journal = None  # what an _atomic block overwrote in place; None outside one
 
     # ---------------------------------------------------------------- cycle
 
@@ -390,6 +401,7 @@ class Agent:
                 self.config.sensory_eta_W,
                 self.config.sensory_eta_E,
                 clip=self.config.sensory_clip,
+                journal=self._journal,
             )
             self.perception = percept
             self.last_energy = settled.energy
@@ -429,26 +441,29 @@ class Agent:
                 self.retrieval = blend / n
 
     def _rollback(self, cap):
+        ngc.undo(self._journal)
         for part, value in zip(_STATE, cap):
             part.put(self, value)
 
     @contextmanager
     def _atomic(self):
-        """Roll the whole agent back if the block raises, by putting back the
-        value each part held before it.  A block inside another captures
-        nothing: the outer one rolls back."""
-        if self._capturing:
+        """Roll the whole agent back if the block raises: write back what the
+        sensory update overwrote in place, from the block's journal, then put
+        back the value each part held before.  The journal is dropped when
+        the block ends.  A block inside another captures nothing and shares
+        the outer one's journal: the outer one rolls back."""
+        if self._journal is not None:
             yield
             return
         cap = [part.take(self) for part in _STATE]
-        self._capturing = True
+        self._journal = []
         try:
             yield
         except Exception:
             self._rollback(cap)
             raise
         finally:
-            self._capturing = False
+            self._journal = None
 
     def cycle(self, obs, r_env=0.0, done=False):
         """One full cognitive cycle; returns the chosen action.

@@ -14,9 +14,13 @@ receive exactly zero change, which is what makes task-specific subnetworks
 non-interfering.
 
 A mask is 0/1, so ``update_weights`` writes only the open units' columns
-and rows (see ``_open_units``).  With one hidden layer and a clamped input,
-a closed unit starts at 0 and stays there, so ``settle`` works on the open
-units alone.  A mask with every unit open is no mask at all and is dropped.
+and rows (see ``_open_units``).  Given a journal it writes them into the
+live W and E, saving what it overwrites first, so a caller can undo it
+(``undo``); the agent's sensory circuit learns that way, inside the
+rollback block of a cycle.  Without one it writes into copies and returns a
+new circuit.  With one hidden layer and a clamped input, a closed unit
+starts at 0 and stays there, so ``settle`` works on the open units alone.
+A mask with every unit open is no mask at all and is dropped.
 
 That circuit, one hidden layer with layer 0 its only clamp and no init or
 pins, is every sensory settle of the agent, and ``settle`` runs it
@@ -29,9 +33,12 @@ Every settle takes a batch too: clamps and inits all of shape (n, B) settle
 B inputs that share the weights and masks, one per column, each with its own
 energy.
 
-Weight matrices are kept in C order: every update returns C-ordered W and E,
-as a restore does, so a restored circuit sums its products in the order the
-live one does and resumes byte for byte.
+Weight matrices are kept in C order: an update keeps W and E C-ordered, as
+a restore makes them, so a restored circuit sums its products in the order
+the live one does and resumes byte for byte.  A masked, clipped update
+keeps W's column norms with the circuit and takes them again only where W
+changed, in a layout that gives the whole matrix's bits; a new or restored
+circuit has none and takes them from W, so the norms never alter a byte.
 """
 
 from __future__ import annotations
@@ -67,6 +74,10 @@ class NgcCircuit:
     beta: float = 0.05
     gamma: float = 0.001
     K: int = 50
+    # W[ell]'s column norms by layer, NaN where the last clip divided the
+    # column, as a masked update with a clip leaves them (see
+    # ``update_weights``); derived, so a new circuit starts without
+    norms: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def L(self):
@@ -374,34 +385,117 @@ def _settle(circuit, state):
     return state
 
 
-def update_weights(circuit, state, eta_W, eta_E, clip=False):
-    """Apply local Hebbian updates and return a new circuit.
+def update_weights(circuit, state, eta_W, eta_E, clip=False, journal=None):
+    """Apply local Hebbian updates: into ``circuit`` itself given a
+    ``journal``, else into a copy of it, which is returned.
 
     For each layer the raw change is the outer product of the error below
     with the gated activity above; W gets eta_W times it and E gets eta_E
     times its transpose.  Errors at gated-off hidden units are zeroed on the
     postsynaptic side too, so a closed gate means zero change in both the
     unit's outgoing columns and the rows predicting it.  Each layer's change
-    goes into the columns of a copy of W and rows of a copy of E that its
-    mask opens (all of them without one); every other entry would gain
-    exactly 0.  With ``clip``, columns of W and E are rescaled onto the unit
-    ball when they exceed it, all columns, open or not.  The new matrices
-    are C-ordered whatever the old ones were.
+    goes into the columns of W and rows of E that its mask opens (all of
+    them without one); every other entry would gain exactly 0.  With
+    ``clip``, columns of W and E are rescaled onto the unit ball when they
+    exceed it, all columns, open or not (see ``_clip``).
+
+    Given a list ``journal``, W and E must be C-ordered and writeable, and
+    they are written in place.  Before each write the update appends
+    ``(array, index, saved)`` to the journal, with ``saved`` a copy of
+    ``array[index]``: the open block of W and E, and each other column a
+    clip divides.  ``undo(journal)`` writes them back.  Without a
+    journal, W and E are copied first, C-ordered whatever they were, and
+    the same steps run on the copies.
+
+    A masked, clipped layer keeps W's column norms in ``circuit.norms``,
+    NaN for each column its clip divided.  The next such update takes them
+    again only for its open columns and the NaN ones (all of them at
+    first), and they are the bits the whole matrix's norms would give (see
+    ``_column_norms``).  An update without a mask drops them, so such a
+    layer does what it always did; the journal records each change to them.
     """
-    W, E = [None], [None]
+    if journal is None:
+        circuit = NgcCircuit(circuit.sizes, [None] + [M.copy() for M in circuit.W[1:]],
+                             [None] + [M.copy() for M in circuit.E[1:]],
+                             circuit.beta, circuit.gamma, circuit.K)
+
+    def save(M, index):
+        if journal is not None:
+            journal.append((M, index, M[index].copy()))
+
     for ell in range(1, circuit.L + 1):
-        opened = _open_units(state.mask.get(ell))
+        W, E, g = circuit.W[ell], circuit.E[ell], state.mask.get(ell)
+        opened = _open_units(g)
         pre = phi(state.z[ell][opened])
         grad = np.outer(_gate(state, ell - 1, state.e[ell - 1]), pre)
-        W.append(circuit.W[ell].copy())
-        E.append(circuit.E[ell].copy())
-        W[ell][:, opened] += eta_W * grad
-        E[ell][opened] += eta_E * grad.T
-    if clip:
-        for M in W[1:] + E[1:]:
-            # np.linalg.norm(M, axis=0), the same sums without its wrapper
-            norms = np.sqrt(np.add.reduce(M * M, axis=0))
-            big = norms > 1.0
-            if np.count_nonzero(big):
-                M[:, big] /= norms[big]
-    return NgcCircuit(circuit.sizes, W, E, circuit.beta, circuit.gamma, circuit.K)
+        save(W, (slice(None), opened))
+        save(E, opened)
+        W[:, opened] += eta_W * grad
+        E[opened] += eta_E * grad.T
+        if not clip:
+            continue
+        norms = circuit.norms.get(ell)
+        if g is None:  # every column changed, and W and E were saved whole
+            if norms is not None:
+                _keep_norms(circuit, ell, None, journal)
+            _clip(W, np.sqrt(np.add.reduce(W * W, axis=0)))
+        else:  # take again the open columns and those a clip divided
+            norms = np.full(W.shape[1], np.nan) if norms is None else norms.copy()
+            norms[opened] = _column_norms(W, opened)
+            stale = np.flatnonzero(np.isnan(norms))
+            if stale.size:
+                norms[stale] = _column_norms(W, stale)
+            norms[_clip(W, norms, save, opened)] = np.nan
+            _keep_norms(circuit, ell, norms, journal)
+        _clip(E, np.sqrt(np.add.reduce(E * E, axis=0)), None if g is None else save)
+    return circuit
+
+
+def _keep_norms(circuit, ell, norms, journal):
+    """Keep ``norms`` (None: none) as layer ``ell``'s W column norms,
+    journaling the ones they replace."""
+    if journal is not None:
+        journal.append((circuit.norms, ell, circuit.norms.get(ell)))
+    circuit.norms[ell] = norms
+
+
+def _clip(M, norms, save=None, opened=None):
+    """Rescale in place each column of ``M`` whose norm in ``norms`` exceeds
+    1, dividing it by that norm, and return where they are, a boolean mask.
+
+    The columns ``opened`` are divided through their view by max(norm, 1),
+    which leaves a column within the ball as it was; every other column past
+    1 is divided through a mask, after ``save`` has journaled it."""
+    big = norms > 1.0
+    rest = big
+    if opened is not None:
+        M[:, opened] /= np.fmax(norms[opened], 1.0)
+        rest = big.copy()
+        rest[opened] = False
+    if np.count_nonzero(rest):
+        if save is not None:
+            save(M, (slice(None), rest))
+        M[:, rest] /= norms[rest]
+    return big
+
+
+def _column_norms(M, cols):
+    """The norms of the columns ``cols`` (a slice or an index array) of a
+    C-ordered ``M``, the same bits as those columns of the whole matrix's.
+
+    NumPy sums a C-ordered block of two or more columns row after row, as it
+    does the whole matrix, but a lone column pairwise; so a lone column is
+    taken twice.  A slice is read through its view, and an index array
+    through ``take``, which is C-ordered where ``M[:, cols]`` is not."""
+    block = M[:, cols] if isinstance(cols, slice) else M.take(cols, axis=1)
+    n = block.shape[1]
+    if n == 1:
+        block = np.repeat(block, 2, axis=1)
+    return np.sqrt(np.add.reduce(block * block, axis=0))[:n]
+
+
+def undo(journal):
+    """Write back what ``update_weights`` saved in ``journal``, the latest
+    first, so each entry ends as it was before the first write."""
+    for target, index, saved in reversed(journal):
+        target[index] = saved

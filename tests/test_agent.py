@@ -248,8 +248,9 @@ def _arrays_in(value):
     return [a for v in value for a in _arrays_in(v)]
 
 
-def test_a_step_rebinds_only_state_parts_and_writes_into_none():
-    # the rollback invariant: capturing each _STATE part by reference is enough
+def test_a_step_rebinds_state_parts_and_writes_only_into_sensory_weights():
+    # the rollback invariant: capturing each _STATE part by reference, plus
+    # the journal of what the sensory update writes in place, is enough
     a = Agent(small_config(seed=29, M_max=2, replay_capacity=8, replay_samples=2))
     owners = {"": a, "gate.": a.gate, "motor.": a.motor, "tracker.": a.tracker}
     rngs = {"gate.rng.bit_generator.state": a.gate.rng,
@@ -265,7 +266,7 @@ def test_a_step_rebinds_only_state_parts_and_writes_into_none():
                        for name, value in vars(owner).items()
                        if name not in attrs[prefix] or attrs[prefix][name] is not value)
         rebound.update(path for path, rng in rngs.items() if rng.bit_generator.state != states[path])
-        written.extend(v.shape for v, before in held if v.tobytes() != before)
+        written.extend(v for v, before in held if v.tobytes() != before)
 
     rng, r = np.random.default_rng(3), 0.0
     for center in (np.full(8, 2.0), np.full(8, -2.0), np.tile([2.0, -2.0], 4)):
@@ -278,9 +279,12 @@ def test_a_step_rebinds_only_state_parts_and_writes_into_none():
     step(lambda: a.finish(r_env=1.0))
     assert a.gate.active_count == 2 and a.gate.saturated
     assert len(a.motor.replay) == 8 and a.pending is None
-    # each part's ``take`` is ``attrgetter(path)``, which pickles as its path
-    assert rebound == {part.take.__reduce__()[1][0] for part in _STATE}  # and reaches each
-    assert written == []
+    # each part's ``take`` is ``attrgetter(path)``, which pickles as its path;
+    # every part but the sensory circuit is rebound, and each is reached
+    assert rebound == {part.take.__reduce__()[1][0] for part in _STATE} - {"sensory"}
+    # the sensory circuit is the one value written into: its W and E only
+    weights = [*a.sensory.W[1:], *a.sensory.E[1:]]
+    assert {id(v) for v in written} == {id(w) for w in weights}
 
 
 def test_finish_flushes_pending():
@@ -586,6 +590,49 @@ def test_gated_wide_agent_rolls_back_a_failed_motor_update(monkeypatch):
     assert a.snapshot() == twin.snapshot()
 
 
+def test_gated_wide_agent_rolls_back_a_clip_that_fails_after_w_is_written(monkeypatch):
+    # 784 -> 256 with a quarter of the units open, W's column norms kept from
+    # the cycles before; the clip of E fails after W was written and clipped
+    a = Agent(small_config(obs_dim=784, sensory_hidden=(256,), sensory_K=30,
+                           mask_mode="blocks", mask_p=0.25, seed=31))
+    stream = obs_stream(8, seed=12, dim=784)
+    for x in stream[:5]:
+        a.cycle(x, r_env=0.1)
+    norms = a.sensory.norms[1]
+    assert norms is not None
+    before = a.snapshot()
+    twin = Agent.restore(before)
+    assert twin.sensory.norms == {}  # derived, so never stored
+    calls = _fail_on_call(monkeypatch, ngc, "_clip", 2)
+    with pytest.raises(RuntimeError, match="injected"):
+        a.cycle(stream[5], r_env=1.0)
+    monkeypatch.undo()
+    assert len(calls) == 2 and a.sensory.norms[1] is norms
+    assert a.snapshot() == before
+    for x in stream[5:]:
+        assert a.cycle(x, r_env=1.0) == twin.cycle(x, r_env=1.0)
+        assert a.snapshot() == twin.snapshot()
+
+
+def test_agents_restored_from_one_blob_share_no_memory():
+    a = Agent(small_config(seed=37, replay_capacity=8, replay_samples=1))
+    stream = obs_stream(14, seed=17)
+    for x in stream[:12]:
+        a.cycle(x, r_env=0.5)
+    blob = a.snapshot()
+    b, c = Agent.restore(blob), Agent.restore(blob)
+    held = [[v for part in _STATE for v in _arrays_in(part.take(agent))] for agent in (a, b, c)]
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        assert not any(np.shares_memory(u, v) for u in held[i] for v in held[j])
+    for agent in (b, c):
+        for M in (*agent.sensory.W[1:], *agent.sensory.E[1:]):
+            assert M.flags.writeable and M.flags.c_contiguous
+    for x in stream[12:]:
+        b.cycle(x, r_env=1.0)
+    assert b.snapshot() != blob
+    assert c.snapshot() == blob == a.snapshot()
+
+
 def test_nan_observation_rolls_back_and_carries_on():
     a = Agent(small_config(seed=29))
     stream = obs_stream(12, seed=11)
@@ -747,6 +794,7 @@ def test_batched_probe_with_beta_zero_settles_the_batch_at_once(monkeypatch):
 CYCLE_CALLS = [
     (ngc, "settle"), (ngc, "_settle_clamped_input"), (ngc, "_check_given"),
     (ngc, "_passes_stay_bounded"), (ngc, "energy"), (ngc, "update_weights"),
+    (ngc, "_clip"),  # the sensory W written in place, then clipped, then E clipped
     (memory, "wm_encode"), (memory, "dm_store"), (memory, "dm_retrieve"), (hrr, "permute"),
     (ContextTracker, "update"),
     (CompetitiveGate, "select_or_recruit"), (CompetitiveGate, "match"),

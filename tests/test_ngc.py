@@ -492,6 +492,64 @@ def test_update_matches_reference_oracle(name, clip):
             assert new.W[ell].flags.c_contiguous and new.E[ell].flags.c_contiguous
 
 
+def test_journaled_updates_match_the_reference_step_after_step():
+    # 60 in-place updates of one circuit, each from the state settled on it,
+    # under a mask that switches between two blocks, scattered units, one
+    # unit and none; ten times the weights makes closed columns clip too
+    rng = np.random.default_rng(5)
+    c = init_circuit([48, 24], seed=19, K=10, sigma=0.5)
+    c = replace(c, W=[None, 10 * c.W[1]], E=[None, 10 * c.E[1]])
+    masks = {"none": None}
+    for name, units in (("block", range(0, 8)), ("other block", range(12, 20)),
+                        ("scattered", [1, 4, 5, 11, 17, 23]), ("one unit", [9])):
+        masks[name] = np.zeros(24)
+        masks[name][list(units)] = 1.0
+    names = [*masks, *rng.choice(list(masks), size=55)]
+    for name in names:
+        mask = None if masks[name] is None else {1: masks[name]}
+        state = settle(c, clamps={0: rng.normal(size=48)}, mask=mask)
+        want = reference_ngc.update_weights(c, state, eta_W=0.3, eta_E=0.2, clip=True)
+        unclipped = reference_ngc.update_weights(c, state, eta_W=0.3, eta_E=0.2)
+        divided = np.linalg.norm(unclipped.W[1], axis=0) > 1.0
+        W, E, norms = c.W[1], c.E[1], c.norms.get(1)
+        start = [W.copy(), E.copy()]
+        for again in (False, True):  # the update, undone, then made again
+            journal = []
+            assert update_weights(c, state, eta_W=0.3, eta_E=0.2, clip=True,
+                                  journal=journal) is c
+            assert c.W[1] is W and c.E[1] is E  # written in place
+            assert np.array_equal(W, want.W[1]), name
+            assert np.array_equal(E, want.E[1]), name
+            if mask is None:
+                assert c.norms.get(1) is None
+            else:  # NaN marks each column the clip divided, to take again
+                cached, full = c.norms[1], np.sqrt(np.add.reduce(W * W, axis=0))
+                assert np.array_equal(np.isnan(cached), divided), name
+                assert np.array_equal(cached[~divided], full[~divided]), name
+            if not again:
+                ngc.undo(journal)
+                assert np.array_equal(W, start[0]) and np.array_equal(E, start[1])
+                assert c.norms.get(1) is norms
+    assert set(names) == set(masks)
+
+
+def test_an_update_without_a_journal_leaves_its_circuit_as_it_was():
+    c = init_circuit([16, 12], seed=3, sigma=0.5)
+    g = np.zeros(12)
+    g[2:6] = 1.0
+    state = settle(c, clamps={0: np.ones(16)}, mask={1: g})
+    assert update_weights(c, state, eta_W=0.3, eta_E=0.2, clip=True, journal=[]) is c
+    W, E, norms = c.W[1].copy(), c.E[1].copy(), c.norms[1]
+    new = update_weights(c, state, eta_W=0.3, eta_E=0.2, clip=True)
+    assert new is not c and c.norms[1] is norms
+    assert np.array_equal(c.W[1], W) and np.array_equal(c.E[1], E)
+    # the copy starts without norms and takes its own
+    kept = ~np.isnan(new.norms[1])
+    assert np.array_equal(new.norms[1][kept],
+                          np.sqrt(np.add.reduce(new.W[1] * new.W[1], axis=0))[kept])
+    assert not np.shares_memory(new.W[1], c.W[1]) and not np.shares_memory(new.E[1], c.E[1])
+
+
 def _record_phi(monkeypatch):
     """The shapes of the activities ``settle`` puts through phi, in order."""
     shapes = []

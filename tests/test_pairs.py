@@ -39,6 +39,29 @@ def test_a_metric_worse_than_its_bound_is_marked():
     assert pairs.format_row(ops).endswith("won 0/2  OVER BOUND")
 
 
+def test_a_gain_is_claimable_past_nine_tenths_and_the_parent_spread():
+    parent = [{"ops_per_s": 100.0 + k, "peak_rss_mb": 50.0} for k in range(10)]
+    # the parent's ops_per_s: median 104.5, quartiles 102.25 and 106.75
+
+    def claimable(ops, rss):
+        change = [{"ops_per_s": o, "peak_rss_mb": m} for o, m in zip(ops, rss)]
+        return [row["claimable"] for row in pairs.summarise(parent, change, METRICS)]
+
+    p_ops = [run["ops_per_s"] for run in parent]
+    # 9 of 10 won, median 110.5: better by 6, past the spread of 4.5
+    assert claimable([99.0, *(v + 6 for v in p_ops[1:])], [45.0] * 10) == [True, True]
+    # every pair won, but by 1, within the spread
+    assert claimable([v + 1 for v in p_ops], [50.0] * 9 + [49.0]) == [False, False]
+    # far ahead, but 8 of 10 won; ties count for neither side
+    assert claimable([90.0, 90.0, *(v + 20 for v in p_ops[2:])],
+                     [50.0, *[45.0] * 9]) == [False, True]
+    assert claimable([v + 20 for v in p_ops], [50.0, 50.0, *[45.0] * 8]) == [True, False]
+    rows = pairs.summarise(parent, [{"ops_per_s": v + 6, "peak_rss_mb": 50.0} for v in p_ops],
+                           METRICS)
+    assert pairs.format_row(rows[0]).endswith("won 10/10  CLAIMABLE")
+    assert pairs.format_row(rows[1]).endswith("won 0/10")
+
+
 def test_one_pair_has_its_value_as_quartiles():
     assert pairs.quartiles([3.0]) == (3.0, 3.0, 3.0)
 

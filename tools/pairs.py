@@ -1,7 +1,7 @@
 """Compare two checkouts on one benchmark workload in alternating pairs.
 
     python tools/pairs.py --parent DIR --change DIR --workload W \\
-        [--pairs 5] [--seconds 10] [--seed 29]
+        [--pairs 10] [--seconds 10] [--seed 29]
 
 ``DIR`` is the root of a checkout.  Use sibling checkouts of the two
 commits, for example one made with ``git worktree add ../parent <commit>``
@@ -22,7 +22,10 @@ Then, for each end-to-end metric of the change's ``BENCHMARK.json``, one line:
 
 A pair is won when the change's value is better by the metric's ``better``.
 A metric whose change median is worse than the parent's median by more
-than ``bound`` times the parent's median is marked ``OVER BOUND``.
+than ``bound`` times the parent's median is marked ``OVER BOUND``.  A
+metric is marked ``CLAIMABLE`` when the change won at least nine tenths of
+the pairs and its median is better than the parent's by more than the
+parent's interquartile range (q3 - q1): the rule for claiming a gain.
 Standard library only, so it runs in any checkout.
 """
 
@@ -71,11 +74,12 @@ def summarise(parent, change, metrics):
         q1, p_med, q3 = quartiles(p)
         c_med = statistics.median(c)
         rel = (c_med - p_med) / p_med if p_med else 0.0
+        won = sum(sign * (cv - pv) > 0 for pv, cv in zip(p, c))
         rows.append({
             "name": name, "unit": m["unit"], "parent": p_med, "q1": q1, "q3": q3,
-            "change": c_med, "rel": rel,
-            "won": sum(sign * (cv - pv) > 0 for pv, cv in zip(p, c)), "pairs": len(p),
+            "change": c_med, "rel": rel, "won": won, "pairs": len(p),
             "over_bound": -sign * rel > m["bound"],
+            "claimable": 10 * won >= 9 * len(p) and sign * (c_med - p_med) > q3 - q1,
         })
     return rows
 
@@ -83,7 +87,8 @@ def summarise(parent, change, metrics):
 def format_row(row):
     return (f"{row['name']:<12} parent {row['parent']:.4g} [{row['q1']:.4g}, {row['q3']:.4g}] "
             f"change {row['change']:.4g} {row['unit']} {row['rel']:+.1%} "
-            f"won {row['won']}/{row['pairs']}" + ("  OVER BOUND" if row["over_bound"] else ""))
+            f"won {row['won']}/{row['pairs']}" + ("  OVER BOUND" if row["over_bound"] else "")
+            + ("  CLAIMABLE" if row["claimable"] else ""))
 
 
 def main(argv=None):
@@ -91,7 +96,7 @@ def main(argv=None):
     p.add_argument("--parent", required=True)
     p.add_argument("--change", required=True)
     p.add_argument("--workload", required=True)
-    p.add_argument("--pairs", type=int, default=5)
+    p.add_argument("--pairs", type=int, default=10)
     p.add_argument("--seconds", type=float, default=10)
     p.add_argument("--seed", type=int, default=29)
     args = p.parse_args(argv)
