@@ -12,7 +12,9 @@ method:
   memory, storing a task-transition fact into declarative memory, and/or
   retrieving an expected next task into the retrieval buffer.  A second
   fixed bridge compresses [perception || retrieval || wm] into the motor
-  state.  ``cycle`` and ``supervised_step`` sense through it.
+  state; with ``route_wm_encode`` and ``route_dm_retrieve`` both off the
+  last two stay zero, and the agent keeps and reads only the bridge's
+  percept block.  ``cycle`` and ``supervised_step`` sense through it.
 - ``cycle`` acts: the motor head picks an action (``supervised_step``
   regresses the head onto given targets instead).
 - ``_learn`` completes the transition begun on the previous cycle and
@@ -31,10 +33,11 @@ each of those values and writes into none, except the sensory circuit's
 and the columns a clip divides, in place, after appending what it
 overwrites to the block's journal.  So a rollback writes the journal back,
 latest first, and then puts back the references it captured.  The circuit
-also keeps W's column norms, which a masked update takes again only for
-the columns that changed since.  They are derived: journaled like the
-weights, never stored, and taken again from W after a restore, so a
-rolled-back or resumed agent goes on byte for byte.  What no cycle changes,
+also keeps W's column norms and E's element-wise squares, which a masked
+update takes again only where W and E changed since; it writes the
+squares in place too.  They are derived: journaled like the weights, never
+stored, and taken again from W and E after a restore, so a rolled-back or
+resumed agent goes on byte for byte.  What no cycle changes,
 the two bridges and the unit symbols, is drawn from the config's seed when
 an agent is built, so a restore rebuilds it; it loads the circuits' weights
 and draws none.
@@ -107,9 +110,10 @@ class _Part:
 
     A cycle replaces the value at ``path`` and never writes into it, with
     one exception: the sensory circuit keeps its identity, and its update
-    writes ``W[ell]`` and ``E[ell]`` in place after journaling what it
-    overwrites (``ngc.update_weights``).  So ``take(agent)`` captures a value
-    by reference, a rollback writes the journal back, and ``put(agent,
+    writes ``W[ell]``, ``E[ell]`` and its kept squares of ``E[ell]`` in place
+    after journaling what it overwrites (``ngc.update_weights``).  So
+    ``take(agent)`` captures a value by reference, a rollback writes the
+    journal back, and ``put(agent,
     value)`` sets a captured or loaded value back on its owner.  ``dump(value)`` returns its
     snapshot entries by name (arrays become array entries, anything else JSON
     metadata); ``load(agent, entries)`` reads them back for a freshly built
@@ -219,7 +223,9 @@ def _check_entries(config, entries):
     count below 0, a winner that is not a recruited unit, a pending action out
     of range, a flag that is not a bool, a free energy that is not a finite
     number >= 0, a trace of a name the lexicon lacks, a replay action, flag or
-    reward no learn step stores, or a vector or replay row of the wrong length."""
+    reward no learn step stores, a vector or replay row of the wrong length, or
+    a retrieval or working-memory buffer that is not zero while the routing
+    that would fill it is off."""
     units, actions = _recruited(entries), config.n_actions
     names = [_unit_name(k) for k in range(config.M_max)]
     if units > config.M_max:
@@ -242,6 +248,9 @@ def _check_entries(config, entries):
         "replay/r": (lambda v: np.isfinite(v).all(), "finite"),
         "replay/done": (lambda v: ((v == 0) | (v == 1)).all(), "0 or 1"),
     }
+    for name, route in (("buffer/retrieval", "route_dm_retrieve"), ("wm/m", "route_wm_encode")):
+        if not getattr(config, route):  # no cycle fills it, and a trimmed bridge2 ignores it
+            rules[name] = (lambda v: not np.any(v), f"zero, as {route} is off")
     if "replay/a" in entries:  # the five replay arrays hold one row per transition
         n = getattr(entries["replay/a"], "size", 0)
         for name in _REPLAY:
@@ -303,7 +312,8 @@ class Agent:
     def _build(self, config, draw):
         """Build every part from ``config``.  With ``draw`` False both circuits
         are blank (``ngc.blank_circuit``) instead of seeded draws, for a
-        restore to fill; the bridges and the unit symbols are drawn either way."""
+        restore to fill; the bridges and the unit symbols are drawn either way,
+        ``bridge2`` whole even when only its percept block is kept."""
         self.config = config
         ss = np.random.SeedSequence(config.seed)
         s_sensory, s_motor, s_gate, s_b1, s_b2 = ss.spawn(5)
@@ -354,6 +364,9 @@ class Agent:
         self.bridge2 = rng2.normal(
             scale=1.0 / np.sqrt(3 * config.d), size=(config.motor_state_dim, 3 * config.d)
         )
+        if not (config.route_wm_encode or config.route_dm_retrieve):
+            # retrieval and wm stay zero, so only the percept's block is read
+            self.bridge2 = self.bridge2[:, :config.d].copy()
         self.perception = np.zeros(config.d)  # the percept in holographic space
         self.retrieval = np.zeros(config.d)  # the blend of retrieved unit symbols
         self.wm = WorkingMemoryBuffer.empty(config.d, rho=config.wm_rho)
@@ -373,10 +386,15 @@ class Agent:
         return settled, _unit(self.bridge1 @ ngc.phi(settled.z[self.sensory.L]))
 
     def _motor_state(self, perception):
-        shared = (self.retrieval, self.wm.m)
-        if perception.ndim == 2:  # a batch, one column each
-            shared = [np.broadcast_to(v[:, None], (len(v), perception.shape[1])) for v in shared]
-        return _unit(self.bridge2 @ np.concatenate([perception, *shared]))
+        """[perception; retrieval; wm] through ``bridge2``, unit length; only
+        the percept when ``bridge2`` holds its block alone (see ``_build``)."""
+        if self.bridge2.shape[1] > len(perception):
+            shared = (self.retrieval, self.wm.m)
+            if perception.ndim == 2:  # a batch, one column each
+                shared = [np.broadcast_to(v[:, None], (len(v), perception.shape[1]))
+                          for v in shared]
+            perception = np.concatenate([perception, *shared])
+        return _unit(self.bridge2 @ perception)
 
     def perceive(self, obs):
         """Gate, settle, learn the sensory circuit; fill the perception buffer.
@@ -553,9 +571,9 @@ class Agent:
         array beyond that count (a unit whose prototype is missing) is
         rejected too, and so is a snapshot that lacks an entry the restore
         reads, or holds more units than ``M_max``, or a count, winner, pending
-        action, flag, free energy, trace, replay row, pending state or context
-        row that no cycle leaves (see ``_check_entries``).  Each error names
-        the entry.
+        action, flag, free energy, trace, replay row, pending state, context
+        row or memory buffer that no cycle leaves (see ``_check_entries``).
+        Each error names the entry.
         """
         arrays, meta, _seed = snapshot.read_snapshot(data)
         if "config" not in meta:

@@ -14,7 +14,8 @@ receive exactly zero change, which is what makes task-specific subnetworks
 non-interfering.
 
 A mask is 0/1, so ``update_weights`` writes only the open units' columns
-and rows (see ``_open_units``).  Given a journal it writes them into the
+and rows (see ``_open_units``); it updates W's open columns in a C-ordered
+block and writes them back once.  Given a journal it writes them into the
 live W and E, saving what it overwrites first, so a caller can undo it
 (``undo``); the agent's sensory circuit learns that way, inside the
 rollback block of a cycle.  Without one it writes into copies and returns a
@@ -36,9 +37,10 @@ energy.
 Weight matrices are kept in C order: an update keeps W and E C-ordered, as
 a restore makes them, so a restored circuit sums its products in the order
 the live one does and resumes byte for byte.  A masked, clipped update
-keeps W's column norms with the circuit and takes them again only where W
-changed, in a layout that gives the whole matrix's bits; a new or restored
-circuit has none and takes them from W, so the norms never alter a byte.
+keeps W's column norms and E's element-wise squares with the circuit and
+takes them again only where W and E changed, in a layout that gives the
+whole matrix's bits; a new or restored circuit has none and takes them from
+W and E, so neither ever alters a byte.
 """
 
 from __future__ import annotations
@@ -75,9 +77,11 @@ class NgcCircuit:
     gamma: float = 0.001
     K: int = 50
     # W[ell]'s column norms by layer, NaN where the last clip divided the
-    # column, as a masked update with a clip leaves them (see
-    # ``update_weights``); derived, so a new circuit starts without
+    # column, and E[ell]'s element-wise squares, as a masked update with a
+    # clip leaves them (see ``update_weights``); derived, so a new circuit
+    # starts without
     norms: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    squares: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def L(self):
@@ -391,13 +395,15 @@ def update_weights(circuit, state, eta_W, eta_E, clip=False, journal=None):
 
     For each layer the raw change is the outer product of the error below
     with the gated activity above; W gets eta_W times it and E gets eta_E
-    times its transpose.  Errors at gated-off hidden units are zeroed on the
-    postsynaptic side too, so a closed gate means zero change in both the
-    unit's outgoing columns and the rows predicting it.  Each layer's change
-    goes into the columns of W and rows of E that its mask opens (all of
-    them without one); every other entry would gain exactly 0.  With
-    ``clip``, columns of W and E are rescaled onto the unit ball when they
-    exceed it, all columns, open or not (see ``_clip``).
+    times its transpose, formed as the outer product the other way round.
+    Errors at gated-off hidden units are zeroed on the postsynaptic side
+    too, so a closed gate means zero change in both the unit's outgoing
+    columns and the rows predicting it.  Each layer's change goes into the
+    columns of W and rows of E that its mask opens (all of them without
+    one); every other entry would gain exactly 0.  W's open columns are
+    copied into a C-ordered block, which is updated, clipped and written
+    back once.  With ``clip``, columns of W and E are rescaled onto the unit
+    ball when they exceed it, all columns, open or not (see ``_clip``).
 
     Given a list ``journal``, W and E must be C-ordered and writeable, and
     they are written in place.  Before each write the update appends
@@ -407,69 +413,89 @@ def update_weights(circuit, state, eta_W, eta_E, clip=False, journal=None):
     journal, W and E are copied first, C-ordered whatever they were, and
     the same steps run on the copies.
 
-    A masked, clipped layer keeps W's column norms in ``circuit.norms``,
-    NaN for each column its clip divided.  The next such update takes them
-    again only for its open columns and the NaN ones (all of them at
-    first), and they are the bits the whole matrix's norms would give (see
-    ``_column_norms``).  An update without a mask drops them, so such a
-    layer does what it always did; the journal records each change to them.
+    A masked, clipped layer keeps two derived values with the circuit: W's
+    column norms in ``circuit.norms``, NaN for each column its clip
+    divided, and E's element-wise squares in ``circuit.squares``.  The next
+    such update takes the norms again only for its open columns and the NaN
+    ones (all of them at first), and squares again only its open rows of E
+    and the columns E's clip divides, writing them into the kept squares.
+    Both give the bits the whole matrix would (see ``_column_norms``).  An
+    update without a mask or a clip drops them, so such a layer keeps
+    nothing; the journal records each change to them.
     """
     if journal is None:
         circuit = NgcCircuit(circuit.sizes, [None] + [M.copy() for M in circuit.W[1:]],
                              [None] + [M.copy() for M in circuit.E[1:]],
                              circuit.beta, circuit.gamma, circuit.K)
 
-    def save(M, index):
+    def save(M, index, saved=None):
         if journal is not None:
-            journal.append((M, index, M[index].copy()))
+            journal.append((M, index, M[index].copy() if saved is None else saved))
 
     for ell in range(1, circuit.L + 1):
         W, E, g = circuit.W[ell], circuit.E[ell], state.mask.get(ell)
         opened = _open_units(g)
+        keep = clip and g is not None  # only such a layer keeps its norms and squares
         pre = phi(state.z[ell][opened])
-        grad = np.outer(_gate(state, ell - 1, state.e[ell - 1]), pre)
-        save(W, (slice(None), opened))
-        save(E, opened)
-        W[:, opened] += eta_W * grad
-        E[opened] += eta_E * grad.T
-        if not clip:
-            continue
-        norms = circuit.norms.get(ell)
-        if g is None:  # every column changed, and W and E were saved whole
-            if norms is not None:
-                _keep_norms(circuit, ell, None, journal)
-            _clip(W, np.sqrt(np.add.reduce(W * W, axis=0)))
-        else:  # take again the open columns and those a clip divided
+        below = _gate(state, ell - 1, state.e[ell - 1])
+        block = W[:, opened].copy() if isinstance(opened, slice) else W.take(opened, axis=1)
+        save(W, (slice(None), opened), block)
+        block = block + eta_W * (below[:, None] * pre)  # np.outer's product
+        norms = None
+        if keep:  # take again the open columns and those a clip divided
+            norms = circuit.norms.get(ell)
             norms = np.full(W.shape[1], np.nan) if norms is None else norms.copy()
-            norms[opened] = _column_norms(W, opened)
+            norms[opened] = _column_norms(block)
             stale = np.flatnonzero(np.isnan(norms))
             if stale.size:
-                norms[stale] = _column_norms(W, stale)
-            norms[_clip(W, norms, save, opened)] = np.nan
-            _keep_norms(circuit, ell, norms, journal)
-        _clip(E, np.sqrt(np.add.reduce(E * E, axis=0)), None if g is None else save)
+                norms[stale] = _column_norms(W.take(stale, axis=1))
+            norms[_clip(W, norms, save, opened, block)] = np.nan
+        elif clip:  # every column is open, so block holds all of W
+            _clip(block, np.sqrt(np.add.reduce(block * block, axis=0)))
+        _keep(circuit.norms, ell, norms, journal)
+        W[:, opened] = block
+        save(E, opened)
+        E[opened] += eta_E * (pre[:, None] * below)
+        squares = circuit.squares.get(ell) if keep else None
+        if clip:
+            if squares is None:
+                squares = E * E
+            else:  # square again the open rows
+                save(squares, opened)
+                rows = E[opened]
+                squares[opened] = rows * rows
+            big = _clip(E, np.sqrt(np.add.reduce(squares, axis=0)), None if g is None else save)
+            if keep and np.count_nonzero(big):  # and the columns the clip divided
+                save(squares, (slice(None), big))
+                cols = E[:, big]
+                squares[:, big] = cols * cols
+        _keep(circuit.squares, ell, squares if keep else None, journal)
     return circuit
 
 
-def _keep_norms(circuit, ell, norms, journal):
-    """Keep ``norms`` (None: none) as layer ``ell``'s W column norms,
-    journaling the ones they replace."""
-    if journal is not None:
-        journal.append((circuit.norms, ell, circuit.norms.get(ell)))
-    circuit.norms[ell] = norms
+def _keep(kept, ell, value, journal):
+    """Keep ``value`` (None: none) as layer ``ell``'s entry of ``kept``, one
+    of a circuit's derived values, journaling the one it replaces."""
+    if kept.get(ell) is not value:
+        if journal is not None:
+            journal.append((kept, ell, kept.get(ell)))
+        kept[ell] = value
 
 
-def _clip(M, norms, save=None, opened=None):
-    """Rescale in place each column of ``M`` whose norm in ``norms`` exceeds
-    1, dividing it by that norm, and return where they are, a boolean mask.
+def _clip(M, norms, save=None, opened=None, block=None):
+    """Rescale each column of ``M`` whose norm in ``norms`` exceeds 1,
+    dividing it by that norm, and return where they are, a boolean mask.
 
-    The columns ``opened`` are divided through their view by max(norm, 1),
-    which leaves a column within the ball as it was; every other column past
-    1 is divided through a mask, after ``save`` has journaled it."""
+    Given ``block``, a C-ordered copy of the columns ``opened`` of ``M`` that
+    the caller writes back, those columns are divided there by max(norm, 1),
+    which leaves a column within the ball as it was.  Every other column
+    past 1 is divided in ``M`` through a mask, after ``save`` has journaled
+    it."""
     big = norms > 1.0
     rest = big
-    if opened is not None:
-        M[:, opened] /= np.fmax(norms[opened], 1.0)
+    if block is not None:
+        if np.count_nonzero(big[opened]):
+            block /= np.fmax(norms[opened], 1.0)
         rest = big.copy()
         rest[opened] = False
     if np.count_nonzero(rest):
@@ -479,15 +505,14 @@ def _clip(M, norms, save=None, opened=None):
     return big
 
 
-def _column_norms(M, cols):
-    """The norms of the columns ``cols`` (a slice or an index array) of a
-    C-ordered ``M``, the same bits as those columns of the whole matrix's.
+def _column_norms(block):
+    """The column norms of a C-ordered ``block``, the same bits as those
+    columns of a C-ordered matrix's whole norms.
 
     NumPy sums a C-ordered block of two or more columns row after row, as it
     does the whole matrix, but a lone column pairwise; so a lone column is
-    taken twice.  A slice is read through its view, and an index array
-    through ``take``, which is C-ordered where ``M[:, cols]`` is not."""
-    block = M[:, cols] if isinstance(cols, slice) else M.take(cols, axis=1)
+    taken twice.  ``M[:, cols]`` of an index array is not C-ordered;
+    ``M.take(cols, axis=1)`` is."""
     n = block.shape[1]
     if n == 1:
         block = np.repeat(block, 2, axis=1)

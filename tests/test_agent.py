@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from cogkit import hrr, memory, ngc, runner
-from cogkit.agent import _STATE, Agent, AgentConfig
+from cogkit.agent import _STATE, Agent, AgentConfig, _unit
 from cogkit.config import resolve
 from cogkit.data import DEFAULT_PAIRS, make_split_mnist
 from cogkit.gate import CompetitiveGate, ContextTracker
@@ -185,6 +185,29 @@ def test_routing_on_moves_memories():
     assert a.retrieval.any()
 
 
+def test_routing_off_motor_state_reads_only_the_percept_block_of_bridge2():
+    # bench continual's sizes; the bridge is drawn whole whatever the flags
+    kw = dict(d=1024, motor_state_dim=128, route_dm_store=False)
+    off = Agent(small_config(route_wm_encode=False, route_dm_retrieve=False, **kw))
+    for flags in ((True, False), (False, True)):
+        on = Agent(small_config(route_wm_encode=flags[0], route_dm_retrieve=flags[1], **kw))
+        assert on.bridge2.shape == (128, 3 * 1024)
+    full = on.bridge2
+    assert off.bridge2.shape == (128, 1024) and off.bridge2.flags.c_contiguous
+    assert np.array_equal(off.bridge2, full[:, :1024])
+    percepts = _unit(np.random.default_rng(7).normal(size=(1024, 50)))
+
+    def reference(p):  # [p; retrieval; wm], with both buffers zero
+        return _unit(full @ np.concatenate([p, np.zeros((2 * 1024, *p.shape[1:]))]))
+
+    for p in percepts.T[:20]:  # a cycle's percept: the same bits
+        assert off._motor_state(p).tobytes() == reference(p).tobytes()
+    # a probe batch sums the same terms through a matrix product, which BLAS
+    # may group by the length of the sum: equal to float64 rounding of 1024 terms
+    np.testing.assert_allclose(off._motor_state(percepts), reference(percepts),
+                               rtol=0, atol=1024 * np.finfo(float).eps)
+
+
 def test_cycle_atomic_rollback_on_failure():
     a = Agent(small_config(seed=11))
     a.cycle(np.ones(8))
@@ -282,8 +305,9 @@ def test_a_step_rebinds_state_parts_and_writes_only_into_sensory_weights():
     # each part's ``take`` is ``attrgetter(path)``, which pickles as its path;
     # every part but the sensory circuit is rebound, and each is reached
     assert rebound == {part.take.__reduce__()[1][0] for part in _STATE} - {"sensory"}
-    # the sensory circuit is the one value written into: its W and E only
-    weights = [*a.sensory.W[1:], *a.sensory.E[1:]]
+    # the sensory circuit is the one value written into: its W and E, and the
+    # squares of E it keeps for its masked updates, only
+    weights = [*a.sensory.W[1:], *a.sensory.E[1:], a.sensory.squares[1]]
     assert {id(v) for v in written} == {id(w) for w in weights}
 
 
@@ -431,6 +455,21 @@ def test_restore_rejects_an_entry_no_cycle_leaves(entry, bad):
     (arrays if isinstance(bad, np.ndarray) else meta)[entry] = bad
     with pytest.raises(ValueError, match=rf"^bad (value|shape) for '{entry}"):
         Agent.restore(write_snapshot(arrays, meta, seed=seed))
+
+
+@pytest.mark.parametrize("entry, route", [("buffer/retrieval", "route_dm_retrieve"),
+                                          ("wm/m", "route_wm_encode")])
+def test_restore_rejects_a_buffer_that_routing_off_leaves_zero(entry, route):
+    a = Agent(small_config(**{route: False}))
+    for x in obs_stream(12):
+        a.cycle(x)
+    arrays, meta, seed = read_snapshot(a.snapshot())
+    assert not arrays[entry].any()
+    arrays[entry][3] = 0.5
+    with pytest.raises(ValueError, match=rf"^bad value for '{entry}': .* {route} is off"):
+        Agent.restore(write_snapshot(arrays, meta, seed=seed))
+    meta["config"][route] = True  # a buffer that routing fills restores
+    Agent.restore(write_snapshot(arrays, meta, seed=seed))
 
 
 def _units_past_m_max(arrays, meta):
@@ -611,6 +650,35 @@ def test_gated_wide_agent_rolls_back_a_clip_that_fails_after_w_is_written(monkey
     assert a.snapshot() == before
     for x in stream[5:]:
         assert a.cycle(x, r_env=1.0) == twin.cycle(x, r_env=1.0)
+        assert a.snapshot() == twin.snapshot()
+
+
+def test_a_gated_agent_keeps_one_array_of_squares_and_a_restore_none():
+    # 784 -> 256 with a quarter of the units open: the sensory update keeps
+    # E's squares, one array for its one clipped layer, written in place
+    a = Agent(small_config(obs_dim=784, sensory_hidden=(256,), sensory_K=30,
+                           mask_mode="blocks", mask_p=0.25, seed=31))
+    stream = obs_stream(9, seed=12, dim=784)
+    for x in stream[:3]:
+        a.cycle(x, r_env=0.1)
+    squares = a.sensory.squares[1]
+    assert list(a.sensory.squares) == [1] and squares.shape == (256, 784)
+    tracemalloc.start()
+    try:
+        for x in stream[3:6]:
+            before = hash(squares.tobytes())
+            a.cycle(x, r_env=0.1)
+            assert list(a.sensory.squares) == [1] and a.sensory.squares[1] is squares
+            assert hash(squares.tobytes()) != before
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < squares.nbytes / 4  # a new array of squares a cycle would hold 1.6 MB
+    twin = Agent.restore(a.snapshot())
+    assert twin.sensory.squares == {}  # derived, so never stored
+    for x in stream[6:]:
+        assert a.cycle(x, r_env=1.0) == twin.cycle(x, r_env=1.0)
+        assert list(twin.sensory.squares) == [1]
         assert a.snapshot() == twin.snapshot()
 
 

@@ -370,6 +370,8 @@ def _oracle_case(name):
     if name == "input_clamped_closed_mask":
         c = init_circuit([12, 16], seed=19, K=15)
         return c, {"clamps": {0: vec(12)}, "mask": {1: np.zeros(16)}}
+    if name == "input_clamped_one_unit":  # one column of W, so its norm is summed pairwise
+        return init_circuit([200, 1], seed=18, K=15), {"clamps": {0: vec(200)}}
     if name == "top_clamped":
         return init_circuit([3, 16], seed=23, K=15), {"clamps": {1: vec(16)}}
     if name == "top_clamped_pinned":
@@ -401,6 +403,7 @@ ORACLE_CASES = [
     "input_clamped_block_mask",
     "input_clamped_beta_zero",
     "input_clamped_closed_mask",
+    "input_clamped_one_unit",
     "top_clamped",
     "top_clamped_pinned",
     "top_clamped_pinned_beta_zero",
@@ -414,7 +417,7 @@ ORACLE_CASES = [
 
 # cases that settle in the clamped-input kernel
 KERNEL_CASES = {"input_clamped", "input_clamped_block_mask", "input_clamped_beta_zero",
-                "input_clamped_closed_mask"}
+                "input_clamped_closed_mask", "input_clamped_one_unit"}
 
 
 def kernel_tol(circuit):
@@ -511,8 +514,8 @@ def test_journaled_updates_match_the_reference_step_after_step():
         want = reference_ngc.update_weights(c, state, eta_W=0.3, eta_E=0.2, clip=True)
         unclipped = reference_ngc.update_weights(c, state, eta_W=0.3, eta_E=0.2)
         divided = np.linalg.norm(unclipped.W[1], axis=0) > 1.0
-        W, E, norms = c.W[1], c.E[1], c.norms.get(1)
-        start = [W.copy(), E.copy()]
+        W, E, norms, squares = c.W[1], c.E[1], c.norms.get(1), c.squares.get(1)
+        start = [W.copy(), E.copy(), None if squares is None else squares.copy()]
         for again in (False, True):  # the update, undone, then made again
             journal = []
             assert update_weights(c, state, eta_W=0.3, eta_E=0.2, clip=True,
@@ -520,17 +523,22 @@ def test_journaled_updates_match_the_reference_step_after_step():
             assert c.W[1] is W and c.E[1] is E  # written in place
             assert np.array_equal(W, want.W[1]), name
             assert np.array_equal(E, want.E[1]), name
-            if mask is None:
-                assert c.norms.get(1) is None
+            if mask is None:  # an unmasked update keeps nothing
+                assert c.norms.get(1) is None and c.squares.get(1) is None
             else:  # NaN marks each column the clip divided, to take again
                 cached, full = c.norms[1], np.sqrt(np.add.reduce(W * W, axis=0))
                 assert np.array_equal(np.isnan(cached), divided), name
                 assert np.array_equal(cached[~divided], full[~divided]), name
+                # E's squares, bit for bit, written into the array kept before
+                assert c.squares[1].tobytes() == (E * E).tobytes(), name
+                assert squares is None or c.squares[1] is squares
             if not again:
                 ngc.undo(journal)
                 assert np.array_equal(W, start[0]) and np.array_equal(E, start[1])
-                assert c.norms.get(1) is norms
+                assert c.norms.get(1) is norms and c.squares.get(1) is squares
+                assert squares is None or squares.tobytes() == start[2].tobytes()
     assert set(names) == set(masks)
+    assert replace(c).norms == replace(c).squares == {}  # as a restore builds it
 
 
 def test_an_update_without_a_journal_leaves_its_circuit_as_it_was():
@@ -543,10 +551,12 @@ def test_an_update_without_a_journal_leaves_its_circuit_as_it_was():
     new = update_weights(c, state, eta_W=0.3, eta_E=0.2, clip=True)
     assert new is not c and c.norms[1] is norms
     assert np.array_equal(c.W[1], W) and np.array_equal(c.E[1], E)
-    # the copy starts without norms and takes its own
+    # the copy starts without norms or squares and takes its own
     kept = ~np.isnan(new.norms[1])
     assert np.array_equal(new.norms[1][kept],
                           np.sqrt(np.add.reduce(new.W[1] * new.W[1], axis=0))[kept])
+    assert new.squares[1] is not c.squares[1]
+    assert new.squares[1].tobytes() == (new.E[1] * new.E[1]).tobytes()
     assert not np.shares_memory(new.W[1], c.W[1]) and not np.shares_memory(new.E[1], c.E[1])
 
 
