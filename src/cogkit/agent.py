@@ -26,34 +26,37 @@ action (callers usually discard it and reset), but no new pending transition,
 so episodes never bleed into each other.  Any exception inside a cycle rolls
 the whole agent back to its pre-cycle state.
 
-Everything a cycle can change is listed once, in ``_STATE``, a table of
-attribute paths that drives rollback and snapshot/restore.  A cycle replaces
+Everything a cycle can change is listed once, in ``_STATE``: a table of
+attribute paths that drives rollback, each with the rows of the snapshot
+entries that hold it, which drive snapshot and restore.  A cycle replaces
 each of those values and writes into none, except the sensory circuit's
-``W[ell]`` and ``E[ell]``: its update writes their open columns and rows,
-and the columns a clip divides, in place, after appending what it
-overwrites to the block's journal.  So a rollback writes the journal back,
-latest first, and then puts back the references it captured.  The circuit
-also keeps W's column norms and E's element-wise squares, which a masked
-update takes again only where W and E changed since; it writes the
-squares in place too.  They are derived: journaled like the weights, never
-stored, and taken again from W and E after a restore, so a rolled-back or
-resumed agent goes on byte for byte.  What no cycle changes,
-the two bridges and the unit symbols, is drawn from the config's seed when
-an agent is built, so a restore rebuilds it; it loads the circuits' weights
-and draws none.
+``W[ell]`` and ``E[ell]`` and the norms and squares of them it keeps: its
+update writes their open columns and rows, and the columns a clip divides,
+in place, after appending what it overwrites to the block's journal.  So a
+rollback writes the journal back, latest first, and then puts back the
+references it captured.  The norms and squares are derived: journaled like
+the weights, never stored, and taken again from W and E after a restore, so
+a rolled-back or resumed agent goes on byte for byte.  What no cycle
+changes, the two bridges and the unit symbols, is drawn from the config's
+seed when an agent is built, so a restore rebuilds it; it loads the
+circuits' weights and draws none.
 """
 
 from __future__ import annotations
 
+import re
+from collections.abc import Callable
 from contextlib import contextmanager
 from dataclasses import asdict, field, make_dataclass, replace
+from itertools import count
 from operator import attrgetter
 from types import MappingProxyType
+from typing import NamedTuple
 
 import numpy as np
 
 from . import hrr, memory, ngc, snapshot
-from .config import AGENT_FIELDS, AGENT_SCHEMA, check, check_vector
+from .config import AGENT_FIELDS, AGENT_SCHEMA, check
 from .gate import CompetitiveGate, ContextTracker
 from .memory import DeclarativeMemory, WorkingMemoryBuffer
 from .motor import MotorCircuit, Transition, epsilon_at, greedy_action
@@ -104,45 +107,58 @@ def _unit(v):
 # ------------------------------------------------------------ state table
 
 
-class _Part:
-    """One piece of agent state, at the dotted attribute ``path``, and the
-    snapshot entries that hold it.
+class _Entry(NamedTuple):
+    """One row of the table of snapshot entries (README, "Snapshots").
 
-    A cycle replaces the value at ``path`` and never writes into it, with
-    one exception: the sensory circuit keeps its identity, and its update
-    writes ``W[ell]``, ``E[ell]`` and its kept squares of ``E[ell]`` in place
-    after journaling what it overwrites (``ngc.update_weights``).  So
-    ``take(agent)`` captures a value by reference, a rollback writes the
-    journal back, and ``put(agent,
-    value)`` sets a captured or loaded value back on its owner.  ``dump(value)`` returns its
-    snapshot entries by name (arrays become array entries, anything else JSON
-    metadata); ``load(agent, entries)`` reads them back for a freshly built
-    ``agent``.  ``entry`` names the stored form in error messages.
+    ``name`` is an entry's name, or a pattern whose ``<...>`` fields are
+    filled by each mapping ``each(x)`` lists, one per entry a snapshot holds;
+    an entry that fits the pattern and no mapping belongs to no ``of``.
+    ``shape`` names an array's dimensions, each read from the fields or from
+    ``x`` (``_check``); ``None`` marks JSON.  ``ok(value, x)`` keeps ``rule``,
+    whose ``{...}`` an error fills from ``x``.
     """
 
-    def __init__(self, path, dump, load, entry=None):
+    name: str
+    shape: tuple | None = None
+    rule: str = ""
+    ok: Callable | None = None
+    each: Callable = lambda x: [{}]
+    of: str = ""
+
+
+class _Part:
+    """One piece of agent state, at the dotted attribute ``path``, and the
+    ``_Entry`` rows of the snapshot entries that hold it.
+
+    ``take(agent)`` captures the value by reference, which a cycle replaces
+    (see the module docstring for the one it writes into), and ``put(agent,
+    value)`` sets a captured or loaded value back on its owner.
+    ``dump(value)`` returns its snapshot entries by name (arrays become array
+    entries, anything else JSON); ``load(agent, entries)`` reads checked
+    entries back for a freshly built ``agent``.
+    """
+
+    def __init__(self, path, dump, load, *rows):
         self.take = attrgetter(path)
         owner, _, name = path.rpartition(".")
         owner = attrgetter(owner) if owner else (lambda agent: agent)
         self.put = lambda agent, value: setattr(owner(agent), name, value)
         self.dump = dump
         self.load = load
-        self.entry = entry or path
+        self.rows = rows
 
 
-def _one(path, key, out=None):
-    """A part kept as the single entry ``key``; ``out`` converts its value to
-    the stored form."""
-
-    def dump(value):
-        return {key: value if out is None else out(value)}
-
-    return _Part(path, dump, lambda agent, entries: entries[key], entry=key)
+def _one(path, key, out=None, **row):
+    """A part kept as the single entry ``key``, declared by ``row``; ``out``
+    converts its value to the stored form."""
+    return _Part(path, lambda v: {key: v if out is None else out(v)},
+                 lambda agent, entries: entries[key], _Entry(key, **row))
 
 
-def _circuit(path, prefix):
-    """A circuit kept as ``<prefix>/W<ell>`` and ``<prefix>/E<ell>`` arrays;
-    its structure comes from the rebuilt agent."""
+def _circuit(path, prefix, sizes):
+    """A circuit kept as ``<prefix>/W<ell>`` and ``<prefix>/E<ell>`` arrays,
+    one pair per layer above the first of ``sizes(x)``; its structure comes
+    from the rebuilt agent."""
     get = attrgetter(path)
 
     def dump(c):
@@ -155,152 +171,164 @@ def _circuit(path, prefix):
         return replace(c, W=c.W[:1] + [entries[f"{prefix}/W{ell}"] for ell in layers],
                        E=c.E[:1] + [entries[f"{prefix}/E{ell}"] for ell in layers])
 
-    return _Part(path, dump, load)
+    def each(x):
+        n = sizes(x)
+        return [{"ell": ell, "n[ell-1]": n[ell - 1], "n[ell]": n[ell]} for ell in range(1, len(n))]
+
+    of = f"layer of the {prefix} circuit"
+    return _Part(path, dump, load,
+                 _Entry(f"{prefix}/W<ell>", ("n[ell-1]", "n[ell]"), each=each, of=of),
+                 _Entry(f"{prefix}/E<ell>", ("n[ell]", "n[ell-1]"), each=each, of=of))
 
 
-_REPLAY = ("replay/s", "replay/a", "replay/r", "replay/s_next", "replay/done")
+def _whole(v, x=None):
+    return type(v) is int and v >= 0  # JSON gives int, never bool, for a count
 
 
-def _dump_replay(entries):
-    if not entries:
-        return {}
-    s, a, r, s_next, done = zip(*entries)
-    return dict(zip(_REPLAY, (np.stack(s), np.array(a, dtype=float), np.array(r),
-                              np.stack(s_next), np.array(done, dtype=float))))
+def _below(bound):
+    return dict(rule=f"None or a whole number < {{{bound}}}",
+                ok=lambda v, x: v is None or _whole(v) and v < x[bound])
+
+
+def _zero_unless(route):  # no cycle fills it then, and a trimmed bridge2 ignores it
+    return dict(rule=f"zero while {route} is off", ok=lambda v, x: x[route] or not v.any())
+
+
+def _if(name):
+    """``each`` for an entry a snapshot holds only while ``name`` is not None."""
+    return lambda x: [{}] if x["entries"].get(name) is not None else []
+
+
+# the replay store's fields, one row per transition, there only with replay/a
+_REPLAY = tuple(_Entry(f"replay/{field}", ("transitions", *width), rule, ok, _if("replay/a"))
+                for field, width, rule, ok in (
+    ("s", ("motor_state_dim",), "", None),
+    ("a", (), "whole actions < {n_actions}", lambda v, x: np.isin(v, range(x["n_actions"])).all()),
+    ("r", (), "finite", lambda v, x: np.isfinite(v).all()),
+    ("s_next", ("motor_state_dim",), "", None),
+    ("done", (), "0 or 1", lambda v, x: np.isin(v, (0, 1)).all())))
 
 
 def _load_replay(agent, entries):
     """The stored transitions, the latest ``replay_capacity`` of them."""
     capacity = agent.motor.replay_capacity
-    if not capacity or "replay/a" not in entries:
-        return ()
+    fields = zip(*(entries.get(row.name, ()) for row in _REPLAY))
     return tuple((s, int(a), float(r), s_next, bool(done))
-                 for s, a, r, s_next, done in zip(*(entries[k] for k in _REPLAY)))[-capacity:]
+                 for s, a, r, s_next, done in fields)[-capacity:] if capacity else ()
 
 
 def _recruited(entries):
-    """How many gate units the snapshot holds: one prototype entry each."""
-    return sum(name.startswith("gate/prototype/") for name in entries)
+    """How many gate units a snapshot holds: prototypes 0, 1, ... up to a gap."""
+    return next(k for k in count() if f"gate/prototype/{k}" not in entries)
 
 
 def _load_masks(agent, entries):
-    """The recruited units' masks, read-only; each is 0/1 and opens a unit,
-    as the gate makes them."""
+    """The recruited units' masks, read-only, as the gate makes them."""
     layers = sorted(agent.gate.layer_widths)
     masks = tuple({layer: entries[f"gate/mask/{k}/{layer}"] for layer in layers}
                   for k in range(_recruited(entries)))
-    for k, mask in enumerate(masks):
-        for layer, g in mask.items():
-            if not (((g == 0.0) | (g == 1.0)).all() and g.any()):
-                raise ValueError(f"snapshot entry 'gate/mask/{k}/{layer}' "
-                                 "is not a 0/1 mask opening a unit")
-            g.flags.writeable = False
+    for g in (g for mask in masks for g in mask.values()):
+        g.flags.writeable = False
     return tuple(MappingProxyType(mask) for mask in masks)
 
 
-def _dump_dm(dm):
-    return {**{f"dm/trace/{n}": trace for n, trace in dm.traces.items()},
-            "dm/trace_names": list(dm.traces)}
-
-
-def _load_dm(agent, entries):
-    traces = {n: entries[f"dm/trace/{n}"] for n in entries["dm/trace_names"]}
-    return replace(agent.dm, traces=traces)
-
-
-def _dump_pending(pending):
-    if pending is None:
-        return {"pending/a": None}
-    return {"pending/s": pending[0], "pending/a": int(pending[1])}
-
-
-def _whole(v):
-    return type(v) is int and v >= 0  # JSON gives int, never bool, for a count
-
-
-def _check_entries(config, entries):
-    """Reject an entry that no cycle leaves: more gate units than ``M_max``, a
-    count below 0, a winner that is not a recruited unit, a pending action out
-    of range, a flag that is not a bool, a free energy that is not a finite
-    number >= 0, a trace of a name the lexicon lacks, a replay action, flag or
-    reward no learn step stores, a vector or replay row of the wrong length, or
-    a retrieval or working-memory buffer that is not zero while the routing
-    that would fill it is off."""
-    units, actions = _recruited(entries), config.n_actions
-    names = [_unit_name(k) for k in range(config.M_max)]
-    if units > config.M_max:
-        raise ValueError(f"bad value for 'gate/prototype/{config.M_max}': {units} gate units, "
-                         f"more than M_max {config.M_max}")
-    rules = {
-        "step": (_whole, "a whole number >= 0"),
-        "wm/position": (_whole, "a whole number >= 0"),
-        "last_winner": (lambda v: v is None or _whole(v) and v < units,
-                        f"None or a recruited unit, 0..{units - 1}"),
-        "pending/a": (lambda v: v is None or _whole(v) and v < actions,
-                      f"None or an action, 0..{actions - 1}"),
-        "gate/saturated": (lambda v: type(v) is bool, "true or false"),
-        "last_energy": (lambda v: type(v) in (int, float) and 0 <= v < np.inf,
-                        "a finite number >= 0"),
-        "dm/trace_names": (lambda v: type(v) is list and all(n in names for n in v),
-                           f"a list of lexicon names, {names[0]}..{names[-1]}"),
-        "replay/a": (lambda v: ((v % 1 == 0) & (v >= 0) & (v < actions)).all(),
-                     f"a whole action, 0..{actions - 1}"),
-        "replay/r": (lambda v: np.isfinite(v).all(), "finite"),
-        "replay/done": (lambda v: ((v == 0) | (v == 1)).all(), "0 or 1"),
-    }
-    for name, route in (("buffer/retrieval", "route_dm_retrieve"), ("wm/m", "route_wm_encode")):
-        if not getattr(config, route):  # no cycle fills it, and a trimmed bridge2 ignores it
-            rules[name] = (lambda v: not np.any(v), f"zero, as {route} is off")
-    if "replay/a" in entries:  # the five replay arrays hold one row per transition
-        n = getattr(entries["replay/a"], "size", 0)
-        for name in _REPLAY:
-            want = (n, config.motor_state_dim) if name in ("replay/s", "replay/s_next") else (n,)
-            got = getattr(entries.get(name), "shape", "not an array")
-            if name in entries and got != want:
-                raise ValueError(f"bad shape for {name!r}: {got}, expected {want}")
-    for name, (ok, what) in rules.items():
-        if name in entries and not ok(entries[name]):
-            given = "a row" if isinstance(entries[name], np.ndarray) else repr(entries[name])
-            raise ValueError(f"bad value for {name!r}: {given} is not {what}")
-    for name in entries.get("dm/trace_names", ()):
-        if f"dm/trace/{name}" in entries:
-            check_vector(f"dm/trace/{name}", entries[f"dm/trace/{name}"], config.d)
-    if "pending/s" in entries:
-        check_vector("pending/s", entries["pending/s"], config.motor_state_dim)
-    for i, row in enumerate(np.atleast_1d(entries.get("ctx/window", ()))):
-        check_vector(f"ctx/window[{i}]", row, config.obs_dim)
-
-
-# Every piece of state a cycle can change; an RNG's state reads as a fresh dict.
+# Every piece of state a cycle can change, with its entries; an RNG's state
+# reads as a fresh dict, and NumPy's setter checks it when it is put back.
 _STATE = (
-    _circuit("sensory", "sensory"),
-    _circuit("motor.circuit", "motor"),
-    _one("motor.rng.bit_generator.state", "motor/rng_state"),
-    _Part("motor.replay", _dump_replay, _load_replay),
+    _circuit("sensory", "sensory", lambda x: (x["obs_dim"], *x["sensory_hidden"])),
+    _circuit("motor.circuit", "motor",
+             lambda x: (x["n_actions"], *x["motor_hidden"], x["motor_state_dim"])),
+    _one("motor.rng.bit_generator.state", "motor/rng_state", rule="a state NumPy's PCG64 takes"),
+    _Part("motor.replay",  # each field of the transitions, as one float array
+          lambda replay: {row.name: np.array(col, dtype=float)
+                          for row, col in zip(_REPLAY, zip(*replay))},
+          _load_replay, *_REPLAY),
     _Part("gate.prototypes",
           lambda protos: {f"gate/prototype/{k}": w for k, w in enumerate(protos)},
-          lambda agent, e: tuple(e[f"gate/prototype/{k}"] for k in range(_recruited(e)))),
+          lambda agent, e: tuple(e[f"gate/prototype/{k}"] for k in range(_recruited(e))),
+          _Entry("gate/prototype/<k>", ("obs_dim",), "kept by a unit k < {M_max}",
+                 lambda v, x: x["k"] < x["M_max"], lambda x: [{"k": k} for k in range(x["units"])],
+                 "recruited gate unit")),
     _Part("gate.masks",
           lambda masks: {f"gate/mask/{k}/{layer}": g
                          for k, mask in enumerate(masks) for layer, g in mask.items()},
-          _load_masks),
-    _one("gate.saturated", "gate/saturated", out=bool),
-    _one("gate.rng.bit_generator.state", "gate/rng_state"),
-    _Part("dm", _dump_dm, _load_dm),
-    _one("perception", "buffer/perception"),
-    _one("retrieval", "buffer/retrieval"),
+          _load_masks,
+          _Entry("gate/mask/<k>/<layer>", ("sensory_hidden[layer-1]",),
+                 "a 0/1 mask opening a unit", lambda g, x: ((g == 0) | (g == 1)).all() and g.any(),
+                 lambda x: [{"k": k, "layer": layer, "sensory_hidden[layer-1]": width}
+                            for k in range(x["units"])
+                            for layer, width in enumerate(x["sensory_hidden"], 1)],
+                 "recruited gate unit")),
+    _one("gate.saturated", "gate/saturated", out=bool,
+         rule="true or false", ok=lambda v, x: type(v) is bool),
+    _one("gate.rng.bit_generator.state", "gate/rng_state", rule="a state NumPy's PCG64 takes"),
+    _Part("dm",
+          lambda dm: {**{f"dm/trace/{n}": v for n, v in dm.traces.items()},
+                      "dm/trace_names": list(dm.traces)},
+          lambda agent, e: replace(agent.dm, traces={n: e[f"dm/trace/{n}"]
+                                                     for n in e["dm/trace_names"]}),
+          _Entry("dm/trace/<name>", ("d",), each=lambda x: [{"name": n} for n in x["trace_names"]],
+                 of="name in 'dm/trace_names'"),
+          _Entry("dm/trace_names", rule="a list of lexicon names unitJ, J < {M_max}",
+                 ok=lambda v, x: type(v) is list and all(
+                     n in [_unit_name(j) for j in range(x["M_max"])] for n in v))),
+    _one("perception", "buffer/perception", shape=("d",)),
+    _one("retrieval", "buffer/retrieval", shape=("d",), **_zero_unless("route_dm_retrieve")),
     _Part("wm",
           lambda wm: {"wm/m": wm.m, "wm/position": int(wm.position)},
-          lambda agent, e: replace(agent.wm, m=e["wm/m"], position=e["wm/position"])),
-    _one("step", "step", out=int),
+          lambda agent, e: replace(agent.wm, m=e["wm/m"], position=e["wm/position"]),
+          _Entry("wm/m", ("d",), **_zero_unless("route_wm_encode")),
+          _Entry("wm/position", rule="a whole number >= 0", ok=_whole)),
+    _one("step", "step", out=int, rule="a whole number >= 0", ok=_whole),
     _Part("tracker.window",
           lambda window: {"ctx/window": np.stack(window)} if window else {},
-          lambda agent, e: tuple(e.get("ctx/window", ()))[-agent.tracker.capacity:]),
-    _Part("pending", _dump_pending,
-          lambda agent, e: None if e["pending/a"] is None else (e["pending/s"], e["pending/a"])),
-    _one("last_winner", "last_winner"),
-    _one("last_energy", "last_energy", out=float),
+          lambda agent, e: tuple(e.get("ctx/window", ()))[-agent.tracker.capacity:],
+          _Entry("ctx/window", ("rows", "obs_dim"), each=_if("ctx/window"))),
+    _Part("pending",
+          lambda p: {"pending/a": None} if p is None else {"pending/s": p[0],
+                                                           "pending/a": int(p[1])},
+          lambda agent, e: None if e["pending/a"] is None else (e["pending/s"], e["pending/a"]),
+          _Entry("pending/a", **_below("n_actions")),
+          _Entry("pending/s", ("motor_state_dim",), each=_if("pending/a"))),
+    _one("last_winner", "last_winner", **_below("units")),
+    _one("last_energy", "last_energy", out=float, rule="a finite number >= 0",
+         ok=lambda v, x: type(v) in (int, float) and 0 <= v < np.inf),
 )
+
+
+def _check(config, entries):
+    """Hold ``entries`` against the rows of ``_STATE`` in four passes, missing,
+    stray, shape (array or JSON, then its dimensions) and value, and raise
+    ``ValueError`` naming the first entry to fail.  ``x`` holds the config's
+    keys and the counts the entries give: ``units`` (``_recruited``),
+    ``transitions`` (of ``replay/a``), ``rows`` (of ``ctx/window``) and
+    ``trace_names``.  An entry that fits no row is ignored."""
+    window, names = entries.get("ctx/window"), entries.get("dm/trace_names")
+    x = {**asdict(config), "entries": entries, "units": _recruited(entries),
+         "transitions": getattr(entries.get("replay/a"), "size", 0),
+         "rows": len(window) if getattr(window, "ndim", 0) else 0,
+         "trace_names": names if type(names) is list else []}
+    rows = [(row, re.sub(r"<(\w+)>", lambda m: str(fields[m[1]]), row.name), {**x, **fields})
+            for part in _STATE for row in part.rows for fields in row.each(x)]
+    for _, name, _ in rows:
+        if name not in entries:
+            raise ValueError(f"snapshot entry {name!r} is missing")
+    stray = {name: row.of for name in sorted(entries.keys() - {name for _, name, _ in rows})
+             for part in _STATE for row in part.rows
+             if row.of and re.fullmatch(re.sub(r"<\w+>", "[^/]*", row.name), name)}
+    if stray:
+        raise ValueError(f"bad value for {', '.join(map(repr, stray))}: they belong to no "
+                         f"{' or '.join(dict.fromkeys(stray.values()))}")
+    for row, name, at in rows:
+        got = getattr(entries[name], "shape", "JSON")
+        want = "JSON" if row.shape is None else tuple(at[dim] for dim in row.shape)
+        if got != want:
+            raise ValueError(f"bad shape for {name!r}: {got}, the config gives {want}")
+    for row, name, at in rows:
+        v = entries[name]
+        if row.ok and not row.ok(v, at):
+            given = f"array {name!r}" if isinstance(v, np.ndarray) else repr(v)
+            raise ValueError(f"bad value for {name!r}: {given} is not {row.rule.format_map(at)}")
 
 
 class Agent:
@@ -322,24 +350,12 @@ class Agent:
         self.sensory = (ngc.init_circuit(sizes, seed=s_sensory, sigma=config.sensory_sigma, **kind)
                         if draw else ngc.blank_circuit(sizes, **kind))
         self.motor = MotorCircuit(
-            config.n_actions,
-            config.motor_state_dim,
-            hidden=config.motor_hidden,
-            seed=s_motor,
-            gamma_d=config.gamma_d,
-            alpha_e=config.alpha_e,
-            r_clip=config.r_clip,
-            eta_W=config.motor_eta_W,
-            eta_E=config.motor_eta_E,
-            beta=config.motor_beta,
-            gamma=config.motor_gamma,
-            K=config.motor_K,
-            sigma=config.motor_sigma,
-            clip_weights=config.motor_clip,
-            replay_capacity=config.replay_capacity,
-            replay_samples=config.replay_samples,
-            _draw=draw,
-        )
+            config.n_actions, config.motor_state_dim, seed=s_motor, _draw=draw,
+            hidden=config.motor_hidden, clip_weights=config.motor_clip,
+            **{k: getattr(config, k) for k in (
+                "gamma_d", "alpha_e", "r_clip", "replay_capacity", "replay_samples")},
+            **{k: getattr(config, f"motor_{k}") for k in (
+                "eta_W", "eta_E", "beta", "gamma", "K", "sigma")})
         widths = {i + 1: w for i, w in enumerate(config.sensory_hidden)}
         self.gate = CompetitiveGate(
             context_dim=config.obs_dim,
@@ -562,18 +578,12 @@ class Agent:
     def restore(cls, data):
         """Rebuild an agent that behaves identically to the snapshotted one.
 
-        The agent is built from the embedded config with both circuits blank:
-        their weights come from the snapshot, so none are drawn.  Entries are
-        read by name, so ones this code no longer writes are ignored.  An
-        array whose shape differs from the same entry of that agent, or from
-        what the config gives a recruited gate unit's prototype and masks, is
-        rejected.  Units are counted by their prototype entries, so a gate
-        array beyond that count (a unit whose prototype is missing) is
-        rejected too, and so is a snapshot that lacks an entry the restore
-        reads, or holds more units than ``M_max``, or a count, winner, pending
-        action, flag, free energy, trace, replay row, pending state, context
-        row or memory buffer that no cycle leaves (see ``_check_entries``).
-        Each error names the entry.
+        The embedded config goes through ``AgentConfig``'s checks.  Then,
+        before any part loads, the entries are held against the table that
+        ``_STATE`` declares (README, "Snapshots"; ``_check``), and a missing,
+        stray, misshapen or bad one raises ``ValueError`` naming it.  The
+        agent is built from the config with both circuits blank: their
+        weights come from the snapshot, so none are drawn.
         """
         arrays, meta, _seed = snapshot.read_snapshot(data)
         if "config" not in meta:
@@ -582,30 +592,15 @@ class Agent:
             config = AgentConfig(**meta["config"])
         except TypeError as exc:  # not a mapping, or a key unknown or missing
             raise ValueError(f"snapshot entry 'config' is damaged: {exc}") from None
+        entries = {**arrays, **meta}
+        _check(config, entries)
         agent = cls.__new__(cls)
         agent._build(config, draw=False)  # the snapshot holds both circuits' weights
-        shapes = {name: np.shape(own) for name, own in agent._entries().items()}
-        for k in range(_recruited(arrays)):
-            shapes[f"gate/prototype/{k}"] = (agent.gate.context_dim,)
-            for layer, width in agent.gate.layer_widths.items():
-                shapes[f"gate/mask/{k}/{layer}"] = (width,)
-        for name, shape in shapes.items():
-            if name in arrays and arrays[name].shape != shape:
-                raise ValueError(f"snapshot entry {name!r} has shape {arrays[name].shape}, "
-                                 f"the config gives {shape}")
-        stray = sorted(name for name in arrays if name.startswith("gate/") and name not in shapes)
-        if stray:
-            raise ValueError(f"snapshot entries {stray} belong to no recruited gate unit")
-        entries = {**arrays, **meta}
-        _check_entries(config, entries)
         for part in _STATE:
-            try:
-                value = part.load(agent, entries)
-            except KeyError as exc:
-                raise ValueError(f"snapshot entry {exc.args[0]!r} is missing") from None
+            value = part.load(agent, entries)
             try:
                 part.put(agent, value)  # an RNG's state setter checks what it is given
             except (KeyError, TypeError, ValueError, OverflowError) as exc:
-                raise ValueError(f"snapshot entry {part.entry!r} is damaged: "
+                raise ValueError(f"snapshot entry {part.rows[0].name!r} is damaged: "
                                  f"{type(exc).__name__}: {exc}") from None
         return agent

@@ -116,7 +116,10 @@ def read_snapshot(data):
             shape = r.unpack(f"<{ndim}Q", f"array {name!r} shape")
             n_items = math.prod(shape)  # exact, where np.prod wraps past int64
             raw = r.take(8 * n_items, f"array {name!r} data")
-            arrays[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+            try:
+                arrays[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+            except ValueError as exc:  # more dimensions, or a larger size, than NumPy holds
+                raise SnapshotFormatError(f"array {name!r} cannot take its shape: {exc}") from None
         elif kind == _KIND_META:
             (raw_len,) = r.unpack("<I", f"metadata {name!r} length")
             raw = r.take(raw_len, f"metadata {name!r}")

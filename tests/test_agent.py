@@ -1,6 +1,8 @@
 import dataclasses
+import re
 import tracemalloc
 from collections.abc import Mapping
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ from cogkit.config import resolve
 from cogkit.data import DEFAULT_PAIRS, make_split_mnist
 from cogkit.gate import CompetitiveGate, ContextTracker
 from cogkit.motor import MotorCircuit
-from cogkit.snapshot import read_snapshot, write_snapshot
+from cogkit.snapshot import SnapshotError, read_snapshot, write_snapshot
 
 from test_acceptance import CONTINUAL_CFG
 
@@ -483,6 +485,10 @@ def _trace_outside_the_lexicon(arrays, meta):
     arrays["dm/trace/unit9"] = arrays.pop("dm/trace/unit0")
 
 
+def _trace_no_name_lists(arrays, meta):
+    arrays["dm/trace/unit1"] = arrays["dm/trace/unit0"]
+
+
 def _rewrite(entry, change):
     """A damage that replaces the value of ``entry`` with ``change(value)``."""
     def damage(arrays, meta):
@@ -507,6 +513,8 @@ DAMAGE = {
     "energy-negative": _rewrite("last_energy", lambda v: -1.0),
     "energy-string": _rewrite("last_energy", lambda v: "x"),
     "energy-nan": _rewrite("last_energy", lambda v: np.nan),
+    # a trace that dm/trace_names does not list would be dropped without a word
+    "trace-not-named": ("dm/trace/unit1", _trace_no_name_lists),
 }
 
 
@@ -522,6 +530,61 @@ def test_restore_rejects_memory_replay_and_energy_no_cycle_leaves(case):
     damage(arrays, meta)
     with pytest.raises(ValueError, match=rf"^bad (value|shape) for '{entry}'"):
         Agent.restore(write_snapshot(arrays, meta, seed=seed))
+
+
+def _declared(name):
+    """Whether ``name`` is an entry the state table declares, or fits one of
+    its patterns."""
+    return any(re.fullmatch(re.sub(r"<\w+>", "[^/]*", row.name), name)
+               for part in _STATE for row in part.rows)
+
+
+def test_seeded_snapshot_mutants_restore_or_fail_naming_an_entry():
+    # two gate units, replay rows, a pending transition, a full context window
+    # and a trace; a third of the mutants flip one bit, a third truncate, a
+    # third overwrite one byte.  Each restores (a mutant may restore as another
+    # agent: catching those is a checksum's job), or raises SnapshotError, or a
+    # ValueError quoting an entry or a config key; pyproject turns any
+    # RuntimeWarning into an error
+    a = Agent(small_config(seed=19, replay_capacity=8, replay_samples=1))
+    r = 0.0
+    for x in obs_stream(20, seed=8):
+        r = 0.5 if a.cycle(x, r_env=r) == 1 else -0.5
+    assert a.gate.active_count == 2 and a.motor.replay and a.pending is not None
+    assert len(a.tracker) == a.config.context_window and a.dm.traces
+    blob = a.snapshot()
+    keys = {"config", *dataclasses.asdict(a.config)}
+    rng = np.random.default_rng(23)
+    for i in range(600):
+        data = bytearray(blob)
+        if i % 3 == 0:
+            bit = int(rng.integers(8 * len(data)))
+            data[bit // 8] ^= 1 << bit % 8
+        elif i % 3 == 1:
+            data = data[:int(rng.integers(len(data)))]
+        else:
+            data[int(rng.integers(len(data)))] = int(rng.integers(256))
+        try:
+            Agent.restore(bytes(data))
+        except SnapshotError:
+            pass
+        except ValueError as exc:
+            quoted = re.findall(r"'([^']*)'", str(exc))
+            assert any(q in keys or _declared(q) for q in quoted), f"mutant {i}: {exc}"
+
+
+def test_readme_lists_the_declared_snapshot_entries():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Snapshots\n")[1].split("\n## ")[0]
+    table = [[cell.strip() for cell in line.strip().strip("|").split("|")]
+             for line in section.splitlines() if line.startswith("| `")]
+
+    def shape(dims):
+        return "—" if dims is None else f"`({', '.join(dims)}{',' * (len(dims) == 1)})`"
+
+    assert table == [[f"`{row.name}`", "JSON" if row.shape is None else "array",
+                      shape(row.shape), re.sub(r"[{}]", "", row.rule) or "—"]
+                     for part in _STATE for row in part.rows]
 
 
 def test_a_motor_hidden_layer_needs_motor_beta_above_zero():

@@ -116,11 +116,19 @@ def test_a_name_that_is_not_utf8_is_a_format_error():
         read_snapshot(data)
 
 
-@pytest.mark.parametrize("shape", [(2**62, 4), (2**32, 2**32, 2**32), (2**64 - 1,)])
-def test_a_shape_past_int64_is_counted_exactly(shape):
-    # np.prod would wrap the first to 0 items; the data is not there
+@pytest.mark.parametrize("shape, error, match", [
+    ((2**62, 4), SnapshotTruncatedError, "array 'w' data"),
+    ((2**32, 2**32, 2**32), SnapshotTruncatedError, "array 'w' data"),
+    ((2**64 - 1,), SnapshotTruncatedError, "array 'w' data"),
+    ((0,) * 65, SnapshotFormatError, "array 'w' cannot take its shape"),
+    ((0, 2**62), SnapshotFormatError, "array 'w' cannot take its shape"),
+], ids=["shape0", "shape1", "shape2", "rank65", "too_big"])
+def test_a_shape_past_int64_is_counted_exactly(shape, error, match):
+    # np.prod would wrap the first to 0 items; the data is not there.  The
+    # last two hold 0 items, but NumPy holds no more than 64 dimensions, nor
+    # an array whose size passes its limit, zero items or not
     body = struct.pack(f"<B{len(shape)}Q", len(shape), *shape) + bytes(64)
-    with pytest.raises(SnapshotTruncatedError, match="array 'w' data"):
+    with pytest.raises(error, match=match):
         read_snapshot(_container((b"w", 0, body)))
 
 

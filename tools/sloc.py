@@ -1,8 +1,9 @@
-"""Count the lines of Python source under a directory, three ways.
+"""Count the lines of a Python file, or of the Python source under a directory,
+three ways.
 
-    python tools/sloc.py [DIR]        # DIR defaults to src
+    python tools/sloc.py [PATH]       # PATH defaults to src
 
-Prints, over every ``*.py`` file under DIR:
+Prints, over one Python file or every ``*.py`` file under a directory:
 
 - all lines;
 - code lines: lines that hold a token other than a comment, a newline or
@@ -49,7 +50,7 @@ def count(path):
 
 def main(argv):
     root = Path(argv[1] if len(argv) > 1 else "src")
-    files = sorted(root.rglob("*.py"))
+    files = [root] if root.is_file() else sorted(root.rglob("*.py"))
     if not files:
         raise SystemExit(f"no Python files under {root}")
     totals = [sum(col) for col in zip(*map(count, files))]
