@@ -30,16 +30,17 @@ Everything a cycle can change is listed once, in ``_STATE``: a table of
 attribute paths that drives rollback, each with the rows of the snapshot
 entries that hold it, which drive snapshot and restore.  A cycle replaces
 each of those values and writes into none, except the sensory circuit's
-``W[ell]`` and ``E[ell]`` and the norms and squares of them it keeps: its
-update writes their open columns and rows, and the columns a clip divides,
-in place, after appending what it overwrites to the block's journal.  So a
-rollback writes the journal back, latest first, and then puts back the
-references it captured.  The norms and squares are derived: journaled like
-the weights, never stored, and taken again from W and E after a restore, so
-a rolled-back or resumed agent goes on byte for byte.  What no cycle
-changes, the two bridges and the unit symbols, is drawn from the config's
-seed when an agent is built, so a restore rebuilds it; it loads the
-circuits' weights and draws none.
+``W[ell]`` and ``E[ell]`` and the column norms and squares of them it
+caches.  Its update writes the open columns and rows of W and E, and the
+columns a clip divides, in place, after appending what it overwrites to
+the block's journal.  One rule undoes a cycle: a rollback writes W and E
+back from the journal, latest first, puts back every captured reference,
+and drops the caches instead of restoring them.  A snapshot stores no
+cache either, so a rolled-back or restored agent takes them again from W
+and E and goes on byte for byte.  What no cycle changes, the two bridges
+and the unit symbols, is drawn from the config's seed when an agent is
+built, so a restore rebuilds it; it loads the circuits' weights and draws
+none.
 """
 
 from __future__ import annotations
@@ -204,7 +205,7 @@ _REPLAY = tuple(_Entry(f"replay/{field}", ("transitions", *width), rule, ok, _if
                 for field, width, rule, ok in (
     ("s", ("motor_state_dim",), "", None),
     ("a", (), "whole actions < {n_actions}", lambda v, x: np.isin(v, range(x["n_actions"])).all()),
-    ("r", (), "finite", lambda v, x: np.isfinite(v).all()),
+    ("r", (), "", None),
     ("s_next", ("motor_state_dim",), "", None),
     ("done", (), "0 or 1", lambda v, x: np.isin(v, (0, 1)).all())))
 
@@ -298,11 +299,12 @@ _STATE = (
 
 def _check(config, entries):
     """Hold ``entries`` against the rows of ``_STATE`` in four passes, missing,
-    stray, shape (array or JSON, then its dimensions) and value, and raise
-    ``ValueError`` naming the first entry to fail.  ``x`` holds the config's
-    keys and the counts the entries give: ``units`` (``_recruited``),
-    ``transitions`` (of ``replay/a``), ``rows`` (of ``ctx/window``) and
-    ``trace_names``.  An entry that fits no row is ignored."""
+    stray, shape (array or JSON, then its dimensions) and value (the row's
+    rule, then, for an array, finite), and raise ``ValueError`` naming the
+    first entry to fail.  ``x`` holds the config's keys and the counts the
+    entries give: ``units`` (``_recruited``), ``transitions`` (of
+    ``replay/a``), ``rows`` (of ``ctx/window``) and ``trace_names``.  An
+    entry that fits no row is ignored."""
     window, names = entries.get("ctx/window"), entries.get("dm/trace_names")
     x = {**asdict(config), "entries": entries, "units": _recruited(entries),
          "transitions": getattr(entries.get("replay/a"), "size", 0),
@@ -326,9 +328,11 @@ def _check(config, entries):
             raise ValueError(f"bad shape for {name!r}: {got}, the config gives {want}")
     for row, name, at in rows:
         v = entries[name]
-        if row.ok and not row.ok(v, at):
+        rule = (row.rule.format_map(at) if row.ok and not row.ok(v, at)
+                else "finite" if row.shape is not None and not np.isfinite(v).all() else None)
+        if rule:
             given = f"array {name!r}" if isinstance(v, np.ndarray) else repr(v)
-            raise ValueError(f"bad value for {name!r}: {given} is not {row.rule.format_map(at)}")
+            raise ValueError(f"bad value for {name!r}: {given} is not {rule}")
 
 
 class Agent:
@@ -481,11 +485,13 @@ class Agent:
 
     @contextmanager
     def _atomic(self):
-        """Roll the whole agent back if the block raises: write back what the
-        sensory update overwrote in place, from the block's journal, then put
-        back the value each part held before.  The journal is dropped when
-        the block ends.  A block inside another captures nothing and shares
-        the outer one's journal: the outer one rolls back."""
+        """Roll the whole agent back if the block raises: write back the
+        sensory W and E the update overwrote in place, from the block's
+        journal, put back the value each part held before, and drop the
+        circuit's cached norms and squares instead of restoring them.  The
+        journal is dropped when the block ends.  A block inside another
+        captures nothing and shares the outer one's journal: the outer one
+        rolls back."""
         if self._journal is not None:
             yield
             return

@@ -154,7 +154,7 @@ class ContextTracker:
     """
 
     def __init__(self, dim, window=32):
-        self.dim = int(dim)
+        self.dim = int(check("obs_dim", dim, name="dim"))
         self.capacity = int(check("context_window", window, name="window"))
         self.window = ()
 

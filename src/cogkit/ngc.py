@@ -39,8 +39,9 @@ a restore makes them, so a restored circuit sums its products in the order
 the live one does and resumes byte for byte.  A masked, clipped update
 keeps W's column norms and E's element-wise squares with the circuit and
 takes them again only where W and E changed, in a layout that gives the
-whole matrix's bits; a new or restored circuit has none and takes them from
-W and E, so neither ever alters a byte.
+whole matrix's bits.  They are plain caches, written in place: a new or
+restored circuit has none, nor has a layer after ``undo``, so the next
+update takes them from W and E, and neither ever alters a byte.
 """
 
 from __future__ import annotations
@@ -78,8 +79,8 @@ class NgcCircuit:
     K: int = 50
     # W[ell]'s column norms by layer, NaN where the last clip divided the
     # column, and E[ell]'s element-wise squares, as a masked update with a
-    # clip leaves them (see ``update_weights``); derived, so a new circuit
-    # starts without
+    # clip leaves them (see ``update_weights``); caches, taken from W and E
+    # where a layer has none (None), as in a new circuit
     norms: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     squares: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -409,19 +410,21 @@ def update_weights(circuit, state, eta_W, eta_E, clip=False, journal=None):
     they are written in place.  Before each write the update appends
     ``(array, index, saved)`` to the journal, with ``saved`` a copy of
     ``array[index]``: the open block of W and E, and each other column a
-    clip divides.  ``undo(journal)`` writes them back.  Without a
-    journal, W and E are copied first, C-ordered whatever they were, and
-    the same steps run on the copies.
+    clip divides.  Before those, for each layer, it appends the two marks
+    ``(circuit.norms, ell, None)`` and ``(circuit.squares, ell, None)``.
+    ``undo(journal)`` writes them all back: W and E end as they were, and
+    the layer has no cache.  Without a journal, W and E are copied first,
+    C-ordered whatever they were, and the same steps run on the copies.
 
-    A masked, clipped layer keeps two derived values with the circuit: W's
-    column norms in ``circuit.norms``, NaN for each column its clip
-    divided, and E's element-wise squares in ``circuit.squares``.  The next
-    such update takes the norms again only for its open columns and the NaN
-    ones (all of them at first), and squares again only its open rows of E
-    and the columns E's clip divides, writing them into the kept squares.
+    A masked, clipped layer caches two values with the circuit: W's column
+    norms in ``circuit.norms``, NaN for each column its clip divided, and
+    E's element-wise squares in ``circuit.squares``.  The next such update
+    takes the norms again only for its open columns and the NaN ones (all
+    of them, when the layer has no cache), and squares again only its open
+    rows of E and the columns E's clip divides, writing both in place.
     Both give the bits the whole matrix would (see ``_column_norms``).  An
-    update without a mask or a clip drops them, so such a layer keeps
-    nothing; the journal records each change to them.
+    update without a mask or a clip drops them, so such a layer caches
+    nothing.  The journal holds no copy of either: a rollback drops them.
     """
     if journal is None:
         circuit = NgcCircuit(circuit.sizes, [None] + [M.copy() for M in circuit.W[1:]],
@@ -436,15 +439,18 @@ def update_weights(circuit, state, eta_W, eta_E, clip=False, journal=None):
         W, E, g = circuit.W[ell], circuit.E[ell], state.mask.get(ell)
         opened = _open_units(g)
         keep = clip and g is not None  # only such a layer keeps its norms and squares
+        if journal is not None:  # a rollback leaves the layer with no cache
+            journal += [(circuit.norms, ell, None), (circuit.squares, ell, None)]
+        norms = circuit.norms.get(ell) if keep else None
+        squares = circuit.squares.get(ell) if keep else None
         pre = phi(state.z[ell][opened])
         below = _gate(state, ell - 1, state.e[ell - 1])
         block = W[:, opened].copy() if isinstance(opened, slice) else W.take(opened, axis=1)
         save(W, (slice(None), opened), block)
         block = block + eta_W * (below[:, None] * pre)  # np.outer's product
-        norms = None
         if keep:  # take again the open columns and those a clip divided
-            norms = circuit.norms.get(ell)
-            norms = np.full(W.shape[1], np.nan) if norms is None else norms.copy()
+            if norms is None:
+                norms = np.full(W.shape[1], np.nan)
             norms[opened] = _column_norms(block)
             stale = np.flatnonzero(np.isnan(norms))
             if stale.size:
@@ -452,34 +458,22 @@ def update_weights(circuit, state, eta_W, eta_E, clip=False, journal=None):
             norms[_clip(W, norms, save, opened, block)] = np.nan
         elif clip:  # every column is open, so block holds all of W
             _clip(block, np.sqrt(np.add.reduce(block * block, axis=0)))
-        _keep(circuit.norms, ell, norms, journal)
+        circuit.norms[ell] = norms
         W[:, opened] = block
         save(E, opened)
         E[opened] += eta_E * (pre[:, None] * below)
-        squares = circuit.squares.get(ell) if keep else None
         if clip:
             if squares is None:
                 squares = E * E
             else:  # square again the open rows
-                save(squares, opened)
                 rows = E[opened]
                 squares[opened] = rows * rows
             big = _clip(E, np.sqrt(np.add.reduce(squares, axis=0)), None if g is None else save)
             if keep and np.count_nonzero(big):  # and the columns the clip divided
-                save(squares, (slice(None), big))
                 cols = E[:, big]
                 squares[:, big] = cols * cols
-        _keep(circuit.squares, ell, squares if keep else None, journal)
+        circuit.squares[ell] = squares if keep else None
     return circuit
-
-
-def _keep(kept, ell, value, journal):
-    """Keep ``value`` (None: none) as layer ``ell``'s entry of ``kept``, one
-    of a circuit's derived values, journaling the one it replaces."""
-    if kept.get(ell) is not value:
-        if journal is not None:
-            journal.append((kept, ell, kept.get(ell)))
-        kept[ell] = value
 
 
 def _clip(M, norms, save=None, opened=None, block=None):
@@ -521,6 +515,7 @@ def _column_norms(block):
 
 def undo(journal):
     """Write back what ``update_weights`` saved in ``journal``, the latest
-    first, so each entry ends as it was before the first write."""
+    first, so W and E end as they were before the first write; its marks
+    leave each layer it touched with no cached norms or squares."""
     for target, index, saved in reversed(journal):
         target[index] = saved

@@ -83,7 +83,11 @@ def calibrate_theta(samples, window, factor, eta_c, metric="euclid"):
     stationary source produces, so only a genuine distribution shift
     clears it.
     """
-    samples = np.asarray(samples, dtype=float)[:100]
+    samples = np.asarray(samples, dtype=float)
+    if samples.ndim != 2 or not samples.shape[1]:
+        raise ValueError(f"bad shape for 'samples': {samples.shape}, "
+                         "expected (n, dim) with dim >= 1")
+    samples = samples[:100]
     if len(samples) < 2:
         raise ValueError("calibration needs at least 2 samples")
     tracker = ContextTracker(samples.shape[1], window)

@@ -308,8 +308,8 @@ def test_a_step_rebinds_state_parts_and_writes_only_into_sensory_weights():
     # every part but the sensory circuit is rebound, and each is reached
     assert rebound == {part.take.__reduce__()[1][0] for part in _STATE} - {"sensory"}
     # the sensory circuit is the one value written into: its W and E, and the
-    # squares of E it keeps for its masked updates, only
-    weights = [*a.sensory.W[1:], *a.sensory.E[1:], a.sensory.squares[1]]
+    # norms of W and squares of E it caches for its masked updates, only
+    weights = [*a.sensory.W[1:], *a.sensory.E[1:], a.sensory.norms[1], a.sensory.squares[1]]
     assert {id(v) for v in written} == {id(w) for w in weights}
 
 
@@ -497,8 +497,18 @@ def _rewrite(entry, change):
     return entry, damage
 
 
+def _first(value):
+    """A change that sets an array's first element to ``value``."""
+    def change(v):
+        v = v.copy()
+        v.flat[0] = value
+        return v
+    return change
+
+
 # each damage leaves a snapshot that restores at a build without the checks,
-# and fails only in a later cycle, replay step or finish
+# and fails only in a later cycle, replay step or finish, or runs on with a
+# NaN or inf in its state
 DAMAGE = {
     "units-past-M_max": ("gate/prototype/2", _units_past_m_max),
     "trace-outside-lexicon": ("dm/trace_names", _trace_outside_the_lexicon),
@@ -513,6 +523,15 @@ DAMAGE = {
     "energy-negative": _rewrite("last_energy", lambda v: -1.0),
     "energy-string": _rewrite("last_energy", lambda v: "x"),
     "energy-nan": _rewrite("last_energy", lambda v: np.nan),
+    # one NaN or inf in an array entry; without the check a cycle runs on
+    # with each but the last, and fails on that one naming no entry
+    "sensory-weight-nan": _rewrite("sensory/W1", _first(np.nan)),
+    "motor-weight-inf": _rewrite("motor/E1", _first(np.inf)),
+    "prototype-nan": _rewrite("gate/prototype/0", _first(np.nan)),
+    "perception-inf": _rewrite("buffer/perception", _first(-np.inf)),
+    "window-nan": _rewrite("ctx/window", _first(np.nan)),
+    "replay-state-inf": _rewrite("replay/s", _first(np.inf)),
+    "pending-state-nan": _rewrite("pending/s", _first(np.nan)),
     # a trace that dm/trace_names does not list would be dropped without a word
     "trace-not-named": ("dm/trace/unit1", _trace_no_name_lists),
 }
@@ -700,8 +719,7 @@ def test_gated_wide_agent_rolls_back_a_clip_that_fails_after_w_is_written(monkey
     stream = obs_stream(8, seed=12, dim=784)
     for x in stream[:5]:
         a.cycle(x, r_env=0.1)
-    norms = a.sensory.norms[1]
-    assert norms is not None
+    assert a.sensory.norms[1] is not None
     before = a.snapshot()
     twin = Agent.restore(before)
     assert twin.sensory.norms == {}  # derived, so never stored
@@ -709,7 +727,8 @@ def test_gated_wide_agent_rolls_back_a_clip_that_fails_after_w_is_written(monkey
     with pytest.raises(RuntimeError, match="injected"):
         a.cycle(stream[5], r_env=1.0)
     monkeypatch.undo()
-    assert len(calls) == 2 and a.sensory.norms[1] is norms
+    assert len(calls) == 2  # a rollback drops the layer's caches
+    assert a.sensory.norms.get(1) is None and a.sensory.squares.get(1) is None
     assert a.snapshot() == before
     for x in stream[5:]:
         assert a.cycle(x, r_env=1.0) == twin.cycle(x, r_env=1.0)

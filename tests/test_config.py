@@ -303,6 +303,7 @@ COMPONENT_CASES = [
     ("mask_mode", lambda: CompetitiveGate(4, {}, theta=1.0, mask_mode="block")),
     ("metric", lambda: CompetitiveGate(4, {}, theta=1.0, metric="manhattan")),
     ("window", lambda: ContextTracker(4, window=2.5)),
+    ("dim", lambda: ContextTracker(0)),
     ("gamma_d", lambda: MotorCircuit(2, 4, gamma_d=1.0)),
     ("alpha_e", lambda: MotorCircuit(2, 4, alpha_e=NAN)),
     ("r_clip", lambda: MotorCircuit(2, 4, r_clip=NAN)),

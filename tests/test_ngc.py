@@ -514,9 +514,9 @@ def test_journaled_updates_match_the_reference_step_after_step():
         want = reference_ngc.update_weights(c, state, eta_W=0.3, eta_E=0.2, clip=True)
         unclipped = reference_ngc.update_weights(c, state, eta_W=0.3, eta_E=0.2)
         divided = np.linalg.norm(unclipped.W[1], axis=0) > 1.0
-        W, E, norms, squares = c.W[1], c.E[1], c.norms.get(1), c.squares.get(1)
-        start = [W.copy(), E.copy(), None if squares is None else squares.copy()]
-        for again in (False, True):  # the update, undone, then made again
+        W, E, squares = c.W[1], c.E[1], c.squares.get(1)
+        start = [W.tobytes(), E.tobytes()]
+        for again in (False, True):  # the update, undone, then made again from no cache
             journal = []
             assert update_weights(c, state, eta_W=0.3, eta_E=0.2, clip=True,
                                   journal=journal) is c
@@ -529,16 +529,36 @@ def test_journaled_updates_match_the_reference_step_after_step():
                 cached, full = c.norms[1], np.sqrt(np.add.reduce(W * W, axis=0))
                 assert np.array_equal(np.isnan(cached), divided), name
                 assert np.array_equal(cached[~divided], full[~divided]), name
-                # E's squares, bit for bit, written into the array kept before
+                # E's squares, bit for bit; a warm update writes them into the kept array
                 assert c.squares[1].tobytes() == (E * E).tobytes(), name
-                assert squares is None or c.squares[1] is squares
+                assert again or squares is None or c.squares[1] is squares
             if not again:
                 ngc.undo(journal)
-                assert np.array_equal(W, start[0]) and np.array_equal(E, start[1])
-                assert c.norms.get(1) is norms and c.squares.get(1) is squares
-                assert squares is None or squares.tobytes() == start[2].tobytes()
+                assert W.tobytes() == start[0] and E.tobytes() == start[1]
+                assert c.norms.get(1) is None and c.squares.get(1) is None  # a rollback drops them
     assert set(names) == set(masks)
     assert replace(c).norms == replace(c).squares == {}  # as a restore builds it
+
+
+def test_a_journal_holds_slices_of_w_and_e_and_no_cache_marks_only():
+    # a masked, clipped update whose layer already caches norms and squares;
+    # ten times the weights makes open and closed columns clip
+    c = init_circuit([24, 16], seed=7, sigma=0.5)
+    c = replace(c, W=[None, 10 * c.W[1]], E=[None, 10 * c.E[1]])
+    g = np.zeros(16)
+    g[[1, 2, 3, 9]] = 1.0
+    rng = np.random.default_rng(2)
+    for _ in range(2):
+        journal = []
+        state = settle(c, clamps={0: rng.normal(size=24)}, mask={1: g})
+        update_weights(c, state, eta_W=0.3, eta_E=0.2, clip=True, journal=journal)
+    assert c.norms[1] is not None and c.squares[1] is not None
+    for target, index, saved in journal:
+        if target is c.W[1] or target is c.E[1]:
+            assert saved.shape == target[index].shape
+        else:  # a no-cache mark: nothing else, and no copy of a cache
+            assert (target is c.norms or target is c.squares) and index == 1 and saved is None
+    assert sum(target is c.W[1] or target is c.E[1] for target, _, _ in journal) >= 3
 
 
 def test_an_update_without_a_journal_leaves_its_circuit_as_it_was():

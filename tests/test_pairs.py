@@ -36,7 +36,9 @@ def test_a_metric_worse_than_its_bound_is_marked():
     change = [{"ops_per_s": 74.0, "peak_rss_mb": 55.5}] * 2
     ops, rss = pairs.summarise(parent, change, METRICS)
     assert ops["over_bound"] and rss["over_bound"]
-    assert pairs.format_row(ops).endswith("won 0/2  OVER BOUND")
+    # every pair lost, past the parent's spread of 0: steadily worse too
+    assert ops["worse"] and rss["worse"]
+    assert pairs.format_row(ops).endswith("won 0/2  OVER BOUND  WORSE")
 
 
 def test_a_gain_is_claimable_past_nine_tenths_and_the_parent_spread():
@@ -59,6 +61,29 @@ def test_a_gain_is_claimable_past_nine_tenths_and_the_parent_spread():
     rows = pairs.summarise(parent, [{"ops_per_s": v + 6, "peak_rss_mb": 50.0} for v in p_ops],
                            METRICS)
     assert pairs.format_row(rows[0]).endswith("won 10/10  CLAIMABLE")
+    assert pairs.format_row(rows[1]).endswith("won 0/10")
+
+
+def test_a_loss_is_worse_past_nine_tenths_and_the_parent_spread():
+    # the mirror of a claimable gain: a steady loss well inside the bound
+    parent = [{"ops_per_s": 100.0 + k, "peak_rss_mb": 50.0} for k in range(10)]
+    p_ops = [run["ops_per_s"] for run in parent]
+
+    def worse(ops, rss):
+        change = [{"ops_per_s": o, "peak_rss_mb": m} for o, m in zip(ops, rss)]
+        return [row["worse"] for row in pairs.summarise(parent, change, METRICS)]
+
+    # 9 of 10 lost, median 98.5: worse by 6, past the spread of 4.5
+    assert worse([110.0, *(v - 6 for v in p_ops[1:])], [55.0] * 10) == [True, True]
+    # every pair lost, but by 1, within the spread
+    assert worse([v - 1 for v in p_ops], [50.0] * 9 + [51.0]) == [False, False]
+    # far behind, but 8 of 10 lost; ties count for neither side
+    assert worse([110.0, 110.0, *(v - 20 for v in p_ops[2:])],
+                 [50.0, *[55.0] * 9]) == [False, True]
+    rows = pairs.summarise(parent, [{"ops_per_s": v - 6, "peak_rss_mb": 50.0} for v in p_ops],
+                           METRICS)
+    assert not rows[0]["over_bound"]
+    assert pairs.format_row(rows[0]).endswith("won 0/10  WORSE")
     assert pairs.format_row(rows[1]).endswith("won 0/10")
 
 

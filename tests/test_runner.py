@@ -1,5 +1,6 @@
 """Experiment runners: protocol fixtures, stubs, and determinism."""
 
+import re
 from dataclasses import fields
 
 import numpy as np
@@ -289,6 +290,13 @@ class TestHelpers:
     def test_calibrate_theta_constant_stream(self):
         samples = np.ones((50, 4))
         assert calibrate_theta(samples, 8, 2.0, 0.05) == 1e-9
+
+    @pytest.mark.parametrize("samples", [np.ones(50), np.ones((5, 0)), np.ones((5, 4, 2)),
+                                         np.float64(1.0)], ids=lambda s: f"shape{s.shape}")
+    def test_calibrate_theta_names_samples_of_a_bad_shape(self, samples):
+        shape = re.escape(str(samples.shape))
+        with pytest.raises(ValueError, match=rf"bad shape for 'samples': {shape}, expected"):
+            calibrate_theta(samples, 8, 2.0, 0.05)
 
     @pytest.mark.parametrize("seed, n, dim, window, eta_c, factor", [
         (0, 100, 10, 16, 0.05, 3.0),

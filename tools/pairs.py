@@ -20,12 +20,16 @@ Then, for each end-to-end metric of the change's ``BENCHMARK.json``, one line:
     <metric> parent <median> [<q1>, <q3>] change <median> <relative change>
     won <pairs the change won>/<pairs>
 
-A pair is won when the change's value is better by the metric's ``better``.
-A metric whose change median is worse than the parent's median by more
-than ``bound`` times the parent's median is marked ``OVER BOUND``.  A
-metric is marked ``CLAIMABLE`` when the change won at least nine tenths of
-the pairs and its median is better than the parent's by more than the
-parent's interquartile range (q3 - q1): the rule for claiming a gain.
+A pair is won when the change's value is better by the metric's ``better``,
+and lost when it is worse; a tie counts for neither side.  A metric whose
+change median is worse than the parent's median by more than ``bound``
+times the parent's median is marked ``OVER BOUND``.  A metric is marked
+``CLAIMABLE`` when the change won at least nine tenths of the pairs and its
+median is better than the parent's by more than the parent's interquartile
+range (q3 - q1): the rule for claiming a gain.  It is marked ``WORSE``, the
+mirror of that rule, when the change lost at least nine tenths of the pairs
+and its median is worse than the parent's by more than that range: a loss
+too steady to be noise, however far inside the bound.
 Standard library only, so it runs in any checkout.
 """
 
@@ -75,11 +79,13 @@ def summarise(parent, change, metrics):
         c_med = statistics.median(c)
         rel = (c_med - p_med) / p_med if p_med else 0.0
         won = sum(sign * (cv - pv) > 0 for pv, cv in zip(p, c))
+        lost = sum(sign * (cv - pv) < 0 for pv, cv in zip(p, c))
         rows.append({
             "name": name, "unit": m["unit"], "parent": p_med, "q1": q1, "q3": q3,
             "change": c_med, "rel": rel, "won": won, "pairs": len(p),
             "over_bound": -sign * rel > m["bound"],
             "claimable": 10 * won >= 9 * len(p) and sign * (c_med - p_med) > q3 - q1,
+            "worse": 10 * lost >= 9 * len(p) and -sign * (c_med - p_med) > q3 - q1,
         })
     return rows
 
@@ -88,7 +94,7 @@ def format_row(row):
     return (f"{row['name']:<12} parent {row['parent']:.4g} [{row['q1']:.4g}, {row['q3']:.4g}] "
             f"change {row['change']:.4g} {row['unit']} {row['rel']:+.1%} "
             f"won {row['won']}/{row['pairs']}" + ("  OVER BOUND" if row["over_bound"] else "")
-            + ("  CLAIMABLE" if row["claimable"] else ""))
+            + ("  CLAIMABLE" if row["claimable"] else "") + ("  WORSE" if row["worse"] else ""))
 
 
 def main(argv=None):
