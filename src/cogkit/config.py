@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import math
 import numbers
+import operator
 
 import numpy as np
 
@@ -288,3 +289,17 @@ def load_config(path):
 def config_hash(text):
     """Stable fingerprint of the raw config text."""
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def check_index(name, value):
+    """``value`` as an int once it is checked to be a whole number that is
+    not a bool (``1.0``, ``nan`` and ``True`` are not); otherwise a TypeError
+    naming ``name``.  Components check an integer argument with this."""
+    if type(value) is int:
+        return value
+    if not isinstance(value, bool):  # NumPy's bool has no __index__
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise TypeError(f"bad type for {name!r}: {value!r} is not an integer")

@@ -9,18 +9,19 @@ in the Fourier domain; the direct O(d^2) convolution sum is the reference
 the tests check against.
 
 The read path gives the bytes of its plain form (``np.roll``, row norms
-taken on every clean-up); a norm that is NaN or infinite raises.
+taken on every clean-up), but for the scores of a clean-up of several
+probes at once, which may differ in the last bit; a norm that is NaN or
+infinite raises.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-import operator
 
 import numpy as np
 
-from .config import check, check_vector
+from .config import check, check_index, check_vector
 
 __all__ = [
     "random_symbol",
@@ -92,14 +93,10 @@ def permute(a, shift):
     """Cyclic right-shift by the integer `shift` (mod d), as a new array.
 
     Equal to ``np.roll(a, shift)`` byte for byte: both only copy.  A shift
-    that is not an integer raises rather than being truncated.
+    that is not an integer, or a bool, raises rather than being truncated.
     """
     a = check_vector("a", a)
-    try:
-        shift = operator.index(shift)
-    except TypeError:
-        raise TypeError(f"permute shift must be an integer, got {shift!r}") from None
-    k = shift % a.shape[0]
+    k = check_index("shift", shift) % a.shape[0]
     return np.concatenate((a[-k:], a[:-k]))
 
 
@@ -130,24 +127,41 @@ def cosine(a, b):
 
 
 def cleanup(v, lex, k=1):
-    """Top-k lexicon symbols by descending cosine with the probe `v`.
+    """Top-k lexicon symbols by descending cosine with the probe ``v``, as a
+    list of ``(name, score)``; given a ``(B, d)`` batch of probes, one such
+    list per row.
 
     Ties break by lexicon insertion order. k larger than the lexicon returns
-    every entry ranked; k < 1 raises.  The matrix, its row norms and the
-    names come from the lexicon's cache; those axis-wise norms can differ
-    from the 1-d norms `cosine` takes in the last bit, so never mix the two.
+    every entry ranked; k below 1 raises ``ValueError``, and k that is not a
+    whole number, or is a bool, ``TypeError``.  All scores come from one
+    product of the probes with the lexicon's cached matrix.  A single probe
+    is a batch of one: OpenBLAS computes a one-row product as ``mat @ v``,
+    so its scores keep those bits.  A batch of several rows groups the sums
+    otherwise, and a row's scores can differ from its one-probe scores in
+    the last bit.  Each probe's norm is its own 1-d norm.  The cached row
+    norms are axis-wise and can differ from the 1-d norms `cosine` takes in
+    the last bit, so never mix the two.
     """
     if len(lex) == 0:
         raise ValueError("cleanup against an empty lexicon")
-    if k < 1:
+    if check_index("k", k) < 1:
         raise ValueError(f"cleanup needs k >= 1, got {k}")
-    v = check_vector("probe", v, lex.d)
-    nv = _norm(v)
-    _check_norm(nv, "cleanup probe")
+    probes = np.asarray(v, dtype=float)
+    single = probes.ndim != 2
+    if single:
+        probes = check_vector("probe", probes, lex.d)[None, :]
+    elif not probes.size or probes.shape[1] != lex.d:
+        raise ValueError(f"bad shape for 'probe': {probes.shape}, expected (B, {lex.d}) "
+                         "with B >= 1")
+    nv = np.empty(len(probes))
+    for i, row in enumerate(probes):
+        nv[i] = _norm(row)
+        _check_norm(nv[i], "cleanup probe" if single else f"cleanup probe row {i}")
     mat, norms, names = lex.stacked()
-    scores = mat @ v / (norms * nv)
-    order = np.argsort(-scores, kind="stable")[: min(k, len(names))]
-    return [(names[i], float(scores[i])) for i in order]
+    scores = probes @ mat.T / (nv[:, None] * norms)
+    order = np.argsort(-scores, axis=1, kind="stable")[:, : min(k, len(names))]
+    tops = [[(names[i], row[i]) for i in top] for top, row in zip(order.tolist(), scores.tolist())]
+    return tops[0] if single else tops
 
 
 class SymbolLexicon:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import hrr
-from .config import check, check_vector
+from .config import check, check_index, check_vector
 
 
 @dataclass(frozen=True)
@@ -55,18 +55,38 @@ def wm_encode(buf: WorkingMemoryBuffer, item) -> WorkingMemoryBuffer:
 
 
 def wm_recall(buf: WorkingMemoryBuffer, p, lex: hrr.SymbolLexicon):
-    """Recall the item at position ``p`` (1-based) as ``(name, score, probe)``.
+    """Recall the item at position ``p`` (1-based) as ``(name, score, probe)``;
+    given a sequence of positions, recall them all as ``(names, scores,
+    probes)`` with one clean-up.
 
-    Un-permutes the buffer by ``p`` and cleans the result up against the
-    lexicon; the score is the winning cosine and ``probe`` the un-permuted
-    buffer itself, so a caller that scores it against a known item needs no
-    second un-permute.  A buffer holding NaN or inf raises ``ValueError``.
+    The probe of position p is the buffer un-permuted by p, byte-equal to
+    ``np.roll(buf.m, -p)``; the probes of a sequence are the C-ordered rows
+    of one ``(B, d)`` array, and a single position's probe is its one row.
+    Each probe is cleaned up against the lexicon and its score is the
+    winning cosine, so a caller that scores a probe against a known item
+    needs no second un-permute.  A position that is not an integer, or is a
+    bool, raises ``TypeError``; one outside ``1..buf.position``, no position
+    at all, or a buffer holding NaN or inf raises ``ValueError``.
     """
-    if not 1 <= p <= buf.position:
-        raise ValueError(f"recall position {p} out of range 1..{buf.position}")
-    probe = hrr.permute(buf.m, -p)
-    name, score = hrr.cleanup(probe, lex, k=1)[0]
-    return name, score, probe
+    single = not isinstance(p, (list, tuple, range, np.ndarray))
+    positions = (p,) if single else p
+    if len(positions) == 0:
+        raise ValueError("recall needs at least one position p")
+    d, m = buf.d, buf.m
+    probes = np.empty((len(positions), d))
+    for row, q in zip(probes, positions):
+        q = check_index("p", q)
+        if not 1 <= q <= buf.position:
+            raise ValueError(f"recall position p={q} out of range 1..{buf.position}")
+        k = q % d  # np.roll(m, -q): m[k:] then m[:k]
+        row[: d - k] = m[k:]
+        row[d - k :] = m[:k]
+    tops = hrr.cleanup(probes, lex, k=1)
+    names = [top[0][0] for top in tops]
+    scores = [top[0][1] for top in tops]
+    if single:
+        return names[0], scores[0], probes[0]
+    return names, scores, probes
 
 
 @dataclass(frozen=True)

@@ -381,10 +381,11 @@ def run_recall(cfg, seed=None, out=None, cfg_text=None):
             buf = memory.WorkingMemoryBuffer.empty(d, rho)
             for name in picked:
                 buf = memory.wm_encode(buf, lex[name])
+            got, _, probes = memory.wm_recall(buf, range(1, length + 1), lex)
             for p in range(1, length + 1):
-                got, _, probe = memory.wm_recall(buf, p, lex)
-                hits[p - 1] += got == picked[p - 1]
-                cosines[p - 1] += hrr.cosine(probe, lex[picked[p - 1]])
+                hits[p - 1] += got[p - 1] == picked[p - 1]
+                cosines[p - 1] += hrr.cosine(probes[p - 1], lex[picked[p - 1]])
+            del probes  # freed before the next list allocates its own, for peak RSS
 
         acc = hits / n_lists
         mean_cos = cosines / n_lists

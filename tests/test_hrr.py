@@ -316,3 +316,60 @@ def test_cleanup_rejects_k_below_one():
     for k in (0, -1):
         with pytest.raises(ValueError, match="k >= 1"):
             cleanup(lex["A"], lex, k=k)
+
+
+@pytest.mark.parametrize("k", [True, False, np.True_, 1.5, 1.0, float("nan"), "1", None])
+def test_cleanup_takes_whole_numbers_only_for_k(k):
+    lex = SymbolLexicon(16, seed=14, names=["A", "B"])
+    with pytest.raises(TypeError, match="'k'"):
+        cleanup(lex["A"], lex, k=k)
+
+
+def test_permute_rejects_a_bool_shift():
+    with pytest.raises(TypeError, match="'shift'"):
+        permute(random_symbol("int", 8), True)
+
+
+# ---------------------------------------------------------------------------
+# a batch of probes against one probe at a time
+
+
+def _probes(lex, n, seed):
+    rng = np.random.default_rng(seed)
+    names = lex.stacked()[2]
+    return np.stack([rng.normal(size=lex.d) + 3.0 * lex[names[rng.integers(len(names))]]
+                     for _ in range(n)])
+
+
+def test_a_batch_ranks_each_row_as_one_probe_does():
+    lex = SymbolLexicon(2048, seed=15, names=[f"s{i}" for i in range(16)])
+    probes = _probes(lex, 9, 15)
+    for k in (1, 3, 16, 20):
+        got = cleanup(probes, lex, k=k)
+        assert len(got) == len(probes)
+        for row, top in zip(probes, got):
+            want = cleanup(row, lex, k=k)
+            assert [n for n, _ in top] == [n for n, _ in want]
+            assert [s for _, s in top] == pytest.approx([s for _, s in want], rel=1e-12)
+
+
+def test_a_batch_of_one_gives_the_one_probe_bits():
+    lex = SymbolLexicon(2048, seed=16, names=[f"s{i}" for i in range(16)])
+    for probe in _probes(lex, 20, 16):
+        assert cleanup(probe[None, :], lex, k=16) == [cleanup(probe, lex, k=16)]
+
+
+def test_a_bad_batch_raises():
+    lex = SymbolLexicon(8, seed=17, names=["A", "B", "C"])
+    with pytest.raises(ValueError, match=r"bad shape for 'probe': \(0, 8\)"):
+        cleanup(np.ones((0, 8)), lex)
+    with pytest.raises(ValueError, match=r"bad shape for 'probe': \(3, 9\)"):
+        cleanup(np.ones((3, 9)), lex)
+    probes = np.ones((3, 8))
+    probes[2, 5] = np.nan
+    with pytest.raises(ValueError, match="row 2 has a non-finite norm"):
+        cleanup(probes, lex)
+    probes[2, 5] = 1.0
+    probes[1] = 0.0
+    with pytest.raises(ValueError, match="row 1 has zero norm"):
+        cleanup(probes, lex)

@@ -101,6 +101,45 @@ def test_recall_out_of_range():
         wm_recall(WorkingMemoryBuffer.empty(16), 1, lex)
 
 
+def _buffer(lex, d, n, seed):
+    rng = np.random.default_rng(seed)
+    buf = WorkingMemoryBuffer.empty(d, rho=0.9)
+    for i in rng.integers(len(lex), size=n):
+        buf = wm_encode(buf, lex[f"s{i}"])
+    return buf
+
+
+@pytest.mark.parametrize("d, n", [(2048, 7), (64, 9), (5, 7)])
+def test_recall_of_many_positions_matches_single_recalls(d, n):
+    lex = make_lex(16, d, seed=3)
+    buf = _buffer(lex, d, n, seed=d)
+    for positions in (range(1, n + 1), [n, 1, n], np.arange(2, n + 1)):
+        names, scores, probes = wm_recall(buf, positions, lex)
+        assert probes.shape == (len(positions), d) and probes.flags.c_contiguous
+        assert len(names) == len(scores) == len(positions)
+        for row, name, p in zip(probes, names, positions):
+            assert np.array_equal(row, np.roll(buf.m, -p))
+            assert name == wm_recall(buf, int(p), lex)[0]
+
+
+@pytest.mark.parametrize("p", [True, 1.0, np.float64(2.0), "1", None, [1, True], (1, 2.0)])
+def test_recall_positions_are_whole_numbers(p):
+    lex = make_lex(3, 16)
+    buf = _buffer(lex, 16, 3, seed=4)
+    with pytest.raises(TypeError, match="'p'"):
+        wm_recall(buf, p, lex)
+
+
+def test_recall_positions_in_a_sequence_are_in_range():
+    lex = make_lex(3, 16)
+    buf = _buffer(lex, 16, 3, seed=5)
+    for positions in ([1, 4], (0, 2), range(1, 5), np.array([3, -1])):
+        with pytest.raises(ValueError, match="recall position p="):
+            wm_recall(buf, positions, lex)
+    with pytest.raises(ValueError, match="at least one position"):
+        wm_recall(buf, [], lex)
+
+
 def test_store_single_context_is_permuted_symbol():
     lex = make_lex(4, 64)
     dm = dm_store(DeclarativeMemory(lexicon=lex), "s0", ["s1"])

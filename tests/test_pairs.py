@@ -1,6 +1,8 @@
 """The pair runner ``tools/pairs.py``, on fixed numbers and stand-in benchmarks."""
 
+import argparse
 import importlib.util
+import re
 from pathlib import Path
 
 import pytest
@@ -113,3 +115,22 @@ def test_run_once_reads_the_last_line(tmp_path):
 def test_run_once_stops_on_a_failed_run(tmp_path, line, code):
     with pytest.raises(SystemExit, match="the rps run failed"):
         pairs.run_once(_checkout(tmp_path, line, code), "rps", 1, 29)
+
+
+def _usage(text):
+    """(required options, {optional option: shown default}) of the first
+    ``python tools/pairs.py`` usage line in ``text``."""
+    usage = re.search(r"python tools/pairs\.py (.*?)(?:`|\n\n)", text, re.S).group(1)
+    optional = dict(re.findall(r"\[--([\w-]+) ([^\]\s]+)\]", usage))
+    required = re.findall(r"(?<!\[)--([\w-]+)", usage)
+    return required, optional
+
+
+@pytest.mark.parametrize("where", ["README.md", "docstring"])
+def test_the_usage_lines_show_the_parser_defaults(where):
+    text = (pairs.__doc__ if where == "docstring"
+            else (TOOL.parents[1] / "README.md").read_text(encoding="utf-8"))
+    actions = [a for a in pairs.parser()._actions if a.default is not argparse.SUPPRESS]
+    required = [a.dest for a in actions if a.required]
+    defaults = {a.dest: str(a.default) for a in actions if not a.required}
+    assert _usage(text) == (required, defaults)

@@ -97,7 +97,7 @@ def format_row(row):
             + ("  CLAIMABLE" if row["claimable"] else "") + ("  WORSE" if row["worse"] else ""))
 
 
-def main(argv=None):
+def parser():
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--parent", required=True)
     p.add_argument("--change", required=True)
@@ -105,7 +105,11 @@ def main(argv=None):
     p.add_argument("--pairs", type=int, default=10)
     p.add_argument("--seconds", type=float, default=10)
     p.add_argument("--seed", type=int, default=29)
-    args = p.parse_args(argv)
+    return p
+
+
+def main(argv=None):
+    args = parser().parse_args(argv)
     spec = json.loads((Path(args.change) / "BENCHMARK.json").read_text(encoding="utf-8"))
     runs = {"parent": [], "change": []}
     for i in range(args.pairs):
