@@ -550,7 +550,7 @@ class Agent:
 
         ``obs`` may also be a batch, one observation per row, read under one
         context.  Either way one pipeline runs: one gate match, one sensory
-        settle of the batch, both bridges as matrices, one motor settle.  For
+        settle of the batch, both bridges as matrices, one motor read.  For
         a batch the actions come back as a list and the q-values as an array,
         one row per observation.
         """

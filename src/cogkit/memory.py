@@ -139,21 +139,33 @@ def dm_store(dm: DeclarativeMemory, concept, context) -> DeclarativeMemory:
     return DeclarativeMemory(lexicon=dm.lexicon, traces=traces)
 
 
+def _score(cue, n_cue, trace):
+    """``hrr.cosine(cue, trace)`` of a checked ``cue`` whose norm is ``n_cue``:
+    the trace's checks and messages, and the same bits."""
+    trace = check_vector("b", trace, cue.size)
+    n = hrr._norm(trace)
+    hrr._check_norm(n, "cosine operand b")
+    return float(np.dot(cue, trace) / (n_cue * n))
+
+
 def dm_retrieve(dm: DeclarativeMemory, cue, k, tau=0.1) -> RetrievalResult:
     """Rank stored concepts against ``cue`` by cosine.
 
     Strengths are softmax(scores / tau) over every stored concept; lower tau
     sharpens the distribution toward the best match.  A cue or trace whose
     norm is zero, NaN or infinite, or a bad ``k`` or ``tau``, raises ``ValueError``.
+    Each score is ``hrr.cosine``'s, with the cue's norm taken once.
     """
     check("dm_k", k, name="k")
     check("dm_tau", tau, name="tau")
     if not dm.traces:
         raise ValueError("retrieve from empty declarative memory")
     cue = np.asarray(cue, dtype=float)
-    hrr._check_norm(hrr._norm(cue), "retrieval cue")
+    n_cue = hrr._norm(cue)
+    hrr._check_norm(n_cue, "retrieval cue")
+    cue = check_vector("a", cue)  # named as ``hrr.cosine`` names it
     names = list(dm.traces)
-    scores = np.array([hrr.cosine(cue, dm.traces[n]) for n in names])
+    scores = np.array([_score(cue, n_cue, dm.traces[n]) for n in names])
     order = np.argsort(-scores, kind="stable")
     logits = scores[order] / tau
     logits -= logits.max()  # shift for numerical stability

@@ -7,6 +7,15 @@ action's unit to a bootstrapped target so that exactly one error row drives
 the weight update.  Exploration and replay sampling draw from one seeded
 generator, which is what makes whole episodes replayable.  The replay store
 ``replay`` is a tuple that each learn step replaces, as it does the circuit.
+
+With no hidden layer (``hidden=()``, every shipped config) nothing in the
+circuit can move, so a settle runs no pass: Q is ``W[1] @ phi(s)``, and a
+learn step's error is the pinned targets minus that prediction, zero at
+every other unit.  Such a head computes both directly, without a settle,
+and learns by building new ``W[1]`` and ``E[1]`` from the rank-one change
+``ngc.update_weights`` makes (``MotorCircuit._swap``): the same checks,
+messages and element-wise sums, so the same bytes.  A head with hidden
+layers settles and learns through ``ngc``.
 """
 
 from __future__ import annotations
@@ -109,9 +118,14 @@ class MotorCircuit:
 
     def q_values(self, s):
         """Predicted action values: settle with the top layer clamped to s,
-        or to a batch of states, one per column."""
-        state = ngc.settle(self.circuit, clamps={self.circuit.L: s})
-        return state.mu[0].copy()
+        or to a batch of states, one per column.  With no hidden layer that
+        settle runs no pass, and its prediction is ``W[1] @ phi(s)``."""
+        c = self.circuit
+        if c.L > 1:
+            return ngc.settle(c, clamps={c.L: s}).mu[0].copy()
+        q = c.W[1] @ ngc.phi(self._clamp(s))
+        ngc._check_bounded(q, c.beta)  # the settle's check of the layer 0 that tracks it
+        return q
 
     def act(self, q, epsilon):
         """Epsilon-greedy action over the action values ``q``."""
@@ -132,13 +146,46 @@ class MotorCircuit:
             raise ValueError(f"non-finite learning target {y}")
         self._fit(s, {a: y})
 
+    def _clamp(self, s):
+        """``s`` as the clamp of the top layer, checked as a settle checks it."""
+        s = ngc._check_layer_vec(self.circuit, self.circuit.L, s, "clamp")
+        ngc._check_given(self.circuit.L, s, "clamp")
+        return s
+
     def _fit(self, s, pins):
         """Settle on state ``s`` with output units held at ``pins``, then
-        update the weights from the settled errors."""
-        state = ngc.settle(self.circuit, clamps={self.circuit.L: s}, pin0=pins)
-        self.circuit = ngc.update_weights(
-            self.circuit, state, self.eta_W, self.eta_E, clip=self.clip_weights
-        )
+        update the weights from the settled errors.  With no hidden layer the
+        settle is the prediction ``mu`` with the pins written in, so only the
+        pinned units carry error, and the update is one rank-one change of
+        each matrix (``_swap``)."""
+        c = self.circuit
+        if c.L > 1:
+            state = ngc.settle(c, clamps={c.L: s}, pin0=pins)
+            self.circuit = ngc.update_weights(c, state, self.eta_W, self.eta_E,
+                                              clip=self.clip_weights)
+            return
+        pre = ngc.phi(self._clamp(s))
+        mu = c.W[1] @ pre
+        z0 = mu.copy()
+        for idx, val in pins.items():
+            z0[idx] = val
+        ngc._check_bounded(z0, c.beta)
+        self._swap(pre, z0 - mu)
+
+    def _swap(self, pre, e0):
+        """Replace the one-layer circuit with one whose ``W[1]`` and ``E[1]``
+        have gained the Hebbian change of ``ngc.update_weights`` for the
+        activity ``pre`` above and the error ``e0`` below, clipped as it clips
+        them: the same element-wise sums, in new C-ordered arrays."""
+        c = self.circuit
+        W = self.eta_W * (e0[:, None] * pre)  # np.outer's product
+        W += c.W[1]  # into the new array: a float sum is the same either way round
+        E = self.eta_E * (pre[:, None] * e0)
+        E += c.E[1]
+        if self.clip_weights:
+            for M in (W, E):
+                ngc._clip(M, np.sqrt(np.add.reduce(M * M, axis=0)))
+        self.circuit = ngc.NgcCircuit(c.sizes, [None, W], [None, E], c.beta, c.gamma, c.K)
 
     def regress(self, s, targets):
         """Supervised variant: pin every output unit to its target value."""
@@ -162,7 +209,7 @@ class MotorCircuit:
         s_next = check_vector("t.s_next", t.s_next, self.state_dim)
         if not np.isfinite(t.r_env):
             raise ValueError(f"non-finite reward {t.r_env}")
-        r = float(np.clip(t.r_env, -self.r_clip, self.r_clip))
+        r = min(max(float(t.r_env), -self.r_clip), self.r_clip)
         r += epistemic_reward(sensory_energy, self.alpha_e, self.r_clip)
         self._apply(s, t.a, r, s_next, t.done, q_next=q_next)
         if self.replay_capacity > 0:

@@ -230,14 +230,14 @@ def test_rollback_after_the_motor_learned_from_replay(monkeypatch):
     before = a.snapshot()
     twin = Agent.restore(before)
     W_before, rng_before = a.motor.circuit.W[1], a.motor.rng.bit_generator.state
-    real_update, real_rollback = ngc.update_weights, Agent._rollback
+    real_update, real_rollback = MotorCircuit._swap, Agent._rollback
     calls, seen, rollbacks = [], {}, []
 
     def failing_update(*args, **kwargs):
         calls.append(None)
-        # calls: the sensory update, the motor's own update, then the first
-        # replayed transition, by when the replay picks have been drawn
-        if len(calls) == 3:
+        # calls: the motor's own update, then the first replayed transition's,
+        # by when the replay picks have been drawn
+        if len(calls) == 2:
             seen["learned"] = not np.array_equal(a.motor.circuit.W[1], W_before)
             seen["drew"] = a.motor.rng.bit_generator.state != rng_before
             raise RuntimeError("injected")
@@ -247,7 +247,7 @@ def test_rollback_after_the_motor_learned_from_replay(monkeypatch):
         rollbacks.append(None)
         real_rollback(self, cap)
 
-    monkeypatch.setattr(ngc, "update_weights", failing_update)
+    monkeypatch.setattr(MotorCircuit, "_swap", failing_update)
     monkeypatch.setattr(Agent, "_rollback", counting_rollback)
     with pytest.raises(RuntimeError, match="injected"):
         a.cycle(stream[12], r_env=1.0)
@@ -693,19 +693,17 @@ def test_gated_wide_agent_rolls_back_a_failed_motor_update(monkeypatch):
     before = a.snapshot()
     twin = Agent.restore(before)
     sensory_before = a.sensory
-    real_update, calls = ngc.update_weights, []
+    calls = []
 
     def failing_update(*args, **kwargs):
         calls.append(None)
-        if len(calls) == 2:
-            raise RuntimeError("injected")
-        return real_update(*args, **kwargs)
+        raise RuntimeError("injected")
 
-    monkeypatch.setattr(ngc, "update_weights", failing_update)
+    monkeypatch.setattr(MotorCircuit, "_swap", failing_update)
     with pytest.raises(RuntimeError, match="injected"):
         a.cycle(stream[5], r_env=1.0)
     monkeypatch.undo()
-    assert len(calls) == 2 and a.sensory is sensory_before
+    assert len(calls) == 1 and a.sensory is sensory_before
     assert a.snapshot() == before
     assert a.cycle(stream[5], r_env=1.0) == twin.cycle(stream[5], r_env=1.0)
     assert a.snapshot() == twin.snapshot()
@@ -931,11 +929,15 @@ def test_batched_probe_with_beta_zero_settles_the_batch_at_once(monkeypatch):
         a.cycle(x, r_env=0.1)
     batch = np.stack(stream[:5])
     rows = [a.probe(x) for x in batch]
-    settles = []
-    settle = ngc.settle
+    settles, reads = [], []
+    settle, q_values = ngc.settle, MotorCircuit.q_values
     monkeypatch.setattr(ngc, "settle", lambda *args, **kw: settles.append(0) or settle(*args, **kw))
+    monkeypatch.setattr(MotorCircuit, "q_values",
+                        lambda *args, **kw: reads.append(0) or q_values(*args, **kw))
     actions, q, winner = a.probe(batch)
-    assert len(settles) == 2  # the sensory batch, then the motor head's
+    # the sensory batch settles once; the motor head, with no hidden layer,
+    # reads the batch once without a settle
+    assert len(settles) == 1 and len(reads) == 1
     assert actions == [row[0] for row in rows]
     np.testing.assert_allclose(q, [row[1] for row in rows], rtol=0, atol=1e-12)
 
@@ -949,11 +951,14 @@ CYCLE_CALLS = [
     (ContextTracker, "update"),
     (CompetitiveGate, "select_or_recruit"), (CompetitiveGate, "match"),
     (CompetitiveGate, "update_winner"), (CompetitiveGate, "mask_for"),
-    (MotorCircuit, "_fit"), (MotorCircuit, "act"),
+    (ngc, "_check_bounded"),  # the divergence check of the motor head's output
+    (MotorCircuit, "_fit"), (MotorCircuit, "_swap"), (MotorCircuit, "act"),
 ]
 
 # the other atomic entry points, and what each calls of the functions above:
-# a supervised step all but the exploring ``act``, a finish the motor update
+# a supervised step all but the exploring ``act``, a finish the motor update,
+# whose read and swap stand for a settle and ``update_weights`` in a head
+# with no hidden layer
 ENTRY_POINTS = {
     "cycle": lambda agent, x: agent.cycle(x, r_env=0.5),
     "supervised_step": lambda agent, x: agent.supervised_step(x, np.array([1.0, -1.0, -1.0])),
@@ -962,8 +967,8 @@ ENTRY_POINTS = {
 ATOMIC_CALLS = [
     *(("cycle", *call) for call in CYCLE_CALLS),
     *(("supervised_step", *call) for call in CYCLE_CALLS if call != (MotorCircuit, "act")),
-    *(("finish", *call) for call in [(ngc, "settle"), (ngc, "_check_given"),
-                                     (ngc, "update_weights"), (MotorCircuit, "_fit")]),
+    *(("finish", *call) for call in [(ngc, "_check_bounded"), (ngc, "_check_given"),
+                                     (MotorCircuit, "_swap"), (MotorCircuit, "_fit")]),
 ]
 
 

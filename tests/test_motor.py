@@ -1,6 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from cogkit import ngc
 from cogkit.motor import (
     MotorCircuit,
     Transition,
@@ -227,3 +230,117 @@ def test_regress_validation():
         m.regress(np.ones(4), np.zeros(3))
     with pytest.raises(ValueError):
         m.regress(np.ones(4), np.array([0.0, float("inf")]))
+
+
+class SettledMotor(MotorCircuit):
+    """The motor head read and trained through ``ngc.settle`` and
+    ``ngc.update_weights``, as a head with hidden layers is: the oracle of
+    the closed form a head without one computes."""
+
+    def q_values(self, s):
+        return ngc.settle(self.circuit, clamps={self.circuit.L: s}).mu[0].copy()
+
+    def _fit(self, s, pins):
+        state = ngc.settle(self.circuit, clamps={self.circuit.L: s}, pin0=pins)
+        self.circuit = ngc.update_weights(self.circuit, state, self.eta_W, self.eta_E,
+                                          clip=self.clip_weights)
+
+
+def _pair(**kwargs):
+    kwargs = dict(n_actions=3, state_dim=6, seed=21, sigma=0.5, **kwargs)
+    return MotorCircuit(**kwargs), SettledMotor(**kwargs)
+
+
+def _same_weights(m, oracle):
+    return all(np.array_equal(a, b) for a, b in zip(m.circuit.W[1:] + m.circuit.E[1:],
+                                                    oracle.circuit.W[1:] + oracle.circuit.E[1:]))
+
+
+def test_closed_form_q_values_equal_the_settle():
+    m, oracle = _pair()
+    rng = np.random.default_rng(21)
+    s, batch = rng.normal(size=6), rng.normal(size=(6, 5))
+    # one state, states as columns in either order or strided, and a list
+    for states in (s, batch, np.asfortranarray(batch), batch[:, ::2], list(s)):
+        q = m.q_values(states)
+        assert q.shape == (3, *np.shape(states)[1:])
+        assert np.array_equal(q, oracle.q_values(states))
+
+
+@pytest.mark.parametrize("clip", [False, True], ids=["unclipped", "clipped"])
+def test_closed_form_learning_equals_settle_and_update(clip):
+    # replay, bootstrapped and terminal targets, given q_next and a regression
+    # step, at rates that take columns of W and E past the unit ball
+    kwargs = dict(gamma_d=0.9, alpha_e=0.1, eta_W=0.3, eta_E=0.3, clip_weights=clip,
+                  replay_capacity=6, replay_samples=2)
+    m, oracle = _pair(**kwargs)
+    rng = np.random.default_rng(22)
+    for step in range(40):
+        s, s_next = rng.normal(size=6), rng.normal(size=6)
+        t = Transition(s=s, a=int(rng.integers(3)), r_env=float(rng.normal()),
+                       s_next=s_next, done=step % 5 == 4)
+        before = m.circuit
+        kept = [M.copy() for M in before.W[1:] + before.E[1:]]
+        if step % 7 == 3:
+            targets = rng.normal(size=3)
+            m.regress(s, targets)
+            oracle.regress(s, targets)
+        elif step % 3 == 0:
+            m.learn(t, sensory_energy=0.5, q_next=m.q_values(s_next))
+            oracle.learn(t, sensory_energy=0.5, q_next=oracle.q_values(s_next))
+        else:
+            m.learn(t)
+            oracle.learn(t)
+        assert _same_weights(m, oracle), step
+        assert m.circuit is not before  # swapped in, the old arrays untouched
+        assert all(np.array_equal(a, b) for a, b in zip(before.W[1:] + before.E[1:], kept))
+        assert all(M.flags.c_contiguous for M in m.circuit.W[1:] + m.circuit.E[1:])
+    assert m.rng.bit_generator.state == oracle.rng.bit_generator.state
+    assert len(m.replay) == 6
+    for a, b in zip(m.replay, oracle.replay):
+        assert all(np.array_equal(x, y) for x, y in zip(a, b))
+    norms = np.sqrt((m.circuit.W[1] ** 2).sum(axis=0))
+    assert (norms <= 1.0 + 1e-12).all() if clip else (norms > 1.0).any()
+
+
+def _raised(call):
+    """(type, message) of what ``call()`` raises."""
+    with pytest.raises(Exception) as info:
+        call()
+    return type(info.value), str(info.value)
+
+
+@pytest.mark.parametrize("W1, s, error", [
+    (np.full((3, 6), 1e7), np.ones(6), ngc.DivergenceError),
+    (np.full((3, 6), np.nan), np.ones(6), ngc.DivergenceError),
+    (None, np.full(6, np.nan), ngc.DivergenceError),
+    (None, np.full(6, 2e6), ngc.DivergenceError),
+    (None, np.ones(5), ValueError),
+    (None, np.ones((6, 0)), ValueError),
+], ids=["huge_W1", "nan_W1", "nan_state", "large_state", "short_state", "empty_batch"])
+def test_closed_form_raises_as_the_settle(W1, s, error):
+    m, oracle = _pair()
+    if W1 is not None:
+        for motor in (m, oracle):
+            motor.circuit = replace(motor.circuit, W=[None, W1])
+    calls = [lambda motor: motor.q_values(s)]
+    if s.ndim == 1 and s.size == 6:  # a state learn and regress take
+        # one unit pinned, so the others follow a runaway prediction
+        t = Transition(s=s, a=1, r_env=0.5, s_next=np.ones(6), done=True)
+        calls.append(lambda motor: motor.learn(t))
+        if W1 is None:  # every unit pinned: only the state can fail
+            calls.append(lambda motor: motor.regress(s, np.zeros(3)))
+    for call in calls:
+        got = _raised(lambda: call(m))
+        assert got[0] is error
+        assert got == _raised(lambda: call(oracle))
+
+
+def test_closed_form_raises_on_a_target_past_the_limit_as_the_settle():
+    # the pinned unit holds a finite target beyond 1e6; the prediction is small
+    m, oracle = _pair(gamma_d=0.9)
+    s = np.ones(6)
+    t = Transition(s=s, a=2, r_env=0.5, s_next=s, done=False)
+    got = _raised(lambda: m.learn(t, q_next=np.full(3, 2e6)))
+    assert got[0] is ngc.DivergenceError
+    assert got == _raised(lambda: oracle.learn(t, q_next=np.full(3, 2e6)))

@@ -89,6 +89,22 @@ def test_a_loss_is_worse_past_nine_tenths_and_the_parent_spread():
     assert pairs.format_row(rows[1]).endswith("won 0/10")
 
 
+def test_a_move_within_one_percent_of_the_parent_median_is_not_marked():
+    # a steady spread of 0.05 MB: every pair won or lost by 0.1%, past the
+    # spread, but inside the floor of 1% of the median
+    parent = [{"ops_per_s": 100.0, "peak_rss_mb": 75.35 + 0.01 * (k % 6)} for k in range(10)]
+    p_rss = [run["peak_rss_mb"] for run in parent]
+    for step, won in ((-0.08, 10), (0.08, 0)):
+        change = [{"ops_per_s": 100.0, "peak_rss_mb": v + step} for v in p_rss]
+        rss = pairs.summarise(parent, change, METRICS)[1]
+        assert rss["won"] == won and abs(rss["change"] - rss["parent"]) > rss["q3"] - rss["q1"]
+        assert not rss["claimable"] and not rss["worse"]
+    # past the floor, the same steady move is marked either way
+    for step, mark in ((-1.0, "claimable"), (1.0, "worse")):
+        change = [{"ops_per_s": 100.0, "peak_rss_mb": v + step} for v in p_rss]
+        assert pairs.summarise(parent, change, METRICS)[1][mark]
+
+
 def test_one_pair_has_its_value_as_quartiles():
     assert pairs.quartiles([3.0]) == (3.0, 3.0, 3.0)
 

@@ -8,10 +8,12 @@ Runs each config at each seed and prints one line per run:
 
 where ``snapshot`` is the sha256 of the trained agent's ``snapshot()``, or
 ``-`` for a run with no agent.  The configs are the acceptance suite's
-(``tests/test_acceptance.py``: continual gated and ungated, rps, maze) and
-the benchmark's (``perfbench/suites.py``: continual, rps, recall), imported
-from those files; names on the command line pick a subset.  Runs write to a
-temporary directory that is removed afterwards.
+(``tests/test_acceptance.py``: continual gated and ungated, rps, maze), its
+rps with a motor head of one hidden layer (``motor_hidden=(8,)``, the only
+config whose motor head settles) and the benchmark's
+(``perfbench/suites.py``: continual, rps, recall), imported from those
+files; names on the command line pick a subset.  Runs write to a temporary
+directory that is removed afterwards.
 
 ``--src`` picks the cogkit source to run (``src`` of this checkout by
 default), so two checkouts compare as
@@ -53,6 +55,8 @@ def runs():
         "acceptance-continual-ungated": lambda seed, out: runner.run_continual(
             acc.CONTINUAL_CFG, seed=seed, out=out, ungated=True),
         "acceptance-rps": lambda seed, out: runner.run_rps(acc.RPS_CFG, seed=seed, out=out),
+        "acceptance-rps-motor-hidden": lambda seed, out: runner.run_rps(
+            {**acc.RPS_CFG, "motor_hidden": (8,)}, seed=seed, out=out),
         "acceptance-maze": lambda seed, out: runner.run_maze(acc.MAZE_CFG, seed=seed, out=out),
     }
     for name, work in suites.WORKLOADS.items():

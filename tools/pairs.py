@@ -26,10 +26,13 @@ change median is worse than the parent's median by more than ``bound``
 times the parent's median is marked ``OVER BOUND``.  A metric is marked
 ``CLAIMABLE`` when the change won at least nine tenths of the pairs and its
 median is better than the parent's by more than the parent's interquartile
-range (q3 - q1): the rule for claiming a gain.  It is marked ``WORSE``, the
-mirror of that rule, when the change lost at least nine tenths of the pairs
-and its median is worse than the parent's by more than that range: a loss
-too steady to be noise, however far inside the bound.
+range (q3 - q1) and by more than 1% of the parent's median: the rule for
+claiming a gain.  It is marked ``WORSE``, the mirror of that rule, when the
+change lost at least nine tenths of the pairs and its median is worse than
+the parent's by more than that range and that 1%: a loss too steady to be
+noise, however far inside the bound.  The 1% floor keeps a metric whose runs
+barely spread, such as ``peak_rss_mb``, from being marked for a move too
+small to matter.
 Standard library only, so it runs in any checkout.
 """
 
@@ -41,6 +44,8 @@ import statistics
 import subprocess
 import sys
 from pathlib import Path
+
+FLOOR = 0.01  # the least median gap, as a fraction of the parent's median, that is marked
 
 
 def run_once(checkout, workload, seconds, seed):
@@ -78,14 +83,16 @@ def summarise(parent, change, metrics):
         q1, p_med, q3 = quartiles(p)
         c_med = statistics.median(c)
         rel = (c_med - p_med) / p_med if p_med else 0.0
+        gap = sign * (c_med - p_med)  # > 0 when the change's median is better
+        margin = max(q3 - q1, FLOOR * abs(p_med))
         won = sum(sign * (cv - pv) > 0 for pv, cv in zip(p, c))
         lost = sum(sign * (cv - pv) < 0 for pv, cv in zip(p, c))
         rows.append({
             "name": name, "unit": m["unit"], "parent": p_med, "q1": q1, "q3": q3,
             "change": c_med, "rel": rel, "won": won, "pairs": len(p),
             "over_bound": -sign * rel > m["bound"],
-            "claimable": 10 * won >= 9 * len(p) and sign * (c_med - p_med) > q3 - q1,
-            "worse": 10 * lost >= 9 * len(p) and -sign * (c_med - p_med) > q3 - q1,
+            "claimable": 10 * won >= 9 * len(p) and gap > margin,
+            "worse": 10 * lost >= 9 * len(p) and -gap > margin,
         })
     return rows
 
