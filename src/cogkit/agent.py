@@ -30,17 +30,20 @@ Everything a cycle can change is listed once, in ``_STATE``: a table of
 attribute paths that drives rollback, each with the rows of the snapshot
 entries that hold it, which drive snapshot and restore.  A cycle replaces
 each of those values and writes into none, except the sensory circuit's
-``W[ell]`` and ``E[ell]`` and the column norms and squares of them it
-caches.  Its update writes the open columns and rows of W and E, and the
-columns a clip divides, in place, after appending what it overwrites to
-the block's journal.  One rule undoes a cycle: a rollback writes W and E
-back from the journal, latest first, puts back every captured reference,
-and drops the caches instead of restoring them.  A snapshot stores no
-cache either, so a rolled-back or restored agent takes them again from W
-and E and goes on byte for byte.  What no cycle changes, the two bridges
-and the unit symbols, is drawn from the config's seed when an agent is
-built, so a restore rebuilds it; it loads the circuits' weights and draws
-none.
+``W[ell]`` and ``E[ell]`` under a mask and the column norms and squares of
+them it caches.  A masked update writes the open columns and rows of W and
+E, and the columns a clip divides, in place, after appending what it
+overwrites to the block's journal.  An update without a mask, as in an
+ungated agent, writes into nothing: it rebinds ``W[ell]`` and ``E[ell]`` in
+the circuit's lists to new arrays and journals the old ones.  One rule
+undoes a cycle: a rollback writes W and E back from the journal, latest
+first (rebinding a swapped layer's old arrays), puts back every captured
+reference, and drops the caches instead of restoring them.  A snapshot
+stores no cache either, so a rolled-back or restored agent takes them
+again from W and E and goes on byte for byte.  What no cycle changes, the
+two bridges and the unit symbols, is drawn from the config's seed when an
+agent is built, so a restore rebuilds it; it loads the circuits' weights
+and draws none.
 """
 
 from __future__ import annotations
@@ -394,7 +397,7 @@ class Agent:
         self.pending = None  # (s, a) awaiting its outcome
         self.last_winner = None
         self.last_energy = 0.0
-        self._journal = None  # what an _atomic block overwrote in place; None outside one
+        self._journal = None  # what an _atomic block overwrote or rebound; None outside one
 
     # ---------------------------------------------------------------- cycle
 
@@ -486,8 +489,9 @@ class Agent:
     @contextmanager
     def _atomic(self):
         """Roll the whole agent back if the block raises: write back the
-        sensory W and E the update overwrote in place, from the block's
-        journal, put back the value each part held before, and drop the
+        sensory W and E the update overwrote in place, or rebind those it
+        swapped out, from the block's journal, put back the value each part
+        held before, and drop the
         circuit's cached norms and squares instead of restoring them.  The
         journal is dropped when the block ends.  A block inside another
         captures nothing and shares the outer one's journal: the outer one

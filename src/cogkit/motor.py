@@ -12,10 +12,12 @@ With no hidden layer (``hidden=()``, every shipped config) nothing in the
 circuit can move, so a settle runs no pass: Q is ``W[1] @ phi(s)``, and a
 learn step's error is the pinned targets minus that prediction, zero at
 every other unit.  Such a head computes both directly, without a settle,
-and learns by building new ``W[1]`` and ``E[1]`` from the rank-one change
-``ngc.update_weights`` makes (``MotorCircuit._swap``): the same checks,
-messages and element-wise sums, so the same bytes.  A head with hidden
-layers settles and learns through ``ngc``.
+and learns by swapping in new ``W[1]`` and ``E[1]`` built by ``ngc._swapped``,
+the step ``ngc.update_weights`` takes for every layer without a mask: the
+same checks, messages and element-wise sums, so the same bytes.  A head
+with hidden layers settles and learns through ``ngc``; its update, given no
+journal, swaps new arrays into a new circuit.  Either way a learn step
+writes into no array and replaces the circuit.
 """
 
 from __future__ import annotations
@@ -157,7 +159,7 @@ class MotorCircuit:
         update the weights from the settled errors.  With no hidden layer the
         settle is the prediction ``mu`` with the pins written in, so only the
         pinned units carry error, and the update is one rank-one change of
-        each matrix (``_swap``)."""
+        each matrix, swapped into a new circuit (``ngc._swapped``)."""
         c = self.circuit
         if c.L > 1:
             state = ngc.settle(c, clamps={c.L: s}, pin0=pins)
@@ -170,21 +172,8 @@ class MotorCircuit:
         for idx, val in pins.items():
             z0[idx] = val
         ngc._check_bounded(z0, c.beta)
-        self._swap(pre, z0 - mu)
-
-    def _swap(self, pre, e0):
-        """Replace the one-layer circuit with one whose ``W[1]`` and ``E[1]``
-        have gained the Hebbian change of ``ngc.update_weights`` for the
-        activity ``pre`` above and the error ``e0`` below, clipped as it clips
-        them: the same element-wise sums, in new C-ordered arrays."""
-        c = self.circuit
-        W = self.eta_W * (e0[:, None] * pre)  # np.outer's product
-        W += c.W[1]  # into the new array: a float sum is the same either way round
-        E = self.eta_E * (pre[:, None] * e0)
-        E += c.E[1]
-        if self.clip_weights:
-            for M in (W, E):
-                ngc._clip(M, np.sqrt(np.add.reduce(M * M, axis=0)))
+        W, E = ngc._swapped(c.W[1], c.E[1], pre, z0 - mu, self.eta_W, self.eta_E,
+                            self.clip_weights)
         self.circuit = ngc.NgcCircuit(c.sizes, [None, W], [None, E], c.beta, c.gamma, c.K)
 
     def regress(self, s, targets):

@@ -14,14 +14,17 @@ receive exactly zero change, which is what makes task-specific subnetworks
 non-interfering.
 
 A mask is 0/1, so ``update_weights`` writes only the open units' columns
-and rows (see ``_open_units``); it updates W's open columns in a C-ordered
-block and writes them back once.  Given a journal it writes them into the
-live W and E, saving what it overwrites first, so a caller can undo it
-(``undo``); the agent's sensory circuit learns that way, inside the
-rollback block of a cycle.  Without one it writes into copies and returns a
-new circuit.  With one hidden layer and a clamped input, a closed unit
-starts at 0 and stays there, so ``settle`` works on the open units alone.
-A mask with every unit open is no mask at all and is dropped.
+and rows (see ``_open_units``), into the live W and E, saving what it
+overwrites in a journal first, so a caller can undo it (``undo``); it
+updates W's open columns in a C-ordered block and writes them back once.
+The agent's sensory circuit learns that way, inside the rollback block of
+a cycle.  A layer with no mask changes every entry, so its update writes
+into nothing: it forms the new W and E as new arrays and rebinds the
+layer's entries of the circuit's lists, journaling the old arrays, which
+stay as they were; without a journal it rebinds the lists of a new
+circuit, which it returns.  With one hidden layer and a clamped input, a
+closed unit starts at 0 and stays there, so ``settle`` works on the open
+units alone.  A mask with every unit open is no mask at all and is dropped.
 
 That circuit, one hidden layer with layer 0 its only clamp and no init or
 pins, is every sensory settle of the agent, and ``settle`` runs it
@@ -392,29 +395,39 @@ def _settle(circuit, state):
 
 def update_weights(circuit, state, eta_W, eta_E, clip=False, journal=None):
     """Apply local Hebbian updates: into ``circuit`` itself given a
-    ``journal``, else into a copy of it, which is returned.
+    ``journal``, else into a new circuit, which is returned.
 
     For each layer the raw change is the outer product of the error below
     with the gated activity above; W gets eta_W times it and E gets eta_E
     times its transpose, formed as the outer product the other way round.
     Errors at gated-off hidden units are zeroed on the postsynaptic side
     too, so a closed gate means zero change in both the unit's outgoing
-    columns and the rows predicting it.  Each layer's change goes into the
-    columns of W and rows of E that its mask opens (all of them without
-    one); every other entry would gain exactly 0.  W's open columns are
-    copied into a C-ordered block, which is updated, clipped and written
-    back once.  With ``clip``, columns of W and E are rescaled onto the unit
-    ball when they exceed it, all columns, open or not (see ``_clip``).
+    columns and the rows predicting it.  With ``clip``, columns of W and E
+    are rescaled onto the unit ball when they exceed it, all columns, open
+    or not.
 
-    Given a list ``journal``, W and E must be C-ordered and writeable, and
-    they are written in place.  Before each write the update appends
-    ``(array, index, saved)`` to the journal, with ``saved`` a copy of
-    ``array[index]``: the open block of W and E, and each other column a
-    clip divides.  Before those, for each layer, it appends the two marks
+    A layer with no mask changes every entry, so it swaps: ``_swapped``
+    forms its new W and E as new C-ordered arrays, and the layer's entries
+    of ``circuit.W`` and ``circuit.E`` are rebound to them; the old arrays
+    are never written.  Given a list ``journal``, the update appends
+    ``(circuit.W, ell, old W)`` and ``(circuit.E, ell, old E)`` to it and
+    rebinds the circuit's own lists.  Without one it rebinds the lists of a
+    new circuit, which it returns, and ``circuit`` is left as it was.
+
+    A masked layer changes only the columns of W and rows of E that its mask
+    opens (every other entry would gain exactly 0) and writes them in place,
+    so it needs a journal: without one the update raises ``ValueError``.  W
+    and E must be C-ordered and writeable.  Before each write the update
+    appends ``(array, index, saved)`` to the journal, with ``saved`` a copy
+    of ``array[index]``: the open block of W and E, and each other column a
+    clip divides (see ``_clip``).  The saved block of W is a C-ordered copy;
+    the change is formed beside it in one contiguous outer product, scaled
+    and added to the block in place, then clipped and written back once.
+
+    Before those, for each layer, the update appends the two marks
     ``(circuit.norms, ell, None)`` and ``(circuit.squares, ell, None)``.
     ``undo(journal)`` writes them all back: W and E end as they were, and
-    the layer has no cache.  Without a journal, W and E are copied first,
-    C-ordered whatever they were, and the same steps run on the copies.
+    the layer has no cache.
 
     A masked, clipped layer caches two values with the circuit: W's column
     norms in ``circuit.norms``, NaN for each column its clip divided, and
@@ -427,56 +440,112 @@ def update_weights(circuit, state, eta_W, eta_E, clip=False, journal=None):
     nothing.  The journal holds no copy of either: a rollback drops them.
     """
     if journal is None:
-        circuit = NgcCircuit(circuit.sizes, [None] + [M.copy() for M in circuit.W[1:]],
-                             [None] + [M.copy() for M in circuit.E[1:]],
+        if state.mask:
+            raise ValueError("a masked update writes W and E in place; it needs a journal")
+        circuit = NgcCircuit(circuit.sizes, list(circuit.W), list(circuit.E),
                              circuit.beta, circuit.gamma, circuit.K)
 
-    def save(M, index, saved=None):
-        if journal is not None:
-            journal.append((M, index, M[index].copy() if saved is None else saved))
+    def save(M, index):
+        journal.append((M, index, M[index].copy()))
 
     for ell in range(1, circuit.L + 1):
         W, E, g = circuit.W[ell], circuit.E[ell], state.mask.get(ell)
-        opened = _open_units(g)
-        keep = clip and g is not None  # only such a layer keeps its norms and squares
+        below = _gate(state, ell - 1, state.e[ell - 1])
+        norms = circuit.norms.get(ell) if clip else None
+        squares = circuit.squares.get(ell) if clip else None
+        circuit.norms[ell] = circuit.squares[ell] = None
         if journal is not None:  # a rollback leaves the layer with no cache
             journal += [(circuit.norms, ell, None), (circuit.squares, ell, None)]
-        norms = circuit.norms.get(ell) if keep else None
-        squares = circuit.squares.get(ell) if keep else None
+        if g is None:
+            new = _swapped(W, E, phi(state.z[ell]), below, eta_W, eta_E, clip)
+            if journal is not None:
+                journal += [(circuit.W, ell, W), (circuit.E, ell, E)]
+            circuit.W[ell], circuit.E[ell] = new
+            continue
+        opened = _open_units(g)
         pre = phi(state.z[ell][opened])
-        below = _gate(state, ell - 1, state.e[ell - 1])
         block = W[:, opened].copy() if isinstance(opened, slice) else W.take(opened, axis=1)
-        save(W, (slice(None), opened), block)
-        block = block + eta_W * (below[:, None] * pre)  # np.outer's product
-        if keep:  # take again the open columns and those a clip divided
+        journal.append((W, (slice(None), opened), block))
+        new = _outer(below, pre)
+        new *= eta_W
+        new += block  # the block's sum: float addition commutes
+        if clip:  # take again the open columns and those a clip divided
             if norms is None:
                 norms = np.full(W.shape[1], np.nan)
-            norms[opened] = _column_norms(block)
+            norms[opened] = _column_norms(new)
             stale = np.flatnonzero(np.isnan(norms))
             if stale.size:
                 norms[stale] = _column_norms(W.take(stale, axis=1))
-            norms[_clip(W, norms, save, opened, block)] = np.nan
-        elif clip:  # every column is open, so block holds all of W
-            _clip(block, np.sqrt(np.add.reduce(block * block, axis=0)))
-        circuit.norms[ell] = norms
-        W[:, opened] = block
+            norms[_clip(W, norms, save, opened, new)] = np.nan
+        W[:, opened] = new
+        del new
         save(E, opened)
-        E[opened] += eta_E * (pre[:, None] * below)
+        delta = _outer(pre, below)
+        delta *= eta_E
+        E[opened] += delta
+        del delta  # before the squares, which may take all of E
         if clip:
             if squares is None:
                 squares = E * E
-            else:  # square again the open rows
+            elif isinstance(opened, slice):  # square again the open rows
+                np.multiply(E[opened], E[opened], out=squares[opened])
+            else:
                 rows = E[opened]
                 squares[opened] = rows * rows
-            big = _clip(E, np.sqrt(np.add.reduce(squares, axis=0)), None if g is None else save)
-            if keep and np.count_nonzero(big):  # and the columns the clip divided
+            big = _clip(E, np.sqrt(np.add.reduce(squares, axis=0)), save)
+            if np.count_nonzero(big):  # and the columns the clip divided
                 cols = E[:, big]
                 squares[:, big] = cols * cols
-        circuit.squares[ell] = squares if keep else None
+        circuit.norms[ell], circuit.squares[ell] = norms, squares
     return circuit
 
 
-def _clip(M, norms, save=None, opened=None, block=None):
+def _outer(a, b):
+    """The outer product of vectors ``a`` and ``b`` as a new C-ordered array,
+    entry (i, j) the one product ``a[i] * b[j]``: the bits of
+    ``a[:, None] * b``.
+
+    ``einsum`` forms a large one in about half the time of the broadcast
+    multiply, whose call costs less below a few thousand entries.  It adds
+    each product to 0, which turns a product of -0.0 into +0.0, so it runs
+    only where no product is 0: where the least ``|a[i]|`` times the least
+    ``|b[j]|`` is not (rounding is monotone, so no product is smaller)."""
+    if a.size * b.size > 2048 and np.abs(a).min() * np.abs(b).min() != 0.0:
+        return np.einsum("i,j->ij", a, b)
+    return a[:, None] * b
+
+
+def _swapped(W, E, pre, below, eta_W, eta_E, clip):
+    """The Hebbian step of a layer with no mask, as new C-ordered arrays:
+    ``W + eta_W * outer(below, pre)`` and ``E + eta_E * outer(pre, below)``,
+    the element-wise sums ``update_weights`` makes (float addition
+    commutes, so the change is scaled and ``W`` added into it).  ``W`` and
+    ``E`` are only read.
+
+    With ``clip`` each column of a new matrix whose norm exceeds 1 is
+    divided by it.  When at least one column in eight does, the whole
+    matrix is divided by max(norm, 1), which leaves every other column as
+    it was, in one pass; else those columns alone, through a mask, which
+    costs less when they are few in a wide matrix."""
+    new_W = _outer(below, pre)
+    new_W *= eta_W
+    new_W += W
+    new_E = _outer(pre, below)
+    new_E *= eta_E
+    new_E += E
+    if clip:
+        for M in (new_W, new_E):
+            norms = np.sqrt(np.add.reduce(M * M, axis=0))
+            big = norms > 1.0
+            n_big = np.count_nonzero(big)
+            if 8 * n_big >= M.shape[1]:
+                M /= np.fmax(norms, 1.0)
+            elif n_big:
+                M[:, big] /= norms[big]
+    return new_W, new_E
+
+
+def _clip(M, norms, save, opened=None, block=None):
     """Rescale each column of ``M`` whose norm in ``norms`` exceeds 1,
     dividing it by that norm, and return where they are, a boolean mask.
 
@@ -493,8 +562,7 @@ def _clip(M, norms, save=None, opened=None, block=None):
         rest = big.copy()
         rest[opened] = False
     if np.count_nonzero(rest):
-        if save is not None:
-            save(M, (slice(None), rest))
+        save(M, (slice(None), rest))
         M[:, rest] /= norms[rest]
     return big
 
@@ -503,14 +571,15 @@ def _column_norms(block):
     """The column norms of a C-ordered ``block``, the same bits as those
     columns of a C-ordered matrix's whole norms.
 
-    NumPy sums a C-ordered block of two or more columns row after row, as it
-    does the whole matrix, but a lone column pairwise; so a lone column is
-    taken twice.  ``M[:, cols]`` of an index array is not C-ordered;
-    ``M.take(cols, axis=1)`` is."""
+    NumPy sums the squares of a C-ordered matrix's columns row after row,
+    and ``einsum`` sums those of a C-ordered block of two or more columns in
+    the same order, without forming the squares, but a lone column's in
+    another; so a lone column is taken twice.  ``M[:, cols]`` of an index
+    array is not C-ordered; ``M.take(cols, axis=1)`` is."""
     n = block.shape[1]
     if n == 1:
         block = np.repeat(block, 2, axis=1)
-    return np.sqrt(np.add.reduce(block * block, axis=0))[:n]
+    return np.sqrt(np.einsum("ij,ij->j", block, block))[:n]
 
 
 def undo(journal):

@@ -230,7 +230,7 @@ def test_rollback_after_the_motor_learned_from_replay(monkeypatch):
     before = a.snapshot()
     twin = Agent.restore(before)
     W_before, rng_before = a.motor.circuit.W[1], a.motor.rng.bit_generator.state
-    real_update, real_rollback = MotorCircuit._swap, Agent._rollback
+    real_update, real_rollback = ngc._swapped, Agent._rollback
     calls, seen, rollbacks = [], {}, []
 
     def failing_update(*args, **kwargs):
@@ -247,7 +247,7 @@ def test_rollback_after_the_motor_learned_from_replay(monkeypatch):
         rollbacks.append(None)
         real_rollback(self, cap)
 
-    monkeypatch.setattr(MotorCircuit, "_swap", failing_update)
+    monkeypatch.setattr(ngc, "_swapped", failing_update)
     monkeypatch.setattr(Agent, "_rollback", counting_rollback)
     with pytest.raises(RuntimeError, match="injected"):
         a.cycle(stream[12], r_env=1.0)
@@ -275,42 +275,59 @@ def _arrays_in(value):
 
 def test_a_step_rebinds_state_parts_and_writes_only_into_sensory_weights():
     # the rollback invariant: capturing each _STATE part by reference, plus
-    # the journal of what the sensory update writes in place, is enough
-    a = Agent(small_config(seed=29, M_max=2, replay_capacity=8, replay_samples=2))
-    owners = {"": a, "gate.": a.gate, "motor.": a.motor, "tracker.": a.tracker}
-    rngs = {"gate.rng.bit_generator.state": a.gate.rng,
-            "motor.rng.bit_generator.state": a.motor.rng}
-    rebound, written = set(), []
+    # the journal of what the sensory update writes in place or rebinds, is
+    # enough; a gated agent and an ungated one (``mask_p`` 1)
+    for mask_p in (0.5, 1.0):
+        a = Agent(small_config(seed=29, M_max=2, replay_capacity=8, replay_samples=2,
+                               mask_p=mask_p))
+        owners = {"": a, "gate.": a.gate, "motor.": a.motor, "tracker.": a.tracker}
+        rngs = {"gate.rng.bit_generator.state": a.gate.rng,
+                "motor.rng.bit_generator.state": a.motor.rng}
+        rebound, written, swaps = set(), [], []
 
-    def step(call):
-        attrs = {prefix: dict(vars(owner)) for prefix, owner in owners.items()}
-        states = {path: rng.bit_generator.state for path, rng in rngs.items()}
-        held = [(v, v.tobytes()) for part in _STATE for v in _arrays_in(part.take(a))]
-        call()
-        rebound.update(prefix + name for prefix, owner in owners.items()
-                       for name, value in vars(owner).items()
-                       if name not in attrs[prefix] or attrs[prefix][name] is not value)
-        rebound.update(path for path, rng in rngs.items() if rng.bit_generator.state != states[path])
-        written.extend(v for v, before in held if v.tobytes() != before)
+        def step(call):
+            attrs = {prefix: dict(vars(owner)) for prefix, owner in owners.items()}
+            states = {path: rng.bit_generator.state for path, rng in rngs.items()}
+            held = [(v, v.tobytes()) for part in _STATE for v in _arrays_in(part.take(a))]
+            weights = [*a.sensory.W, *a.sensory.E]
+            call()
+            rebound.update(prefix + name for prefix, owner in owners.items()
+                           for name, value in vars(owner).items()
+                           if name not in attrs[prefix] or attrs[prefix][name] is not value)
+            rebound.update(path for path, rng in rngs.items()
+                           if rng.bit_generator.state != states[path])
+            written.extend(v for v, before in held if v.tobytes() != before)
+            swaps.append([now is not then for now, then in zip([*a.sensory.W, *a.sensory.E],
+                                                                weights)])
 
-    rng, r = np.random.default_rng(3), 0.0
-    for center in (np.full(8, 2.0), np.full(8, -2.0), np.tile([2.0, -2.0], 4)):
-        for _ in range(16):
-            x = center + 0.1 * rng.normal(size=8)
-            step(lambda: a.cycle(x, r_env=r))
-            r = -r if r else 0.5
-    for _ in range(3):
-        step(lambda: a.supervised_step(x, np.array([1.0, -1.0, 0.0])))
-    step(lambda: a.finish(r_env=1.0))
-    assert a.gate.active_count == 2 and a.gate.saturated
-    assert len(a.motor.replay) == 8 and a.pending is None
-    # each part's ``take`` is ``attrgetter(path)``, which pickles as its path;
-    # every part but the sensory circuit is rebound, and each is reached
-    assert rebound == {part.take.__reduce__()[1][0] for part in _STATE} - {"sensory"}
-    # the sensory circuit is the one value written into: its W and E, and the
-    # norms of W and squares of E it caches for its masked updates, only
-    weights = [*a.sensory.W[1:], *a.sensory.E[1:], a.sensory.norms[1], a.sensory.squares[1]]
-    assert {id(v) for v in written} == {id(w) for w in weights}
+        rng, r = np.random.default_rng(3), 0.0
+        for center in (np.full(8, 2.0), np.full(8, -2.0), np.tile([2.0, -2.0], 4)):
+            for _ in range(16):
+                x = center + 0.1 * rng.normal(size=8)
+                step(lambda: a.cycle(x, r_env=r))
+                r = -r if r else 0.5
+        for _ in range(3):
+            step(lambda: a.supervised_step(x, np.array([1.0, -1.0, 0.0])))
+        step(lambda: a.finish(r_env=1.0))
+        assert a.gate.active_count == 2 and a.gate.saturated
+        assert len(a.motor.replay) == 8 and a.pending is None
+        # each part's ``take`` is ``attrgetter(path)``, which pickles as its
+        # path; every part but the sensory circuit is rebound, and each is reached
+        assert rebound == {part.take.__reduce__()[1][0] for part in _STATE} - {"sensory"}
+        if mask_p < 1.0:
+            # the sensory circuit is the one value written into: its W and E,
+            # and the norms of W and squares of E it caches for its masked
+            # updates, only; no step rebinds its W or E
+            weights = [*a.sensory.W[1:], *a.sensory.E[1:], a.sensory.norms[1],
+                       a.sensory.squares[1]]
+            assert {id(v) for v in written} == {id(w) for w in weights}
+            assert not any(map(any, swaps))
+        else:
+            # an ungated step writes into nothing: each sensory update rebinds
+            # the circuit's W[1] and E[1] to new arrays, and a finish learns
+            # only in the motor head
+            assert written == []
+            assert swaps == [[False, True, False, True]] * 51 + [[False] * 4]
 
 
 def test_finish_flushes_pending():
@@ -699,11 +716,43 @@ def test_gated_wide_agent_rolls_back_a_failed_motor_update(monkeypatch):
         calls.append(None)
         raise RuntimeError("injected")
 
-    monkeypatch.setattr(MotorCircuit, "_swap", failing_update)
+    monkeypatch.setattr(ngc, "_swapped", failing_update)
     with pytest.raises(RuntimeError, match="injected"):
         a.cycle(stream[5], r_env=1.0)
     monkeypatch.undo()
     assert len(calls) == 1 and a.sensory is sensory_before
+    assert a.snapshot() == before
+    assert a.cycle(stream[5], r_env=1.0) == twin.cycle(stream[5], r_env=1.0)
+    assert a.snapshot() == twin.snapshot()
+
+
+def test_ungated_agent_rolls_back_a_fault_after_its_sensory_update(monkeypatch):
+    # 784 -> 256 with every unit open (mask_p 1): the sensory update swaps new
+    # W and E into the circuit, then the cycle fails; a rollback rebinds the
+    # old arrays, which the update never wrote
+    a = Agent(small_config(obs_dim=784, sensory_hidden=(256,), sensory_K=30, mask_p=1.0,
+                           seed=31))
+    stream = obs_stream(6, seed=12, dim=784)
+    for x in stream[:5]:
+        a.cycle(x, r_env=0.1)
+    before = a.snapshot()
+    twin = Agent.restore(before)
+    W, E = a.sensory.W[1], a.sensory.E[1]
+    held = [W.tobytes(), E.tobytes()]
+    update, swapped = ngc.update_weights, []
+
+    def update_then_fail(circuit, *args, **kwargs):
+        update(circuit, *args, **kwargs)
+        swapped.append(circuit.W[1] is not W and circuit.E[1] is not E)
+        raise RuntimeError("injected")
+
+    monkeypatch.setattr(ngc, "update_weights", update_then_fail)
+    with pytest.raises(RuntimeError, match="injected"):
+        a.cycle(stream[5], r_env=1.0)
+    monkeypatch.undo()
+    assert swapped == [True]
+    assert a.sensory.W[1] is W and a.sensory.E[1] is E
+    assert [W.tobytes(), E.tobytes()] == held
     assert a.snapshot() == before
     assert a.cycle(stream[5], r_env=1.0) == twin.cycle(stream[5], r_env=1.0)
     assert a.snapshot() == twin.snapshot()
@@ -952,7 +1001,7 @@ CYCLE_CALLS = [
     (CompetitiveGate, "select_or_recruit"), (CompetitiveGate, "match"),
     (CompetitiveGate, "update_winner"), (CompetitiveGate, "mask_for"),
     (ngc, "_check_bounded"),  # the divergence check of the motor head's output
-    (MotorCircuit, "_fit"), (MotorCircuit, "_swap"), (MotorCircuit, "act"),
+    (MotorCircuit, "_fit"), (ngc, "_swapped"), (MotorCircuit, "act"),
 ]
 
 # the other atomic entry points, and what each calls of the functions above:
@@ -968,7 +1017,7 @@ ATOMIC_CALLS = [
     *(("cycle", *call) for call in CYCLE_CALLS),
     *(("supervised_step", *call) for call in CYCLE_CALLS if call != (MotorCircuit, "act")),
     *(("finish", *call) for call in [(ngc, "_check_bounded"), (ngc, "_check_given"),
-                                     (MotorCircuit, "_swap"), (MotorCircuit, "_fit")]),
+                                     (ngc, "_swapped"), (MotorCircuit, "_fit")]),
 ]
 
 

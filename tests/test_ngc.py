@@ -216,6 +216,16 @@ def fd_gradient(circuit, state, ell, h=1e-6):
     return grad
 
 
+def _journaled(c, state, **kwargs):
+    """``update_weights`` with a journal, as a masked update needs, into a
+    copy of ``c`` whose W and E are C-ordered and writeable, so that ``c``
+    is left as it was; returns the copy."""
+    copy = replace(c, W=[None, *(np.array(M) for M in c.W[1:])],
+                   E=[None, *(np.array(M) for M in c.E[1:])])
+    assert update_weights(copy, state, journal=[], **kwargs) is copy
+    return copy
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_update_matches_negative_fd_gradient(seed):
     c = init_circuit([8, 16, 8], seed=seed)
@@ -246,7 +256,7 @@ def test_update_matches_fd_gradient_under_mask():
         init={1: rng.normal(size=10), 2: rng.normal(size=6)},
         mask={1: gate},
     )
-    c2 = update_weights(c, state, eta_W=0.2, eta_E=0.0)
+    c2 = _journaled(c, state, eta_W=0.2, eta_E=0.0)
     # Layer 1: postsynaptic side (layer 0) is ungated, plain gradient.
     got1 = (c2.W[1] - c.W[1]) / 0.2
     want1 = -fd_gradient(c, state, 1)
@@ -300,7 +310,7 @@ def test_gating_soundness_exact_zero_plasticity():
     closed = [2, 5, 6]
     gate[closed] = 0.0
     s = settle(c, clamps={0: rng.normal(size=6)}, mask={1: gate})
-    c2 = update_weights(c, s, eta_W=0.1, eta_E=0.1)
+    c2 = _journaled(c, s, eta_W=0.1, eta_E=0.1)
     # Closed units: outgoing columns of W1 / rows of E1 untouched...
     assert np.array_equal(c2.W[1][:, closed], c.W[1][:, closed])
     assert np.array_equal(c2.E[1][closed, :], c.E[1][closed, :])
@@ -487,7 +497,7 @@ def test_update_matches_reference_oracle(name, clip):
     # clip rescales closed units' columns too
     c = replace(c, W=[None, *(10 * W for W in c.W[1:])], E=[None, *(10 * E for E in c.E[1:])])
     for state in (reference_ngc.settle(c, **kwargs), settle(c, **kwargs)):
-        new = update_weights(c, state, eta_W=0.3, eta_E=0.2, clip=clip)
+        new = _journaled(c, state, eta_W=0.3, eta_E=0.2, clip=clip)
         ref = reference_ngc.update_weights(c, state, eta_W=0.3, eta_E=0.2, clip=clip)
         for ell in range(1, c.L + 1):
             assert np.array_equal(new.W[ell], ref.W[ell]), f"W[{ell}]"
@@ -495,8 +505,44 @@ def test_update_matches_reference_oracle(name, clip):
             assert new.W[ell].flags.c_contiguous and new.E[ell].flags.c_contiguous
 
 
+@pytest.mark.parametrize("shape", [(3, 32), (32, 3), (784, 64), (64, 784), (784, 256),
+                                   (256, 784), (784, 1), (1, 784)])
+def test_outer_product_equals_the_broadcast_multiply(shape):
+    # the shapes of the agent's updates, on seeded draws: nonzero factors,
+    # then zeros of both signs (as gated errors and resting units give) and
+    # factors whose products underflow to a signed 0, which keep their sign
+    rng = np.random.default_rng(shape[0] * 1000 + shape[1])
+    for k in range(12):
+        a, b = rng.normal(size=shape[0]), np.tanh(rng.normal(size=shape[1]))
+        if k % 3 == 1:
+            a[::7], a[3::7] = 0.0, -0.0
+        elif k % 3 == 2:
+            a[rng.integers(a.size)] = -1e-200
+            b[rng.integers(b.size)] = 1e-200
+        got = ngc._outer(a, b)
+        assert got.flags.c_contiguous and got.dtype == np.float64
+        assert got.tobytes() == (a[:, None] * b).tobytes()
+
+
+@pytest.mark.parametrize("shape", [(784, 256), (256, 784), (3, 32), (48, 24)])
+def test_column_norms_of_a_block_equal_the_whole_matrix_norms(shape):
+    # seeded blocks of open columns, as a masked update takes them: runs
+    # (slices), scattered units (``take``) and lone columns
+    rng = np.random.default_rng(shape[0] + shape[1])
+    for _ in range(20):
+        M = rng.normal(size=shape) * 10.0 ** rng.uniform(-2, 2)
+        whole = np.sqrt(np.add.reduce(M * M, axis=0))
+        start = int(rng.integers(shape[1]))
+        stop = int(rng.integers(start + 1, shape[1] + 1))
+        scattered = np.sort(rng.choice(shape[1], size=int(rng.integers(1, shape[1] + 1)),
+                                       replace=False))
+        for cols in (slice(start, stop), scattered, scattered[:1]):
+            block = M[:, cols].copy() if isinstance(cols, slice) else M.take(cols, axis=1)
+            assert ngc._column_norms(block).tobytes() == whole[cols].tobytes()
+
+
 def test_journaled_updates_match_the_reference_step_after_step():
-    # 60 in-place updates of one circuit, each from the state settled on it,
+    # 60 journaled updates of one circuit, each from the state settled on it,
     # under a mask that switches between two blocks, scattered units, one
     # unit and none; ten times the weights makes closed columns clip too
     rng = np.random.default_rng(5)
@@ -520,12 +566,15 @@ def test_journaled_updates_match_the_reference_step_after_step():
             journal = []
             assert update_weights(c, state, eta_W=0.3, eta_E=0.2, clip=True,
                                   journal=journal) is c
-            assert c.W[1] is W and c.E[1] is E  # written in place
-            assert np.array_equal(W, want.W[1]), name
-            assert np.array_equal(E, want.E[1]), name
-            if mask is None:  # an unmasked update keeps nothing
+            assert np.array_equal(c.W[1], want.W[1]), name
+            assert np.array_equal(c.E[1], want.E[1]), name
+            if mask is None:  # swapped in: new arrays, the old ones unwritten, no cache
+                assert c.W[1] is not W and c.E[1] is not E
+                assert c.W[1].flags.c_contiguous and c.E[1].flags.c_contiguous
+                assert W.tobytes() == start[0] and E.tobytes() == start[1]
                 assert c.norms.get(1) is None and c.squares.get(1) is None
-            else:  # NaN marks each column the clip divided, to take again
+            else:  # written in place; NaN marks each column the clip divided
+                assert c.W[1] is W and c.E[1] is E
                 cached, full = c.norms[1], np.sqrt(np.add.reduce(W * W, axis=0))
                 assert np.array_equal(np.isnan(cached), divided), name
                 assert np.array_equal(cached[~divided], full[~divided]), name
@@ -534,6 +583,7 @@ def test_journaled_updates_match_the_reference_step_after_step():
                 assert again or squares is None or c.squares[1] is squares
             if not again:
                 ngc.undo(journal)
+                assert c.W[1] is W and c.E[1] is E
                 assert W.tobytes() == start[0] and E.tobytes() == start[1]
                 assert c.norms.get(1) is None and c.squares.get(1) is None  # a rollback drops them
     assert set(names) == set(masks)
@@ -562,22 +612,27 @@ def test_a_journal_holds_slices_of_w_and_e_and_no_cache_marks_only():
 
 
 def test_an_update_without_a_journal_leaves_its_circuit_as_it_was():
+    # a masked update writes in place, so without a journal it raises before
+    # it writes; an unmasked one swaps new arrays into a new circuit
     c = init_circuit([16, 12], seed=3, sigma=0.5)
     g = np.zeros(12)
     g[2:6] = 1.0
     state = settle(c, clamps={0: np.ones(16)}, mask={1: g})
     assert update_weights(c, state, eta_W=0.3, eta_E=0.2, clip=True, journal=[]) is c
-    W, E, norms = c.W[1].copy(), c.E[1].copy(), c.norms[1]
-    new = update_weights(c, state, eta_W=0.3, eta_E=0.2, clip=True)
-    assert new is not c and c.norms[1] is norms
-    assert np.array_equal(c.W[1], W) and np.array_equal(c.E[1], E)
-    # the copy starts without norms or squares and takes its own
-    kept = ~np.isnan(new.norms[1])
-    assert np.array_equal(new.norms[1][kept],
-                          np.sqrt(np.add.reduce(new.W[1] * new.W[1], axis=0))[kept])
-    assert new.squares[1] is not c.squares[1]
-    assert new.squares[1].tobytes() == (new.E[1] * new.E[1]).tobytes()
-    assert not np.shares_memory(new.W[1], c.W[1]) and not np.shares_memory(new.E[1], c.E[1])
+    W, E, norms, squares = c.W[1], c.E[1], c.norms[1], c.squares[1]
+    held = [(M, M.tobytes()) for M in (W, E, norms, squares)]
+    with pytest.raises(ValueError, match="a masked update writes W and E in place; "
+                                         "it needs a journal"):
+        update_weights(c, state, eta_W=0.3, eta_E=0.2, clip=True)
+    unmasked = settle(c, clamps={0: np.ones(16)})
+    new = update_weights(c, unmasked, eta_W=0.3, eta_E=0.2, clip=True)
+    kept = (c.W[1], c.E[1], c.norms[1], c.squares[1])
+    assert all(now is then for now, (then, _) in zip(kept, held))
+    assert all(M.tobytes() == saved for M, saved in held)
+    want = reference_ngc.update_weights(c, unmasked, eta_W=0.3, eta_E=0.2, clip=True)
+    assert new is not c and new.W[1] is not W and new.E[1] is not E
+    assert np.array_equal(new.W[1], want.W[1]) and np.array_equal(new.E[1], want.E[1])
+    assert new.norms.get(1) is None and new.squares.get(1) is None
 
 
 def _record_phi(monkeypatch):
@@ -700,7 +755,7 @@ def test_open_unit_settle_and_update_match_reference_oracle(name, clip):
         assert got.energy == want.energy
     # the update adds no sums: equal bits from the same state, for any mask
     for state in (want, got):
-        new = update_weights(c, state, eta_W=0.3, eta_E=0.2, clip=clip)
+        new = _journaled(c, state, eta_W=0.3, eta_E=0.2, clip=clip)
         ref = reference_ngc.update_weights(c, state, eta_W=0.3, eta_E=0.2, clip=clip)
         for ell in range(1, c.L + 1):
             assert np.array_equal(new.W[ell], ref.W[ell]), f"W[{ell}]"

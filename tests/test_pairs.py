@@ -2,6 +2,7 @@
 
 import argparse
 import importlib.util
+import json
 import re
 from pathlib import Path
 
@@ -131,6 +132,26 @@ def test_run_once_reads_the_last_line(tmp_path):
 def test_run_once_stops_on_a_failed_run(tmp_path, line, code):
     with pytest.raises(SystemExit, match="the rps run failed"):
         pairs.run_once(_checkout(tmp_path, line, code), "rps", 1, 29)
+
+
+def test_checkouts_whose_paths_differ_in_length_are_warned_of(tmp_path, capsys):
+    line = json.dumps({"correct": True, "metrics": {
+        m["name"]: {"value": 1.0, "unit": m["unit"]} for m in METRICS}})
+    for name in ("p0", "c0", "change"):
+        (tmp_path / name).mkdir()
+        _checkout(tmp_path / name, line)
+        (tmp_path / name / "BENCHMARK.json").write_text(json.dumps({"end_to_end": METRICS}),
+                                                        encoding="utf-8")
+    for change, warned in (("change", True), ("c0", False)):
+        pairs.main(["--parent", str(tmp_path / "p0"), "--change", str(tmp_path / change),
+                    "--workload", "rps", "--pairs", "2", "--seconds", "1"])
+        out, err = capsys.readouterr()
+        assert ("differ in length" in err) == warned, err
+        assert out.startswith("rps: 2 pairs") and "won 0/2" in out
+    # by the resolved paths, which the runs are given
+    assert pairs.path_warning(Path("/a/p0"), Path("/a/c0")) is None
+    assert pairs.path_warning(Path("/a/parent"), Path("/a/c0")).startswith(
+        "warning: the parent's path /a/parent (9 characters) and the change's /a/c0 (5)")
 
 
 def _usage(text):

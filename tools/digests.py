@@ -12,7 +12,10 @@ where ``snapshot`` is the sha256 of the trained agent's ``snapshot()``, or
 rps with a motor head of one hidden layer (``motor_hidden=(8,)``, the only
 config whose motor head settles) and the benchmark's
 (``perfbench/suites.py``: continual, rps, recall), imported from those
-files; names on the command line pick a subset.  Runs write to a temporary
+files, and the benchmark's continual with random masks
+(``mask_mode="random"``, the schema default), whose scattered open units
+the update reaches through index arrays; names on the command line pick a
+subset.  Runs write to a temporary
 directory that is removed afterwards.
 
 ``--src`` picks the cogkit source to run (``src`` of this checkout by
@@ -62,6 +65,10 @@ def runs():
     for name, work in suites.WORKLOADS.items():
         table[f"bench-{name}"] = (lambda seed, out, work=work, cfg=resolve(work.config):
                                   work.run(cfg, seed, out))
+    continual = suites.WORKLOADS["continual"]
+    table["bench-continual-random-masks"] = (
+        lambda seed, out, cfg=resolve({**continual.config, "mask_mode": "random"}):
+        continual.run(cfg, seed, out))
     return table
 
 

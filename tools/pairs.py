@@ -3,9 +3,13 @@
     python tools/pairs.py --parent DIR --change DIR --workload W \\
         [--pairs 10] [--seconds 10] [--seed 29]
 
-``DIR`` is the root of a checkout.  Use sibling checkouts of the two
-commits, for example one made with ``git worktree add ../parent <commit>``
-next to this one.  Each pair runs each checkout's own
+``DIR`` is the root of a checkout.  Give the two commits checkouts whose
+paths have the same length, for example ``../p0`` and ``../c0`` made with
+``git archive <commit> | tar -x -C ../p0`` (and the same into ``../c0``):
+the path enters ``argv``, ``sys.path`` and every module's file name, and two
+copies of one commit whose paths differed in length have read recall about
+5% apart.  The tool warns when the two resolved paths differ in length, and
+runs each checkout by its resolved path.  Each pair runs each checkout's own
 ``perfbench/run.py --workload W --seed S --seconds T --trace 0`` once, and
 the side that runs first alternates from pair to pair, so a drift in the
 machine's speed falls on both sides alike.  Every run replaces its
@@ -115,9 +119,23 @@ def parser():
     return p
 
 
+def path_warning(parent, change):
+    """A warning when the resolved paths of the checkouts ``parent`` and
+    ``change`` differ in length, else None."""
+    if len(str(parent)) == len(str(change)):
+        return None
+    return (f"warning: the parent's path {parent} ({len(str(parent))} characters) and the "
+            f"change's {change} ({len(str(change))}) differ in length, which alone can move "
+            "a metric by several percent; use checkouts whose paths have equal length")
+
+
 def main(argv=None):
     args = parser().parse_args(argv)
-    spec = json.loads((Path(args.change) / "BENCHMARK.json").read_text(encoding="utf-8"))
+    args.parent, args.change = Path(args.parent).resolve(), Path(args.change).resolve()
+    warning = path_warning(args.parent, args.change)
+    if warning:
+        print(warning, file=sys.stderr)
+    spec = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
     runs = {"parent": [], "change": []}
     for i in range(args.pairs):
         for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
