@@ -30,17 +30,17 @@ Everything a cycle can change is listed once, in ``_STATE``: a table of
 attribute paths that drives rollback, each with the rows of the snapshot
 entries that hold it, which drive snapshot and restore.  A cycle replaces
 each of those values and writes into none, except the sensory circuit's
-``W[ell]`` and ``E[ell]`` under a mask and the column norms and squares of
-them it caches.  A masked update writes the open columns and rows of W and
+``W[ell]`` and ``E[ell]`` under a mask and the column norms of ``W[ell]``
+it caches.  A masked update writes the open columns and rows of W and
 E, and the columns a clip divides, in place, after appending what it
 overwrites to the block's journal.  An update without a mask, as in an
 ungated agent, writes into nothing: it rebinds ``W[ell]`` and ``E[ell]`` in
 the circuit's lists to new arrays and journals the old ones.  One rule
 undoes a cycle: a rollback writes W and E back from the journal, latest
 first (rebinding a swapped layer's old arrays), puts back every captured
-reference, and drops the caches instead of restoring them.  A snapshot
-stores no cache either, so a rolled-back or restored agent takes them
-again from W and E and goes on byte for byte.  What no cycle changes, the
+reference, and drops the cache instead of restoring it.  A snapshot
+stores no cache either, so a rolled-back or restored agent takes the norms
+again from W and goes on byte for byte.  What no cycle changes, the
 two bridges and the unit symbols, is drawn from the config's seed when an
 agent is built, so a restore rebuilds it; it loads the circuits' weights
 and draws none.
@@ -341,12 +341,9 @@ def _check(config, entries):
 class Agent:
     """Common-model agent wiring sensory, gate, memory, and motor modules."""
 
-    def __init__(self, config: AgentConfig):
-        self._build(config, draw=True)
-
-    def _build(self, config, draw):
-        """Build every part from ``config``.  With ``draw`` False both circuits
-        are blank (``ngc.blank_circuit``) instead of seeded draws, for a
+    def __init__(self, config: AgentConfig, *, _draw=True):
+        """Build every part from ``config``.  ``_draw`` False leaves both
+        circuits blank (``ngc.blank_circuit``) instead of seeded draws, for a
         restore to fill; the bridges and the unit symbols are drawn either way,
         ``bridge2`` whole even when only its percept block is kept."""
         self.config = config
@@ -355,9 +352,9 @@ class Agent:
         sizes = (config.obs_dim, *config.sensory_hidden)
         kind = dict(beta=config.sensory_beta, gamma=config.sensory_gamma, K=config.sensory_K)
         self.sensory = (ngc.init_circuit(sizes, seed=s_sensory, sigma=config.sensory_sigma, **kind)
-                        if draw else ngc.blank_circuit(sizes, **kind))
+                        if _draw else ngc.blank_circuit(sizes, **kind))
         self.motor = MotorCircuit(
-            config.n_actions, config.motor_state_dim, seed=s_motor, _draw=draw,
+            config.n_actions, config.motor_state_dim, seed=s_motor, _draw=_draw,
             hidden=config.motor_hidden, clip_weights=config.motor_clip,
             **{k: getattr(config, k) for k in (
                 "gamma_d", "alpha_e", "r_clip", "replay_capacity", "replay_samples")},
@@ -410,7 +407,7 @@ class Agent:
 
     def _motor_state(self, perception):
         """[perception; retrieval; wm] through ``bridge2``, unit length; only
-        the percept when ``bridge2`` holds its block alone (see ``_build``)."""
+        the percept when ``bridge2`` holds its block alone (see ``__init__``)."""
         if self.bridge2.shape[1] > len(perception):
             shared = (self.retrieval, self.wm.m)
             if perception.ndim == 2:  # a batch, one column each
@@ -491,11 +488,10 @@ class Agent:
         """Roll the whole agent back if the block raises: write back the
         sensory W and E the update overwrote in place, or rebind those it
         swapped out, from the block's journal, put back the value each part
-        held before, and drop the
-        circuit's cached norms and squares instead of restoring them.  The
-        journal is dropped when the block ends.  A block inside another
-        captures nothing and shares the outer one's journal: the outer one
-        rolls back."""
+        held before, and drop the circuit's cached norms instead of restoring
+        them.  The journal is dropped when the block ends.  A block inside
+        another captures nothing and shares the outer one's journal: the
+        outer one rolls back."""
         if self._journal is not None:
             yield
             return
@@ -604,8 +600,7 @@ class Agent:
             raise ValueError(f"snapshot entry 'config' is damaged: {exc}") from None
         entries = {**arrays, **meta}
         _check(config, entries)
-        agent = cls.__new__(cls)
-        agent._build(config, draw=False)  # the snapshot holds both circuits' weights
+        agent = cls(config, _draw=False)  # the snapshot holds both circuits' weights
         for part in _STATE:
             value = part.load(agent, entries)
             try:

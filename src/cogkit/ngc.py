@@ -40,11 +40,12 @@ energy.
 Weight matrices are kept in C order: an update keeps W and E C-ordered, as
 a restore makes them, so a restored circuit sums its products in the order
 the live one does and resumes byte for byte.  A masked, clipped update
-keeps W's column norms and E's element-wise squares with the circuit and
-takes them again only where W and E changed, in a layout that gives the
-whole matrix's bits.  They are plain caches, written in place: a new or
-restored circuit has none, nor has a layer after ``undo``, so the next
-update takes them from W and E, and neither ever alters a byte.
+keeps W's column norms with the circuit and takes them again only where W
+changed, in a layout that gives the whole matrix's bits; E's it takes from
+E itself each time, in one pass that forms no squares.  The norms are a
+plain cache, written in place: a new or restored circuit has none, nor has
+a layer after ``undo``, so the next update takes them from W, and they
+never alter a byte.
 """
 
 from __future__ import annotations
@@ -81,11 +82,10 @@ class NgcCircuit:
     gamma: float = 0.001
     K: int = 50
     # W[ell]'s column norms by layer, NaN where the last clip divided the
-    # column, and E[ell]'s element-wise squares, as a masked update with a
-    # clip leaves them (see ``update_weights``); caches, taken from W and E
-    # where a layer has none (None), as in a new circuit
+    # column, as a masked update with a clip leaves them (see
+    # ``update_weights``); a cache, taken from W where a layer has none
+    # (None), as in a new circuit
     norms: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    squares: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def L(self):
@@ -424,20 +424,18 @@ def update_weights(circuit, state, eta_W, eta_E, clip=False, journal=None):
     the change is formed beside it in one contiguous outer product, scaled
     and added to the block in place, then clipped and written back once.
 
-    Before those, for each layer, the update appends the two marks
-    ``(circuit.norms, ell, None)`` and ``(circuit.squares, ell, None)``.
-    ``undo(journal)`` writes them all back: W and E end as they were, and
-    the layer has no cache.
+    Before those, for each layer, the update appends the mark
+    ``(circuit.norms, ell, None)``.  ``undo(journal)`` writes them all
+    back: W and E end as they were, and the layer has no cache.
 
-    A masked, clipped layer caches two values with the circuit: W's column
-    norms in ``circuit.norms``, NaN for each column its clip divided, and
-    E's element-wise squares in ``circuit.squares``.  The next such update
-    takes the norms again only for its open columns and the NaN ones (all
-    of them, when the layer has no cache), and squares again only its open
-    rows of E and the columns E's clip divides, writing both in place.
-    Both give the bits the whole matrix would (see ``_column_norms``).  An
-    update without a mask or a clip drops them, so such a layer caches
-    nothing.  The journal holds no copy of either: a rollback drops them.
+    A masked, clipped layer caches W's column norms in ``circuit.norms``,
+    NaN for each column its clip divided.  The next such update takes them
+    again only for its open columns and the NaN ones (all of them, when the
+    layer has no cache), writing them in place.  E's column norms it takes
+    from the whole of E after E's rows are written, in one pass.  Both give
+    the bits the whole matrix would (see ``_column_norms``).  An update
+    without a mask or a clip drops the cache, so such a layer caches
+    nothing.  The journal holds no copy of it: a rollback drops it.
     """
     if journal is None:
         if state.mask:
@@ -452,10 +450,9 @@ def update_weights(circuit, state, eta_W, eta_E, clip=False, journal=None):
         W, E, g = circuit.W[ell], circuit.E[ell], state.mask.get(ell)
         below = _gate(state, ell - 1, state.e[ell - 1])
         norms = circuit.norms.get(ell) if clip else None
-        squares = circuit.squares.get(ell) if clip else None
-        circuit.norms[ell] = circuit.squares[ell] = None
+        circuit.norms[ell] = None
         if journal is not None:  # a rollback leaves the layer with no cache
-            journal += [(circuit.norms, ell, None), (circuit.squares, ell, None)]
+            journal.append((circuit.norms, ell, None))
         if g is None:
             new = _swapped(W, E, phi(state.z[ell]), below, eta_W, eta_E, clip)
             if journal is not None:
@@ -472,10 +469,10 @@ def update_weights(circuit, state, eta_W, eta_E, clip=False, journal=None):
         if clip:  # take again the open columns and those a clip divided
             if norms is None:
                 norms = np.full(W.shape[1], np.nan)
-            norms[opened] = _column_norms(new)
+            norms[opened] = _column_norms(new, W.shape[1])
             stale = np.flatnonzero(np.isnan(norms))
             if stale.size:
-                norms[stale] = _column_norms(W.take(stale, axis=1))
+                norms[stale] = _column_norms(W.take(stale, axis=1), W.shape[1])
             norms[_clip(W, norms, save, opened, new)] = np.nan
         W[:, opened] = new
         del new
@@ -483,20 +480,9 @@ def update_weights(circuit, state, eta_W, eta_E, clip=False, journal=None):
         delta = _outer(pre, below)
         delta *= eta_E
         E[opened] += delta
-        del delta  # before the squares, which may take all of E
         if clip:
-            if squares is None:
-                squares = E * E
-            elif isinstance(opened, slice):  # square again the open rows
-                np.multiply(E[opened], E[opened], out=squares[opened])
-            else:
-                rows = E[opened]
-                squares[opened] = rows * rows
-            big = _clip(E, np.sqrt(np.add.reduce(squares, axis=0)), save)
-            if np.count_nonzero(big):  # and the columns the clip divided
-                cols = E[:, big]
-                squares[:, big] = cols * cols
-        circuit.norms[ell], circuit.squares[ell] = norms, squares
+            _clip(E, _column_norms(E, E.shape[1]), save)
+        circuit.norms[ell] = norms
     return circuit
 
 
@@ -567,16 +553,22 @@ def _clip(M, norms, save, opened=None, block=None):
     return big
 
 
-def _column_norms(block):
-    """The column norms of a C-ordered ``block``, the same bits as those
-    columns of a C-ordered matrix's whole norms.
+def _column_norms(block, width):
+    """The column norms of a C-ordered ``block`` of columns of a C-ordered
+    matrix ``width`` columns wide (all of it, or some), the same bits as
+    those columns of the matrix's whole norms,
+    ``np.sqrt(np.add.reduce(M * M, axis=0))``.
 
     NumPy sums the squares of a C-ordered matrix's columns row after row,
     and ``einsum`` sums those of a C-ordered block of two or more columns in
     the same order, without forming the squares, but a lone column's in
-    another; so a lone column is taken twice.  ``M[:, cols]`` of an index
-    array is not C-ordered; ``M.take(cols, axis=1)`` is."""
+    another; so a lone column of a wider matrix is taken twice.  A matrix of
+    one column NumPy sums as a vector, pairwise, so it is summed that way.
+    ``M[:, cols]`` of an index array is not C-ordered;
+    ``M.take(cols, axis=1)`` is."""
     n = block.shape[1]
+    if width == 1:
+        return np.sqrt(np.add.reduce(block * block, axis=0))
     if n == 1:
         block = np.repeat(block, 2, axis=1)
     return np.sqrt(np.einsum("ij,ij->j", block, block))[:n]
@@ -585,6 +577,6 @@ def _column_norms(block):
 def undo(journal):
     """Write back what ``update_weights`` saved in ``journal``, the latest
     first, so W and E end as they were before the first write; its marks
-    leave each layer it touched with no cached norms or squares."""
+    leave each layer it touched with no cached norms."""
     for target, index, saved in reversed(journal):
         target[index] = saved

@@ -316,10 +316,9 @@ def test_a_step_rebinds_state_parts_and_writes_only_into_sensory_weights():
         assert rebound == {part.take.__reduce__()[1][0] for part in _STATE} - {"sensory"}
         if mask_p < 1.0:
             # the sensory circuit is the one value written into: its W and E,
-            # and the norms of W and squares of E it caches for its masked
-            # updates, only; no step rebinds its W or E
-            weights = [*a.sensory.W[1:], *a.sensory.E[1:], a.sensory.norms[1],
-                       a.sensory.squares[1]]
+            # and the norms of W it caches for its masked updates, only; no
+            # step rebinds its W or E
+            weights = [*a.sensory.W[1:], *a.sensory.E[1:], a.sensory.norms[1]]
             assert {id(v) for v in written} == {id(w) for w in weights}
             assert not any(map(any, swaps))
         else:
@@ -774,40 +773,52 @@ def test_gated_wide_agent_rolls_back_a_clip_that_fails_after_w_is_written(monkey
     with pytest.raises(RuntimeError, match="injected"):
         a.cycle(stream[5], r_env=1.0)
     monkeypatch.undo()
-    assert len(calls) == 2  # a rollback drops the layer's caches
-    assert a.sensory.norms.get(1) is None and a.sensory.squares.get(1) is None
+    assert len(calls) == 2  # a rollback drops the layer's cache
+    assert a.sensory.norms.get(1) is None
     assert a.snapshot() == before
     for x in stream[5:]:
         assert a.cycle(x, r_env=1.0) == twin.cycle(x, r_env=1.0)
         assert a.snapshot() == twin.snapshot()
 
 
-def test_a_gated_agent_keeps_one_array_of_squares_and_a_restore_none():
-    # 784 -> 256 with a quarter of the units open: the sensory update keeps
-    # E's squares, one array for its one clipped layer, written in place
+def test_a_gated_agent_update_forms_no_array_the_size_of_e_and_a_restore_caches_none(
+        monkeypatch):
+    # 784 -> 256 with a quarter of the units open and W's norms cached: the
+    # sensory update takes E's column norms from E itself, in one pass
     a = Agent(small_config(obs_dim=784, sensory_hidden=(256,), sensory_K=30,
                            mask_mode="blocks", mask_p=0.25, seed=31))
     stream = obs_stream(9, seed=12, dim=784)
     for x in stream[:3]:
         a.cycle(x, r_env=0.1)
-    squares = a.sensory.squares[1]
-    assert list(a.sensory.squares) == [1] and squares.shape == (256, 784)
+    assert list(a.sensory.norms) == [1] and a.sensory.norms[1] is not None
+    update, formed = ngc.update_weights, []
+
+    def traced(*args, journal, **kwargs):
+        n = len(journal)
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        out = update(*args, journal=journal, **kwargs)
+        held = sum(saved.nbytes for _, _, saved in journal[n:] if saved is not None)
+        formed.append(tracemalloc.get_traced_memory()[1] - start - held)
+        return out
+
+    monkeypatch.setattr(ngc, "update_weights", traced)
     tracemalloc.start()
     try:
         for x in stream[3:6]:
-            before = hash(squares.tobytes())
             a.cycle(x, r_env=0.1)
-            assert list(a.sensory.squares) == [1] and a.sensory.squares[1] is squares
-            assert hash(squares.tobytes()) != before
-        held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert held < squares.nbytes / 4  # a new array of squares a cycle would hold 1.6 MB
+    monkeypatch.undo()
+    # besides what its journal holds, an update forms less than half of E
+    # at its peak; an ``E * E`` alone would be all of it (1.6 MB)
+    E = a.sensory.E[1]
+    assert len(formed) == 3 and max(formed) < E.nbytes / 2
     twin = Agent.restore(a.snapshot())
-    assert twin.sensory.squares == {}  # derived, so never stored
+    assert twin.sensory.norms == {}  # derived, so never stored
     for x in stream[6:]:
         assert a.cycle(x, r_env=1.0) == twin.cycle(x, r_env=1.0)
-        assert list(twin.sensory.squares) == [1]
+        assert list(twin.sensory.norms) == [1]
         assert a.snapshot() == twin.snapshot()
 
 

@@ -524,21 +524,43 @@ def test_outer_product_equals_the_broadcast_multiply(shape):
         assert got.tobytes() == (a[:, None] * b).tobytes()
 
 
-@pytest.mark.parametrize("shape", [(784, 256), (256, 784), (3, 32), (48, 24)])
+@pytest.mark.parametrize("shape", [(784, 256), (256, 784), (3, 32), (48, 24), (360, 784),
+                                   (360, 360), (2, 3), (1, 784), (784, 1)])
 def test_column_norms_of_a_block_equal_the_whole_matrix_norms(shape):
-    # seeded blocks of open columns, as a masked update takes them: runs
-    # (slices), scattered units (``take``) and lone columns
+    # seeded whole matrices, as E's clip takes them, and blocks of open
+    # columns, as W's does: runs (slices), scattered units (``take``) and
+    # lone columns
     rng = np.random.default_rng(shape[0] + shape[1])
     for _ in range(20):
         M = rng.normal(size=shape) * 10.0 ** rng.uniform(-2, 2)
         whole = np.sqrt(np.add.reduce(M * M, axis=0))
+        assert ngc._column_norms(M, shape[1]).tobytes() == whole.tobytes()
         start = int(rng.integers(shape[1]))
         stop = int(rng.integers(start + 1, shape[1] + 1))
         scattered = np.sort(rng.choice(shape[1], size=int(rng.integers(1, shape[1] + 1)),
                                        replace=False))
         for cols in (slice(start, stop), scattered, scattered[:1]):
             block = M[:, cols].copy() if isinstance(cols, slice) else M.take(cols, axis=1)
-            assert ngc._column_norms(block).tobytes() == whole[cols].tobytes()
+            assert ngc._column_norms(block, shape[1]).tobytes() == whole[cols].tobytes()
+
+
+@pytest.mark.parametrize("sizes, units", [((1, 24), [2, 3, 4, 9]), ((24, 1), [])])
+def test_a_masked_update_of_a_one_column_matrix_matches_the_reference(sizes, units):
+    # E[1] of one column (a one-wide input) or W[1] of one column (one hidden
+    # unit, closed here), whose norms NumPy sums pairwise; ten times the
+    # weights makes columns clip
+    for seed in range(10):
+        c = init_circuit(list(sizes), seed=seed, sigma=0.5)
+        c = replace(c, W=[None, 10 * c.W[1]], E=[None, 10 * c.E[1]])
+        g = np.zeros(sizes[1])
+        g[units] = 1.0
+        rng = np.random.default_rng(seed)
+        for _ in range(3):
+            state = settle(c, clamps={0: rng.normal(size=sizes[0])}, mask={1: g})
+            want = reference_ngc.update_weights(c, state, eta_W=0.3, eta_E=0.2, clip=True)
+            update_weights(c, state, eta_W=0.3, eta_E=0.2, clip=True, journal=[])
+            assert c.W[1].tobytes() == want.W[1].tobytes()
+            assert c.E[1].tobytes() == want.E[1].tobytes()
 
 
 def test_journaled_updates_match_the_reference_step_after_step():
@@ -560,7 +582,7 @@ def test_journaled_updates_match_the_reference_step_after_step():
         want = reference_ngc.update_weights(c, state, eta_W=0.3, eta_E=0.2, clip=True)
         unclipped = reference_ngc.update_weights(c, state, eta_W=0.3, eta_E=0.2)
         divided = np.linalg.norm(unclipped.W[1], axis=0) > 1.0
-        W, E, squares = c.W[1], c.E[1], c.squares.get(1)
+        W, E = c.W[1], c.E[1]
         start = [W.tobytes(), E.tobytes()]
         for again in (False, True):  # the update, undone, then made again from no cache
             journal = []
@@ -572,26 +594,23 @@ def test_journaled_updates_match_the_reference_step_after_step():
                 assert c.W[1] is not W and c.E[1] is not E
                 assert c.W[1].flags.c_contiguous and c.E[1].flags.c_contiguous
                 assert W.tobytes() == start[0] and E.tobytes() == start[1]
-                assert c.norms.get(1) is None and c.squares.get(1) is None
+                assert c.norms.get(1) is None
             else:  # written in place; NaN marks each column the clip divided
                 assert c.W[1] is W and c.E[1] is E
                 cached, full = c.norms[1], np.sqrt(np.add.reduce(W * W, axis=0))
                 assert np.array_equal(np.isnan(cached), divided), name
                 assert np.array_equal(cached[~divided], full[~divided]), name
-                # E's squares, bit for bit; a warm update writes them into the kept array
-                assert c.squares[1].tobytes() == (E * E).tobytes(), name
-                assert again or squares is None or c.squares[1] is squares
             if not again:
                 ngc.undo(journal)
                 assert c.W[1] is W and c.E[1] is E
                 assert W.tobytes() == start[0] and E.tobytes() == start[1]
-                assert c.norms.get(1) is None and c.squares.get(1) is None  # a rollback drops them
+                assert c.norms.get(1) is None  # a rollback drops them
     assert set(names) == set(masks)
-    assert replace(c).norms == replace(c).squares == {}  # as a restore builds it
+    assert replace(c).norms == {}  # as a restore builds it
 
 
 def test_a_journal_holds_slices_of_w_and_e_and_no_cache_marks_only():
-    # a masked, clipped update whose layer already caches norms and squares;
+    # a masked, clipped update whose layer already caches norms;
     # ten times the weights makes open and closed columns clip
     c = init_circuit([24, 16], seed=7, sigma=0.5)
     c = replace(c, W=[None, 10 * c.W[1]], E=[None, 10 * c.E[1]])
@@ -602,12 +621,12 @@ def test_a_journal_holds_slices_of_w_and_e_and_no_cache_marks_only():
         journal = []
         state = settle(c, clamps={0: rng.normal(size=24)}, mask={1: g})
         update_weights(c, state, eta_W=0.3, eta_E=0.2, clip=True, journal=journal)
-    assert c.norms[1] is not None and c.squares[1] is not None
+    assert c.norms[1] is not None
     for target, index, saved in journal:
         if target is c.W[1] or target is c.E[1]:
             assert saved.shape == target[index].shape
         else:  # a no-cache mark: nothing else, and no copy of a cache
-            assert (target is c.norms or target is c.squares) and index == 1 and saved is None
+            assert target is c.norms and index == 1 and saved is None
     assert sum(target is c.W[1] or target is c.E[1] for target, _, _ in journal) >= 3
 
 
@@ -619,20 +638,20 @@ def test_an_update_without_a_journal_leaves_its_circuit_as_it_was():
     g[2:6] = 1.0
     state = settle(c, clamps={0: np.ones(16)}, mask={1: g})
     assert update_weights(c, state, eta_W=0.3, eta_E=0.2, clip=True, journal=[]) is c
-    W, E, norms, squares = c.W[1], c.E[1], c.norms[1], c.squares[1]
-    held = [(M, M.tobytes()) for M in (W, E, norms, squares)]
+    W, E, norms = c.W[1], c.E[1], c.norms[1]
+    held = [(M, M.tobytes()) for M in (W, E, norms)]
     with pytest.raises(ValueError, match="a masked update writes W and E in place; "
                                          "it needs a journal"):
         update_weights(c, state, eta_W=0.3, eta_E=0.2, clip=True)
     unmasked = settle(c, clamps={0: np.ones(16)})
     new = update_weights(c, unmasked, eta_W=0.3, eta_E=0.2, clip=True)
-    kept = (c.W[1], c.E[1], c.norms[1], c.squares[1])
+    kept = (c.W[1], c.E[1], c.norms[1])
     assert all(now is then for now, (then, _) in zip(kept, held))
     assert all(M.tobytes() == saved for M, saved in held)
     want = reference_ngc.update_weights(c, unmasked, eta_W=0.3, eta_E=0.2, clip=True)
     assert new is not c and new.W[1] is not W and new.E[1] is not E
     assert np.array_equal(new.W[1], want.W[1]) and np.array_equal(new.E[1], want.E[1])
-    assert new.norms.get(1) is None and new.squares.get(1) is None
+    assert new.norms.get(1) is None
 
 
 def _record_phi(monkeypatch):

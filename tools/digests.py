@@ -14,9 +14,11 @@ config whose motor head settles) and the benchmark's
 (``perfbench/suites.py``: continual, rps, recall), imported from those
 files, and the benchmark's continual with random masks
 (``mask_mode="random"``, the schema default), whose scattered open units
-the update reaches through index arrays; names on the command line pick a
-subset.  Runs write to a temporary
-directory that is removed afterwards.
+the update reaches through index arrays, and a short continual run of the
+schema's own circuit (``default-shape-continual``: two masked, clipped
+hidden layers of 360 with random masks), the only config that masks a
+layer above the first; names on the command line pick a subset.  Runs
+write to a temporary directory that is removed afterwards.
 
 ``--src`` picks the cogkit source to run (``src`` of this checkout by
 default), so two checkouts compare as
@@ -69,6 +71,10 @@ def runs():
     table["bench-continual-random-masks"] = (
         lambda seed, out, cfg=resolve({**continual.config, "mask_mode": "random"}):
         continual.run(cfg, seed, out))
+    table["default-shape-continual"] = (
+        lambda seed, out, cfg=resolve(dict(n_tasks=2, per_task_train=40, per_task_test=40,
+                                           epochs=1, synthetic_per_class=100)):
+        runner.run_continual(cfg, seed=seed, out=out))
     return table
 
 
