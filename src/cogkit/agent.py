@@ -20,6 +20,16 @@ method:
 - ``_learn`` completes the transition begun on the previous cycle and
   passes it to the motor head; ``cycle`` and ``finish`` learn through it.
 
+Arguments are checked at the boundary.  ``cycle``, ``perceive``,
+``supervised_step``, ``probe`` and ``finish`` check what their caller gives
+them: the observation (its shape in the tracker, its values as a settle
+checks a clamp), a probe's context, the reward and the regression targets.
+Past them the agent's internal calls are not checked: each public function
+``f`` of ``ngc``, ``gate``, ``hrr``, ``memory`` and ``motor`` that a cycle
+runs is ``f``'s checks and then ``_f``, and the agent calls ``_f``, through
+its module or class, on the values it made itself.  The context it makes is
+checked once, by the gate.
+
 ``cycle(obs, r_env, done)`` therefore treats ``r_env``/``done`` as the
 outcome of the PREVIOUS action.  A terminal observation still yields an
 action (callers usually discard it and reset), but no new pending transition,
@@ -63,7 +73,7 @@ from . import hrr, memory, ngc, snapshot
 from .config import AGENT_FIELDS, AGENT_SCHEMA, check
 from .gate import CompetitiveGate, ContextTracker
 from .memory import DeclarativeMemory, WorkingMemoryBuffer
-from .motor import MotorCircuit, Transition, epsilon_at, greedy_action
+from .motor import MotorCircuit, epsilon_at, greedy_action
 
 
 def _check_config(config):
@@ -104,8 +114,11 @@ def _unit(v):
     """``v`` over its norm, each column on its own when ``v`` is a batch; a
     zero vector stays zero.  A single vector keeps the 1-d norm, which adds
     its squares in another order than the column norms."""
-    n = np.linalg.norm(v, axis=0) if v.ndim == 2 else hrr._norm(v)
-    return v / np.where(n > 0, n, 1.0)
+    if v.ndim == 2:
+        n = np.linalg.norm(v, axis=0)
+        return v / np.where(n > 0, n, 1.0)
+    n = hrr._norm(v)
+    return v / (n if n > 0 else 1.0)
 
 
 # ------------------------------------------------------------ state table
@@ -398,11 +411,16 @@ class Agent:
 
     # ---------------------------------------------------------------- cycle
 
-    def _percept(self, obs, mask):
-        """The sensory circuit settled on ``obs`` (one per column for a batch)
+    def _percept(self, x, mask):
+        """The sensory circuit settled on ``x`` (one per column for a batch)
         under ``mask``, and the percept: its top-layer activity, gated already
-        as closed units stay 0, through ``phi`` and ``bridge1``, unit length."""
-        settled = ngc.settle(self.sensory, clamps={0: obs}, mask=mask)
+        as closed units stay 0, through ``phi`` and ``bridge1``, unit length.
+        ``x`` is a float64 observation whose shape the caller has checked;
+        its values are checked here as a settle checks a clamp.  ``mask`` is a
+        unit's as ``CompetitiveGate._gating`` gives it, and the settle
+        (``ngc._settle``) checks neither."""
+        ngc._check_given(0, x, "clamp")
+        settled = ngc._settle(self.sensory, {0: x}, mask)
         return settled, _unit(self.bridge1 @ ngc.phi(settled.z[self.sensory.L]))
 
     def _motor_state(self, perception):
@@ -424,52 +442,61 @@ class Agent:
         agent is rolled back, as by a cycle.
         """
         with self._atomic():
-            context = self.tracker.update(obs)  # checks obs
-            if self.gate.active_count and len(self.tracker) < self.config.context_window:
-                # novelty is undefined while the running mean is still forming;
-                # match against existing units but do not recruit on warm-up jitter
-                winner, _ = self.gate.match(context)
-            else:
-                winner = self.gate.select_or_recruit(context)
-            self.gate.update_winner(winner, context)
-            settled, percept = self._percept(obs, self.gate.mask_for(winner))
-            self.sensory = ngc.update_weights(
-                self.sensory,
-                settled,
-                self.config.sensory_eta_W,
-                self.config.sensory_eta_E,
-                clip=self.config.sensory_clip,
-                journal=self._journal,
-            )
-            self.perception = percept
-            self.last_energy = settled.energy
-            self.last_winner = winner
-            return percept
+            return self._perceive(obs)
+
+    def _perceive(self, obs):
+        """``perceive`` inside a rollback block.  The caller's ``obs`` is
+        checked here, its shape by the tracker and its values by
+        ``_percept``, where the settle checked them; the context it makes is
+        checked once, by the gate's first call."""
+        context = self.tracker.update(obs)
+        if self.gate.active_count and len(self.tracker) < self.config.context_window:
+            # novelty is undefined while the running mean is still forming;
+            # match against existing units but do not recruit on warm-up jitter
+            winner, _ = self.gate.match(context)
+        else:
+            winner = self.gate.select_or_recruit(context)
+        self.gate._update_winner(winner, context)
+        settled, percept = self._percept(np.asarray(obs, dtype=float), self.gate._gating(winner))
+        self.sensory = ngc.update_weights(
+            self.sensory,
+            settled,
+            self.config.sensory_eta_W,
+            self.config.sensory_eta_E,
+            clip=self.config.sensory_clip,
+            journal=self._journal,
+        )
+        self.perception = percept
+        self.last_energy = settled.energy
+        self.last_winner = winner
+        return percept
 
     def _sense(self, obs):
         """Perceive, route from the previous winner; returns the motor state."""
         prev_winner = self.last_winner
-        self.perceive(obs)
+        self._perceive(obs)
         self._route(prev_winner, self.last_winner)
         return self._motor_state(self.perception)
 
     def _learn(self, r_env, s_next, done, q_next=None):
-        """Complete the pending transition, learn from it and clear it."""
+        """Complete the pending transition, learn from it and clear it; of
+        its parts only the caller's reward is checked (``MotorCircuit._learn``)."""
         s, a = self.pending
-        self.motor.learn(Transition(s=s, a=a, r_env=r_env, s_next=s_next, done=done),
-                         sensory_energy=self.last_energy, q_next=q_next)
+        self.motor._learn(s, a, r_env, s_next, done, self.last_energy, q_next)
         self.pending = None
 
     def _route(self, prev_winner, winner):
+        """The buffer transfers the config's ``route_*`` flags turn on, each
+        through its unchecked path, as every value here is the agent's."""
         c = self.config
         if c.route_wm_encode:
-            self.wm = memory.wm_encode(self.wm, self.perception)
+            self.wm = memory._wm_encode(self.wm, self.perception)
         if c.route_dm_store:
             context = [] if prev_winner is None else [_unit_name(prev_winner)]
             self.dm = memory.dm_store(self.dm, _unit_name(winner), context)
         if c.route_dm_retrieve and self.dm.traces:
-            cue = hrr.permute(self.lexicon[_unit_name(winner)], 1)
-            result = memory.dm_retrieve(self.dm, cue, k=c.dm_k, tau=c.dm_tau)
+            cue = hrr._permute(self.lexicon[_unit_name(winner)], 1)
+            result = memory._dm_retrieve(self.dm, cue, c.dm_k, c.dm_tau)
             blend = sum(
                 float(w) * self.lexicon[name]
                 for (name, _), w in zip(result.ranked, result.strengths)
@@ -514,7 +541,7 @@ class Agent:
         """
         with self._atomic():
             s = self._sense(obs)
-            q = self.motor.q_values(s)
+            q = self.motor._q_values(s)
             c = self.config
             eps = epsilon_at(self.step, c.horizon, c.eps_start, c.eps_end, c.eps_decay_frac)
             action = self.motor.act(q, eps)
@@ -531,8 +558,8 @@ class Agent:
         freshly regressed head."""
         with self._atomic():
             s = self._sense(obs)
-            self.motor.regress(s, targets)
-            q = self.motor.q_values(s)
+            self.motor._regress(s, targets)
+            q = self.motor._q_values(s)
             self.step += 1
             return greedy_action(q)
 
@@ -559,8 +586,9 @@ class Agent:
             raise ValueError(f"observation shape {obs.shape} != ([batch,] {self.config.obs_dim})")
         ctx = np.asarray(context, dtype=float) if context is not None else self.tracker.context()
         winner, _ = self.gate.match(ctx)
-        _, percept = self._percept(np.atleast_2d(obs).T, self.gate.mask_for(winner))
-        q = self.motor.q_values(self._motor_state(percept)).T
+        x = ngc._check_layer_vec(self.sensory, 0, np.atleast_2d(obs).T, "clamp")  # a batch of 0
+        _, percept = self._percept(x, self.gate._gating(winner))
+        q = self.motor._q_values(self._motor_state(percept)).T
         actions = [greedy_action(row) for row in q]
         return (actions[0], q[0], winner) if obs.ndim == 1 else (actions, q, winner)
 

@@ -7,6 +7,10 @@ capacity.  Each unit carries an immutable binary mask per gated cortical
 layer, so a revisited task re-opens exactly the subnetwork it trained before.
 The gate's ``prototypes`` and ``masks`` and the tracker's ``window`` are
 tuples that each change replaces, never writes into.
+
+``match`` and ``update_winner`` check the context and run ``_match`` and
+``_update_winner``, which ``select_or_recruit`` and the agent call on a
+context already checked, so a cycle checks its context once.
 """
 
 from __future__ import annotations
@@ -64,6 +68,7 @@ class CompetitiveGate:
         self.rng = np.random.default_rng(seed)
         self.prototypes = ()
         self.masks = ()
+        self._forms = {}  # unit -> (its mask, the mask's form for a settle); see ``_gating``
         self.saturated = False
 
     @property
@@ -73,7 +78,7 @@ class CompetitiveGate:
     def _distance(self, context, w):
         if self.metric == "cosine":
             return 1.0 - hrr.cosine(context, w)
-        return float(np.linalg.norm(context - w))
+        return float(hrr._norm(context - w))  # np.linalg.norm's value
 
     def match(self, context):
         """Nearest recruited prototype: (winner index, distance).
@@ -82,9 +87,15 @@ class CompetitiveGate:
         """
         if not self.prototypes:
             raise ValueError("match on a gate with no recruited units")
-        context = check_vector("context", context, self.context_dim)
+        return self._match(check_vector("context", context, self.context_dim))
+
+    def _match(self, context):
+        """``match`` of a checked context on a gate with a unit.  The first
+        of the least distances wins, as ``np.argmin`` picks it: a NaN
+        distance comes only from a context holding NaN, and then every
+        distance is NaN and unit 0 wins either way."""
         dists = [self._distance(context, w) for w in self.prototypes]
-        winner = int(np.argmin(dists))
+        winner = dists.index(min(dists))
         return winner, dists[winner]
 
     def _fresh_mask(self, unit_index):
@@ -120,7 +131,7 @@ class CompetitiveGate:
         if not self.prototypes:
             winner = self._recruit(context)
         else:
-            winner, dist = self.match(context)
+            winner, dist = self._match(context)
             if dist > self.theta:
                 if self.active_count < self.M_max:
                     winner = self._recruit(context)
@@ -132,7 +143,10 @@ class CompetitiveGate:
         """Move only the winning prototype toward the context (hard WTA)."""
         if not 0 <= winner < self.active_count:
             raise ValueError(f"unit {winner} is not recruited")
-        context = check_vector("context", context, self.context_dim)
+        return self._update_winner(winner, check_vector("context", context, self.context_dim))
+
+    def _update_winner(self, winner, context):
+        """``update_winner`` of a recruited unit and a checked context."""
         w = self.prototypes[winner]
         self.prototypes = (*self.prototypes[:winner], w + self.eta_c * (context - w),
                            *self.prototypes[winner + 1:])
@@ -143,6 +157,22 @@ class CompetitiveGate:
         if not 0 <= winner < self.active_count:
             raise ValueError(f"unit {winner} is not recruited")
         return self.masks[winner]
+
+    def _gating(self, winner):
+        """The mask of a recruited ``winner`` as ``ngc._settle`` takes it,
+        which ``ngc._validate_mask`` would leave: its layers that close a
+        unit; a layer whose mask opens every unit gates nothing.  A mask is
+        0/1 and as wide as its layer, as ``_fresh_mask`` makes it or a
+        restore checks it, so it is not checked again.  Each unit's form is
+        a cache, kept with the mask it was taken from, and taken again when
+        the unit's mask is another (a unit a rollback dropped, recruited
+        again)."""
+        mask = self.masks[winner]
+        kept = self._forms.get(winner)
+        if kept is None or kept[0] is not mask:
+            kept = self._forms[winner] = mask, {layer: g for layer, g in mask.items()
+                                                if not g.all()}
+        return kept[1]
 
 
 class ContextTracker:

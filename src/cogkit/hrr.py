@@ -11,7 +11,8 @@ the tests check against.
 The read path gives the bytes of its plain form (``np.roll``, row norms
 taken on every clean-up), but for the scores of a clean-up of several
 probes at once, which may differ in the last bit; a norm that is NaN or
-infinite raises.
+infinite raises.  ``_permute`` is ``permute`` without its checks, for the
+vectors and shifts that ``memory`` and the agent make themselves.
 """
 
 from __future__ import annotations
@@ -96,7 +97,13 @@ def permute(a, shift):
     that is not an integer, or a bool, raises rather than being truncated.
     """
     a = check_vector("a", a)
-    k = check_index("shift", shift) % a.shape[0]
+    return _permute(a, check_index("shift", shift))
+
+
+def _permute(a, shift):
+    """``permute`` of a float64 vector ``a`` by an int ``shift``, checking
+    neither."""
+    k = shift % a.shape[0]
     return np.concatenate((a[-k:], a[:-k]))
 
 

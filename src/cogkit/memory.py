@@ -9,6 +9,12 @@ the scores into a probability distribution.
 
 All state here is value-like: operations return updated copies and never
 mutate their inputs, so snapshots and rollback stay trivial.
+
+Each public function checks its arguments.  ``_wm_encode`` and
+``_dm_retrieve`` are the bodies of ``wm_encode`` and ``dm_retrieve`` after
+those checks, which the agent's routing calls on the values it made; the
+retrieval still checks the cue's and each trace's norm.  Items and symbols
+are shifted through ``hrr._permute``, ``hrr.permute`` without its checks.
 """
 
 from __future__ import annotations
@@ -47,10 +53,15 @@ def wm_encode(buf: WorkingMemoryBuffer, item) -> WorkingMemoryBuffer:
     The buffer decays by ``rho`` and the item is added under a cyclic shift
     of ``position + 1``, so position p is recovered later by shifting back.
     """
-    item = check_vector("item", item, buf.d)
+    return _wm_encode(buf, check_vector("item", item, buf.d))
+
+
+def _wm_encode(buf, item):
+    """``wm_encode`` of a float64 vector ``item`` of length ``buf.d``,
+    checking none."""
     p = buf.position + 1
     return WorkingMemoryBuffer(
-        m=buf.rho * buf.m + hrr.permute(item, p), rho=buf.rho, position=p, d=buf.d
+        m=buf.rho * buf.m + hrr._permute(item, p), rho=buf.rho, position=p, d=buf.d
     )
 
 
@@ -128,7 +139,7 @@ def dm_store(dm: DeclarativeMemory, concept, context) -> DeclarativeMemory:
             raise ValueError(f"unknown concept {name!r}; not in lexicon")
     if not context:
         return dm
-    parts = [hrr.permute(dm.lexicon[name], j) for j, name in enumerate(context, start=1)]
+    parts = [hrr._permute(dm.lexicon[name], j) for j, name in enumerate(context, start=1)]
     # the sum of one vector is that vector, and permute made it a fresh copy
     addend = parts[0] if len(parts) == 1 else hrr.superpose(parts)
     traces = dict(dm.traces)
@@ -154,16 +165,25 @@ def dm_retrieve(dm: DeclarativeMemory, cue, k, tau=0.1) -> RetrievalResult:
     Strengths are softmax(scores / tau) over every stored concept; lower tau
     sharpens the distribution toward the best match.  A cue or trace whose
     norm is zero, NaN or infinite, or a bad ``k`` or ``tau``, raises ``ValueError``.
-    Each score is ``hrr.cosine``'s, with the cue's norm taken once.
+    Each score is ``hrr.cosine``'s.
     """
     check("dm_k", k, name="k")
     check("dm_tau", tau, name="tau")
     if not dm.traces:
         raise ValueError("retrieve from empty declarative memory")
+    # the cue's norm, then its shape, named as ``hrr.cosine`` names it; the
+    # body takes the norm again
     cue = np.asarray(cue, dtype=float)
+    hrr._check_norm(hrr._norm(cue), "retrieval cue")
+    return _dm_retrieve(dm, check_vector("a", cue), k, tau)
+
+
+def _dm_retrieve(dm, cue, k, tau):
+    """``dm_retrieve`` of a non-empty memory, a float64 vector ``cue`` and a
+    checked ``k`` and ``tau``, which it does not check.  It still checks the
+    cue's norm, taken once, and each trace's norm and length (``_score``)."""
     n_cue = hrr._norm(cue)
     hrr._check_norm(n_cue, "retrieval cue")
-    cue = check_vector("a", cue)  # named as ``hrr.cosine`` names it
     names = list(dm.traces)
     scores = np.array([_score(cue, n_cue, dm.traces[n]) for n in names])
     order = np.argsort(-scores, kind="stable")

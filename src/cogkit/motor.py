@@ -18,6 +18,11 @@ same checks, messages and element-wise sums, so the same bytes.  A head
 with hidden layers settles and learns through ``ngc``; its update, given no
 journal, swaps new arrays into a new circuit.  Either way a learn step
 writes into no array and replaces the circuit.
+
+``q_values``, ``learn`` and ``regress`` check what their caller gives them
+and run ``_q_values``, ``_learn`` and ``_regress``, which the agent calls on
+the motor states it made: those check only the reward and the targets, which
+come from the agent's caller.
 """
 
 from __future__ import annotations
@@ -44,8 +49,7 @@ class Transition:
 
 def greedy_action(q):
     """Index of the largest Q entry; ties resolve to the lowest index."""
-    q = np.asarray(q, dtype=float)
-    return int(np.argmax(q))
+    return int(np.asarray(q, dtype=float).argmax())
 
 
 def epistemic_reward(sensory_energy, alpha_e, r_clip):
@@ -122,10 +126,15 @@ class MotorCircuit:
         """Predicted action values: settle with the top layer clamped to s,
         or to a batch of states, one per column.  With no hidden layer that
         settle runs no pass, and its prediction is ``W[1] @ phi(s)``."""
+        return self._q_values(self._clamp(s))
+
+    def _q_values(self, s):
+        """``q_values`` of a float64 state or batch of the top layer's width
+        whose entries are finite and within 1e6, checking none of that."""
         c = self.circuit
         if c.L > 1:
-            return ngc.settle(c, clamps={c.L: s}).mu[0].copy()
-        q = c.W[1] @ ngc.phi(self._clamp(s))
+            return ngc._settle(c, {c.L: s}, {}).mu[0].copy()
+        q = c.W[1] @ ngc.phi(s)
         ngc._check_bounded(q, c.beta)  # the settle's check of the layer 0 that tracks it
         return q
 
@@ -142,8 +151,8 @@ class MotorCircuit:
             y = r
         else:
             if q_next is None:
-                q_next = self.q_values(s_next)
-            y = r + self.gamma_d * float(np.max(q_next))
+                q_next = self._q_values(s_next)
+            y = r + self.gamma_d * float(np.maximum.reduce(q_next))  # np.max's value
         if not np.isfinite(y):
             raise ValueError(f"non-finite learning target {y}")
         self._fit(s, {a: y})
@@ -155,18 +164,20 @@ class MotorCircuit:
         return s
 
     def _fit(self, s, pins):
-        """Settle on state ``s`` with output units held at ``pins``, then
-        update the weights from the settled errors.  With no hidden layer the
-        settle is the prediction ``mu`` with the pins written in, so only the
-        pinned units carry error, and the update is one rank-one change of
-        each matrix, swapped into a new circuit (``ngc._swapped``)."""
+        """Settle on state ``s``, a clamp as ``_clamp`` leaves it, with
+        output units held at ``pins``, whole units mapped to floats, then
+        update the weights from the settled errors.  It checks neither.
+        With no hidden layer the settle is the prediction ``mu`` with the
+        pins written in, so only the pinned units carry error, and the update
+        is one rank-one change of each matrix, swapped into a new circuit
+        (``ngc._swapped``)."""
         c = self.circuit
         if c.L > 1:
-            state = ngc.settle(c, clamps={c.L: s}, pin0=pins)
+            state = ngc._settle(c, {c.L: s}, {}, pin0=pins)
             self.circuit = ngc.update_weights(c, state, self.eta_W, self.eta_E,
                                               clip=self.clip_weights)
             return
-        pre = ngc.phi(self._clamp(s))
+        pre = ngc.phi(s)
         mu = c.W[1] @ pre
         z0 = mu.copy()
         for idx, val in pins.items():
@@ -179,6 +190,11 @@ class MotorCircuit:
     def regress(self, s, targets):
         """Supervised variant: pin every output unit to its target value."""
         s = check_vector("s", s, self.state_dim)
+        return self._regress(self._clamp(s), targets)
+
+    def _regress(self, s, targets):
+        """``regress`` of a state as ``_clamp`` leaves it, unchecked, onto
+        ``targets``, which come from the caller and so are checked."""
         targets = check_vector("targets", targets, self.n_actions)
         if not np.isfinite(targets).all():
             raise ValueError("non-finite regression targets")
@@ -190,22 +206,34 @@ class MotorCircuit:
 
         The reward is the clipped environment reward plus the epistemic
         bonus.  ``q_next`` may carry precomputed q_values(t.s_next) to skip
-        a settle when the caller already has them.
+        a settle when the caller already has them.  The action is taken as
+        the whole number it stands for, so ``True`` pins unit 1.
         """
-        if not 0 <= operator.index(t.a) < self.n_actions:
+        a = operator.index(t.a)
+        if not 0 <= a < self.n_actions:
             raise ValueError(f"action {t.a} out of range 0..{self.n_actions - 1}")
         s = check_vector("t.s", t.s, self.state_dim)
         s_next = check_vector("t.s_next", t.s_next, self.state_dim)
-        if not np.isfinite(t.r_env):
-            raise ValueError(f"non-finite reward {t.r_env}")
-        r = min(max(float(t.r_env), -self.r_clip), self.r_clip)
+        if not t.done and q_next is None:  # the state whose values the target reads
+            self._clamp(s_next)
+        return self._learn(self._clamp(s), a, t.r_env, s_next, t.done, sensory_energy, q_next)
+
+    def _learn(self, s, a, r_env, s_next, done, sensory_energy=0.0, q_next=None):
+        """``learn`` of states as ``_clamp`` leaves them and a whole action
+        in range, checking none of them; ``r_env`` comes from the caller and
+        so is checked.  A replayed transition's ``s_next`` is checked as
+        ``learn`` checks it, as it may have been stored unchecked."""
+        if not np.isfinite(r_env):
+            raise ValueError(f"non-finite reward {r_env}")
+        r = min(max(float(r_env), -self.r_clip), self.r_clip)
         r += epistemic_reward(sensory_energy, self.alpha_e, self.r_clip)
-        self._apply(s, t.a, r, s_next, t.done, q_next=q_next)
+        self._apply(s, a, r, s_next, done, q_next=q_next)
         if self.replay_capacity > 0:
-            kept = (s.copy(), int(t.a), r, s_next.copy(), bool(t.done))
+            kept = (s.copy(), a, r, s_next.copy(), bool(done))
             self.replay = (*self.replay, kept)[-self.replay_capacity:]
             if self.replay_samples > 0 and len(self.replay) > 1:
                 picks = self.rng.integers(len(self.replay), size=self.replay_samples)
                 for i in picks:
-                    self._apply(*self.replay[int(i)])
+                    s, a, r, s_next, done = self.replay[int(i)]
+                    self._apply(s, a, r, s_next if done else self._clamp(s_next), done)
         return self

@@ -26,6 +26,10 @@ circuit, which it returns.  With one hidden layer and a clamped input, a
 closed unit starts at 0 and stays there, so ``settle`` works on the open
 units alone.  A mask with every unit open is no mask at all and is dropped.
 
+``settle`` checks its arguments (``_checked``) and runs ``_settle``, which
+checks nothing; the agent settles the observations it checked and the
+masks its gate made through ``_settle`` (see ``agent``).
+
 That circuit, one hidden layer with layer 0 its only clamp and no init or
 pins, is every sensory settle of the agent, and ``settle`` runs it
 reassociated: the feedback ``E @ (x - W @ phi(z))`` equals
@@ -197,9 +201,11 @@ def _open_units(g):
     return idx
 
 
-def _assemble(circuit, clamps, mask, init, pin0):
-    """A fresh state with clamped layers fixed and the rest from ``init``
-    (zeros by default), predictions and errors unset; checks every input."""
+def _checked(circuit, clamps, mask, init, pin0):
+    """``clamps``, ``mask``, ``init`` and ``pin0`` as ``_settle`` takes them,
+    once each is checked: clamps and inits as float arrays of their layer's
+    width, one batch shape for all, each finite and within 1e6; the mask as
+    ``_validate_mask`` leaves it; pins as whole units of an unclamped layer 0."""
     clamps = dict(clamps or {})
     init = dict(init or {})
     batch = None  # the shape every clamp and init shares past its first axis
@@ -214,7 +220,6 @@ def _assemble(circuit, clamps, mask, init, pin0):
             elif v.shape[1:] != batch:
                 raise ValueError(f"{name} for layer {ell} has shape {v.shape}; every clamp "
                                  f"and init must share one batch shape, here {batch}")
-    batch = batch or ()
     pin = {}
     for idx, val in (pin0 or {}).items():
         if 0 in clamps:
@@ -222,7 +227,15 @@ def _assemble(circuit, clamps, mask, init, pin0):
         if not 0 <= idx < circuit.sizes[0]:
             raise ValueError(f"pinned unit {idx} out of range for layer 0")
         pin[operator.index(idx)] = float(val)
-    start = {**init, **clamps}
+    return clamps, _validate_mask(circuit, mask), init, pin
+
+
+def _state(circuit, clamps, mask, init=None, pin0=None):
+    """A fresh state with clamped layers fixed and the rest from ``init``
+    (zeros by default), predictions and errors unset; checks nothing (see
+    ``_checked`` for what it takes)."""
+    start = {**init, **clamps} if init else clamps
+    batch = next(iter(start.values())).shape[1:] if start else ()
     z = [start[ell].copy() if ell in start else np.zeros((n, *batch))
          for ell, n in enumerate(circuit.sizes)]
     return CircuitState(
@@ -230,8 +243,8 @@ def _assemble(circuit, clamps, mask, init, pin0):
         mu=[None] * circuit.L,
         e=[None] * circuit.L + [np.zeros((circuit.sizes[-1], *batch))],
         clamps=clamps,
-        mask=_validate_mask(circuit, mask),
-        pin0=pin,
+        mask=mask,
+        pin0=pin0 or {},
     )
 
 
@@ -239,7 +252,7 @@ def make_state(circuit, clamps=None, mask=None, init=None, pin0=None):
     """Assemble a fresh state: clamped layers fixed, the rest from ``init``
     (zeros by default), with predictions and errors refreshed once.  A clamp
     or init that is not finite or beyond 1e6 raises ``DivergenceError``."""
-    return _refresh(circuit, _assemble(circuit, clamps, mask, init, pin0))
+    return _refresh(circuit, _state(circuit, *_checked(circuit, clamps, mask, init, pin0)))
 
 
 def _refresh(circuit, state):
@@ -279,7 +292,8 @@ def _track_output(state):
 
 
 def _check_bounded(v, beta):
-    if not np.abs(v).max(initial=0.0) <= _Z_LIMIT:  # also true for NaN
+    # np.abs(v).max(initial=0.0) without the method's wrapper; also true for NaN
+    if not np.maximum.reduce(np.abs(v), axis=None, initial=0.0) <= _Z_LIMIT:
         raise DivergenceError(
             f"state exceeded {_Z_LIMIT:g} during settling; "
             f"beta={beta} is too large for this circuit"
@@ -287,7 +301,7 @@ def _check_bounded(v, beta):
 
 
 def _check_given(ell, v, name):
-    if not np.abs(v).max(initial=0.0) <= _Z_LIMIT:  # also true for NaN
+    if not np.maximum.reduce(np.abs(v), axis=None, initial=0.0) <= _Z_LIMIT:  # as above
         raise DivergenceError(f"{name} for layer {ell} is not finite or exceeds {_Z_LIMIT:g}")
 
 
@@ -310,16 +324,23 @@ def settle(circuit, clamps=None, mask=None, init=None, pin0=None):
     formed before its first pass proves that none could fail (see
     ``_passes_stay_bounded``), so it raises where and when the checks would.
 
-    It builds its state in ``_assemble``, and the circuit's shape picks the
-    path: one hidden layer, layer 0 its only clamp (which rules out pins) and
-    no init settles in ``_settle_clamped_input``; all others run the masked
-    loop.  Each step overwrites the fresh state built for this call and
-    nothing else; clamp, init, mask and circuit arrays are only read.
+    It checks its arguments (``_checked``) and settles them in ``_settle``.
+    Each step overwrites the fresh state built for this call and nothing
+    else; clamp, init, mask and circuit arrays are only read.
     """
-    state = _assemble(circuit, clamps, mask, init, pin0)
-    if circuit.L == 1 and list(state.clamps) == [0] and not init:
+    return _settle(circuit, *_checked(circuit, clamps, mask, init, pin0))
+
+
+def _settle(circuit, clamps, mask, init=None, pin0=None):
+    """``settle`` of arguments as ``_checked`` leaves them, checking none:
+    the agent's path for the states and masks it made itself.  The
+    circuit's shape picks the path: one hidden layer, layer 0 its only clamp
+    (which rules out pins) and no init settles in ``_settle_clamped_input``;
+    all others run the masked loop, ``_settle_loop``."""
+    state = _state(circuit, clamps, mask, init, pin0)
+    if circuit.L == 1 and not init and len(clamps) == 1 and 0 in clamps:
         return _settle_clamped_input(circuit, state)
-    return _settle(circuit, _refresh(circuit, state))
+    return _settle_loop(circuit, _refresh(circuit, state))
 
 
 def _settle_clamped_input(circuit, state):
@@ -372,7 +393,7 @@ def _passes_stay_bounded(circuit, b, G):
     return bool(circuit.K * abs(beta) * feedback <= 0.5 * _Z_LIMIT)
 
 
-def _settle(circuit, state):
+def _settle_loop(circuit, state):
     """The predict/correct loop of ``settle``, on a refreshed ``state``."""
     z, e, E = state.z, state.e, circuit.E
     beta, gamma = circuit.beta, circuit.gamma

@@ -990,9 +990,10 @@ def test_batched_probe_with_beta_zero_settles_the_batch_at_once(monkeypatch):
     batch = np.stack(stream[:5])
     rows = [a.probe(x) for x in batch]
     settles, reads = [], []
-    settle, q_values = ngc.settle, MotorCircuit.q_values
-    monkeypatch.setattr(ngc, "settle", lambda *args, **kw: settles.append(0) or settle(*args, **kw))
-    monkeypatch.setattr(MotorCircuit, "q_values",
+    settle, q_values = ngc._settle, MotorCircuit._q_values  # a probe's unchecked paths
+    monkeypatch.setattr(ngc, "_settle",
+                        lambda *args, **kw: settles.append(0) or settle(*args, **kw))
+    monkeypatch.setattr(MotorCircuit, "_q_values",
                         lambda *args, **kw: reads.append(0) or q_values(*args, **kw))
     actions, q, winner = a.probe(batch)
     # the sensory batch settles once; the motor head, with no hidden layer,
@@ -1002,34 +1003,48 @@ def test_batched_probe_with_beta_zero_settles_the_batch_at_once(monkeypatch):
     np.testing.assert_allclose(q, [row[1] for row in rows], rtol=0, atol=1e-12)
 
 
-# every function a cycle calls that can raise part way through it
+# every function a cycle calls that can raise part way through it; where the
+# agent runs a public function's body without its checks, ``_name`` after
+# ``name``'s checks, the body is what a cycle calls (see ``_case_name``)
 CYCLE_CALLS = [
-    (ngc, "settle"), (ngc, "_settle_clamped_input"), (ngc, "_check_given"),
+    (ngc, "_settle"), (ngc, "_settle_clamped_input"), (ngc, "_check_given"),
     (ngc, "_passes_stay_bounded"), (ngc, "energy"), (ngc, "update_weights"),
     (ngc, "_clip"),  # the sensory W written in place, then clipped, then E clipped
-    (memory, "wm_encode"), (memory, "dm_store"), (memory, "dm_retrieve"), (hrr, "permute"),
+    (memory, "_wm_encode"), (memory, "dm_store"), (memory, "_dm_retrieve"), (hrr, "_permute"),
     (ContextTracker, "update"),
-    (CompetitiveGate, "select_or_recruit"), (CompetitiveGate, "match"),
-    (CompetitiveGate, "update_winner"), (CompetitiveGate, "mask_for"),
+    (CompetitiveGate, "select_or_recruit"), (CompetitiveGate, "_match"),
+    (CompetitiveGate, "_update_winner"), (CompetitiveGate, "_gating"),
+    (MotorCircuit, "_q_values"),
     (ngc, "_check_bounded"),  # the divergence check of the motor head's output
-    (MotorCircuit, "_fit"), (ngc, "_swapped"), (MotorCircuit, "act"),
+    (MotorCircuit, "_fit"), (ngc, "_swapped"),
 ]
 
-# the other atomic entry points, and what each calls of the functions above:
-# a supervised step all but the exploring ``act``, a finish the motor update,
-# whose read and swap stand for a settle and ``update_weights`` in a head
-# with no hidden layer
+# the atomic entry points, and what each calls of the functions above: a
+# cycle also explores and learns from the pending transition, a supervised
+# step regresses instead; a finish learns, replays (checking a replayed
+# state) and swaps, a read and a swap that stand for a settle and
+# ``update_weights`` in a head with no hidden layer
 ENTRY_POINTS = {
     "cycle": lambda agent, x: agent.cycle(x, r_env=0.5),
     "supervised_step": lambda agent, x: agent.supervised_step(x, np.array([1.0, -1.0, -1.0])),
     "finish": lambda agent, x: agent.finish(r_env=0.5),
 }
 ATOMIC_CALLS = [
-    *(("cycle", *call) for call in CYCLE_CALLS),
-    *(("supervised_step", *call) for call in CYCLE_CALLS if call != (MotorCircuit, "act")),
+    *(("cycle", *call) for call in [*CYCLE_CALLS, (MotorCircuit, "act"),
+                                    (MotorCircuit, "_learn")]),
+    *(("supervised_step", *call) for call in [*CYCLE_CALLS, (MotorCircuit, "_regress")]),
     *(("finish", *call) for call in [(ngc, "_check_bounded"), (ngc, "_check_given"),
-                                     (ngc, "_swapped"), (MotorCircuit, "_fit")]),
+                                     (ngc, "_swapped"), (MotorCircuit, "_fit"),
+                                     (MotorCircuit, "_learn")]),
 ]
+
+
+def _case_name(entry, owner, name):
+    """A case's id: the entry point, but for a cycle, and the function that
+    fails, named by the public function it is the body of (``_match`` is
+    ``match``'s body) where ``owner`` has one."""
+    public = name[1:] if name.startswith("_") and hasattr(owner, name[1:]) else name
+    return f"{'' if entry == 'cycle' else entry + '-'}{owner.__name__}.{public}"
 
 
 def _fail_on_call(monkeypatch, owner, name, k):
@@ -1046,10 +1061,8 @@ def _fail_on_call(monkeypatch, owner, name, k):
     return calls
 
 
-@pytest.mark.parametrize("entry, owner, name", ATOMIC_CALLS, ids=[
-    # a cycle's cases are named by the call alone
-    f"{'' if entry == 'cycle' else entry + '-'}{owner.__name__}.{name}"
-    for entry, owner, name in ATOMIC_CALLS])
+@pytest.mark.parametrize("entry, owner, name", ATOMIC_CALLS,
+                         ids=[_case_name(*call) for call in ATOMIC_CALLS])
 def test_a_failure_anywhere_in_a_cycle_rolls_back(entry, owner, name, monkeypatch):
     stream = obs_stream(32, seed=14)
 

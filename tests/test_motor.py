@@ -344,3 +344,19 @@ def test_closed_form_raises_on_a_target_past_the_limit_as_the_settle():
     got = _raised(lambda: m.learn(t, q_next=np.full(3, 2e6)))
     assert got[0] is ngc.DivergenceError
     assert got == _raised(lambda: oracle.learn(t, q_next=np.full(3, 2e6)))
+
+
+@pytest.mark.parametrize("hidden", [(), (4,)], ids=["closed_form", "settled"])
+def test_a_bool_action_learns_as_the_whole_number_it_stands_for(hidden):
+    # ``True`` passes the range check as 1; a head with no hidden layer once
+    # used it as a NumPy index, which pinned every output unit to the target
+    heads = [MotorCircuit(3, 5, hidden=hidden, seed=4, replay_capacity=2) for _ in range(2)]
+    s, s_next = np.full(5, 0.3), np.full(5, -0.2)
+    for head, a in zip(heads, (True, 1)):
+        head.learn(Transition(s=s, a=a, r_env=0.5, s_next=s_next, done=False))
+    assert _same_weights(*heads)
+    assert heads[0].replay[0][1] == 1 and type(heads[0].replay[0][1]) is int
+    # only the pinned unit carries error, so only its row of W[1] moves
+    changed = np.flatnonzero((heads[0].circuit.W[1] != MotorCircuit(
+        3, 5, hidden=hidden, seed=4).circuit.W[1]).any(axis=1))
+    assert changed.tolist() == [1]

@@ -9,7 +9,9 @@ Runs each config at each seed and prints one line per run:
 where ``snapshot`` is the sha256 of the trained agent's ``snapshot()``, or
 ``-`` for a run with no agent.  The configs are the acceptance suite's
 (``tests/test_acceptance.py``: continual gated and ungated, rps, maze), its
-rps with a motor head of one hidden layer (``motor_hidden=(8,)``, the only
+continual with a supervised readout (``readout="supervised"``, the only
+config that runs ``Agent.supervised_step`` and the motor head's
+regression), its rps with a motor head of one hidden layer (``motor_hidden=(8,)``, the only
 config whose motor head settles) and the benchmark's
 (``perfbench/suites.py``: continual, rps, recall), imported from those
 files, and the benchmark's continual with random masks
@@ -59,6 +61,8 @@ def runs():
             acc.CONTINUAL_CFG, seed=seed, out=out),
         "acceptance-continual-ungated": lambda seed, out: runner.run_continual(
             acc.CONTINUAL_CFG, seed=seed, out=out, ungated=True),
+        "acceptance-continual-supervised": lambda seed, out: runner.run_continual(
+            {**acc.CONTINUAL_CFG, "readout": "supervised"}, seed=seed, out=out),
         "acceptance-rps": lambda seed, out: runner.run_rps(acc.RPS_CFG, seed=seed, out=out),
         "acceptance-rps-motor-hidden": lambda seed, out: runner.run_rps(
             {**acc.RPS_CFG, "motor_hidden": (8,)}, seed=seed, out=out),
