@@ -211,6 +211,11 @@ def _zero_unless(route):  # no cycle fills it then, and a trimmed bridge2 ignore
     return dict(rule=f"zero while {route} is off", ok=lambda v, x: x[route] or not v.any())
 
 
+# a motor state's rule and check: a cycle makes it unit length, and a
+# restore holds it to the settle's clamp limit
+_IN_CLAMP = (f"within ±{ngc._Z_LIMIT:g}", lambda v, x: (np.abs(v) <= ngc._Z_LIMIT).all())
+
+
 def _if(name):
     """``each`` for an entry a snapshot holds only while ``name`` is not None."""
     return lambda x: [{}] if x["entries"].get(name) is not None else []
@@ -219,10 +224,10 @@ def _if(name):
 # the replay store's fields, one row per transition, there only with replay/a
 _REPLAY = tuple(_Entry(f"replay/{field}", ("transitions", *width), rule, ok, _if("replay/a"))
                 for field, width, rule, ok in (
-    ("s", ("motor_state_dim",), "", None),
+    ("s", ("motor_state_dim",), *_IN_CLAMP),
     ("a", (), "whole actions < {n_actions}", lambda v, x: np.isin(v, range(x["n_actions"])).all()),
     ("r", (), "", None),
-    ("s_next", ("motor_state_dim",), "", None),
+    ("s_next", ("motor_state_dim",), *_IN_CLAMP),
     ("done", (), "0 or 1", lambda v, x: np.isin(v, (0, 1)).all())))
 
 
@@ -306,7 +311,7 @@ _STATE = (
                                                            "pending/a": int(p[1])},
           lambda agent, e: None if e["pending/a"] is None else (e["pending/s"], e["pending/a"]),
           _Entry("pending/a", **_below("n_actions")),
-          _Entry("pending/s", ("motor_state_dim",), each=_if("pending/a"))),
+          _Entry("pending/s", ("motor_state_dim",), *_IN_CLAMP, _if("pending/a"))),
     _one("last_winner", "last_winner", **_below("units")),
     _one("last_energy", "last_energy", out=float, rule="a finite number >= 0",
          ok=lambda v, x: type(v) in (int, float) and 0 <= v < np.inf),

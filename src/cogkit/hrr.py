@@ -12,7 +12,10 @@ The read path gives the bytes of its plain form (``np.roll``, row norms
 taken on every clean-up), but for the scores of a clean-up of several
 probes at once, which may differ in the last bit; a norm that is NaN or
 infinite raises.  ``_permute`` is ``permute`` without its checks, for the
-vectors and shifts that ``memory`` and the agent make themselves.
+vectors and shifts that ``memory`` and the agent make themselves; working
+memory's encode shifts its item without it (see ``memory``).  ``_cosine``
+is ``cosine`` given the two checked norms: ``memory``'s retrieval and the
+recall runner take each norm once and score through it.
 """
 
 from __future__ import annotations
@@ -130,6 +133,12 @@ def cosine(a, b):
     nb = _norm(b)
     _check_norm(na, "cosine operand a")
     _check_norm(nb, "cosine operand b")
+    return _cosine(a, b, na, nb)
+
+
+def _cosine(a, b, na, nb):
+    """``cosine`` of float64 vectors ``a`` and ``b`` of one length whose
+    checked norms are ``na`` and ``nb``, checking none of them."""
     return float(np.dot(a, b) / (na * nb))
 
 

@@ -12,9 +12,14 @@ mutate their inputs, so snapshots and rollback stay trivial.
 
 Each public function checks its arguments.  ``_wm_encode`` and
 ``_dm_retrieve`` are the bodies of ``wm_encode`` and ``dm_retrieve`` after
-those checks, which the agent's routing calls on the values it made; the
-retrieval still checks the cue's and each trace's norm.  Items and symbols
-are shifted through ``hrr._permute``, ``hrr.permute`` without its checks.
+those checks, which the agent's routing calls on the values it made (and
+the recall runner, ``_wm_encode`` on its lexicon's symbols); the
+retrieval still checks the cue's and each trace's norm.  ``_wm_encode``
+makes one new array: the decayed trace, onto which it adds the item's two
+halves in place at the shifted offset, so each element is
+``rho * m[i] + item[(i - p) mod d]``, the bytes of ``rho * m + np.roll(item,
+p)``.  ``dm_store`` shifts symbols through ``hrr._permute``, ``hrr.permute``
+without its checks.
 """
 
 from __future__ import annotations
@@ -60,9 +65,12 @@ def _wm_encode(buf, item):
     """``wm_encode`` of a float64 vector ``item`` of length ``buf.d``,
     checking none."""
     p = buf.position + 1
-    return WorkingMemoryBuffer(
-        m=buf.rho * buf.m + hrr._permute(item, p), rho=buf.rho, position=p, d=buf.d
-    )
+    d = buf.d
+    k = p % d
+    m = buf.m * buf.rho  # the one new array: rho * m, then the item shifted by p
+    m[k:] += item[: d - k]
+    m[:k] += item[d - k :]
+    return WorkingMemoryBuffer(m=m, rho=buf.rho, position=p, d=d)
 
 
 def wm_recall(buf: WorkingMemoryBuffer, p, lex: hrr.SymbolLexicon):
@@ -150,15 +158,6 @@ def dm_store(dm: DeclarativeMemory, concept, context) -> DeclarativeMemory:
     return DeclarativeMemory(lexicon=dm.lexicon, traces=traces)
 
 
-def _score(cue, n_cue, trace):
-    """``hrr.cosine(cue, trace)`` of a checked ``cue`` whose norm is ``n_cue``:
-    the trace's checks and messages, and the same bits."""
-    trace = check_vector("b", trace, cue.size)
-    n = hrr._norm(trace)
-    hrr._check_norm(n, "cosine operand b")
-    return float(np.dot(cue, trace) / (n_cue * n))
-
-
 def dm_retrieve(dm: DeclarativeMemory, cue, k, tau=0.1) -> RetrievalResult:
     """Rank stored concepts against ``cue`` by cosine.
 
@@ -181,11 +180,17 @@ def dm_retrieve(dm: DeclarativeMemory, cue, k, tau=0.1) -> RetrievalResult:
 def _dm_retrieve(dm, cue, k, tau):
     """``dm_retrieve`` of a non-empty memory, a float64 vector ``cue`` and a
     checked ``k`` and ``tau``, which it does not check.  It still checks the
-    cue's norm, taken once, and each trace's norm and length (``_score``)."""
+    cue's norm, taken once, and each trace's length and norm, with
+    ``hrr.cosine``'s messages, before it scores the trace by ``hrr._cosine``."""
     n_cue = hrr._norm(cue)
     hrr._check_norm(n_cue, "retrieval cue")
     names = list(dm.traces)
-    scores = np.array([_score(cue, n_cue, dm.traces[n]) for n in names])
+    scores = np.empty(len(names))
+    for i, name in enumerate(names):
+        trace = check_vector("b", dm.traces[name], cue.size)
+        n = hrr._norm(trace)
+        hrr._check_norm(n, "cosine operand b")
+        scores[i] = hrr._cosine(cue, trace, n_cue, n)
     order = np.argsort(-scores, kind="stable")
     logits = scores[order] / tau
     logits -= logits.max()  # shift for numerical stability

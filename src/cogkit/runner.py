@@ -373,22 +373,32 @@ def run_recall(cfg, seed=None, out=None, cfg_text=None):
         names = [f"s{i}" for i in range(n_sym)]
         lex = hrr.SymbolLexicon(d, seed=seed, names=names)
         rng = np.random.default_rng(np.random.SeedSequence([seed, 4000]))
+        # each symbol is the lexicon's float64 vector of length d, so it
+        # encodes through the unchecked body; its 1-d norm, as hrr.cosine
+        # takes it, is taken and checked once per run
+        norms = {name: hrr._norm(lex[name]) for name in names}
+        for name, n in norms.items():
+            hrr._check_norm(n, f"recall symbol {name!r}")
 
-        hits = np.zeros(length)
-        cosines = np.zeros(length)
+        # Python sums: the same float64 additions as array cells, without
+        # indexing an array at each position
+        hits = [0] * length
+        cosines = [0.0] * length
         for _ in range(n_lists):
             picked = [names[k] for k in rng.permutation(n_sym)[:length]]
             buf = memory.WorkingMemoryBuffer.empty(d, rho)
             for name in picked:
-                buf = memory.wm_encode(buf, lex[name])
+                buf = memory._wm_encode(buf, lex[name])
             got, _, probes = memory.wm_recall(buf, range(1, length + 1), lex)
-            for p in range(1, length + 1):
-                hits[p - 1] += got[p - 1] == picked[p - 1]
-                cosines[p - 1] += hrr.cosine(probes[p - 1], lex[picked[p - 1]])
+            for i, (name, probe) in enumerate(zip(picked, probes)):
+                hits[i] += got[i] == name
+                n = hrr._norm(probe)
+                hrr._check_norm(n, "recall probe")
+                cosines[i] += hrr._cosine(probe, lex[name], n, norms[name])
             del probes  # freed before the next list allocates its own, for peak RSS
 
-        acc = hits / n_lists
-        mean_cos = cosines / n_lists
+        acc = np.array(hits, dtype=float) / n_lists
+        mean_cos = np.array(cosines) / n_lists
         for p in range(1, length + 1):
             sink.write(n_lists, 0, f"recall_acc_pos{p}", float(acc[p - 1]))
             sink.write(n_lists, 0, f"recall_cos_pos{p}", float(mean_cos[p - 1]))

@@ -548,6 +548,11 @@ DAMAGE = {
     "window-nan": _rewrite("ctx/window", _first(np.nan)),
     "replay-state-inf": _rewrite("replay/s", _first(np.inf)),
     "pending-state-nan": _rewrite("pending/s", _first(np.nan)),
+    # a finite motor state past the settle's clamp limit, which a cycle
+    # would squash through tanh and learn from
+    "pending-state-past-the-clamp": _rewrite("pending/s", _first(1e7)),
+    "replay-state-past-the-clamp": _rewrite("replay/s", _first(-1e7)),
+    "replay-next-state-past-the-clamp": _rewrite("replay/s_next", _first(1e7)),
     # a trace that dm/trace_names does not list would be dropped without a word
     "trace-not-named": ("dm/trace/unit1", _trace_no_name_lists),
 }

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cogkit import hrr, runner
+from cogkit import hrr, memory, runner
 from cogkit.config import resolve
 from cogkit.hrr import SymbolLexicon
 from cogkit.memory import (
@@ -54,6 +54,31 @@ def test_encode_does_not_mutate_input():
     wm_encode(buf, lex["s0"])
     assert buf.position == 0
     assert not buf.m.any()
+
+
+def _signed_zeros(rng, d):
+    """A normal vector with a third of its entries -0.0 and a third 0.0."""
+    v = rng.standard_normal(d)
+    v[::3] = -0.0
+    v[1::3] = 0.0
+    return v
+
+
+@pytest.mark.parametrize("d, p", [(1, 1), (1, 4), (7, 3), (7, 7), (7, 16), (64, 63), (64, 64)])
+@pytest.mark.parametrize("rho", [1.0, 0.9])
+def test_encode_is_decay_plus_roll_bit_for_bit(d, p, rho):
+    # the one-array encode against its plain form, at shifts below, at and
+    # past d, compared as bytes so that a -0.0 turned into 0.0 shows
+    rng = np.random.default_rng(d * 100 + p)
+    m, item = _signed_zeros(rng, d), _signed_zeros(rng, d)
+    item[1::3] = -0.0  # every zero of the item -0.0, the trace's of both signs
+    m_before, item_before = m.tobytes(), item.tobytes()
+    buf = WorkingMemoryBuffer(m=m, rho=rho, position=p - 1, d=d)
+    got = memory._wm_encode(buf, item)
+    assert got.m.tobytes() == (rho * m + np.roll(item, p)).tobytes()
+    assert (got.position, got.rho, got.d) == (p, rho, d)
+    # a new array; the buffer's trace and the item are left as they were
+    assert got.m is not m and m.tobytes() == m_before and item.tobytes() == item_before
 
 
 def test_decay_produces_recency():
@@ -328,6 +353,7 @@ def plain_recall(d, rho, n_sym, length, n_lists, seed):
 
 @pytest.mark.parametrize("d, rho, n_sym, length, seed", [
     (2048, 0.9, 16, 7, 1), (64, 0.7, 9, 9, 2), (17, 1.0, 5, 3, 3),
+    (3, 0.8, 5, 5, 4),  # lists longer than d: the positions wrap
 ])
 def test_run_recall_matches_the_plain_loop(d, rho, n_sym, length, seed):
     cfg = resolve(dict(recall_d=d, recall_rho=rho, recall_lexicon=n_sym,
@@ -336,3 +362,16 @@ def test_run_recall_matches_the_plain_loop(d, rho, n_sym, length, seed):
     acc, cos = plain_recall(d, rho, n_sym, length, 20, seed)
     assert np.array_equal(got["accuracy"], acc)
     assert np.array_equal(got["mean_cosine"], cos)
+
+
+def test_run_recall_starts_each_list_with_one_empty_buffer(monkeypatch):
+    # the benchmark's OpClock starts a recall op at each call of
+    # WorkingMemoryBuffer.empty, so a list must make exactly one
+    calls = []
+    empty = WorkingMemoryBuffer.empty.__func__
+    monkeypatch.setattr(WorkingMemoryBuffer, "empty",
+                        classmethod(lambda cls, *a, **kw: calls.append(0) or empty(cls, *a, **kw)))
+    cfg = resolve(dict(recall_d=32, recall_rho=0.9, recall_lexicon=6,
+                       recall_list_len=4, recall_lists=13))
+    runner.run_recall(cfg, seed=5)
+    assert len(calls) == 13
