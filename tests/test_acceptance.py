@@ -4,12 +4,17 @@ Every test here pins a headline behaviour of the toolkit at a stated
 tolerance: binding fidelity and its direct-convolution oracle, local-energy
 gradient agreement, settling descent, interference protection on the paired
 continual benchmark, recall recency, adaptation in the two RL environments,
-determinism/persistence, and stub-agent bracketing.  Numbers in asserts are
-contracts, not observations — do not relax them to make a run pass.
+determinism/persistence, stub-agent bracketing, and the byte pins of the
+fixture runs.  Numbers in asserts are contracts, not observations — do not
+relax them to make a run pass.
 """
 
+import hashlib
+import importlib.util
+import json
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +23,7 @@ from cogkit import hrr, ngc, runner
 from cogkit.agent import Agent, AgentConfig
 from cogkit.config import resolve
 from cogkit.envs import RpsEnv
+from cogkit.metrics import MetricsWriter
 
 # ---------------------------------------------------------------------------
 # suite configurations
@@ -287,3 +293,51 @@ def test_stub_agents_bracket_learned(continual_runs, rps_runs, maze_runs):
         assert lo["success_rate"] <= run["success_rate"] <= hi["success_rate"], (
             f"maze seed {seed}"
         )
+
+
+# ---------------------------------------------------------------------------
+# 11: byte pins of the fixture runs
+
+PINS = Path(__file__).with_name("pins.json")
+
+
+def _machine_record():
+    """The machine record ``perfbench/run.py`` prints: the bits of a run
+    depend on NumPy, the BLAS, its threads and the CPU."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
+    spec = importlib.util.spec_from_file_location("perfbench_run", path)
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    return bench.machine_record(np)
+
+
+def _pin(run, path):
+    """sha256 of the run's ``metrics.csv``, written from its rows, and of its
+    agent's ``snapshot()``."""
+    with MetricsWriter(path) as sink:
+        for row in run["rows"]:
+            sink.write(*row)
+    return {"metrics": hashlib.sha256(path.read_bytes()).hexdigest(),
+            "snapshot": hashlib.sha256(run["agent"].snapshot()).hexdigest()}
+
+
+@pytest.mark.parametrize("suite", [pytest.param("continual", marks=pytest.mark.slow), "rps", "maze"])
+def test_fixture_runs_keep_their_bytes(suite, request, tmp_path):
+    # A change that moves bytes on purpose rewrites its machine's rows of
+    # tests/pins.json from the message below.  The gated continual runs at
+    # seeds 2 and 3 share a metrics hash (saturated accuracies): their
+    # snapshot hashes carry the check.
+    record = _machine_record()
+    table = next((entry["runs"] for entry in json.loads(PINS.read_text(encoding="utf-8"))
+                  if entry["machine"] == record), None)
+    if table is None:
+        pytest.skip(f"tests/pins.json has no row for this machine: {json.dumps(record)}")
+    runs = request.getfixturevalue(f"{suite}_runs")
+    if suite == "continual":
+        runs = {f"{kind}/{seed}": run for seed, pair in runs[0].items()
+                for kind, run in zip(("continual", "continual-ungated"), pair)}
+    else:
+        runs = {f"{suite}/{seed}": run for seed, run in runs.items()}
+    got = {name: _pin(run, tmp_path / "metrics.csv") for name, run in runs.items()}
+    want = {name: table.get(name) for name in got}
+    assert got == want, f"moved bytes; this suite's pins are now {json.dumps(got, indent=1)}"

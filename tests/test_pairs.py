@@ -110,18 +110,37 @@ def test_one_pair_has_its_value_as_quartiles():
     assert pairs.quartiles([3.0]) == (3.0, 3.0, 3.0)
 
 
+# what a benchmark run prints before its last line, as perfbench/run.py does
+PRINTED = [
+    'machine {"numpy": "2.0", "loadavg_before": [0.5]}',
+    'runs {"seed": 29, "metrics_sha256": "ab12"}',
+    "end-to-end (1 untraced runs, 9 ops): times scaled ...",
+    "  setup_s                    0.15 s               0.13 s",
+    "  peak_rss_mb                  74 MB",
+    "  failed_frac                   0 fraction",
+    "  late_payoff              0.518 payoff",
+]
+
+
 def _checkout(tmp_path, last_line, code=0):
-    """A stand-in checkout whose benchmark prints ``last_line`` and exits ``code``."""
+    """A stand-in checkout whose benchmark prints ``PRINTED`` and
+    ``last_line`` and exits ``code``."""
     bench = tmp_path / "perfbench"
     bench.mkdir()
-    (bench / "run.py").write_text(f"import sys\nprint('machine {{}}')\nprint({last_line!r})\n"
+    printed = "\n".join(PRINTED)
+    (bench / "run.py").write_text(f"import sys\nprint({printed!r})\nprint({last_line!r})\n"
                                   f"sys.exit({code})\n", encoding="utf-8")
     return tmp_path
 
 
 def test_run_once_reads_the_last_line(tmp_path):
     line = '{"correct": true, "metrics": {"ops_per_s": {"value": 7.5, "unit": "1/s"}}}'
-    assert pairs.run_once(_checkout(tmp_path, line), "rps", 1, 29) == {"ops_per_s": 7.5}
+    assert pairs.run_once(_checkout(tmp_path, line), "rps", 1, 29) == {
+        "metrics": {"ops_per_s": 7.5},
+        "machine": {"numpy": "2.0", "loadavg_before": [0.5]},
+        "metrics_sha256": "ab12",
+        "quality": ["late_payoff              0.518 payoff"],
+    }
 
 
 @pytest.mark.parametrize("line, code", [
@@ -154,6 +173,32 @@ def test_checkouts_whose_paths_differ_in_length_are_warned_of(tmp_path, capsys):
         "warning: the parent's path /a/parent (9 characters) and the change's /a/c0 (5)")
 
 
+def test_bench_out_writes_both_sides_and_the_summary(tmp_path):
+    for name, value in (("p0", 100.0), ("c0", 110.0)):
+        line = json.dumps({"correct": True, "metrics": {
+            m["name"]: {"value": value, "unit": m["unit"]} for m in METRICS}})
+        (tmp_path / name).mkdir()
+        _checkout(tmp_path / name, line)
+        (tmp_path / name / "BENCHMARK.json").write_text(json.dumps({"end_to_end": METRICS}),
+                                                        encoding="utf-8")
+    out = tmp_path / "BENCH_rps.json"
+    pairs.main(["--parent", str(tmp_path / "p0"), "--change", str(tmp_path / "c0"),
+                "--workload", "rps", "--pairs", "3", "--seconds", "1", "--bench-out", str(out)])
+    bench = json.loads(out.read_text(encoding="utf-8"))
+    assert (bench["workload"], bench["pairs"], bench["seed"], bench["seconds"]) == ("rps", 3, 29, 1)
+    assert bench["machine"] == {"numpy": "2.0"}  # the load averages left out
+    for side, name, value in (("parent", "p0", 100.0), ("change", "c0", 110.0)):
+        assert bench[side]["checkout"] == str((tmp_path / name).resolve())
+        assert bench[side]["runs"] == [{
+            "metrics": {"ops_per_s": value, "peak_rss_mb": value},
+            "metrics_sha256": "ab12",
+            "quality": ["late_payoff              0.518 payoff"],
+        }] * 3
+    ops, rss = bench["summary"]
+    assert (ops["name"], ops["won"], ops["rel"], rss["name"], rss["won"]) == (
+        "ops_per_s", 3, pytest.approx(0.1), "peak_rss_mb", 0)
+
+
 def _usage(text):
     """(required options, {optional option: shown default}) of the first
     ``python tools/pairs.py`` usage line in ``text``."""
@@ -168,6 +213,8 @@ def test_the_usage_lines_show_the_parser_defaults(where):
     text = (pairs.__doc__ if where == "docstring"
             else (TOOL.parents[1] / "README.md").read_text(encoding="utf-8"))
     actions = [a for a in pairs.parser()._actions if a.default is not argparse.SUPPRESS]
-    required = [a.dest for a in actions if a.required]
-    defaults = {a.dest: str(a.default) for a in actions if not a.required}
+    required = [a.option_strings[0][2:] for a in actions if a.required]
+    # an option with no default shows its metavar
+    defaults = {a.option_strings[0][2:]: a.metavar if a.default is None else str(a.default)
+                for a in actions if not a.required}
     assert _usage(text) == (required, defaults)

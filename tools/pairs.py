@@ -1,7 +1,7 @@
 """Compare two checkouts on one benchmark workload in alternating pairs.
 
     python tools/pairs.py --parent DIR --change DIR --workload W \\
-        [--pairs 10] [--seconds 10] [--seed 29]
+        [--pairs 10] [--seconds 10] [--seed 29] [--bench-out FILE]
 
 ``DIR`` is the root of a checkout.  Give the two commits checkouts whose
 paths have the same length, for example ``../p0`` and ``../c0`` made with
@@ -37,6 +37,12 @@ the parent's by more than that range and that 1%: a loss too steady to be
 noise, however far inside the bound.  The 1% floor keeps a metric whose runs
 barely spread, such as ``peak_rss_mb``, from being marked for a move too
 small to matter.
+
+``--bench-out FILE`` also writes the pairs to ``FILE`` as JSON: the machine
+record of the first run (its load averages left out), each side's checkout
+and its runs in pair order, each run with its metrics, its
+``metrics_sha256`` and the quality lines ``run.py`` printed, and the
+summary rows.
 Standard library only, so it runs in any checkout.
 """
 
@@ -52,8 +58,14 @@ from pathlib import Path
 FLOOR = 0.01  # the least median gap, as a fraction of the parent's median, that is marked
 
 
+# lines run.py prints beside the quality numbers, with no unscaled twin
+NOT_QUALITY = ("peak_rss_mb", "failed_frac")
+
+
 def run_once(checkout, workload, seconds, seed):
-    """The metric values of one ``--trace 0`` run of ``checkout``'s benchmark."""
+    """One ``--trace 0`` run of ``checkout``'s benchmark: its ``metrics``
+    (name -> value), its ``machine`` record and ``metrics_sha256``, and its
+    ``quality`` lines as ``run.py`` printed them."""
     cmd = [sys.executable, str(Path(checkout) / "perfbench" / "run.py"), "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     done = subprocess.run(cmd, capture_output=True, text=True)
@@ -65,7 +77,12 @@ def run_once(checkout, workload, seconds, seed):
     if done.returncode or not isinstance(result, dict) or result.get("correct") is not True:
         sys.stderr.write(done.stdout + done.stderr)
         raise SystemExit(f"{checkout}: the {workload} run failed (exit {done.returncode})")
-    return {name: m["value"] for name, m in result["metrics"].items()}
+    printed = dict(line.split(" ", 1) for line in lines if line.startswith(("machine ", "runs ")))
+    return {"metrics": {name: m["value"] for name, m in result["metrics"].items()},
+            "machine": json.loads(printed["machine"]),
+            "metrics_sha256": json.loads(printed["runs"])["metrics_sha256"],
+            "quality": [line.strip() for line in lines if line.startswith("  ")
+                        and len(line.split()) == 3 and line.split()[0] not in NOT_QUALITY]}
 
 
 def quartiles(values):
@@ -116,6 +133,7 @@ def parser():
     p.add_argument("--pairs", type=int, default=10)
     p.add_argument("--seconds", type=float, default=10)
     p.add_argument("--seed", type=int, default=29)
+    p.add_argument("--bench-out", metavar="FILE", type=Path)
     return p
 
 
@@ -142,8 +160,19 @@ def main(argv=None):
             checkout = getattr(args, side)
             runs[side].append(run_once(checkout, args.workload, args.seconds, args.seed))
     print(f"{args.workload}: {args.pairs} pairs, seed {args.seed}, {args.seconds:g} s each")
-    for row in summarise(runs["parent"], runs["change"], spec["end_to_end"]):
+    rows = summarise(*([run["metrics"] for run in runs[side]] for side in ("parent", "change")),
+                     spec["end_to_end"])
+    for row in rows:
         print(format_row(row))
+    if args.bench_out:
+        machine = {k: v for k, v in runs["parent"][0]["machine"].items()
+                   if not k.startswith("loadavg")}
+        sides = {side: {"checkout": str(getattr(args, side)),
+                        "runs": [{k: v for k, v in run.items() if k != "machine"}
+                                 for run in runs[side]]} for side in runs}
+        bench = {"workload": args.workload, "pairs": args.pairs, "seed": args.seed,
+                 "seconds": args.seconds, "machine": machine, **sides, "summary": rows}
+        args.bench_out.write_text(json.dumps(bench, indent=1) + "\n", encoding="utf-8")
 
 
 if __name__ == "__main__":
