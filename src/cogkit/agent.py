@@ -12,9 +12,12 @@ method:
   memory, storing a task-transition fact into declarative memory, and/or
   retrieving an expected next task into the retrieval buffer.  A second
   fixed bridge compresses [perception || retrieval || wm] into the motor
-  state; with ``route_wm_encode`` and ``route_dm_retrieve`` both off the
-  last two stay zero, and the agent keeps and reads only the bridge's
-  percept block.  ``cycle`` and ``supervised_step`` sense through it.
+  state.  With ``route_wm_encode`` and ``route_dm_retrieve`` both off the
+  last two stay zero and nothing reads the percept, so the two bridges fold
+  into one small matrix: the motor state is the top-layer activity through
+  ``fold``, unit length, and the cycle forms no percept and leaves the
+  perception buffer as it was.  ``cycle`` and ``supervised_step`` sense
+  through it.
 - ``cycle`` acts: the motor head picks an action (``supervised_step``
   regresses the head onto given targets instead).
 - ``_learn`` completes the transition begun on the previous cycle and
@@ -52,8 +55,8 @@ reference, and drops the cache instead of restoring it.  A snapshot
 stores no cache either, so a rolled-back or restored agent takes the norms
 again from W and goes on byte for byte.  What no cycle changes, the
 two bridges and the unit symbols, is drawn from the config's seed when an
-agent is built, so a restore rebuilds it; it loads the circuits' weights
-and draws none.
+agent is built, and the fold formed from the bridges, so a restore rebuilds
+it the same way; it loads the circuits' weights and draws none.
 """
 
 from __future__ import annotations
@@ -207,7 +210,7 @@ def _below(bound):
                 ok=lambda v, x: v is None or _whole(v) and v < x[bound])
 
 
-def _zero_unless(route):  # no cycle fills it then, and a trimmed bridge2 ignores it
+def _zero_unless(route):  # no cycle fills it then, and with both off the fold ignores it
     return dict(rule=f"zero while {route} is off", ok=lambda v, x: x[route] or not v.any())
 
 
@@ -362,8 +365,17 @@ class Agent:
     def __init__(self, config: AgentConfig, *, _draw=True):
         """Build every part from ``config``.  ``_draw`` False leaves both
         circuits blank (``ngc.blank_circuit``) instead of seeded draws, for a
-        restore to fill; the bridges and the unit symbols are drawn either way,
-        ``bridge2`` whole even when only its percept block is kept."""
+        restore to fill; the bridges and the unit symbols are drawn either way.
+
+        With ``route_wm_encode`` and ``route_dm_retrieve`` both off the motor
+        state is ``unit(B2p · unit(bridge1 · phi(z)))``, ``B2p`` being
+        ``bridge2``'s percept block.  The inner ``unit`` is a positive scale
+        that the outer one cancels, so the agent keeps ``fold = B2p ·
+        bridge1`` (``motor_state_dim`` × the top layer's width) instead of
+        ``bridge2`` (None then), and the state is ``unit(fold · phi(z))``,
+        equal to the two products to float64 rounding.  ``bridge2`` is drawn
+        whole all the same, so its block has the same numbers; ``bridge1``
+        stays for ``perceive``.  With either flag on ``fold`` is None."""
         self.config = config
         ss = np.random.SeedSequence(config.seed)
         s_sensory, s_motor, s_gate, s_b1, s_b2 = ss.spawn(5)
@@ -402,9 +414,9 @@ class Agent:
         self.bridge2 = rng2.normal(
             scale=1.0 / np.sqrt(3 * config.d), size=(config.motor_state_dim, 3 * config.d)
         )
+        self.fold = None
         if not (config.route_wm_encode or config.route_dm_retrieve):
-            # retrieval and wm stay zero, so only the percept's block is read
-            self.bridge2 = self.bridge2[:, :config.d].copy()
+            self.fold, self.bridge2 = self.bridge2[:, :config.d] @ self.bridge1, None
         self.perception = np.zeros(config.d)  # the percept in holographic space
         self.retrieval = np.zeros(config.d)  # the blend of retrieved unit symbols
         self.wm = WorkingMemoryBuffer.empty(config.d, rho=config.wm_rho)
@@ -416,28 +428,27 @@ class Agent:
 
     # ---------------------------------------------------------------- cycle
 
-    def _percept(self, x, mask):
+    def _percept(self, x, mask, folded=False):
         """The sensory circuit settled on ``x`` (one per column for a batch)
         under ``mask``, and the percept: its top-layer activity, gated already
         as closed units stay 0, through ``phi`` and ``bridge1``, unit length.
-        ``x`` is a float64 observation whose shape the caller has checked;
-        its values are checked here as a settle checks a clamp.  ``mask`` is a
-        unit's as ``CompetitiveGate._gating`` gives it, and the settle
-        (``ngc._settle``) checks neither."""
+        When ``folded`` it goes through ``fold`` instead, which gives the
+        motor state (see ``__init__``).  ``x`` is a float64 observation whose
+        shape the caller has checked; its values are checked here as a settle
+        checks a clamp.  ``mask`` is a unit's as ``CompetitiveGate._gating``
+        gives it, and the settle (``ngc._settle``) checks neither."""
         ngc._check_given(0, x, "clamp")
         settled = ngc._settle(self.sensory, {0: x}, mask)
-        return settled, _unit(self.bridge1 @ ngc.phi(settled.z[self.sensory.L]))
+        through = self.fold if folded else self.bridge1
+        return settled, _unit(through @ ngc.phi(settled.z[self.sensory.L]))
 
     def _motor_state(self, perception):
-        """[perception; retrieval; wm] through ``bridge2``, unit length; only
-        the percept when ``bridge2`` holds its block alone (see ``__init__``)."""
-        if self.bridge2.shape[1] > len(perception):
-            shared = (self.retrieval, self.wm.m)
-            if perception.ndim == 2:  # a batch, one column each
-                shared = [np.broadcast_to(v[:, None], (len(v), perception.shape[1]))
-                          for v in shared]
-            perception = np.concatenate([perception, *shared])
-        return _unit(self.bridge2 @ perception)
+        """[perception; retrieval; wm] through ``bridge2``, unit length: the
+        motor state of an agent with no ``fold``."""
+        shared = (self.retrieval, self.wm.m)
+        if perception.ndim == 2:  # a batch, one column each
+            shared = [np.broadcast_to(v[:, None], (len(v), perception.shape[1])) for v in shared]
+        return _unit(self.bridge2 @ np.concatenate([perception, *shared]))
 
     def perceive(self, obs):
         """Gate, settle, learn the sensory circuit; fill the perception buffer.
@@ -449,11 +460,12 @@ class Agent:
         with self._atomic():
             return self._perceive(obs)
 
-    def _perceive(self, obs):
-        """``perceive`` inside a rollback block.  The caller's ``obs`` is
-        checked here, its shape by the tracker and its values by
-        ``_percept``, where the settle checked them; the context it makes is
-        checked once, by the gate's first call."""
+    def _perceive(self, obs, folded=False):
+        """``perceive`` inside a rollback block; when ``folded`` it returns
+        the motor state through ``fold`` and leaves the perception buffer as
+        it was.  The caller's ``obs`` is checked here, its shape by the
+        tracker and its values by ``_percept``, where the settle checked them;
+        the context it makes is checked once, by the gate's first call."""
         context = self.tracker.update(obs)
         if self.gate.active_count and len(self.tracker) < self.config.context_window:
             # novelty is undefined while the running mean is still forming;
@@ -462,7 +474,8 @@ class Agent:
         else:
             winner = self.gate.select_or_recruit(context)
         self.gate._update_winner(winner, context)
-        settled, percept = self._percept(np.asarray(obs, dtype=float), self.gate._gating(winner))
+        x = np.asarray(obs, dtype=float)
+        settled, out = self._percept(x, self.gate._gating(winner), folded)
         self.sensory = ngc.update_weights(
             self.sensory,
             settled,
@@ -471,17 +484,19 @@ class Agent:
             clip=self.config.sensory_clip,
             journal=self._journal,
         )
-        self.perception = percept
+        if not folded:
+            self.perception = out
         self.last_energy = settled.energy
         self.last_winner = winner
-        return percept
+        return out
 
     def _sense(self, obs):
         """Perceive, route from the previous winner; returns the motor state."""
         prev_winner = self.last_winner
-        self._perceive(obs)
+        folded = self.fold is not None
+        out = self._perceive(obs, folded)
         self._route(prev_winner, self.last_winner)
-        return self._motor_state(self.perception)
+        return out if folded else self._motor_state(out)
 
     def _learn(self, r_env, s_next, done, q_next=None):
         """Complete the pending transition, learn from it and clear it; of
@@ -582,9 +597,9 @@ class Agent:
 
         ``obs`` may also be a batch, one observation per row, read under one
         context.  Either way one pipeline runs: one gate match, one sensory
-        settle of the batch, both bridges as matrices, one motor read.  For
-        a batch the actions come back as a list and the q-values as an array,
-        one row per observation.
+        settle of the batch, both bridges (or the fold) as matrices, one motor
+        read.  For a batch the actions come back as a list and the q-values as
+        an array, one row per observation.
         """
         obs = np.asarray(obs, dtype=float)
         if obs.ndim not in (1, 2) or obs.shape[-1] != self.config.obs_dim:
@@ -592,8 +607,9 @@ class Agent:
         ctx = np.asarray(context, dtype=float) if context is not None else self.tracker.context()
         winner, _ = self.gate.match(ctx)
         x = ngc._check_layer_vec(self.sensory, 0, np.atleast_2d(obs).T, "clamp")  # a batch of 0
-        _, percept = self._percept(x, self.gate._gating(winner))
-        q = self.motor._q_values(self._motor_state(percept)).T
+        folded = self.fold is not None
+        _, out = self._percept(x, self.gate._gating(winner), folded)
+        q = self.motor._q_values(out if folded else self._motor_state(out)).T
         actions = [greedy_action(row) for row in q]
         return (actions[0], q[0], winner) if obs.ndim == 1 else (actions, q, winner)
 

@@ -311,6 +311,15 @@ def _machine_record():
     return bench.machine_record(np)
 
 
+def _pins_for(record):
+    """The runs ``tests/pins.json`` pins for the machine ``record``; a machine
+    with no row skips the test, naming its record."""
+    for entry in json.loads(PINS.read_text(encoding="utf-8")):
+        if entry["machine"] == record:
+            return entry["runs"]
+    pytest.skip(f"tests/pins.json has no row for this machine: {json.dumps(record)}")
+
+
 def _pin(run, path):
     """sha256 of the run's ``metrics.csv``, written from its rows, and of its
     agent's ``snapshot()``."""
@@ -327,11 +336,7 @@ def test_fixture_runs_keep_their_bytes(suite, request, tmp_path):
     # tests/pins.json from the message below.  The gated continual runs at
     # seeds 2 and 3 share a metrics hash (saturated accuracies): their
     # snapshot hashes carry the check.
-    record = _machine_record()
-    table = next((entry["runs"] for entry in json.loads(PINS.read_text(encoding="utf-8"))
-                  if entry["machine"] == record), None)
-    if table is None:
-        pytest.skip(f"tests/pins.json has no row for this machine: {json.dumps(record)}")
+    table = _pins_for(_machine_record())
     runs = request.getfixturevalue(f"{suite}_runs")
     if suite == "continual":
         runs = {f"{kind}/{seed}": run for seed, pair in runs[0].items()
@@ -341,3 +346,10 @@ def test_fixture_runs_keep_their_bytes(suite, request, tmp_path):
     got = {name: _pin(run, tmp_path / "metrics.csv") for name, run in runs.items()}
     want = {name: table.get(name) for name in got}
     assert got == want, f"moved bytes; this suite's pins are now {json.dumps(got, indent=1)}"
+
+
+def test_a_machine_with_no_pins_is_skipped_by_its_record():
+    record = {**_machine_record(), "platform": "elsewhere"}
+    with pytest.raises(pytest.skip.Exception, match='"platform": "elsewhere"'):
+        _pins_for(record)
+    assert _pins_for(json.loads(PINS.read_text(encoding="utf-8"))[0]["machine"])

@@ -187,27 +187,85 @@ def test_routing_on_moves_memories():
     assert a.retrieval.any()
 
 
-def test_routing_off_motor_state_reads_only_the_percept_block_of_bridge2():
-    # bench continual's sizes; the bridge is drawn whole whatever the flags
+def test_routing_off_motor_state_is_the_fold_of_both_bridges():
+    # bench continual's holographic sizes; a twin with routing on draws the
+    # same bridges from the same seed, whole
     kw = dict(d=1024, motor_state_dim=128, route_dm_store=False)
     off = Agent(small_config(route_wm_encode=False, route_dm_retrieve=False, **kw))
+    assert off.bridge2 is None and off.fold.shape == (128, 16)
     for flags in ((True, False), (False, True)):
         on = Agent(small_config(route_wm_encode=flags[0], route_dm_retrieve=flags[1], **kw))
-        assert on.bridge2.shape == (128, 3 * 1024)
-    full = on.bridge2
-    assert off.bridge2.shape == (128, 1024) and off.bridge2.flags.c_contiguous
-    assert np.array_equal(off.bridge2, full[:, :1024])
-    percepts = _unit(np.random.default_rng(7).normal(size=(1024, 50)))
+        assert on.fold is None and on.bridge2.shape == (128, 3 * 1024)
+    bridge1, bridge2 = on.bridge1, on.bridge2
+    assert np.array_equal(off.bridge1, bridge1)
 
-    def reference(p):  # [p; retrieval; wm], with both buffers zero
-        return _unit(full @ np.concatenate([p, np.zeros((2 * 1024, *p.shape[1:]))]))
+    def oracle(top):  # the percept, then [percept; 0; 0] through the whole bridge2
+        percept = _unit(bridge1 @ top)
+        return _unit(bridge2 @ np.concatenate([percept, np.zeros((2 * 1024, *top.shape[1:]))]))
 
-    for p in percepts.T[:20]:  # a cycle's percept: the same bits
-        assert off._motor_state(p).tobytes() == reference(p).tobytes()
-    # a probe batch sums the same terms through a matrix product, which BLAS
-    # may group by the length of the sum: equal to float64 rounding of 1024 terms
-    np.testing.assert_allclose(off._motor_state(percepts), reference(percepts),
-                               rtol=0, atol=1024 * np.finfo(float).eps)
+    # the fold sums the same terms in another order: float64 rounding of the
+    # 1,024-term inner sum of the two products
+    atol = 1024 * np.finfo(float).eps
+    x = np.random.default_rng(7).normal(size=(8, 5))
+    for obs in (x[:, 0], x):  # one vector, and a probe batch of five columns
+        settled, state = off._percept(obs, {}, folded=True)
+        top = ngc.phi(settled.z[off.sensory.L])
+        np.testing.assert_allclose(state, oracle(top), rtol=0, atol=atol)
+        assert np.allclose(np.linalg.norm(np.atleast_2d(state.T), axis=1), 1.0)
+    # routing on: [percept; retrieval; wm] through the whole bridge2, as before
+    rng = np.random.default_rng(8)
+    on.retrieval, on.wm = _unit(rng.normal(size=1024)), dataclasses.replace(
+        on.wm, m=rng.normal(size=1024))
+    percepts = _unit(rng.normal(size=(1024, 5)))
+    for p in (percepts[:, 0], percepts):
+        shared = [np.broadcast_to(v[:, None], (1024, 5)) if p.ndim == 2 else v
+                  for v in (on.retrieval, on.wm.m)]
+        want = _unit(bridge2 @ np.concatenate([p, *shared]))
+        assert on._motor_state(p).tobytes() == want.tobytes()
+
+
+def test_a_folded_agent_resumes_byte_for_byte():
+    config = small_config(seed=23, route_wm_encode=False, route_dm_retrieve=False,
+                          replay_capacity=8, replay_samples=1)
+    stream = obs_stream(40, seed=3)
+
+    def play(agent, xs, r):
+        rows = []
+        for x in xs:
+            act = agent.cycle(x, r_env=r)
+            r = 1.0 if act == 1 else -1.0
+            rows.append((agent.step, act, r))
+        _, q, _ = agent.probe(np.stack(stream[:4]))
+        return rows + [q.tobytes()], r
+
+    whole = Agent(config)
+    rows, _ = play(whole, stream, 0.0)
+    assert not whole.perception.any()  # a folded cycle forms no percept
+    a = Agent(config)
+    head, r = play(a, stream[:17], 0.0)
+    b = Agent.restore(a.snapshot())
+    tail, _ = play(b, stream[17:], r)
+    assert head[:-1] + tail == rows
+    assert b.snapshot() == whole.snapshot()
+
+
+def test_a_folded_agent_restores_the_percept_a_parent_stored():
+    # an agent that formed a percept every cycle stored the last one; the
+    # folded agent keeps it, reads it nowhere, and runs on as from zero
+    a = Agent(small_config(seed=29, route_wm_encode=False, route_dm_retrieve=False))
+    for x in obs_stream(10, seed=4):
+        a.cycle(x, r_env=0.5)
+    arrays, meta, seed = read_snapshot(a.snapshot())
+    arrays["buffer/perception"] = _unit(np.random.default_rng(5).normal(size=64))
+    blob = write_snapshot(arrays, meta, seed=seed)
+    b = Agent.restore(blob)
+    assert b.snapshot() == blob
+    for x in obs_stream(10, seed=6):
+        assert a.cycle(x, r_env=0.5) == b.cycle(x, r_env=0.5)
+    assert np.array_equal(b.perception, arrays["buffer/perception"])
+    _, q_a, _ = a.probe(np.ones(8))
+    _, q_b, _ = b.probe(np.ones(8))
+    assert q_a.tobytes() == q_b.tobytes()
 
 
 def test_cycle_atomic_rollback_on_failure():

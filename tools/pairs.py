@@ -39,10 +39,9 @@ barely spread, such as ``peak_rss_mb``, from being marked for a move too
 small to matter.
 
 ``--bench-out FILE`` also writes the pairs to ``FILE`` as JSON: the machine
-record of the first run (its load averages left out), each side's checkout
-and its runs in pair order, each run with its metrics, its
-``metrics_sha256`` and the quality lines ``run.py`` printed, and the
-summary rows.
+record of the first run (its load averages left out), each side's runs in
+pair order, each with its metrics, its ``metrics_sha256`` and the quality
+lines ``run.py`` printed, and the summary rows.
 Standard library only, so it runs in any checkout.
 """
 
@@ -167,9 +166,8 @@ def main(argv=None):
     if args.bench_out:
         machine = {k: v for k, v in runs["parent"][0]["machine"].items()
                    if not k.startswith("loadavg")}
-        sides = {side: {"checkout": str(getattr(args, side)),
-                        "runs": [{k: v for k, v in run.items() if k != "machine"}
-                                 for run in runs[side]]} for side in runs}
+        sides = {side: [{k: v for k, v in run.items() if k != "machine"} for run in runs[side]]
+                 for side in runs}
         bench = {"workload": args.workload, "pairs": args.pairs, "seed": args.seed,
                  "seconds": args.seconds, "machine": machine, **sides, "summary": rows}
         args.bench_out.write_text(json.dumps(bench, indent=1) + "\n", encoding="utf-8")
