@@ -43,20 +43,18 @@ Everything a cycle can change is listed once, in ``_STATE``: a table of
 attribute paths that drives rollback, each with the rows of the snapshot
 entries that hold it, which drive snapshot and restore.  A cycle replaces
 each of those values and writes into none, except the sensory circuit's
-``W[ell]`` and ``E[ell]`` under a mask and the column norms of ``W[ell]``
-it caches.  A masked update writes the open columns and rows of W and
-E, and the columns a clip divides, in place, after appending what it
-overwrites to the block's journal.  An update without a mask, as in an
-ungated agent, writes into nothing: it rebinds ``W[ell]`` and ``E[ell]`` in
-the circuit's lists to new arrays and journals the old ones.  One rule
-undoes a cycle: a rollback writes W and E back from the journal, latest
-first (rebinding a swapped layer's old arrays), puts back every captured
-reference, and drops the cache instead of restoring it.  A snapshot
-stores no cache either, so a rolled-back or restored agent takes the norms
-again from W and goes on byte for byte.  What no cycle changes, the
-two bridges and the unit symbols, is drawn from the config's seed when an
-agent is built, and the fold formed from the bridges, so a restore rebuilds
-it the same way; it loads the circuits' weights and draws none.
+``W[ell]`` and ``E[ell]`` under a mask: a masked update writes their open
+columns and rows, and the columns a clip divides, in place, after
+appending what it overwrites to the block's journal.  The update still
+returns a new circuit, so the old one, with its cached column norms, is
+left as it was.  One rule undoes a cycle: a rollback writes W and E back
+from the journal, latest first, and puts back every captured reference,
+the old circuit among them, whose cache is exact for the W written back.
+A snapshot stores no cache, so a restored agent takes the norms again from
+W and goes on byte for byte.  What no cycle changes, the two bridges and
+the unit symbols, is drawn from the config's seed when an agent is built,
+and the fold formed from the bridges, so a restore rebuilds it the same
+way; it loads the circuits' weights and draws none.
 """
 
 from __future__ import annotations
@@ -424,7 +422,7 @@ class Agent:
         self.pending = None  # (s, a) awaiting its outcome
         self.last_winner = None
         self.last_energy = 0.0
-        self._journal = None  # what an _atomic block overwrote or rebound; None outside one
+        self._journal = None  # what an _atomic block overwrote; None outside one
 
     # ---------------------------------------------------------------- cycle
 
@@ -533,15 +531,9 @@ class Agent:
     @contextmanager
     def _atomic(self):
         """Roll the whole agent back if the block raises: write back the
-        sensory W and E the update overwrote in place, or rebind those it
-        swapped out, from the block's journal, put back the value each part
-        held before, and drop the circuit's cached norms instead of restoring
-        them.  The journal is dropped when the block ends.  A block inside
-        another captures nothing and shares the outer one's journal: the
-        outer one rolls back."""
-        if self._journal is not None:
-            yield
-            return
+        sensory W and E the update overwrote in place, from the block's
+        journal, and put back the value each part held before (see the
+        module docstring).  The journal is dropped when the block ends."""
         cap = [part.take(self) for part in _STATE]
         self._journal = []
         try:

@@ -102,7 +102,7 @@ def make_split_mnist(images, labels, pairs=DEFAULT_PAIRS, per_task_train=500,
     images = np.asarray(images)
     flat = images.reshape(len(images), -1)
     scaled = images.dtype == np.uint8  # uint8 / 255 always lands in [0, 1]
-    if not scaled and flat.size and (flat.min() < 0.0 or flat.max() > 1.0):
+    if not scaled and flat.size and not (flat.min() >= 0.0 and flat.max() <= 1.0):  # NaN too
         raise ValueError("pixel values outside [0, 1] after scaling")
 
     def rows(picked):

@@ -68,7 +68,6 @@ class CompetitiveGate:
         self.rng = np.random.default_rng(seed)
         self.prototypes = ()
         self.masks = ()
-        self._forms = {}  # unit -> (its mask, the mask's form for a settle); see ``_gating``
         self.saturated = False
 
     @property
@@ -163,16 +162,9 @@ class CompetitiveGate:
         which ``ngc._validate_mask`` would leave: its layers that close a
         unit; a layer whose mask opens every unit gates nothing.  A mask is
         0/1 and as wide as its layer, as ``_fresh_mask`` makes it or a
-        restore checks it, so it is not checked again.  Each unit's form is
-        a cache, kept with the mask it was taken from, and taken again when
-        the unit's mask is another (a unit a rollback dropped, recruited
-        again)."""
-        mask = self.masks[winner]
-        kept = self._forms.get(winner)
-        if kept is None or kept[0] is not mask:
-            kept = self._forms[winner] = mask, {layer: g for layer, g in mask.items()
-                                                if not g.all()}
-        return kept[1]
+        restore checks it, so it is not checked again.  It is taken on each
+        call and kept nowhere, so a rollback has nothing here to undo."""
+        return {layer: g for layer, g in self.masks[winner].items() if not g.all()}
 
 
 class ContextTracker:

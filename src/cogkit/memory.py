@@ -75,8 +75,9 @@ def _wm_encode(buf, item):
 
 def wm_recall(buf: WorkingMemoryBuffer, p, lex: hrr.SymbolLexicon):
     """Recall the item at position ``p`` (1-based) as ``(name, score, probe)``;
-    given a sequence of positions, recall them all as ``(names, scores,
-    probes)`` with one clean-up.
+    given a sequence of positions (a list, tuple, range or array of one
+    dimension; a 0-d array is one position), recall them all as ``(names,
+    scores, probes)`` with one clean-up.
 
     The probe of position p is the buffer un-permuted by p, byte-equal to
     ``np.roll(buf.m, -p)``; the probes of a sequence are the C-ordered rows
@@ -87,6 +88,8 @@ def wm_recall(buf: WorkingMemoryBuffer, p, lex: hrr.SymbolLexicon):
     bool, raises ``TypeError``; one outside ``1..buf.position``, no position
     at all, or a buffer holding NaN or inf raises ``ValueError``.
     """
+    if isinstance(p, np.ndarray) and p.ndim == 0:
+        p = p[()]  # one position, as its scalar
     single = not isinstance(p, (list, tuple, range, np.ndarray))
     positions = (p,) if single else p
     if len(positions) == 0:

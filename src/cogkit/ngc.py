@@ -17,14 +17,14 @@ A mask is 0/1, so ``update_weights`` writes only the open units' columns
 and rows (see ``_open_units``), into the live W and E, saving what it
 overwrites in a journal first, so a caller can undo it (``undo``); it
 updates W's open columns in a C-ordered block and writes them back once.
-The agent's sensory circuit learns that way, inside the rollback block of
-a cycle.  A layer with no mask changes every entry, so its update writes
-into nothing: it forms the new W and E as new arrays and rebinds the
-layer's entries of the circuit's lists, journaling the old arrays, which
-stay as they were; without a journal it rebinds the lists of a new
-circuit, which it returns.  With one hidden layer and a clamped input, a
-closed unit starts at 0 and stays there, so ``settle`` works on the open
-units alone.  A mask with every unit open is no mask at all and is dropped.
+A layer with no mask changes every entry, so its update writes into
+nothing: it forms the new W and E as new arrays.  Either way the update
+returns a new circuit with its own lists and cache, and a rollback is
+``undo`` plus keeping the old circuit.  The agent's sensory circuit learns
+that way, inside the rollback block of a cycle.  With one hidden layer and
+a clamped input, a closed unit starts at 0 and stays there, so ``settle``
+works on the open units alone.  A mask with every unit open is no mask at
+all and is dropped.
 
 ``settle`` checks its arguments (``_checked``) and runs ``_settle``, which
 checks nothing; the agent settles the observations it checked and the
@@ -44,12 +44,12 @@ energy.
 Weight matrices are kept in C order: an update keeps W and E C-ordered, as
 a restore makes them, so a restored circuit sums its products in the order
 the live one does and resumes byte for byte.  A masked, clipped update
-keeps W's column norms with the circuit and takes them again only where W
-changed, in a layout that gives the whole matrix's bits; E's it takes from
-E itself each time, in one pass that forms no squares.  The norms are a
-plain cache, written in place: a new or restored circuit has none, nor has
-a layer after ``undo``, so the next update takes them from W, and they
-never alter a byte.
+keeps W's column norms with the circuit it returns and takes them again
+only where W changed, in a layout that gives the whole matrix's bits; E's
+it takes from E itself each time, in one pass that forms no squares.  The
+norms are a plain cache that no update writes into: the old circuit's stay
+exact for the W that ``undo`` gives back, a new or restored circuit has
+none, so its first update takes them from W, and they never alter a byte.
 """
 
 from __future__ import annotations
@@ -87,8 +87,8 @@ class NgcCircuit:
     K: int = 50
     # W[ell]'s column norms by layer, NaN where the last clip divided the
     # column, as a masked update with a clip leaves them (see
-    # ``update_weights``); a cache, taken from W where a layer has none
-    # (None), as in a new circuit
+    # ``update_weights``); a cache, taken from W where a layer has none, as
+    # in a new circuit
     norms: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
@@ -415,8 +415,8 @@ def _settle_loop(circuit, state):
 
 
 def update_weights(circuit, state, eta_W, eta_E, clip=False, journal=None):
-    """Apply local Hebbian updates: into ``circuit`` itself given a
-    ``journal``, else into a new circuit, which is returned.
+    """Apply local Hebbian updates and return a new circuit with its own
+    ``W`` and ``E`` lists and its own ``norms``.
 
     For each layer the raw change is the outer product of the error below
     with the gated activity above; W gets eta_W times it and E gets eta_E
@@ -428,41 +428,36 @@ def update_weights(circuit, state, eta_W, eta_E, clip=False, journal=None):
     or not.
 
     A layer with no mask changes every entry, so it swaps: ``_swapped``
-    forms its new W and E as new C-ordered arrays, and the layer's entries
-    of ``circuit.W`` and ``circuit.E`` are rebound to them; the old arrays
-    are never written.  Given a list ``journal``, the update appends
-    ``(circuit.W, ell, old W)`` and ``(circuit.E, ell, old E)`` to it and
-    rebinds the circuit's own lists.  Without one it rebinds the lists of a
-    new circuit, which it returns, and ``circuit`` is left as it was.
+    forms its new W and E as new C-ordered arrays for the new circuit, and
+    ``circuit``'s arrays are never written.
 
     A masked layer changes only the columns of W and rows of E that its mask
     opens (every other entry would gain exactly 0) and writes them in place,
-    so it needs a journal: without one the update raises ``ValueError``.  W
-    and E must be C-ordered and writeable.  Before each write the update
-    appends ``(array, index, saved)`` to the journal, with ``saved`` a copy
-    of ``array[index]``: the open block of W and E, and each other column a
-    clip divides (see ``_clip``).  The saved block of W is a C-ordered copy;
-    the change is formed beside it in one contiguous outer product, scaled
-    and added to the block in place, then clipped and written back once.
+    into the arrays both circuits hold, so it needs a list ``journal``:
+    without one the update raises ``ValueError``.  W and E must be C-ordered
+    and writeable.  Before each write the update appends ``(array, index,
+    saved)`` to the journal, with ``saved`` a copy of ``array[index]``: the
+    open block of W and E, and each other column a clip divides (see
+    ``_clip``).  The saved block of W is a C-ordered copy; the change is
+    formed beside it in one contiguous outer product, scaled and added to
+    the block in place, then clipped and written back once.
+    ``undo(journal)`` writes them all back, so W and E end as they were;
+    until then ``circuit`` holds the new values too, so the next update is
+    of the new circuit.
 
-    Before those, for each layer, the update appends the mark
-    ``(circuit.norms, ell, None)``.  ``undo(journal)`` writes them all
-    back: W and E end as they were, and the layer has no cache.
-
-    A masked, clipped layer caches W's column norms in ``circuit.norms``,
-    NaN for each column its clip divided.  The next such update takes them
-    again only for its open columns and the NaN ones (all of them, when the
-    layer has no cache), writing them in place.  E's column norms it takes
+    A masked, clipped layer keeps W's column norms in the new circuit's
+    ``norms``, NaN for each column its clip divided: a copy of
+    ``circuit.norms[ell]`` with the open columns and the NaN ones (all of
+    them, when ``circuit`` has none) taken again.  E's column norms it takes
     from the whole of E after E's rows are written, in one pass.  Both give
-    the bits the whole matrix would (see ``_column_norms``).  An update
-    without a mask or a clip drops the cache, so such a layer caches
-    nothing.  The journal holds no copy of it: a rollback drops it.
+    the bits the whole matrix would (see ``_column_norms``).  ``circuit``'s
+    own norms are never written, so they stay exact for the W that ``undo``
+    restores; any other layer of the new circuit has none.
     """
-    if journal is None:
-        if state.mask:
-            raise ValueError("a masked update writes W and E in place; it needs a journal")
-        circuit = NgcCircuit(circuit.sizes, list(circuit.W), list(circuit.E),
-                             circuit.beta, circuit.gamma, circuit.K)
+    if journal is None and state.mask:
+        raise ValueError("a masked update writes W and E in place; it needs a journal")
+    out = NgcCircuit(circuit.sizes, list(circuit.W), list(circuit.E),
+                     circuit.beta, circuit.gamma, circuit.K)
 
     def save(M, index):
         journal.append((M, index, M[index].copy()))
@@ -470,15 +465,9 @@ def update_weights(circuit, state, eta_W, eta_E, clip=False, journal=None):
     for ell in range(1, circuit.L + 1):
         W, E, g = circuit.W[ell], circuit.E[ell], state.mask.get(ell)
         below = _gate(state, ell - 1, state.e[ell - 1])
-        norms = circuit.norms.get(ell) if clip else None
-        circuit.norms[ell] = None
-        if journal is not None:  # a rollback leaves the layer with no cache
-            journal.append((circuit.norms, ell, None))
         if g is None:
-            new = _swapped(W, E, phi(state.z[ell]), below, eta_W, eta_E, clip)
-            if journal is not None:
-                journal += [(circuit.W, ell, W), (circuit.E, ell, E)]
-            circuit.W[ell], circuit.E[ell] = new
+            out.W[ell], out.E[ell] = _swapped(W, E, phi(state.z[ell]), below,
+                                              eta_W, eta_E, clip)
             continue
         opened = _open_units(g)
         pre = phi(state.z[ell][opened])
@@ -488,13 +477,14 @@ def update_weights(circuit, state, eta_W, eta_E, clip=False, journal=None):
         new *= eta_W
         new += block  # the block's sum: float addition commutes
         if clip:  # take again the open columns and those a clip divided
-            if norms is None:
-                norms = np.full(W.shape[1], np.nan)
+            kept = circuit.norms.get(ell)
+            norms = np.full(W.shape[1], np.nan) if kept is None else kept.copy()
             norms[opened] = _column_norms(new, W.shape[1])
             stale = np.flatnonzero(np.isnan(norms))
             if stale.size:
                 norms[stale] = _column_norms(W.take(stale, axis=1), W.shape[1])
             norms[_clip(W, norms, save, opened, new)] = np.nan
+            out.norms[ell] = norms
         W[:, opened] = new
         del new
         save(E, opened)
@@ -503,8 +493,7 @@ def update_weights(circuit, state, eta_W, eta_E, clip=False, journal=None):
         E[opened] += delta
         if clip:
             _clip(E, _column_norms(E, E.shape[1]), save)
-        circuit.norms[ell] = norms
-    return circuit
+    return out
 
 
 def _outer(a, b):
@@ -597,7 +586,6 @@ def _column_norms(block, width):
 
 def undo(journal):
     """Write back what ``update_weights`` saved in ``journal``, the latest
-    first, so W and E end as they were before the first write; its marks
-    leave each layer it touched with no cached norms."""
+    first, so W and E end as they were before the first write."""
     for target, index, saved in reversed(journal):
         target[index] = saved

@@ -26,7 +26,7 @@ def make_split_mnist(images, labels, pairs=DEFAULT_PAIRS, per_task_train=500,
     x = images.reshape(len(images), -1).astype(float)
     if images.dtype == np.uint8:
         x /= 255.0
-    if x.size and (x.min() < 0.0 or x.max() > 1.0):
+    if x.size and not (x.min() >= 0.0 and x.max() <= 1.0):  # NaN is outside too
         raise ValueError("pixel values outside [0, 1] after scaling")
     y = np.asarray(labels).astype(int).ravel()
     if len(x) != len(y):

@@ -16,6 +16,7 @@ from cogkit.motor import MotorCircuit
 from cogkit.snapshot import SnapshotError, read_snapshot, write_snapshot
 
 from test_acceptance import CONTINUAL_CFG
+from test_ngc import _cache_is_exact
 
 
 def small_config(**kw):
@@ -333,8 +334,8 @@ def _arrays_in(value):
 
 def test_a_step_rebinds_state_parts_and_writes_only_into_sensory_weights():
     # the rollback invariant: capturing each _STATE part by reference, plus
-    # the journal of what the sensory update writes in place or rebinds, is
-    # enough; a gated agent and an ungated one (``mask_p`` 1)
+    # the journal of what the sensory update writes in place, is enough; a
+    # gated agent and an ungated one (``mask_p`` 1)
     for mask_p in (0.5, 1.0):
         a = Agent(small_config(seed=29, M_max=2, replay_capacity=8, replay_samples=2,
                                mask_p=mask_p))
@@ -370,19 +371,19 @@ def test_a_step_rebinds_state_parts_and_writes_only_into_sensory_weights():
         assert a.gate.active_count == 2 and a.gate.saturated
         assert len(a.motor.replay) == 8 and a.pending is None
         # each part's ``take`` is ``attrgetter(path)``, which pickles as its
-        # path; every part but the sensory circuit is rebound, and each is reached
-        assert rebound == {part.take.__reduce__()[1][0] for part in _STATE} - {"sensory"}
+        # path; every part is rebound, the sensory circuit too, and each is reached
+        assert rebound == {part.take.__reduce__()[1][0] for part in _STATE}
         if mask_p < 1.0:
-            # the sensory circuit is the one value written into: its W and E,
-            # and the norms of W it caches for its masked updates, only; no
-            # step rebinds its W or E
-            weights = [*a.sensory.W[1:], *a.sensory.E[1:], a.sensory.norms[1]]
-            assert {id(v) for v in written} == {id(w) for w in weights}
+            # the sensory W and E are the only values written into, not the
+            # norms of W the old circuit caches; no step puts new W or E in
+            # the new circuit's lists
+            assert {id(v) for v in written} == {id(w) for w in (*a.sensory.W[1:],
+                                                                *a.sensory.E[1:])}
             assert not any(map(any, swaps))
         else:
-            # an ungated step writes into nothing: each sensory update rebinds
-            # the circuit's W[1] and E[1] to new arrays, and a finish learns
-            # only in the motor head
+            # an ungated step writes into nothing: each sensory update puts
+            # new W[1] and E[1] in the new circuit's lists, and a finish
+            # learns only in the motor head
             assert written == []
             assert swaps == [[False, True, False, True]] * 51 + [[False] * 4]
 
@@ -763,35 +764,52 @@ def test_restore_names_a_damaged_rng_state(entry, damage):
 
 def test_gated_wide_agent_rolls_back_a_failed_motor_update(monkeypatch):
     # 784 -> 256 with a quarter of the units open: the sensory update takes
-    # the open-unit path, then the motor's update fails
+    # the open-unit path and returns a new circuit, then the motor's update
+    # fails; the rolled-back agent holds the pre-cycle circuit, whose cache
+    # is exact for its W, and goes on as a twin that never ran the failing
+    # cycle
     a = Agent(small_config(obs_dim=784, sensory_hidden=(256,), sensory_K=30,
                            mask_mode="blocks", mask_p=0.25, seed=31))
-    stream = obs_stream(6, seed=12, dim=784)
+    stream = obs_stream(26, seed=12, dim=784)
     for x in stream[:5]:
         a.cycle(x, r_env=0.1)
     before = a.snapshot()
     twin = Agent.restore(before)
     sensory_before = a.sensory
-    calls = []
+    update, returned, targets = ngc.update_weights, [], []
 
-    def failing_update(*args, **kwargs):
-        calls.append(None)
-        raise RuntimeError("injected")
+    def traced(circuit, *args, journal, **kwargs):
+        n = len(journal)
+        new = update(circuit, *args, journal=journal, **kwargs)
+        returned.append(new is not circuit)
+        arrays = [*new.W[1:], *new.E[1:]]
+        targets.extend(any(target is M for M in arrays) for target, _, _ in journal[n:])
+        return new
 
-    monkeypatch.setattr(ngc, "_swapped", failing_update)
+    calls = _fail_on_call(monkeypatch, ngc, "_swapped", 1)  # the motor's
+    monkeypatch.setattr(ngc, "update_weights", traced)
     with pytest.raises(RuntimeError, match="injected"):
         a.cycle(stream[5], r_env=1.0)
-    monkeypatch.undo()
-    assert len(calls) == 1 and a.sensory is sensory_before
+    assert returned == [True] and len(calls) == 1
+    assert a.sensory is sensory_before and a.sensory.norms[1] is not None
+    assert _cache_is_exact(a.sensory)
     assert a.snapshot() == before
-    assert a.cycle(stream[5], r_env=1.0) == twin.cycle(stream[5], r_env=1.0)
-    assert a.snapshot() == twin.snapshot()
+    monkeypatch.undo()
+    monkeypatch.setattr(ngc, "update_weights", traced)
+    for x in stream[6:]:
+        assert a.cycle(x, r_env=1.0) == twin.cycle(x, r_env=1.0)
+        assert a.snapshot() == twin.snapshot()
+    monkeypatch.undo()
+    # every update returned a new circuit, and every entry of its journal
+    # is a W[ell] or E[ell] array
+    assert len(returned) == 1 + 20 + 20 and all(returned)
+    assert targets and all(targets)
 
 
 def test_ungated_agent_rolls_back_a_fault_after_its_sensory_update(monkeypatch):
-    # 784 -> 256 with every unit open (mask_p 1): the sensory update swaps new
-    # W and E into the circuit, then the cycle fails; a rollback rebinds the
-    # old arrays, which the update never wrote
+    # 784 -> 256 with every unit open (mask_p 1): the sensory update puts new
+    # W and E in a new circuit, then the motor's update fails; a rollback
+    # puts back the old circuit, whose arrays the update never wrote
     a = Agent(small_config(obs_dim=784, sensory_hidden=(256,), sensory_K=30, mask_p=1.0,
                            seed=31))
     stream = obs_stream(6, seed=12, dim=784)
@@ -799,20 +817,23 @@ def test_ungated_agent_rolls_back_a_fault_after_its_sensory_update(monkeypatch):
         a.cycle(x, r_env=0.1)
     before = a.snapshot()
     twin = Agent.restore(before)
+    sensory_before = a.sensory
     W, E = a.sensory.W[1], a.sensory.E[1]
     held = [W.tobytes(), E.tobytes()]
     update, swapped = ngc.update_weights, []
 
-    def update_then_fail(circuit, *args, **kwargs):
-        update(circuit, *args, **kwargs)
-        swapped.append(circuit.W[1] is not W and circuit.E[1] is not E)
-        raise RuntimeError("injected")
+    def update_and_record(circuit, *args, journal, **kwargs):
+        new = update(circuit, *args, journal=journal, **kwargs)
+        swapped.append((new.W[1] is not W and new.E[1] is not E, journal == []))
+        return new
 
-    monkeypatch.setattr(ngc, "update_weights", update_then_fail)
+    monkeypatch.setattr(ngc, "update_weights", update_and_record)
+    calls = _fail_on_call(monkeypatch, ngc, "_swapped", 2)  # the sensory swap, then the motor's
     with pytest.raises(RuntimeError, match="injected"):
         a.cycle(stream[5], r_env=1.0)
     monkeypatch.undo()
-    assert swapped == [True]
+    assert swapped == [(True, True)] and len(calls) == 2
+    assert a.sensory is sensory_before
     assert a.sensory.W[1] is W and a.sensory.E[1] is E
     assert [W.tobytes(), E.tobytes()] == held
     assert a.snapshot() == before
@@ -832,12 +853,13 @@ def test_gated_wide_agent_rolls_back_a_clip_that_fails_after_w_is_written(monkey
     before = a.snapshot()
     twin = Agent.restore(before)
     assert twin.sensory.norms == {}  # derived, so never stored
+    sensory_before = a.sensory
     calls = _fail_on_call(monkeypatch, ngc, "_clip", 2)
     with pytest.raises(RuntimeError, match="injected"):
         a.cycle(stream[5], r_env=1.0)
     monkeypatch.undo()
-    assert len(calls) == 2  # a rollback drops the layer's cache
-    assert a.sensory.norms.get(1) is None
+    assert len(calls) == 2
+    assert a.sensory is sensory_before and _cache_is_exact(a.sensory)  # a rollback keeps it
     assert a.snapshot() == before
     for x in stream[5:]:
         assert a.cycle(x, r_env=1.0) == twin.cycle(x, r_env=1.0)
@@ -861,7 +883,7 @@ def test_a_gated_agent_update_forms_no_array_the_size_of_e_and_a_restore_caches_
         tracemalloc.reset_peak()
         start = tracemalloc.get_traced_memory()[0]
         out = update(*args, journal=journal, **kwargs)
-        held = sum(saved.nbytes for _, _, saved in journal[n:] if saved is not None)
+        held = sum(saved.nbytes for _, _, saved in journal[n:])
         formed.append(tracemalloc.get_traced_memory()[1] - start - held)
         return out
 

@@ -453,7 +453,9 @@ def test_a_units_gating_is_the_validated_mask_and_follows_a_new_mask():
         form = gate._gating(k)
         assert form.keys() == ngc._validate_mask(circuit, gate.mask_for(k)).keys() == {1, 2}
         assert all(form[ell] is gate.mask_for(k)[ell] for ell in form)
-        assert gate._gating(k) is form  # kept, not taken again
+        again = gate._gating(k)  # taken again, from the same mask arrays
+        assert again is not form and again.keys() == form.keys()
+        assert all(again[ell] is form[ell] for ell in form)
     # a rollback drops unit 2 and a recruit makes another: its form follows
     gate.masks, gate.prototypes = gate.masks[:2], gate.prototypes[:2]
     gate.select_or_recruit(np.full(2, 9.0))

@@ -244,7 +244,7 @@ def test_split_matches_scaling_the_whole_set(kind, seed):
             _same_array(getattr(g, name), getattr(w, name))
 
 
-@pytest.mark.parametrize("bad", [1.5, -0.25])
+@pytest.mark.parametrize("bad", [1.5, -0.25, np.inf, np.nan])
 def test_an_out_of_range_pixel_in_a_row_no_task_keeps_raises(bad):
     images, labels = make_synthetic_digits(per_class=20, seed=0)
     images = images / 255.0

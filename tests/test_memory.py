@@ -155,6 +155,16 @@ def test_recall_positions_are_whole_numbers(p):
         wm_recall(buf, p, lex)
 
 
+def test_a_zero_dimensional_position_is_one_position():
+    lex = make_lex(3, 16)
+    buf = _buffer(lex, 16, 3, seed=4)
+    name, score, probe = wm_recall(buf, np.array(1), lex)
+    assert (name, score) == wm_recall(buf, 1, lex)[:2]
+    assert probe.tobytes() == wm_recall(buf, 1, lex)[2].tobytes()
+    with pytest.raises(TypeError, match="'p'"):
+        wm_recall(buf, np.array(True), lex)
+
+
 def test_recall_positions_in_a_sequence_are_in_range():
     lex = make_lex(3, 16)
     buf = _buffer(lex, 16, 3, seed=5)

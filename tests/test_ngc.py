@@ -217,13 +217,14 @@ def fd_gradient(circuit, state, ell, h=1e-6):
 
 
 def _journaled(c, state, **kwargs):
-    """``update_weights`` with a journal, as a masked update needs, into a
+    """``update_weights`` with a journal, as a masked update needs, of a
     copy of ``c`` whose W and E are C-ordered and writeable, so that ``c``
-    is left as it was; returns the copy."""
+    is left as it was; returns the new circuit, never the copy."""
     copy = replace(c, W=[None, *(np.array(M) for M in c.W[1:])],
                    E=[None, *(np.array(M) for M in c.E[1:])])
-    assert update_weights(copy, state, journal=[], **kwargs) is copy
-    return copy
+    new = update_weights(copy, state, journal=[], **kwargs)
+    assert new is not copy and new.W is not copy.W and new.norms is not copy.norms
+    return new
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -558,15 +559,26 @@ def test_a_masked_update_of_a_one_column_matrix_matches_the_reference(sizes, uni
         for _ in range(3):
             state = settle(c, clamps={0: rng.normal(size=sizes[0])}, mask={1: g})
             want = reference_ngc.update_weights(c, state, eta_W=0.3, eta_E=0.2, clip=True)
-            update_weights(c, state, eta_W=0.3, eta_E=0.2, clip=True, journal=[])
+            c = update_weights(c, state, eta_W=0.3, eta_E=0.2, clip=True, journal=[])
             assert c.W[1].tobytes() == want.W[1].tobytes()
             assert c.E[1].tobytes() == want.E[1].tobytes()
 
 
+def _cache_is_exact(c):
+    """Whether ``c``'s cached column norms of W[1], where it has them, are
+    the bits of W[1]'s own at every column not marked NaN."""
+    cached = c.norms.get(1)
+    if cached is None:
+        return True
+    W, kept = c.W[1], ~np.isnan(cached)
+    return cached[kept].tobytes() == ngc._column_norms(W, W.shape[1])[kept].tobytes()
+
+
 def test_journaled_updates_match_the_reference_step_after_step():
-    # 60 journaled updates of one circuit, each from the state settled on it,
-    # under a mask that switches between two blocks, scattered units, one
-    # unit and none; ten times the weights makes closed columns clip too
+    # 60 journaled updates, each of the circuit the last one returned and
+    # from the state settled on it, under a mask that switches between two
+    # blocks, scattered units, one unit and none; ten times the weights
+    # makes closed columns clip too
     rng = np.random.default_rng(5)
     c = init_circuit([48, 24], seed=19, K=10, sigma=0.5)
     c = replace(c, W=[None, 10 * c.W[1]], E=[None, 10 * c.E[1]])
@@ -583,34 +595,39 @@ def test_journaled_updates_match_the_reference_step_after_step():
         unclipped = reference_ngc.update_weights(c, state, eta_W=0.3, eta_E=0.2)
         divided = np.linalg.norm(unclipped.W[1], axis=0) > 1.0
         W, E = c.W[1], c.E[1]
+        kept = {ell: v.tobytes() for ell, v in c.norms.items()}
         start = [W.tobytes(), E.tobytes()]
-        for again in (False, True):  # the update, undone, then made again from no cache
+        for again in (False, True):  # the update, undone, then made again from c
             journal = []
-            assert update_weights(c, state, eta_W=0.3, eta_E=0.2, clip=True,
-                                  journal=journal) is c
-            assert np.array_equal(c.W[1], want.W[1]), name
-            assert np.array_equal(c.E[1], want.E[1]), name
+            new = update_weights(c, state, eta_W=0.3, eta_E=0.2, clip=True, journal=journal)
+            assert new is not c and new.W is not c.W and new.norms is not c.norms
+            assert np.array_equal(new.W[1], want.W[1]), name
+            assert np.array_equal(new.E[1], want.E[1]), name
+            # the old circuit's cache is never written
+            assert {ell: v.tobytes() for ell, v in c.norms.items()} == kept
             if mask is None:  # swapped in: new arrays, the old ones unwritten, no cache
-                assert c.W[1] is not W and c.E[1] is not E
-                assert c.W[1].flags.c_contiguous and c.E[1].flags.c_contiguous
+                assert journal == []
+                assert new.W[1] is not W and new.E[1] is not E
+                assert new.W[1].flags.c_contiguous and new.E[1].flags.c_contiguous
                 assert W.tobytes() == start[0] and E.tobytes() == start[1]
-                assert c.norms.get(1) is None
+                assert new.norms == {}
             else:  # written in place; NaN marks each column the clip divided
-                assert c.W[1] is W and c.E[1] is E
-                cached, full = c.norms[1], np.sqrt(np.add.reduce(W * W, axis=0))
+                assert new.W[1] is W and new.E[1] is E
+                cached, full = new.norms[1], np.sqrt(np.add.reduce(W * W, axis=0))
                 assert np.array_equal(np.isnan(cached), divided), name
                 assert np.array_equal(cached[~divided], full[~divided]), name
             if not again:
                 ngc.undo(journal)
                 assert c.W[1] is W and c.E[1] is E
                 assert W.tobytes() == start[0] and E.tobytes() == start[1]
-                assert c.norms.get(1) is None  # a rollback drops them
+                assert _cache_is_exact(c), name  # exact for the W written back
+        c = new
     assert set(names) == set(masks)
     assert replace(c).norms == {}  # as a restore builds it
 
 
-def test_a_journal_holds_slices_of_w_and_e_and_no_cache_marks_only():
-    # a masked, clipped update whose layer already caches norms;
+def test_a_journal_holds_slices_of_w_and_e_only():
+    # masked, clipped updates, the second of a circuit that caches norms;
     # ten times the weights makes open and closed columns clip
     c = init_circuit([24, 16], seed=7, sigma=0.5)
     c = replace(c, W=[None, 10 * c.W[1]], E=[None, 10 * c.E[1]])
@@ -620,14 +637,12 @@ def test_a_journal_holds_slices_of_w_and_e_and_no_cache_marks_only():
     for _ in range(2):
         journal = []
         state = settle(c, clamps={0: rng.normal(size=24)}, mask={1: g})
-        update_weights(c, state, eta_W=0.3, eta_E=0.2, clip=True, journal=journal)
-    assert c.norms[1] is not None
-    for target, index, saved in journal:
-        if target is c.W[1] or target is c.E[1]:
+        c = update_weights(c, state, eta_W=0.3, eta_E=0.2, clip=True, journal=journal)
+        assert c.norms[1] is not None
+        for target, index, saved in journal:
+            assert target is c.W[1] or target is c.E[1]
             assert saved.shape == target[index].shape
-        else:  # a no-cache mark: nothing else, and no copy of a cache
-            assert target is c.norms and index == 1 and saved is None
-    assert sum(target is c.W[1] or target is c.E[1] for target, _, _ in journal) >= 3
+    assert len(journal) >= 3
 
 
 def test_an_update_without_a_journal_leaves_its_circuit_as_it_was():
@@ -637,7 +652,7 @@ def test_an_update_without_a_journal_leaves_its_circuit_as_it_was():
     g = np.zeros(12)
     g[2:6] = 1.0
     state = settle(c, clamps={0: np.ones(16)}, mask={1: g})
-    assert update_weights(c, state, eta_W=0.3, eta_E=0.2, clip=True, journal=[]) is c
+    c = update_weights(c, state, eta_W=0.3, eta_E=0.2, clip=True, journal=[])
     W, E, norms = c.W[1], c.E[1], c.norms[1]
     held = [(M, M.tobytes()) for M in (W, E, norms)]
     with pytest.raises(ValueError, match="a masked update writes W and E in place; "
@@ -651,7 +666,7 @@ def test_an_update_without_a_journal_leaves_its_circuit_as_it_was():
     want = reference_ngc.update_weights(c, unmasked, eta_W=0.3, eta_E=0.2, clip=True)
     assert new is not c and new.W[1] is not W and new.E[1] is not E
     assert np.array_equal(new.W[1], want.W[1]) and np.array_equal(new.E[1], want.E[1])
-    assert new.norms.get(1) is None
+    assert new.norms == {}
 
 
 def _record_phi(monkeypatch):
