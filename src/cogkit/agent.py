@@ -44,17 +44,16 @@ attribute paths that drives rollback, each with the rows of the snapshot
 entries that hold it, which drive snapshot and restore.  A cycle replaces
 each of those values and writes into none, except the sensory circuit's
 ``W[ell]`` and ``E[ell]`` under a mask: a masked update writes their open
-columns and rows, and the columns a clip divides, in place, after
-appending what it overwrites to the block's journal.  The update still
-returns a new circuit, so the old one, with its cached column norms, is
-left as it was.  One rule undoes a cycle: a rollback writes W and E back
-from the journal, latest first, and puts back every captured reference,
-the old circuit among them, whose cache is exact for the W written back.
-A snapshot stores no cache, so a restored agent takes the norms again from
-W and goes on byte for byte.  What no cycle changes, the two bridges and
-the unit symbols, is drawn from the config's seed when an agent is built,
-and the fold formed from the bridges, so a restore rebuilds it the same
-way; it loads the circuits' weights and draws none.
+columns and rows, and the columns a clip divides, in place.  One rule
+undoes a cycle: the sensory update is the last step of ``cycle``,
+``supervised_step`` and ``perceive``, and it undoes its own writes if it
+fails (``ngc.update_weights``), so a rollback only puts back every captured
+reference.  The update returns a new circuit, which takes over the cache of
+W's column norms.  A snapshot stores no cache, so a restored agent takes
+the norms again from W and goes on byte for byte.  What no cycle changes,
+the two bridges and the unit symbols, is drawn from the config's seed when
+an agent is built, and the fold formed from the bridges, so a restore
+rebuilds it the same way; it loads the circuits' weights and draws none.
 """
 
 from __future__ import annotations
@@ -422,7 +421,6 @@ class Agent:
         self.pending = None  # (s, a) awaiting its outcome
         self.last_winner = None
         self.last_energy = 0.0
-        self._journal = None  # what an _atomic block overwrote; None outside one
 
     # ---------------------------------------------------------------- cycle
 
@@ -456,14 +454,17 @@ class Agent:
         agent is rolled back, as by a cycle.
         """
         with self._atomic():
-            return self._perceive(obs)
+            settled, out = self._perceive(obs)
+            self._update_sensory(settled)
+            return out
 
     def _perceive(self, obs, folded=False):
-        """``perceive`` inside a rollback block; when ``folded`` it returns
-        the motor state through ``fold`` and leaves the perception buffer as
-        it was.  The caller's ``obs`` is checked here, its shape by the
-        tracker and its values by ``_percept``, where the settle checked them;
-        the context it makes is checked once, by the gate's first call."""
+        """``perceive`` inside a rollback block, but for the sensory update:
+        returns the settled state to learn from and the percept, or when
+        ``folded`` the motor state through ``fold``, leaving the perception
+        buffer as it was.  The caller's ``obs`` is checked here, its shape by
+        the tracker and its values by ``_percept``, where the settle checked
+        them; the context it makes is checked once, by the gate's first call."""
         context = self.tracker.update(obs)
         if self.gate.active_count and len(self.tracker) < self.config.context_window:
             # novelty is undefined while the running mean is still forming;
@@ -474,27 +475,27 @@ class Agent:
         self.gate._update_winner(winner, context)
         x = np.asarray(obs, dtype=float)
         settled, out = self._percept(x, self.gate._gating(winner), folded)
-        self.sensory = ngc.update_weights(
-            self.sensory,
-            settled,
-            self.config.sensory_eta_W,
-            self.config.sensory_eta_E,
-            clip=self.config.sensory_clip,
-            journal=self._journal,
-        )
         if not folded:
             self.perception = out
         self.last_energy = settled.energy
         self.last_winner = winner
-        return out
+        return settled, out
+
+    def _update_sensory(self, settled):
+        """Learn the sensory circuit from ``settled``, as the last step of a
+        block: ``ngc.update_weights`` undoes its own writes if it fails."""
+        c = self.config
+        self.sensory = ngc.update_weights(self.sensory, settled, c.sensory_eta_W,
+                                          c.sensory_eta_E, clip=c.sensory_clip)
 
     def _sense(self, obs):
-        """Perceive, route from the previous winner; returns the motor state."""
+        """Perceive, route from the previous winner; returns the settled state
+        and the motor state."""
         prev_winner = self.last_winner
         folded = self.fold is not None
-        out = self._perceive(obs, folded)
+        settled, out = self._perceive(obs, folded)
         self._route(prev_winner, self.last_winner)
-        return out if folded else self._motor_state(out)
+        return settled, out if folded else self._motor_state(out)
 
     def _learn(self, r_env, s_next, done, q_next=None):
         """Complete the pending transition, learn from it and clear it; of
@@ -524,25 +525,20 @@ class Agent:
                 self.retrieval = blend / n
 
     def _rollback(self, cap):
-        ngc.undo(self._journal)
         for part, value in zip(_STATE, cap):
             part.put(self, value)
 
     @contextmanager
     def _atomic(self):
-        """Roll the whole agent back if the block raises: write back the
-        sensory W and E the update overwrote in place, from the block's
-        journal, and put back the value each part held before (see the
-        module docstring).  The journal is dropped when the block ends."""
+        """Roll the whole agent back if the block raises: put back the value
+        each part held before (see the module docstring).  A block's last
+        step is its sensory update, which undoes its own writes if it fails."""
         cap = [part.take(self) for part in _STATE]
-        self._journal = []
         try:
             yield
         except Exception:
             self._rollback(cap)
             raise
-        finally:
-            self._journal = None
 
     def cycle(self, obs, r_env=0.0, done=False):
         """One full cognitive cycle; returns the chosen action.
@@ -552,7 +548,7 @@ class Agent:
         chosen.  On any component failure the agent state is rolled back.
         """
         with self._atomic():
-            s = self._sense(obs)
+            settled, s = self._sense(obs)
             q = self.motor._q_values(s)
             c = self.config
             eps = epsilon_at(self.step, c.horizon, c.eps_start, c.eps_end, c.eps_decay_frac)
@@ -561,6 +557,7 @@ class Agent:
                 self._learn(r_env, s, done, q_next=None if done else q)
             self.pending = None if done else (s, action)
             self.step += 1
+            self._update_sensory(settled)
             return action
 
     def supervised_step(self, obs, targets):
@@ -569,11 +566,12 @@ class Agent:
         running the reward loop.  Returns the greedy action for the
         freshly regressed head."""
         with self._atomic():
-            s = self._sense(obs)
+            settled, s = self._sense(obs)
             self.motor._regress(s, targets)
-            q = self.motor._q_values(s)
+            action = greedy_action(self.motor._q_values(s))
             self.step += 1
-            return greedy_action(q)
+            self._update_sensory(settled)
+            return action
 
     def finish(self, r_env, done=True):
         """Flush the pending transition when a stream ends without a

@@ -15,9 +15,9 @@ every other unit.  Such a head computes both directly, without a settle,
 and learns by swapping in new ``W[1]`` and ``E[1]`` built by ``ngc._swapped``,
 the step ``ngc.update_weights`` takes for every layer without a mask: the
 same checks, messages and element-wise sums, so the same bytes.  A head
-with hidden layers settles and learns through ``ngc``; its update, given no
-journal, swaps new arrays into a new circuit.  Either way a learn step
-writes into no array and replaces the circuit.
+with hidden layers settles and learns through ``ngc``, whose update swaps
+new arrays into a new circuit for a layer with no mask.  Either way a learn
+step writes into no array and replaces the circuit: a rollback puts it back.
 
 ``q_values``, ``learn`` and ``regress`` check what their caller gives them
 and run ``_q_values``, ``_learn`` and ``_regress``, which the agent calls on
@@ -54,7 +54,7 @@ def greedy_action(q):
 
 def epistemic_reward(sensory_energy, alpha_e, r_clip):
     """Clipped curiosity bonus: min(alpha_e * energy, r_clip)."""
-    if sensory_energy < 0:
+    if not 0 <= sensory_energy < np.inf:  # also false for NaN
         raise ValueError(f"sensory energy must be >= 0, got {sensory_energy}")
     return min(alpha_e * sensory_energy, r_clip)
 

@@ -14,17 +14,16 @@ receive exactly zero change, which is what makes task-specific subnetworks
 non-interfering.
 
 A mask is 0/1, so ``update_weights`` writes only the open units' columns
-and rows (see ``_open_units``), into the live W and E, saving what it
-overwrites in a journal first, so a caller can undo it (``undo``); it
-updates W's open columns in a C-ordered block and writes them back once.
-A layer with no mask changes every entry, so its update writes into
-nothing: it forms the new W and E as new arrays.  Either way the update
-returns a new circuit with its own lists and cache, and a rollback is
-``undo`` plus keeping the old circuit.  The agent's sensory circuit learns
-that way, inside the rollback block of a cycle.  With one hidden layer and
-a clamped input, a closed unit starts at 0 and stays there, so ``settle``
-works on the open units alone.  A mask with every unit open is no mask at
-all and is dropped.
+and rows (see ``_open_units``), into the live W and E; it updates W's open
+columns in a C-ordered block and writes them back once.  A layer with no
+mask changes every entry, so its update writes into nothing: it forms the
+new W and E as new arrays.  Either way the update returns a new circuit
+with its own lists and cache, and if anything raises inside it, it writes
+back all it overwrote, so W and E end as they were.  The agent's sensory
+update is the last step of a cycle, so nothing after it can fail.  With one
+hidden layer and a clamped input, a closed unit starts at 0 and stays
+there, so ``settle`` works on the open units alone.  A mask with every unit
+open is no mask at all and is dropped.
 
 ``settle`` checks its arguments (``_checked``) and runs ``_settle``, which
 checks nothing; the agent settles the observations it checked and the
@@ -47,9 +46,9 @@ the live one does and resumes byte for byte.  A masked, clipped update
 keeps W's column norms with the circuit it returns and takes them again
 only where W changed, in a layout that gives the whole matrix's bits; E's
 it takes from E itself each time, in one pass that forms no squares.  The
-norms are a plain cache that no update writes into: the old circuit's stay
-exact for the W that ``undo`` gives back, a new or restored circuit has
-none, so its first update takes them from W, and they never alter a byte.
+norms are a plain cache that a masked update hands to the circuit it
+returns, clearing the old one's; a new or restored circuit has none, so
+its first update takes them from W, and they never alter a byte.
 """
 
 from __future__ import annotations
@@ -126,11 +125,9 @@ def phi(v):
 
 def init_circuit(sizes, seed, beta=0.05, gamma=0.001, K=50, sigma=0.05):
     """Build a circuit with i.i.d. Normal(0, sigma^2) weights."""
-    sizes = tuple(int(s) for s in sizes)
+    sizes = check("sensory_hidden", sizes, name="sizes")  # whole numbers >= 1
     if len(sizes) < 2:
         raise ValueError(f"need at least two layer sizes, got {sizes}")
-    if any(s < 1 for s in sizes):
-        raise ValueError(f"all layer sizes must be >= 1, got {sizes}")
     for name, value in (("beta", beta), ("gamma", gamma), ("sigma", sigma), ("K", K)):
         check(f"sensory_{name}", value, name=name)
     L = len(sizes) - 1
@@ -414,7 +411,7 @@ def _settle_loop(circuit, state):
     return state
 
 
-def update_weights(circuit, state, eta_W, eta_E, clip=False, journal=None):
+def update_weights(circuit, state, eta_W, eta_E, clip=False):
     """Apply local Hebbian updates and return a new circuit with its own
     ``W`` and ``E`` lists and its own ``norms``.
 
@@ -433,66 +430,69 @@ def update_weights(circuit, state, eta_W, eta_E, clip=False, journal=None):
 
     A masked layer changes only the columns of W and rows of E that its mask
     opens (every other entry would gain exactly 0) and writes them in place,
-    into the arrays both circuits hold, so it needs a list ``journal``:
-    without one the update raises ``ValueError``.  W and E must be C-ordered
-    and writeable.  Before each write the update appends ``(array, index,
-    saved)`` to the journal, with ``saved`` a copy of ``array[index]``: the
-    open block of W and E, and each other column a clip divides (see
-    ``_clip``).  The saved block of W is a C-ordered copy; the change is
-    formed beside it in one contiguous outer product, scaled and added to
-    the block in place, then clipped and written back once.
-    ``undo(journal)`` writes them all back, so W and E end as they were;
-    until then ``circuit`` holds the new values too, so the next update is
-    of the new circuit.
+    into the arrays both circuits hold; W and E must be C-ordered and
+    writeable.  Before each write the update keeps a copy of what it
+    overwrites: the open block of W and E, and each other column a clip
+    divides (see ``_clip``).  The kept block of W is a C-ordered copy; the
+    change is formed beside it in one contiguous outer product, scaled and
+    added to the block in place, then clipped and written back once.  If
+    anything raises inside the call, every kept copy is written back, the
+    latest first, so W and E end as they were, and the error propagates.
 
     A masked, clipped layer keeps W's column norms in the new circuit's
     ``norms``, NaN for each column its clip divided: a copy of
     ``circuit.norms[ell]`` with the open columns and the NaN ones (all of
     them, when ``circuit`` has none) taken again.  E's column norms it takes
     from the whole of E after E's rows are written, in one pass.  Both give
-    the bits the whole matrix would (see ``_column_norms``).  ``circuit``'s
-    own norms are never written, so they stay exact for the W that ``undo``
-    restores; any other layer of the new circuit has none.
+    the bits the whole matrix would (see ``_column_norms``).  Once a masked
+    update has returned, the new circuit holds the cache and ``circuit``'s
+    is cleared, so no circuit keeps norms of a W that another one wrote.
     """
-    if journal is None and state.mask:
-        raise ValueError("a masked update writes W and E in place; it needs a journal")
     out = NgcCircuit(circuit.sizes, list(circuit.W), list(circuit.E),
                      circuit.beta, circuit.gamma, circuit.K)
+    kept = []  # (array, index, copy of array[index]) before each write in place
 
     def save(M, index):
-        journal.append((M, index, M[index].copy()))
+        kept.append((M, index, M[index].copy()))
 
-    for ell in range(1, circuit.L + 1):
-        W, E, g = circuit.W[ell], circuit.E[ell], state.mask.get(ell)
-        below = _gate(state, ell - 1, state.e[ell - 1])
-        if g is None:
-            out.W[ell], out.E[ell] = _swapped(W, E, phi(state.z[ell]), below,
-                                              eta_W, eta_E, clip)
-            continue
-        opened = _open_units(g)
-        pre = phi(state.z[ell][opened])
-        block = W[:, opened].copy() if isinstance(opened, slice) else W.take(opened, axis=1)
-        journal.append((W, (slice(None), opened), block))
-        new = _outer(below, pre)
-        new *= eta_W
-        new += block  # the block's sum: float addition commutes
-        if clip:  # take again the open columns and those a clip divided
-            kept = circuit.norms.get(ell)
-            norms = np.full(W.shape[1], np.nan) if kept is None else kept.copy()
-            norms[opened] = _column_norms(new, W.shape[1])
-            stale = np.flatnonzero(np.isnan(norms))
-            if stale.size:
-                norms[stale] = _column_norms(W.take(stale, axis=1), W.shape[1])
-            norms[_clip(W, norms, save, opened, new)] = np.nan
-            out.norms[ell] = norms
-        W[:, opened] = new
-        del new
-        save(E, opened)
-        delta = _outer(pre, below)
-        delta *= eta_E
-        E[opened] += delta
-        if clip:
-            _clip(E, _column_norms(E, E.shape[1]), save)
+    try:
+        for ell in range(1, circuit.L + 1):
+            W, E, g = circuit.W[ell], circuit.E[ell], state.mask.get(ell)
+            below = _gate(state, ell - 1, state.e[ell - 1])
+            if g is None:
+                out.W[ell], out.E[ell] = _swapped(W, E, phi(state.z[ell]), below,
+                                                  eta_W, eta_E, clip)
+                continue
+            opened = _open_units(g)
+            pre = phi(state.z[ell][opened])
+            block = W[:, opened].copy() if isinstance(opened, slice) else W.take(opened, axis=1)
+            kept.append((W, (slice(None), opened), block))
+            new = _outer(below, pre)
+            new *= eta_W
+            new += block  # the block's sum: float addition commutes
+            if clip:  # take again the open columns and those a clip divided
+                cached = circuit.norms.get(ell)
+                norms = np.full(W.shape[1], np.nan) if cached is None else cached.copy()
+                norms[opened] = _column_norms(new, W.shape[1])
+                stale = np.flatnonzero(np.isnan(norms))
+                if stale.size:
+                    norms[stale] = _column_norms(W.take(stale, axis=1), W.shape[1])
+                norms[_clip(W, norms, save, opened, new)] = np.nan
+                out.norms[ell] = norms
+            W[:, opened] = new
+            del new
+            save(E, opened)
+            delta = _outer(pre, below)
+            delta *= eta_E
+            E[opened] += delta
+            if clip:
+                _clip(E, _column_norms(E, E.shape[1]), save)
+    except BaseException:
+        for M, index, saved in reversed(kept):
+            M[index] = saved
+        raise
+    if state.mask:  # W was written in place: only the new circuit's cache fits it
+        circuit.norms.clear()
     return out
 
 
@@ -548,8 +548,8 @@ def _clip(M, norms, save, opened=None, block=None):
     Given ``block``, a C-ordered copy of the columns ``opened`` of ``M`` that
     the caller writes back, those columns are divided there by max(norm, 1),
     which leaves a column within the ball as it was.  Every other column
-    past 1 is divided in ``M`` through a mask, after ``save`` has journaled
-    it."""
+    past 1 is divided in ``M`` through a mask, after ``save`` has kept a
+    copy of it."""
     big = norms > 1.0
     rest = big
     if block is not None:
@@ -583,9 +583,3 @@ def _column_norms(block, width):
         block = np.repeat(block, 2, axis=1)
     return np.sqrt(np.einsum("ij,ij->j", block, block))[:n]
 
-
-def undo(journal):
-    """Write back what ``update_weights`` saved in ``journal``, the latest
-    first, so W and E end as they were before the first write."""
-    for target, index, saved in reversed(journal):
-        target[index] = saved

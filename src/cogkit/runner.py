@@ -90,6 +90,8 @@ def calibrate_theta(samples, window, factor, eta_c, metric="euclid"):
     samples = samples[:100]
     if len(samples) < 2:
         raise ValueError("calibration needs at least 2 samples")
+    if not np.isfinite(samples).all():
+        raise ValueError("bad value for 'samples': the ones read are not all finite")
     tracker = ContextTracker(samples.shape[1], window)
     gate = CompetitiveGate(samples.shape[1], {}, theta=0.0, eta_c=eta_c, M_max=1,
                            metric=metric)

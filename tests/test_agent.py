@@ -16,7 +16,7 @@ from cogkit.motor import MotorCircuit
 from cogkit.snapshot import SnapshotError, read_snapshot, write_snapshot
 
 from test_acceptance import CONTINUAL_CFG
-from test_ngc import _cache_is_exact
+from test_ngc import _cache_is_exact, _fail_on_call
 
 
 def small_config(**kw):
@@ -333,9 +333,9 @@ def _arrays_in(value):
 
 
 def test_a_step_rebinds_state_parts_and_writes_only_into_sensory_weights():
-    # the rollback invariant: capturing each _STATE part by reference, plus
-    # the journal of what the sensory update writes in place, is enough; a
-    # gated agent and an ungated one (``mask_p`` 1)
+    # the rollback invariant: capturing each _STATE part by reference is
+    # enough, as the sensory update, the one step that writes in place,
+    # undoes its own writes; a gated agent and an ungated one (``mask_p`` 1)
     for mask_p in (0.5, 1.0):
         a = Agent(small_config(seed=29, M_max=2, replay_capacity=8, replay_samples=2,
                                mask_p=mask_p))
@@ -763,9 +763,9 @@ def test_restore_names_a_damaged_rng_state(entry, damage):
 
 
 def test_gated_wide_agent_rolls_back_a_failed_motor_update(monkeypatch):
-    # 784 -> 256 with a quarter of the units open: the sensory update takes
-    # the open-unit path and returns a new circuit, then the motor's update
-    # fails; the rolled-back agent holds the pre-cycle circuit, whose cache
+    # 784 -> 256 with a quarter of the units open: the motor's update fails
+    # before the sensory update runs, so the sensory W and E are never
+    # written; the rolled-back agent holds the pre-cycle circuit, whose cache
     # is exact for its W, and goes on as a twin that never ran the failing
     # cycle
     a = Agent(small_config(obs_dim=784, sensory_hidden=(256,), sensory_K=30,
@@ -776,23 +776,23 @@ def test_gated_wide_agent_rolls_back_a_failed_motor_update(monkeypatch):
     before = a.snapshot()
     twin = Agent.restore(before)
     sensory_before = a.sensory
-    update, returned, targets = ngc.update_weights, [], []
+    W, E = a.sensory.W[1], a.sensory.E[1]
+    held = [W.tobytes(), E.tobytes()]
+    update, handed = ngc.update_weights, []
 
-    def traced(circuit, *args, journal, **kwargs):
-        n = len(journal)
-        new = update(circuit, *args, journal=journal, **kwargs)
-        returned.append(new is not circuit)
-        arrays = [*new.W[1:], *new.E[1:]]
-        targets.extend(any(target is M for M in arrays) for target, _, _ in journal[n:])
+    def traced(circuit, *args, **kwargs):
+        new = update(circuit, *args, **kwargs)
+        handed.append(new is not circuit and circuit.norms == {} and list(new.norms) == [1])
         return new
 
     calls = _fail_on_call(monkeypatch, ngc, "_swapped", 1)  # the motor's
     monkeypatch.setattr(ngc, "update_weights", traced)
     with pytest.raises(RuntimeError, match="injected"):
         a.cycle(stream[5], r_env=1.0)
-    assert returned == [True] and len(calls) == 1
-    assert a.sensory is sensory_before and a.sensory.norms[1] is not None
-    assert _cache_is_exact(a.sensory)
+    assert handed == [] and len(calls) == 1
+    assert a.sensory is sensory_before and a.sensory.W[1] is W and a.sensory.E[1] is E
+    assert [W.tobytes(), E.tobytes()] == held
+    assert list(a.sensory.norms) == [1] and _cache_is_exact(a.sensory)
     assert a.snapshot() == before
     monkeypatch.undo()
     monkeypatch.setattr(ngc, "update_weights", traced)
@@ -800,16 +800,14 @@ def test_gated_wide_agent_rolls_back_a_failed_motor_update(monkeypatch):
         assert a.cycle(x, r_env=1.0) == twin.cycle(x, r_env=1.0)
         assert a.snapshot() == twin.snapshot()
     monkeypatch.undo()
-    # every update returned a new circuit, and every entry of its journal
-    # is a W[ell] or E[ell] array
-    assert len(returned) == 1 + 20 + 20 and all(returned)
-    assert targets and all(targets)
+    # every update returned a new circuit, which took over the cache
+    assert len(handed) == 20 + 20 and all(handed)
 
 
-def test_ungated_agent_rolls_back_a_fault_after_its_sensory_update(monkeypatch):
-    # 784 -> 256 with every unit open (mask_p 1): the sensory update puts new
-    # W and E in a new circuit, then the motor's update fails; a rollback
-    # puts back the old circuit, whose arrays the update never wrote
+def test_ungated_agent_rolls_back_a_fault_in_its_sensory_swap(monkeypatch):
+    # 784 -> 256 with every unit open (mask_p 1): the motor learns, then the
+    # sensory update, the cycle's last step, fails as it forms new W and E; a
+    # rollback puts back the old circuit, whose arrays the update never wrote
     a = Agent(small_config(obs_dim=784, sensory_hidden=(256,), sensory_K=30, mask_p=1.0,
                            seed=31))
     stream = obs_stream(6, seed=12, dim=784)
@@ -817,23 +815,22 @@ def test_ungated_agent_rolls_back_a_fault_after_its_sensory_update(monkeypatch):
         a.cycle(x, r_env=0.1)
     before = a.snapshot()
     twin = Agent.restore(before)
-    sensory_before = a.sensory
+    sensory_before, motor_before = a.sensory, a.motor.circuit
     W, E = a.sensory.W[1], a.sensory.E[1]
     held = [W.tobytes(), E.tobytes()]
-    update, swapped = ngc.update_weights, []
+    update, learned = ngc.update_weights, []
 
-    def update_and_record(circuit, *args, journal, **kwargs):
-        new = update(circuit, *args, journal=journal, **kwargs)
-        swapped.append((new.W[1] is not W and new.E[1] is not E, journal == []))
-        return new
+    def update_and_record(circuit, *args, **kwargs):
+        learned.append(a.motor.circuit is not motor_before)
+        return update(circuit, *args, **kwargs)
 
     monkeypatch.setattr(ngc, "update_weights", update_and_record)
-    calls = _fail_on_call(monkeypatch, ngc, "_swapped", 2)  # the sensory swap, then the motor's
+    calls = _fail_on_call(monkeypatch, ngc, "_swapped", 2)  # the motor's swap, then the sensory
     with pytest.raises(RuntimeError, match="injected"):
         a.cycle(stream[5], r_env=1.0)
     monkeypatch.undo()
-    assert swapped == [(True, True)] and len(calls) == 2
-    assert a.sensory is sensory_before
+    assert learned == [True] and len(calls) == 2
+    assert a.sensory is sensory_before and a.motor.circuit is motor_before
     assert a.sensory.W[1] is W and a.sensory.E[1] is E
     assert [W.tobytes(), E.tobytes()] == held
     assert a.snapshot() == before
@@ -878,13 +875,13 @@ def test_a_gated_agent_update_forms_no_array_the_size_of_e_and_a_restore_caches_
     assert list(a.sensory.norms) == [1] and a.sensory.norms[1] is not None
     update, formed = ngc.update_weights, []
 
-    def traced(*args, journal, **kwargs):
-        n = len(journal)
+    def traced(circuit, state, *args, **kwargs):
+        # the update keeps a copy of the open block of W and of E until it returns
+        kept = 2 * circuit.W[1].shape[0] * np.count_nonzero(state.mask[1]) * 8
         tracemalloc.reset_peak()
         start = tracemalloc.get_traced_memory()[0]
-        out = update(*args, journal=journal, **kwargs)
-        held = sum(saved.nbytes for _, _, saved in journal[n:])
-        formed.append(tracemalloc.get_traced_memory()[1] - start - held)
+        out = update(circuit, state, *args, **kwargs)
+        formed.append(tracemalloc.get_traced_memory()[1] - start - kept)
         return out
 
     monkeypatch.setattr(ngc, "update_weights", traced)
@@ -895,7 +892,7 @@ def test_a_gated_agent_update_forms_no_array_the_size_of_e_and_a_restore_caches_
     finally:
         tracemalloc.stop()
     monkeypatch.undo()
-    # besides what its journal holds, an update forms less than half of E
+    # besides the copies it keeps, an update forms less than half of E
     # at its peak; an ``E * E`` alone would be all of it (1.6 MB)
     E = a.sensory.E[1]
     assert len(formed) == 3 and max(formed) < E.nbytes / 2
@@ -1095,6 +1092,7 @@ CYCLE_CALLS = [
     (ngc, "_settle"), (ngc, "_settle_clamped_input"), (ngc, "_check_given"),
     (ngc, "_passes_stay_bounded"), (ngc, "energy"), (ngc, "update_weights"),
     (ngc, "_clip"),  # the sensory W written in place, then clipped, then E clipped
+    (ngc, "_outer"),  # the motor's and the sensory changes, the sensory W's written before E's
     (memory, "_wm_encode"), (memory, "dm_store"), (memory, "_dm_retrieve"), (hrr, "_permute"),
     (ContextTracker, "update"),
     (CompetitiveGate, "select_or_recruit"), (CompetitiveGate, "_match"),
@@ -1108,11 +1106,13 @@ CYCLE_CALLS = [
 # cycle also explores and learns from the pending transition, a supervised
 # step regresses instead; a finish learns, replays (checking a replayed
 # state) and swaps, a read and a swap that stand for a settle and
-# ``update_weights`` in a head with no hidden layer
+# ``update_weights`` in a head with no hidden layer; a perceive runs the
+# sensory half of a cycle alone
 ENTRY_POINTS = {
     "cycle": lambda agent, x: agent.cycle(x, r_env=0.5),
     "supervised_step": lambda agent, x: agent.supervised_step(x, np.array([1.0, -1.0, -1.0])),
     "finish": lambda agent, x: agent.finish(r_env=0.5),
+    "perceive": lambda agent, x: agent.perceive(x),
 }
 ATOMIC_CALLS = [
     *(("cycle", *call) for call in [*CYCLE_CALLS, (MotorCircuit, "act"),
@@ -1121,6 +1121,9 @@ ATOMIC_CALLS = [
     *(("finish", *call) for call in [(ngc, "_check_bounded"), (ngc, "_check_given"),
                                      (ngc, "_swapped"), (MotorCircuit, "_fit"),
                                      (MotorCircuit, "_learn")]),
+    *(("perceive", *call) for call in [(ContextTracker, "update"), (ngc, "_settle"),
+                                       (ngc, "update_weights"), (ngc, "_clip"),
+                                       (ngc, "_outer")]),
 ]
 
 
@@ -1130,20 +1133,6 @@ def _case_name(entry, owner, name):
     ``match``'s body) where ``owner`` has one."""
     public = name[1:] if name.startswith("_") and hasattr(owner, name[1:]) else name
     return f"{'' if entry == 'cycle' else entry + '-'}{owner.__name__}.{public}"
-
-
-def _fail_on_call(monkeypatch, owner, name, k):
-    """Make the ``k``-th call of ``owner.name`` raise; returns the call list."""
-    real, calls = getattr(owner, name), []
-
-    def failing(*args, **kwargs):
-        calls.append(None)
-        if len(calls) == k:
-            raise RuntimeError("injected")
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(owner, name, failing)
-    return calls
 
 
 @pytest.mark.parametrize("entry, owner, name", ATOMIC_CALLS,
@@ -1179,6 +1168,30 @@ def test_a_failure_anywhere_in_a_cycle_rolls_back(entry, owner, name, monkeypatc
         monkeypatch.undo()
         assert agent.snapshot() == before
         assert resume(agent) == want
+
+
+@pytest.mark.parametrize("entry", ["cycle", "supervised_step", "perceive"])
+def test_the_sensory_update_is_the_last_step_of_a_block(entry, monkeypatch):
+    # when the sensory update starts, every other part of ``_STATE`` holds
+    # the value its block ends with, so a rollback never has to undo it
+    a = Agent(small_config(seed=23, replay_capacity=8, replay_samples=1))
+    update, seen = ngc.update_weights, []
+
+    def traced(*args, **kwargs):
+        seen.append([part.take(a) for part in _STATE])
+        return update(*args, **kwargs)
+
+    monkeypatch.setattr(ngc, "update_weights", traced)
+    for x in obs_stream(16, seed=14):
+        ENTRY_POINTS[entry](a, x)
+        (held,) = seen
+        seen.clear()
+        for part, then in zip(_STATE, held):
+            now = part.take(a)
+            if part.take.__reduce__()[1][0] == "sensory":
+                assert now is not then
+            else:  # an RNG's state reads as a fresh dict
+                assert now is then or type(now) is dict and now == then
 
 
 def test_snapshot_copies_each_array_once(bench_continual):

@@ -84,8 +84,9 @@ def test_epistemic_reward():
     assert epistemic_reward(3.0, 0.0, 1.0) == 0.0
     assert epistemic_reward(3.0, 0.1, 1.0) == pytest.approx(0.3)
     assert epistemic_reward(100.0, 0.5, 1.0) == 1.0  # clipped
-    with pytest.raises(ValueError):
-        epistemic_reward(-1.0, 0.5, 1.0)
+    for bad, alpha_e in ((-1.0, 0.5), (np.nan, 0.5), (np.inf, 0.0)):
+        with pytest.raises(ValueError, match=r"sensory energy must be >= 0, got "):
+            epistemic_reward(bad, alpha_e, 1.0)
 
 
 def test_epsilon_schedule():

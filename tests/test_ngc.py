@@ -38,8 +38,12 @@ def test_init_sigma_zero_and_errors():
         init_circuit([], seed=0)
     with pytest.raises(ValueError):
         init_circuit([4], seed=0)
-    with pytest.raises(ValueError):
-        init_circuit([4, 0], seed=0)
+    # each size a whole number >= 1 and not a bool, as a config's sizes are
+    for bad, named in (([4, 0], 0), ((4, 1.5), 1.5), ((True, 2), True), ((4, 3.0), 3.0)):
+        with pytest.raises(ValueError, match=rf"'sizes': {named} is not in \[1, inf\)"):
+            init_circuit(bad, seed=0)
+    with pytest.raises(ValueError, match=r"'sizes': 2.5 is not in \[1, inf\)"):
+        MotorCircuit(3, 4, hidden=(2.5,))
     for arg in ("beta", "gamma", "sigma"):
         for bad in (-0.01, float("nan")):
             with pytest.raises(ValueError, match=rf"'{arg}': {bad} is not in \[0, inf\)"):
@@ -216,13 +220,13 @@ def fd_gradient(circuit, state, ell, h=1e-6):
     return grad
 
 
-def _journaled(c, state, **kwargs):
-    """``update_weights`` with a journal, as a masked update needs, of a
-    copy of ``c`` whose W and E are C-ordered and writeable, so that ``c``
-    is left as it was; returns the new circuit, never the copy."""
+def _updated(c, state, **kwargs):
+    """``update_weights`` of a copy of ``c`` whose W and E are C-ordered and
+    writeable, as a masked update writes them in place, so that ``c`` is
+    left as it was; returns the new circuit, never the copy."""
     copy = replace(c, W=[None, *(np.array(M) for M in c.W[1:])],
                    E=[None, *(np.array(M) for M in c.E[1:])])
-    new = update_weights(copy, state, journal=[], **kwargs)
+    new = update_weights(copy, state, **kwargs)
     assert new is not copy and new.W is not copy.W and new.norms is not copy.norms
     return new
 
@@ -257,7 +261,7 @@ def test_update_matches_fd_gradient_under_mask():
         init={1: rng.normal(size=10), 2: rng.normal(size=6)},
         mask={1: gate},
     )
-    c2 = _journaled(c, state, eta_W=0.2, eta_E=0.0)
+    c2 = _updated(c, state, eta_W=0.2, eta_E=0.0)
     # Layer 1: postsynaptic side (layer 0) is ungated, plain gradient.
     got1 = (c2.W[1] - c.W[1]) / 0.2
     want1 = -fd_gradient(c, state, 1)
@@ -311,7 +315,7 @@ def test_gating_soundness_exact_zero_plasticity():
     closed = [2, 5, 6]
     gate[closed] = 0.0
     s = settle(c, clamps={0: rng.normal(size=6)}, mask={1: gate})
-    c2 = _journaled(c, s, eta_W=0.1, eta_E=0.1)
+    c2 = _updated(c, s, eta_W=0.1, eta_E=0.1)
     # Closed units: outgoing columns of W1 / rows of E1 untouched...
     assert np.array_equal(c2.W[1][:, closed], c.W[1][:, closed])
     assert np.array_equal(c2.E[1][closed, :], c.E[1][closed, :])
@@ -498,7 +502,7 @@ def test_update_matches_reference_oracle(name, clip):
     # clip rescales closed units' columns too
     c = replace(c, W=[None, *(10 * W for W in c.W[1:])], E=[None, *(10 * E for E in c.E[1:])])
     for state in (reference_ngc.settle(c, **kwargs), settle(c, **kwargs)):
-        new = _journaled(c, state, eta_W=0.3, eta_E=0.2, clip=clip)
+        new = _updated(c, state, eta_W=0.3, eta_E=0.2, clip=clip)
         ref = reference_ngc.update_weights(c, state, eta_W=0.3, eta_E=0.2, clip=clip)
         for ell in range(1, c.L + 1):
             assert np.array_equal(new.W[ell], ref.W[ell]), f"W[{ell}]"
@@ -559,7 +563,7 @@ def test_a_masked_update_of_a_one_column_matrix_matches_the_reference(sizes, uni
         for _ in range(3):
             state = settle(c, clamps={0: rng.normal(size=sizes[0])}, mask={1: g})
             want = reference_ngc.update_weights(c, state, eta_W=0.3, eta_E=0.2, clip=True)
-            c = update_weights(c, state, eta_W=0.3, eta_E=0.2, clip=True, journal=[])
+            c = update_weights(c, state, eta_W=0.3, eta_E=0.2, clip=True)
             assert c.W[1].tobytes() == want.W[1].tobytes()
             assert c.E[1].tobytes() == want.E[1].tobytes()
 
@@ -574,11 +578,38 @@ def _cache_is_exact(c):
     return cached[kept].tobytes() == ngc._column_norms(W, W.shape[1])[kept].tobytes()
 
 
-def test_journaled_updates_match_the_reference_step_after_step():
-    # 60 journaled updates, each of the circuit the last one returned and
-    # from the state settled on it, under a mask that switches between two
-    # blocks, scattered units, one unit and none; ten times the weights
-    # makes closed columns clip too
+def _fail_on_call(monkeypatch, owner, name, k):
+    """Make the ``k``-th call of ``owner.name`` raise; returns the call list."""
+    real, calls = getattr(owner, name), []
+
+    def failing(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == k:
+            raise RuntimeError("injected")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, failing)
+    return calls
+
+
+def _held(c):
+    """``c``'s W[1], E[1] and cached norms, each with its bytes."""
+    return [(M, M.tobytes()) for M in (c.W[1], c.E[1], *c.norms.values())]
+
+
+def _as_held(c, held):
+    """Whether ``c`` holds the arrays of ``held``, each with the same bytes."""
+    return (len(_held(c)) == len(held)
+            and all(now is then and now.tobytes() == saved
+                    for (now, _), (then, saved) in zip(_held(c), held)))
+
+
+def test_updates_match_the_reference_step_after_step(monkeypatch):
+    # 60 updates, each of the circuit the last one returned and from the
+    # state settled on it, under a mask that switches between two blocks,
+    # scattered units, one unit and none; ten times the weights makes closed
+    # columns clip too.  Each is first tried with a fault in its last step,
+    # which leaves the circuit as it was
     rng = np.random.default_rng(5)
     c = init_circuit([48, 24], seed=19, K=10, sigma=0.5)
     c = replace(c, W=[None, 10 * c.W[1]], E=[None, 10 * c.E[1]])
@@ -594,79 +625,127 @@ def test_journaled_updates_match_the_reference_step_after_step():
         want = reference_ngc.update_weights(c, state, eta_W=0.3, eta_E=0.2, clip=True)
         unclipped = reference_ngc.update_weights(c, state, eta_W=0.3, eta_E=0.2)
         divided = np.linalg.norm(unclipped.W[1], axis=0) > 1.0
-        W, E = c.W[1], c.E[1]
-        kept = {ell: v.tobytes() for ell, v in c.norms.items()}
-        start = [W.tobytes(), E.tobytes()]
-        for again in (False, True):  # the update, undone, then made again from c
-            journal = []
-            new = update_weights(c, state, eta_W=0.3, eta_E=0.2, clip=True, journal=journal)
-            assert new is not c and new.W is not c.W and new.norms is not c.norms
-            assert np.array_equal(new.W[1], want.W[1]), name
-            assert np.array_equal(new.E[1], want.E[1]), name
-            # the old circuit's cache is never written
-            assert {ell: v.tobytes() for ell, v in c.norms.items()} == kept
-            if mask is None:  # swapped in: new arrays, the old ones unwritten, no cache
-                assert journal == []
-                assert new.W[1] is not W and new.E[1] is not E
-                assert new.W[1].flags.c_contiguous and new.E[1].flags.c_contiguous
-                assert W.tobytes() == start[0] and E.tobytes() == start[1]
-                assert new.norms == {}
-            else:  # written in place; NaN marks each column the clip divided
-                assert new.W[1] is W and new.E[1] is E
-                cached, full = new.norms[1], np.sqrt(np.add.reduce(W * W, axis=0))
-                assert np.array_equal(np.isnan(cached), divided), name
-                assert np.array_equal(cached[~divided], full[~divided]), name
-            if not again:
-                ngc.undo(journal)
-                assert c.W[1] is W and c.E[1] is E
-                assert W.tobytes() == start[0] and E.tobytes() == start[1]
-                assert _cache_is_exact(c), name  # exact for the W written back
+        W, E, held = c.W[1], c.E[1], _held(c)
+        # the swap, or E's clip, after W and E were written
+        last = ("_swapped", 1) if mask is None else ("_clip", 2)
+        _fail_on_call(monkeypatch, ngc, *last)
+        with pytest.raises(RuntimeError, match="injected"):
+            update_weights(c, state, eta_W=0.3, eta_E=0.2, clip=True)
+        monkeypatch.undo()
+        assert _as_held(c, held), name
+        new = update_weights(c, state, eta_W=0.3, eta_E=0.2, clip=True)
+        assert new is not c and new.W is not c.W and new.norms is not c.norms
+        assert np.array_equal(new.W[1], want.W[1]), name
+        assert np.array_equal(new.E[1], want.E[1]), name
+        if mask is None:  # swapped in: new arrays, the old circuit as it was, no cache
+            assert new.W[1] is not W and new.E[1] is not E
+            assert new.W[1].flags.c_contiguous and new.E[1].flags.c_contiguous
+            assert _as_held(c, held)
+            assert new.norms == {}
+        else:  # written in place; NaN marks each column the clip divided
+            assert new.W[1] is W and new.E[1] is E
+            cached, full = new.norms[1], np.sqrt(np.add.reduce(W * W, axis=0))
+            assert np.array_equal(np.isnan(cached), divided), name
+            assert np.array_equal(cached[~divided], full[~divided]), name
+            assert c.norms == {}  # handed over with the W both circuits hold
         c = new
     assert set(names) == set(masks)
     assert replace(c).norms == {}  # as a restore builds it
 
 
-def test_a_journal_holds_slices_of_w_and_e_only():
-    # masked, clipped updates, the second of a circuit that caches norms;
-    # ten times the weights makes open and closed columns clip
-    c = init_circuit([24, 16], seed=7, sigma=0.5)
-    c = replace(c, W=[None, 10 * c.W[1]], E=[None, 10 * c.E[1]])
+# the functions a masked update calls that it calls again after it has
+# written W, E or both
+UPDATE_CALLS = ["_outer", "_column_norms", "_clip"]
+
+
+@pytest.mark.parametrize("name", UPDATE_CALLS)
+def test_a_fault_in_a_masked_update_leaves_w_e_and_the_cache_as_they_were(name, monkeypatch):
+    # the first and second masked, clipped updates of a circuit, the second
+    # of one that caches norms; ten times the weights makes open and closed
+    # columns clip, so a fault at each call of ``name`` comes after a
+    # different set of writes
     g = np.zeros(16)
     g[[1, 2, 3, 9]] = 1.0
-    rng = np.random.default_rng(2)
-    for _ in range(2):
-        journal = []
-        state = settle(c, clamps={0: rng.normal(size=24)}, mask={1: g})
-        c = update_weights(c, state, eta_W=0.3, eta_E=0.2, clip=True, journal=journal)
-        assert c.norms[1] is not None
-        for target, index, saved in journal:
-            assert target is c.W[1] or target is c.E[1]
-            assert saved.shape == target[index].shape
-    assert len(journal) >= 3
+
+    def circuit_and_state(n):  # the circuit after n updates, and the next state
+        rng = np.random.default_rng(2)
+        c = init_circuit([24, 16], seed=7, sigma=0.5)
+        c = replace(c, W=[None, 10 * c.W[1]], E=[None, 10 * c.E[1]])
+        for _ in range(n):
+            state = settle(c, clamps={0: rng.normal(size=24)}, mask={1: g})
+            c = update_weights(c, state, eta_W=0.3, eta_E=0.2, clip=True)
+        return c, settle(c, clamps={0: rng.normal(size=24)}, mask={1: g})
+
+    for n in (0, 1):
+        c, state = circuit_and_state(n)
+        calls = _fail_on_call(monkeypatch, ngc, name, 0)
+        update_weights(c, state, eta_W=0.3, eta_E=0.2, clip=True)
+        monkeypatch.undo()
+        assert calls
+        c, state = circuit_and_state(n)
+        assert len(c.norms) == n
+        held = _held(c)
+        for k in range(1, len(calls) + 1):
+            _fail_on_call(monkeypatch, ngc, name, k)
+            with pytest.raises(RuntimeError, match="injected"):
+                update_weights(c, state, eta_W=0.3, eta_E=0.2, clip=True)
+            monkeypatch.undo()
+            assert _as_held(c, held), (n, k)
+        want = reference_ngc.update_weights(c, state, eta_W=0.3, eta_E=0.2, clip=True)
+        new = update_weights(c, state, eta_W=0.3, eta_E=0.2, clip=True)
+        assert new.W[1].tobytes() == want.W[1].tobytes()
+        assert new.E[1].tobytes() == want.E[1].tobytes()
+        if n == 0:  # the clip divided closed columns of W in place
+            assert np.isnan(new.norms[1][g == 0.0]).any()
 
 
-def test_an_update_without_a_journal_leaves_its_circuit_as_it_was():
-    # a masked update writes in place, so without a journal it raises before
-    # it writes; an unmasked one swaps new arrays into a new circuit
+def test_a_masked_update_hands_over_its_cache_and_an_unmasked_one_writes_nothing():
+    # a masked update needs nothing from its caller: it writes in place and
+    # the circuit it returns takes over W's cache; an unmasked one swaps new
+    # arrays into a new circuit and leaves its circuit as it was
     c = init_circuit([16, 12], seed=3, sigma=0.5)
     g = np.zeros(12)
     g[2:6] = 1.0
     state = settle(c, clamps={0: np.ones(16)}, mask={1: g})
-    c = update_weights(c, state, eta_W=0.3, eta_E=0.2, clip=True, journal=[])
-    W, E, norms = c.W[1], c.E[1], c.norms[1]
-    held = [(M, M.tobytes()) for M in (W, E, norms)]
-    with pytest.raises(ValueError, match="a masked update writes W and E in place; "
-                                         "it needs a journal"):
-        update_weights(c, state, eta_W=0.3, eta_E=0.2, clip=True)
+    c = update_weights(c, state, eta_W=0.3, eta_E=0.2, clip=True)
+    new = update_weights(c, state, eta_W=0.3, eta_E=0.2, clip=True)
+    assert new.W[1] is c.W[1] and new.E[1] is c.E[1]
+    assert list(new.norms) == [1] and c.norms == {}
+    c = new
+    W, E, held = c.W[1], c.E[1], _held(c)
     unmasked = settle(c, clamps={0: np.ones(16)})
     new = update_weights(c, unmasked, eta_W=0.3, eta_E=0.2, clip=True)
-    kept = (c.W[1], c.E[1], c.norms[1])
-    assert all(now is then for now, (then, _) in zip(kept, held))
-    assert all(M.tobytes() == saved for M, saved in held)
+    assert _as_held(c, held)
     want = reference_ngc.update_weights(c, unmasked, eta_W=0.3, eta_E=0.2, clip=True)
     assert new is not c and new.W[1] is not W and new.E[1] is not E
     assert np.array_equal(new.W[1], want.W[1]) and np.array_equal(new.E[1], want.E[1])
     assert new.norms == {}
+
+
+def test_an_old_circuit_updated_again_after_a_masked_update_clips_as_the_reference():
+    # c caches norms from a clipped update with units 8-11 open; a clipped
+    # update of it writes W in place, so its cache no longer fits; an
+    # unclipped update of c (units 0-3, eta_W 200) pushes columns far past
+    # 1, which the next clipped update of c must divide
+    g = {units: np.zeros(16) for units in ((8, 12), (0, 4))}
+    for (lo, hi), mask in g.items():
+        mask[lo:hi] = 1.0
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        c = init_circuit([24, 16], seed=seed, K=5)
+
+        def state(c, units):
+            return settle(c, clamps={0: rng.normal(size=24)}, mask={1: g[units]})
+
+        c = update_weights(c, state(c, (8, 12)), eta_W=0.3, eta_E=0.2, clip=True)
+        update_weights(c, state(c, (8, 12)), eta_W=0.3, eta_E=0.2, clip=True)
+        update_weights(c, state(c, (0, 4)), eta_W=200.0, eta_E=0.2)
+        last = state(c, (8, 12))
+        frozen = replace(c, W=[None, c.W[1].copy()], E=[None, c.E[1].copy()])
+        want = reference_ngc.update_weights(frozen, last, eta_W=0.3, eta_E=0.2, clip=True)
+        got = update_weights(c, last, eta_W=0.3, eta_E=0.2, clip=True)
+        assert got.W[1].tobytes() == want.W[1].tobytes(), seed
+        assert got.E[1].tobytes() == want.E[1].tobytes(), seed
 
 
 def _record_phi(monkeypatch):
@@ -789,7 +868,7 @@ def test_open_unit_settle_and_update_match_reference_oracle(name, clip):
         assert got.energy == want.energy
     # the update adds no sums: equal bits from the same state, for any mask
     for state in (want, got):
-        new = _journaled(c, state, eta_W=0.3, eta_E=0.2, clip=clip)
+        new = _updated(c, state, eta_W=0.3, eta_E=0.2, clip=clip)
         ref = reference_ngc.update_weights(c, state, eta_W=0.3, eta_E=0.2, clip=clip)
         for ell in range(1, c.L + 1):
             assert np.array_equal(new.W[ell], ref.W[ell]), f"W[{ell}]"

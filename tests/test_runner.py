@@ -298,6 +298,13 @@ class TestHelpers:
         with pytest.raises(ValueError, match=rf"bad shape for 'samples': {shape}, expected"):
             calibrate_theta(samples, 8, 2.0, 0.05)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_calibrate_theta_names_samples_that_are_not_finite(self, bad):
+        samples = np.random.default_rng(0).normal(size=(60, 4))
+        samples[30, 2] = bad
+        with pytest.raises(ValueError, match="bad value for 'samples': .* not all finite"):
+            calibrate_theta(samples, 8, 2.0, 0.05)
+
     @pytest.mark.parametrize("seed, n, dim, window, eta_c, factor", [
         (0, 100, 10, 16, 0.05, 3.0),
         (1, 150, 64, 32, 0.02, 2.25),
