@@ -44,13 +44,10 @@ attribute paths that drives rollback, each with the rows of the snapshot
 entries that hold it, which drive snapshot and restore.  A cycle replaces
 each of those values and writes into none, except the sensory circuit's
 ``W[ell]`` and ``E[ell]`` under a mask: a masked update writes their open
-columns and rows, and the columns a clip divides, in place.  One rule
-undoes a cycle: the sensory update is the last step of ``cycle``,
-``supervised_step`` and ``perceive``, and it undoes its own writes if it
-fails (``ngc.update_weights``), so a rollback only puts back every captured
-reference.  The update returns a new circuit, which takes over the cache of
-W's column norms.  A snapshot stores no cache, so a restored agent takes
-the norms again from W and goes on byte for byte.  What no cycle changes,
+columns and rows in place.  One rule undoes a cycle: the sensory update is
+the last step of ``cycle``, ``supervised_step`` and ``perceive``, and it
+undoes its own writes if it fails (``ngc.update_weights``), so a rollback
+only puts back every captured reference.  What no cycle changes,
 the two bridges and the unit symbols, is drawn from the config's seed when
 an agent is built, and the fold formed from the bridges, so a restore
 rebuilds it the same way; it loads the circuits' weights and draws none.

@@ -57,8 +57,10 @@ class CompetitiveGate:
         if check("theta", theta) == "auto":
             raise ValueError("bad value for 'theta': 'auto' is calibrated by the runner; "
                              "a gate needs a number")
-        self.context_dim = int(context_dim)
-        self.layer_widths = {int(l): int(w) for l, w in dict(layer_widths).items()}
+        self.context_dim = int(check("obs_dim", context_dim, name="context_dim"))
+        widths = dict(layer_widths)  # hidden layers 1, 2, ... and their sizes
+        self.layer_widths = dict(zip(*(check("sensory_hidden", tuple(part), name="layer_widths")
+                                       for part in (widths, widths.values()))))
         self.theta = float(theta)
         self.eta_c = float(check("eta_c", eta_c))
         self.M_max = int(check("M_max", M_max))

@@ -12,9 +12,10 @@ With no hidden layer (``hidden=()``, every shipped config) nothing in the
 circuit can move, so a settle runs no pass: Q is ``W[1] @ phi(s)``, and a
 learn step's error is the pinned targets minus that prediction, zero at
 every other unit.  Such a head computes both directly, without a settle,
-and learns by swapping in new ``W[1]`` and ``E[1]`` built by ``ngc._swapped``,
-the step ``ngc.update_weights`` takes for every layer without a mask: the
-same checks, messages and element-wise sums, so the same bytes.  A head
+and learns by swapping in new ``W[1]`` and ``E[1]`` built by
+``ngc._swapped``, the step ``ngc.update_weights`` takes for every layer (on
+a masked layer's open block): the same checks, messages and element-wise
+sums, so the same bytes.  A head
 with hidden layers settles and learns through ``ngc``, whose update swaps
 new arrays into a new circuit for a layer with no mask.  Either way a learn
 step writes into no array and replaces the circuit: a rollback puts it back.

@@ -11,19 +11,23 @@ Gating masks multiply hidden activities: a unit behind a closed gate
 contributes nothing to predictions, its error-driven state term is silenced,
 and its synapses (both the columns it sends and the rows that predict it)
 receive exactly zero change, which is what makes task-specific subnetworks
-non-interfering.
+non-interfering.  The optional clip keeps that: it rescales only the
+columns an update writes.  In a masked layer those are W's open columns and
+the columns of E's open rows.  A layer with no mask writes all of its
+columns, so a clip there may rescale the rows of W and columns of E that
+predict the closed units of the masked layer below.
 
 A mask is 0/1, so ``update_weights`` writes only the open units' columns
-and rows (see ``_open_units``), into the live W and E; it updates W's open
-columns in a C-ordered block and writes them back once.  A layer with no
-mask changes every entry, so its update writes into nothing: it forms the
-new W and E as new arrays.  Either way the update returns a new circuit
-with its own lists and cache, and if anything raises inside it, it writes
-back all it overwrote, so W and E end as they were.  The agent's sensory
-update is the last step of a cycle, so nothing after it can fail.  With one
-hidden layer and a clamped input, a closed unit starts at 0 and stays
-there, so ``settle`` works on the open units alone.  A mask with every unit
-open is no mask at all and is dropped.
+and rows (see ``_open_units``), into the live W and E: it copies that block
+of each, runs the step of a layer with no mask on the copies (``_swapped``)
+and writes the results back.  A layer with no mask changes every entry, so
+its update writes into nothing: it forms the new W and E as new arrays.
+Either way the update returns a new circuit with its own lists, and if
+anything raises inside it, it writes back the copies it took, so W and E
+end as they were.  The agent's sensory update is the last step of a cycle,
+so nothing after it can fail.  With one hidden layer and a clamped input, a
+closed unit starts at 0 and stays there, so ``settle`` works on the open
+units alone.  A mask with every unit open is no mask at all and is dropped.
 
 ``settle`` checks its arguments (``_checked``) and runs ``_settle``, which
 checks nothing; the agent settles the observations it checked and the
@@ -42,13 +46,8 @@ energy.
 
 Weight matrices are kept in C order: an update keeps W and E C-ordered, as
 a restore makes them, so a restored circuit sums its products in the order
-the live one does and resumes byte for byte.  A masked, clipped update
-keeps W's column norms with the circuit it returns and takes them again
-only where W changed, in a layout that gives the whole matrix's bits; E's
-it takes from E itself each time, in one pass that forms no squares.  The
-norms are a plain cache that a masked update hands to the circuit it
-returns, clearing the old one's; a new or restored circuit has none, so
-its first update takes them from W, and they never alter a byte.
+the live one does and resumes byte for byte.  A clip takes its norms from
+the C-ordered arrays it rescales, so it holds nothing between updates.
 """
 
 from __future__ import annotations
@@ -84,11 +83,6 @@ class NgcCircuit:
     beta: float = 0.05
     gamma: float = 0.001
     K: int = 50
-    # W[ell]'s column norms by layer, NaN where the last clip divided the
-    # column, as a masked update with a clip leaves them (see
-    # ``update_weights``); a cache, taken from W where a layer has none, as
-    # in a new circuit
-    norms: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def L(self):
@@ -413,48 +407,34 @@ def _settle_loop(circuit, state):
 
 def update_weights(circuit, state, eta_W, eta_E, clip=False):
     """Apply local Hebbian updates and return a new circuit with its own
-    ``W`` and ``E`` lists and its own ``norms``.
+    ``W`` and ``E`` lists.
 
     For each layer the raw change is the outer product of the error below
     with the gated activity above; W gets eta_W times it and E gets eta_E
     times its transpose, formed as the outer product the other way round.
     Errors at gated-off hidden units are zeroed on the postsynaptic side
     too, so a closed gate means zero change in both the unit's outgoing
-    columns and the rows predicting it.  With ``clip``, columns of W and E
-    are rescaled onto the unit ball when they exceed it, all columns, open
-    or not.
+    columns and the rows predicting it.  With ``clip``, each column that the
+    update writes is rescaled onto the unit ball when it exceeds it (see
+    ``_clip``).
 
     A layer with no mask changes every entry, so it swaps: ``_swapped``
     forms its new W and E as new C-ordered arrays for the new circuit, and
     ``circuit``'s arrays are never written.
 
     A masked layer changes only the columns of W and rows of E that its mask
-    opens (every other entry would gain exactly 0) and writes them in place,
-    into the arrays both circuits hold; W and E must be C-ordered and
-    writeable.  Before each write the update keeps a copy of what it
-    overwrites: the open block of W and E, and each other column a clip
-    divides (see ``_clip``).  The kept block of W is a C-ordered copy; the
-    change is formed beside it in one contiguous outer product, scaled and
-    added to the block in place, then clipped and written back once.  If
-    anything raises inside the call, every kept copy is written back, the
-    latest first, so W and E end as they were, and the error propagates.
-
-    A masked, clipped layer keeps W's column norms in the new circuit's
-    ``norms``, NaN for each column its clip divided: a copy of
-    ``circuit.norms[ell]`` with the open columns and the NaN ones (all of
-    them, when ``circuit`` has none) taken again.  E's column norms it takes
-    from the whole of E after E's rows are written, in one pass.  Both give
-    the bits the whole matrix would (see ``_column_norms``).  Once a masked
-    update has returned, the new circuit holds the cache and ``circuit``'s
-    is cleared, so no circuit keeps norms of a W that another one wrote.
+    opens (every other entry would gain exactly 0).  It copies that block of
+    each, C-ordered, runs ``_swapped`` on the copies and writes the two
+    results back in place, into the arrays both circuits hold; W and E must
+    be C-ordered and writeable.  So its clip rescales the open columns of W
+    and the columns of E's open rows, norms taken over those rows alone.
+    The copies are what the writes overwrite: if anything raises inside the
+    call, each is written back, the latest first, so W and E end as they
+    were, and the error propagates.
     """
     out = NgcCircuit(circuit.sizes, list(circuit.W), list(circuit.E),
                      circuit.beta, circuit.gamma, circuit.K)
     kept = []  # (array, index, copy of array[index]) before each write in place
-
-    def save(M, index):
-        kept.append((M, index, M[index].copy()))
-
     try:
         for ell in range(1, circuit.L + 1):
             W, E, g = circuit.W[ell], circuit.E[ell], state.mask.get(ell)
@@ -464,35 +444,18 @@ def update_weights(circuit, state, eta_W, eta_E, clip=False):
                                                   eta_W, eta_E, clip)
                 continue
             opened = _open_units(g)
-            pre = phi(state.z[ell][opened])
-            block = W[:, opened].copy() if isinstance(opened, slice) else W.take(opened, axis=1)
-            kept.append((W, (slice(None), opened), block))
-            new = _outer(below, pre)
-            new *= eta_W
-            new += block  # the block's sum: float addition commutes
-            if clip:  # take again the open columns and those a clip divided
-                cached = circuit.norms.get(ell)
-                norms = np.full(W.shape[1], np.nan) if cached is None else cached.copy()
-                norms[opened] = _column_norms(new, W.shape[1])
-                stale = np.flatnonzero(np.isnan(norms))
-                if stale.size:
-                    norms[stale] = _column_norms(W.take(stale, axis=1), W.shape[1])
-                norms[_clip(W, norms, save, opened, new)] = np.nan
-                out.norms[ell] = norms
-            W[:, opened] = new
-            del new
-            save(E, opened)
-            delta = _outer(pre, below)
-            delta *= eta_E
-            E[opened] += delta
-            if clip:
-                _clip(E, _column_norms(E, E.shape[1]), save)
+            columns = (slice(None), opened)
+            if isinstance(opened, slice):
+                block_W, block_E = W[columns].copy(), E[opened].copy()
+            else:  # an index array copies, C-ordered through ``take``
+                block_W, block_E = W.take(opened, axis=1), E[opened]
+            kept += [(W, columns, block_W), (E, opened, block_E)]
+            W[columns], E[opened] = _swapped(block_W, block_E, phi(state.z[ell][opened]),
+                                             below, eta_W, eta_E, clip)
     except BaseException:
         for M, index, saved in reversed(kept):
             M[index] = saved
         raise
-    if state.mask:  # W was written in place: only the new circuit's cache fits it
-        circuit.norms.clear()
     return out
 
 
@@ -512,17 +475,12 @@ def _outer(a, b):
 
 
 def _swapped(W, E, pre, below, eta_W, eta_E, clip):
-    """The Hebbian step of a layer with no mask, as new C-ordered arrays:
-    ``W + eta_W * outer(below, pre)`` and ``E + eta_E * outer(pre, below)``,
-    the element-wise sums ``update_weights`` makes (float addition
-    commutes, so the change is scaled and ``W`` added into it).  ``W`` and
-    ``E`` are only read.
-
-    With ``clip`` each column of a new matrix whose norm exceeds 1 is
-    divided by it.  When at least one column in eight does, the whole
-    matrix is divided by max(norm, 1), which leaves every other column as
-    it was, in one pass; else those columns alone, through a mask, which
-    costs less when they are few in a wide matrix."""
+    """The Hebbian step of a layer, or of a masked layer's open block, as new
+    C-ordered arrays: ``W + eta_W * outer(below, pre)`` and
+    ``E + eta_E * outer(pre, below)``, the element-wise sums
+    ``update_weights`` makes (float addition commutes, so the change is
+    scaled and ``W`` added into it).  ``W`` and ``E`` are only read.  With
+    ``clip`` each new matrix goes through ``_clip``."""
     new_W = _outer(below, pre)
     new_W *= eta_W
     new_W += W
@@ -530,56 +488,21 @@ def _swapped(W, E, pre, below, eta_W, eta_E, clip):
     new_E *= eta_E
     new_E += E
     if clip:
-        for M in (new_W, new_E):
-            norms = np.sqrt(np.add.reduce(M * M, axis=0))
-            big = norms > 1.0
-            n_big = np.count_nonzero(big)
-            if 8 * n_big >= M.shape[1]:
-                M /= np.fmax(norms, 1.0)
-            elif n_big:
-                M[:, big] /= norms[big]
+        _clip(new_W)
+        _clip(new_E)
     return new_W, new_E
 
 
-def _clip(M, norms, save, opened=None, block=None):
-    """Rescale each column of ``M`` whose norm in ``norms`` exceeds 1,
-    dividing it by that norm, and return where they are, a boolean mask.
-
-    Given ``block``, a C-ordered copy of the columns ``opened`` of ``M`` that
-    the caller writes back, those columns are divided there by max(norm, 1),
-    which leaves a column within the ball as it was.  Every other column
-    past 1 is divided in ``M`` through a mask, after ``save`` has kept a
-    copy of it."""
+def _clip(M):
+    """Divide each column of ``M`` whose norm exceeds 1 by that norm, in
+    place.  When at least one column in eight does, the whole matrix is
+    divided by max(norm, 1), which leaves every other column as it was, in
+    one pass; else those columns alone, through a mask, which costs less
+    when they are few in a wide matrix."""
+    norms = np.sqrt(np.add.reduce(M * M, axis=0))
     big = norms > 1.0
-    rest = big
-    if block is not None:
-        if np.count_nonzero(big[opened]):
-            block /= np.fmax(norms[opened], 1.0)
-        rest = big.copy()
-        rest[opened] = False
-    if np.count_nonzero(rest):
-        save(M, (slice(None), rest))
-        M[:, rest] /= norms[rest]
-    return big
-
-
-def _column_norms(block, width):
-    """The column norms of a C-ordered ``block`` of columns of a C-ordered
-    matrix ``width`` columns wide (all of it, or some), the same bits as
-    those columns of the matrix's whole norms,
-    ``np.sqrt(np.add.reduce(M * M, axis=0))``.
-
-    NumPy sums the squares of a C-ordered matrix's columns row after row,
-    and ``einsum`` sums those of a C-ordered block of two or more columns in
-    the same order, without forming the squares, but a lone column's in
-    another; so a lone column of a wider matrix is taken twice.  A matrix of
-    one column NumPy sums as a vector, pairwise, so it is summed that way.
-    ``M[:, cols]`` of an index array is not C-ordered;
-    ``M.take(cols, axis=1)`` is."""
-    n = block.shape[1]
-    if width == 1:
-        return np.sqrt(np.add.reduce(block * block, axis=0))
-    if n == 1:
-        block = np.repeat(block, 2, axis=1)
-    return np.sqrt(np.einsum("ij,ij->j", block, block))[:n]
-
+    n_big = np.count_nonzero(big)
+    if 8 * n_big >= M.shape[1]:
+        M /= np.fmax(norms, 1.0)
+    elif n_big:
+        M[:, big] /= norms[big]

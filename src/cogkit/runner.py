@@ -81,8 +81,9 @@ def calibrate_theta(samples, window, factor, eta_c, metric="euclid"):
     (the warm-up, where the running mean is still sliding away from the
     first sample, is excluded), i.e. comfortably above anything one
     stationary source produces, so only a genuine distribution shift
-    clears it.
+    clears it.  ``factor`` is checked as the ``theta_factor`` key.
     """
+    factor = check("theta_factor", factor, name="factor")
     samples = np.asarray(samples, dtype=float)
     if samples.ndim != 2 or not samples.shape[1]:
         raise ValueError(f"bad shape for 'samples': {samples.shape}, "

@@ -4,10 +4,12 @@
 and checks every layer for divergence with two reductions; nothing
 short-circuits, and gating masks multiply every unit, open or closed.
 ``update_weights``: every weight of every layer gets its Hebbian change,
-closed units included.  The package's kernels must reproduce these numbers,
-bit for bit where they add the same terms in the same order.  Only the
-state assembly (validation and layout) comes from the package; every
-prediction, error and weight here is computed by the code below.
+closed units included; a clip rescales the columns of W and E that a
+layer's open units write, every column of a layer with no mask.  The
+package's kernels must reproduce these numbers, bit for bit where they add
+the same terms in the same order.  Only the state assembly (validation and
+layout) comes from the package; every prediction, error and weight here is
+computed by the code below.
 """
 
 from __future__ import annotations
@@ -96,10 +98,16 @@ def update_weights(circuit, state, eta_W, eta_E, clip=False):
         grad = np.outer(below if g is None else below * g, pre)
         W.append(circuit.W[ell] + eta_W * grad)
         E.append(circuit.E[ell] + eta_E * grad.T)
-        if clip:
-            for M in (W[ell], E[ell]):
-                norms = np.linalg.norm(M, axis=0)
+        if clip:  # the columns of W and E that the layer's open units write
+            g = state.mask.get(ell)
+            opened = slice(None) if g is None else g != 0.0
+            for M, block in ((W[ell], (slice(None), opened)), (E[ell], opened)):
+                # a C-ordered copy: a boolean column index gives another
+                # layout, whose column sums round differently
+                part = np.ascontiguousarray(M[block])
+                norms = np.linalg.norm(part, axis=0)
                 big = norms > 1.0
                 if big.any():
-                    M[:, big] /= norms[big]
+                    part[:, big] /= norms[big]
+                    M[block] = part
     return replace(circuit, W=W, E=E)

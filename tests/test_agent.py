@@ -16,7 +16,7 @@ from cogkit.motor import MotorCircuit
 from cogkit.snapshot import SnapshotError, read_snapshot, write_snapshot
 
 from test_acceptance import CONTINUAL_CFG
-from test_ngc import _cache_is_exact, _fail_on_call
+from test_ngc import _fail_on_call
 
 
 def small_config(**kw):
@@ -374,9 +374,8 @@ def test_a_step_rebinds_state_parts_and_writes_only_into_sensory_weights():
         # path; every part is rebound, the sensory circuit too, and each is reached
         assert rebound == {part.take.__reduce__()[1][0] for part in _STATE}
         if mask_p < 1.0:
-            # the sensory W and E are the only values written into, not the
-            # norms of W the old circuit caches; no step puts new W or E in
-            # the new circuit's lists
+            # the sensory W and E are the only values written into; no step
+            # puts new W or E in the new circuit's lists
             assert {id(v) for v in written} == {id(w) for w in (*a.sensory.W[1:],
                                                                 *a.sensory.E[1:])}
             assert not any(map(any, swaps))
@@ -765,9 +764,8 @@ def test_restore_names_a_damaged_rng_state(entry, damage):
 def test_gated_wide_agent_rolls_back_a_failed_motor_update(monkeypatch):
     # 784 -> 256 with a quarter of the units open: the motor's update fails
     # before the sensory update runs, so the sensory W and E are never
-    # written; the rolled-back agent holds the pre-cycle circuit, whose cache
-    # is exact for its W, and goes on as a twin that never ran the failing
-    # cycle
+    # written; the rolled-back agent holds the pre-cycle circuit and goes on
+    # as a twin that never ran the failing cycle
     a = Agent(small_config(obs_dim=784, sensory_hidden=(256,), sensory_K=30,
                            mask_mode="blocks", mask_p=0.25, seed=31))
     stream = obs_stream(26, seed=12, dim=784)
@@ -782,7 +780,7 @@ def test_gated_wide_agent_rolls_back_a_failed_motor_update(monkeypatch):
 
     def traced(circuit, *args, **kwargs):
         new = update(circuit, *args, **kwargs)
-        handed.append(new is not circuit and circuit.norms == {} and list(new.norms) == [1])
+        handed.append(new is not circuit and new.W[1] is circuit.W[1])
         return new
 
     calls = _fail_on_call(monkeypatch, ngc, "_swapped", 1)  # the motor's
@@ -792,7 +790,6 @@ def test_gated_wide_agent_rolls_back_a_failed_motor_update(monkeypatch):
     assert handed == [] and len(calls) == 1
     assert a.sensory is sensory_before and a.sensory.W[1] is W and a.sensory.E[1] is E
     assert [W.tobytes(), E.tobytes()] == held
-    assert list(a.sensory.norms) == [1] and _cache_is_exact(a.sensory)
     assert a.snapshot() == before
     monkeypatch.undo()
     monkeypatch.setattr(ngc, "update_weights", traced)
@@ -800,7 +797,7 @@ def test_gated_wide_agent_rolls_back_a_failed_motor_update(monkeypatch):
         assert a.cycle(x, r_env=1.0) == twin.cycle(x, r_env=1.0)
         assert a.snapshot() == twin.snapshot()
     monkeypatch.undo()
-    # every update returned a new circuit, which took over the cache
+    # every update returned a new circuit holding the W it wrote in place
     assert len(handed) == 20 + 20 and all(handed)
 
 
@@ -839,40 +836,38 @@ def test_ungated_agent_rolls_back_a_fault_in_its_sensory_swap(monkeypatch):
 
 
 def test_gated_wide_agent_rolls_back_a_clip_that_fails_after_w_is_written(monkeypatch):
-    # 784 -> 256 with a quarter of the units open, W's column norms kept from
-    # the cycles before; the clip of E fails after W was written and clipped
-    a = Agent(small_config(obs_dim=784, sensory_hidden=(256,), sensory_K=30,
+    # 784 -> 256 -> 64 with a quarter of the units open; the clip of the top
+    # layer's W fails after the first layer's W and E were written and clipped
+    a = Agent(small_config(obs_dim=784, sensory_hidden=(256, 64), sensory_K=30,
                            mask_mode="blocks", mask_p=0.25, seed=31))
     stream = obs_stream(8, seed=12, dim=784)
     for x in stream[:5]:
         a.cycle(x, r_env=0.1)
-    assert a.sensory.norms[1] is not None
     before = a.snapshot()
     twin = Agent.restore(before)
-    assert twin.sensory.norms == {}  # derived, so never stored
-    sensory_before = a.sensory
-    calls = _fail_on_call(monkeypatch, ngc, "_clip", 2)
+    sensory_before, W, E = a.sensory, a.sensory.W[1], a.sensory.E[1]
+    held = [W.tobytes(), E.tobytes()]
+    calls = _fail_on_call(monkeypatch, ngc, "_clip", 3)
     with pytest.raises(RuntimeError, match="injected"):
         a.cycle(stream[5], r_env=1.0)
     monkeypatch.undo()
-    assert len(calls) == 2
-    assert a.sensory is sensory_before and _cache_is_exact(a.sensory)  # a rollback keeps it
+    assert len(calls) == 3
+    assert a.sensory is sensory_before and a.sensory.W[1] is W and a.sensory.E[1] is E
+    assert [W.tobytes(), E.tobytes()] == held
     assert a.snapshot() == before
     for x in stream[5:]:
         assert a.cycle(x, r_env=1.0) == twin.cycle(x, r_env=1.0)
         assert a.snapshot() == twin.snapshot()
 
 
-def test_a_gated_agent_update_forms_no_array_the_size_of_e_and_a_restore_caches_none(
-        monkeypatch):
-    # 784 -> 256 with a quarter of the units open and W's norms cached: the
-    # sensory update takes E's column norms from E itself, in one pass
+def test_a_gated_agent_update_forms_no_array_the_size_of_e(monkeypatch):
+    # 784 -> 256 with a quarter of the units open: the sensory update works
+    # on the open block of W and E alone
     a = Agent(small_config(obs_dim=784, sensory_hidden=(256,), sensory_K=30,
                            mask_mode="blocks", mask_p=0.25, seed=31))
     stream = obs_stream(9, seed=12, dim=784)
     for x in stream[:3]:
         a.cycle(x, r_env=0.1)
-    assert list(a.sensory.norms) == [1] and a.sensory.norms[1] is not None
     update, formed = ngc.update_weights, []
 
     def traced(circuit, state, *args, **kwargs):
@@ -892,16 +887,11 @@ def test_a_gated_agent_update_forms_no_array_the_size_of_e_and_a_restore_caches_
     finally:
         tracemalloc.stop()
     monkeypatch.undo()
-    # besides the copies it keeps, an update forms less than half of E
-    # at its peak; an ``E * E`` alone would be all of it (1.6 MB)
+    # besides the copies it keeps, an update forms at its peak the new
+    # blocks of W and E and the squares of one for its clip: three blocks,
+    # each a quarter of E; an ``E * E`` alone would be all of it (1.6 MB)
     E = a.sensory.E[1]
-    assert len(formed) == 3 and max(formed) < E.nbytes / 2
-    twin = Agent.restore(a.snapshot())
-    assert twin.sensory.norms == {}  # derived, so never stored
-    for x in stream[6:]:
-        assert a.cycle(x, r_env=1.0) == twin.cycle(x, r_env=1.0)
-        assert list(twin.sensory.norms) == [1]
-        assert a.snapshot() == twin.snapshot()
+    assert len(formed) == 3 and max(formed) < 3.1 * E.nbytes / 4
 
 
 def test_agents_restored_from_one_blob_share_no_memory():
@@ -1091,8 +1081,8 @@ def test_batched_probe_with_beta_zero_settles_the_batch_at_once(monkeypatch):
 CYCLE_CALLS = [
     (ngc, "_settle"), (ngc, "_settle_clamped_input"), (ngc, "_check_given"),
     (ngc, "_passes_stay_bounded"), (ngc, "energy"), (ngc, "update_weights"),
-    (ngc, "_clip"),  # the sensory W written in place, then clipped, then E clipped
-    (ngc, "_outer"),  # the motor's and the sensory changes, the sensory W's written before E's
+    (ngc, "_clip"),  # the sensory W's open block clipped, then E's, before both are written
+    (ngc, "_outer"),  # the motor's change, then the sensory W's and E's
     (memory, "_wm_encode"), (memory, "dm_store"), (memory, "_dm_retrieve"), (hrr, "_permute"),
     (ContextTracker, "update"),
     (CompetitiveGate, "select_or_recruit"), (CompetitiveGate, "_match"),

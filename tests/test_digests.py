@@ -17,6 +17,6 @@ def _lines(*args):
 def test_two_runs_of_one_config_print_equal_lines():
     first = _lines("--seeds", "1", "acceptance-rps")
     assert len(first) == 1
-    assert re.fullmatch(r"acceptance-rps seed=1 metrics=[0-9a-f]{64} snapshot=[0-9a-f]{64}",
-                        first[0])
+    assert re.fullmatch(r"acceptance-rps seed=1 metrics=[0-9a-f]{64} snapshot=[0-9a-f]{64} "
+                        r"late_payoff=-?\d+\.\d{4}", first[0])
     assert _lines("--seeds", "1", "acceptance-rps") == first

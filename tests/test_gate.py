@@ -27,6 +27,31 @@ def test_constructor_validation():
         make_gate(metric="manhattan")
 
 
+@pytest.mark.parametrize("kw, name", [
+    ({"context_dim": 2.5}, "context_dim"),
+    ({"context_dim": 0}, "context_dim"),
+    ({"context_dim": True}, "context_dim"),
+    ({"layer_widths": {1: 3.7}}, "layer_widths"),
+    ({"layer_widths": {1: 0}}, "layer_widths"),
+    ({"layer_widths": {1: True}}, "layer_widths"),
+    ({"layer_widths": {0: 4}}, "layer_widths"),
+    ({"layer_widths": {1.5: 4}}, "layer_widths"),
+    ({"layer_widths": {True: 4}}, "layer_widths"),
+])
+def test_sizes_are_whole_numbers_of_at_least_one(kw, name):
+    # a fraction was truncated, and a width of 0 failed only at the first recruit
+    with pytest.raises(ValueError, match=rf"bad value for '{name}': .* is not in \[1, inf\)"):
+        make_gate(**kw)
+
+
+def test_sizes_of_numpy_integers_are_ints():
+    g = make_gate(context_dim=np.int64(2), layer_widths={np.int64(1): np.int32(8)})
+    assert g.context_dim == 2 and type(g.context_dim) is int
+    assert g.layer_widths == {1: 8} and all(type(k) is int and type(w) is int
+                                            for k, w in g.layer_widths.items())
+    assert make_gate(layer_widths={}).layer_widths == {}
+
+
 def test_match_requires_recruits():
     g = make_gate()
     with pytest.raises(ValueError):

@@ -220,14 +220,19 @@ def fd_gradient(circuit, state, ell, h=1e-6):
     return grad
 
 
-def _updated(c, state, **kwargs):
-    """``update_weights`` of a copy of ``c`` whose W and E are C-ordered and
-    writeable, as a masked update writes them in place, so that ``c`` is
-    left as it was; returns the new circuit, never the copy."""
-    copy = replace(c, W=[None, *(np.array(M) for M in c.W[1:])],
+def _copied(c):
+    """``c`` with C-ordered, writeable copies of its W and E."""
+    return replace(c, W=[None, *(np.array(M) for M in c.W[1:])],
                    E=[None, *(np.array(M) for M in c.E[1:])])
+
+
+def _updated(c, state, **kwargs):
+    """``update_weights`` of a copy of ``c`` (``_copied``), as a masked
+    update writes W and E in place, so that ``c`` is left as it was; returns
+    the new circuit, never the copy."""
+    copy = _copied(c)
     new = update_weights(copy, state, **kwargs)
-    assert new is not copy and new.W is not copy.W and new.norms is not copy.norms
+    assert new is not copy and new.W is not copy.W
     return new
 
 
@@ -308,22 +313,34 @@ def test_update_locality():
         assert np.array_equal(c2.E[ell], c.E[ell] + 0.07 * grad.T)
 
 
-def test_gating_soundness_exact_zero_plasticity():
+@pytest.mark.parametrize("clip", [False, True])
+def test_gating_soundness_exact_zero_plasticity(clip):
     c = init_circuit([6, 10, 6], seed=14)
+    if clip:  # ten times the weights puts most columns outside the unit ball
+        c = replace(c, W=[None, *(10 * W for W in c.W[1:])],
+                    E=[None, *(10 * E for E in c.E[1:])])
     rng = np.random.default_rng(14)
     gate = np.ones(10)
     closed = [2, 5, 6]
     gate[closed] = 0.0
     s = settle(c, clamps={0: rng.normal(size=6)}, mask={1: gate})
-    c2 = _updated(c, s, eta_W=0.1, eta_E=0.1)
-    # Closed units: outgoing columns of W1 / rows of E1 untouched...
+    c2 = _updated(c, s, eta_W=0.1, eta_E=0.1, clip=clip)
+    # Closed units: outgoing columns of W1 / rows of E1 untouched, clipped
+    # or not: a clip rescales only what the update writes...
     assert np.array_equal(c2.W[1][:, closed], c.W[1][:, closed])
     assert np.array_equal(c2.E[1][closed, :], c.E[1][closed, :])
-    # ...and the rows of W2 / columns of E2 that predict them too.
-    assert np.array_equal(c2.W[2][closed, :], c.W[2][closed, :])
-    assert np.array_equal(c2.E[2][:, closed], c.E[2][:, closed])
-    # Open units actually learn.
+    # ...and the rows of W2 / columns of E2 that predict them gain exactly 0,
+    # though a clip rescales every column of the unmasked layer 2.
+    if not clip:
+        assert np.array_equal(c2.W[2][closed, :], c.W[2][closed, :])
+        assert np.array_equal(c2.E[2][:, closed], c.E[2][:, closed])
+    # Open units actually learn, and a clip holds what they write to the ball.
     assert not np.array_equal(c2.W[1][:, 0], c.W[1][:, 0])
+    if clip:
+        opened = gate == 1.0
+        assert np.linalg.norm(c.W[1][:, opened], axis=0).max() > 1.0
+        assert np.linalg.norm(c2.W[1][:, opened], axis=0).max() <= 1.0 + 1e-12
+        assert np.linalg.norm(c2.E[1][opened], axis=0).max() <= 1.0 + 1e-12
 
 
 def test_pinned_update_touches_single_row():
@@ -499,7 +516,7 @@ def test_predict_matches_reference_and_leaves_input(name):
 def test_update_matches_reference_oracle(name, clip):
     c, kwargs = _oracle_case(name)
     # ten times the weights puts most columns outside the unit ball, so a
-    # clip rescales closed units' columns too
+    # clip rescales most of those the update writes
     c = replace(c, W=[None, *(10 * W for W in c.W[1:])], E=[None, *(10 * E for E in c.E[1:])])
     for state in (reference_ngc.settle(c, **kwargs), settle(c, **kwargs)):
         new = _updated(c, state, eta_W=0.3, eta_E=0.2, clip=clip)
@@ -529,31 +546,11 @@ def test_outer_product_equals_the_broadcast_multiply(shape):
         assert got.tobytes() == (a[:, None] * b).tobytes()
 
 
-@pytest.mark.parametrize("shape", [(784, 256), (256, 784), (3, 32), (48, 24), (360, 784),
-                                   (360, 360), (2, 3), (1, 784), (784, 1)])
-def test_column_norms_of_a_block_equal_the_whole_matrix_norms(shape):
-    # seeded whole matrices, as E's clip takes them, and blocks of open
-    # columns, as W's does: runs (slices), scattered units (``take``) and
-    # lone columns
-    rng = np.random.default_rng(shape[0] + shape[1])
-    for _ in range(20):
-        M = rng.normal(size=shape) * 10.0 ** rng.uniform(-2, 2)
-        whole = np.sqrt(np.add.reduce(M * M, axis=0))
-        assert ngc._column_norms(M, shape[1]).tobytes() == whole.tobytes()
-        start = int(rng.integers(shape[1]))
-        stop = int(rng.integers(start + 1, shape[1] + 1))
-        scattered = np.sort(rng.choice(shape[1], size=int(rng.integers(1, shape[1] + 1)),
-                                       replace=False))
-        for cols in (slice(start, stop), scattered, scattered[:1]):
-            block = M[:, cols].copy() if isinstance(cols, slice) else M.take(cols, axis=1)
-            assert ngc._column_norms(block, shape[1]).tobytes() == whole[cols].tobytes()
-
-
 @pytest.mark.parametrize("sizes, units", [((1, 24), [2, 3, 4, 9]), ((24, 1), [])])
 def test_a_masked_update_of_a_one_column_matrix_matches_the_reference(sizes, units):
     # E[1] of one column (a one-wide input) or W[1] of one column (one hidden
     # unit, closed here), whose norms NumPy sums pairwise; ten times the
-    # weights makes columns clip
+    # weights makes the columns the update writes clip
     for seed in range(10):
         c = init_circuit(list(sizes), seed=seed, sigma=0.5)
         c = replace(c, W=[None, 10 * c.W[1]], E=[None, 10 * c.E[1]])
@@ -566,16 +563,6 @@ def test_a_masked_update_of_a_one_column_matrix_matches_the_reference(sizes, uni
             c = update_weights(c, state, eta_W=0.3, eta_E=0.2, clip=True)
             assert c.W[1].tobytes() == want.W[1].tobytes()
             assert c.E[1].tobytes() == want.E[1].tobytes()
-
-
-def _cache_is_exact(c):
-    """Whether ``c``'s cached column norms of W[1], where it has them, are
-    the bits of W[1]'s own at every column not marked NaN."""
-    cached = c.norms.get(1)
-    if cached is None:
-        return True
-    W, kept = c.W[1], ~np.isnan(cached)
-    return cached[kept].tobytes() == ngc._column_norms(W, W.shape[1])[kept].tobytes()
 
 
 def _fail_on_call(monkeypatch, owner, name, k):
@@ -593,8 +580,8 @@ def _fail_on_call(monkeypatch, owner, name, k):
 
 
 def _held(c):
-    """``c``'s W[1], E[1] and cached norms, each with its bytes."""
-    return [(M, M.tobytes()) for M in (c.W[1], c.E[1], *c.norms.values())]
+    """``c``'s weight matrices, each with its bytes."""
+    return [(M, M.tobytes()) for M in (*c.W[1:], *c.E[1:])]
 
 
 def _as_held(c, held):
@@ -607,9 +594,9 @@ def _as_held(c, held):
 def test_updates_match_the_reference_step_after_step(monkeypatch):
     # 60 updates, each of the circuit the last one returned and from the
     # state settled on it, under a mask that switches between two blocks,
-    # scattered units, one unit and none; ten times the weights makes closed
-    # columns clip too.  Each is first tried with a fault in its last step,
-    # which leaves the circuit as it was
+    # scattered units, one unit and none; ten times the weights makes the
+    # columns each writes clip.  Each is first tried with a fault in its
+    # last step, E's clip, which leaves the circuit as it was
     rng = np.random.default_rng(5)
     c = init_circuit([48, 24], seed=19, K=10, sigma=0.5)
     c = replace(c, W=[None, 10 * c.W[1]], E=[None, 10 * c.E[1]])
@@ -623,94 +610,73 @@ def test_updates_match_the_reference_step_after_step(monkeypatch):
         mask = None if masks[name] is None else {1: masks[name]}
         state = settle(c, clamps={0: rng.normal(size=48)}, mask=mask)
         want = reference_ngc.update_weights(c, state, eta_W=0.3, eta_E=0.2, clip=True)
-        unclipped = reference_ngc.update_weights(c, state, eta_W=0.3, eta_E=0.2)
-        divided = np.linalg.norm(unclipped.W[1], axis=0) > 1.0
         W, E, held = c.W[1], c.E[1], _held(c)
-        # the swap, or E's clip, after W and E were written
-        last = ("_swapped", 1) if mask is None else ("_clip", 2)
-        _fail_on_call(monkeypatch, ngc, *last)
+        _fail_on_call(monkeypatch, ngc, "_clip", 2)
         with pytest.raises(RuntimeError, match="injected"):
             update_weights(c, state, eta_W=0.3, eta_E=0.2, clip=True)
         monkeypatch.undo()
         assert _as_held(c, held), name
         new = update_weights(c, state, eta_W=0.3, eta_E=0.2, clip=True)
-        assert new is not c and new.W is not c.W and new.norms is not c.norms
+        assert new is not c and new.W is not c.W
         assert np.array_equal(new.W[1], want.W[1]), name
         assert np.array_equal(new.E[1], want.E[1]), name
-        if mask is None:  # swapped in: new arrays, the old circuit as it was, no cache
+        if mask is None:  # swapped in: new arrays, the old circuit as it was
             assert new.W[1] is not W and new.E[1] is not E
             assert new.W[1].flags.c_contiguous and new.E[1].flags.c_contiguous
             assert _as_held(c, held)
-            assert new.norms == {}
-        else:  # written in place; NaN marks each column the clip divided
+        else:  # written in place
             assert new.W[1] is W and new.E[1] is E
-            cached, full = new.norms[1], np.sqrt(np.add.reduce(W * W, axis=0))
-            assert np.array_equal(np.isnan(cached), divided), name
-            assert np.array_equal(cached[~divided], full[~divided]), name
-            assert c.norms == {}  # handed over with the W both circuits hold
         c = new
     assert set(names) == set(masks)
-    assert replace(c).norms == {}  # as a restore builds it
 
 
-# the functions a masked update calls that it calls again after it has
-# written W, E or both
-UPDATE_CALLS = ["_outer", "_column_norms", "_clip"]
+# the functions a masked update calls for each layer, the second layer's
+# after the first layer's W and E were written
+UPDATE_CALLS = ["_swapped", "_outer", "_clip"]
 
 
 @pytest.mark.parametrize("name", UPDATE_CALLS)
-def test_a_fault_in_a_masked_update_leaves_w_e_and_the_cache_as_they_were(name, monkeypatch):
-    # the first and second masked, clipped updates of a circuit, the second
-    # of one that caches norms; ten times the weights makes open and closed
-    # columns clip, so a fault at each call of ``name`` comes after a
-    # different set of writes
-    g = np.zeros(16)
-    g[[1, 2, 3, 9]] = 1.0
-
-    def circuit_and_state(n):  # the circuit after n updates, and the next state
-        rng = np.random.default_rng(2)
-        c = init_circuit([24, 16], seed=7, sigma=0.5)
-        c = replace(c, W=[None, 10 * c.W[1]], E=[None, 10 * c.E[1]])
-        for _ in range(n):
-            state = settle(c, clamps={0: rng.normal(size=24)}, mask={1: g})
-            c = update_weights(c, state, eta_W=0.3, eta_E=0.2, clip=True)
-        return c, settle(c, clamps={0: rng.normal(size=24)}, mask={1: g})
-
-    for n in (0, 1):
-        c, state = circuit_and_state(n)
-        calls = _fail_on_call(monkeypatch, ngc, name, 0)
-        update_weights(c, state, eta_W=0.3, eta_E=0.2, clip=True)
+def test_a_fault_in_a_masked_update_leaves_w_and_e_as_they_were(name, monkeypatch):
+    # two masked, clipped hidden layers, one of scattered units, one of a
+    # block; ten times the weights makes the columns each writes clip, so a
+    # fault at each call of ``name`` comes after a different set of writes
+    rng = np.random.default_rng(2)
+    c = init_circuit([24, 16, 12], seed=7, sigma=0.5)
+    c = replace(c, W=[None, *(10 * W for W in c.W[1:])], E=[None, *(10 * E for E in c.E[1:])])
+    g1, g2 = np.zeros(16), np.zeros(12)
+    g1[[1, 2, 3, 9]] = 1.0
+    g2[4:8] = 1.0
+    state = settle(c, clamps={0: rng.normal(size=24)}, mask={1: g1, 2: g2})
+    calls = _fail_on_call(monkeypatch, ngc, name, 0)
+    _updated(c, state, eta_W=0.3, eta_E=0.2, clip=True)
+    monkeypatch.undo()
+    assert calls
+    held = _held(c)
+    for k in range(1, len(calls) + 1):
+        _fail_on_call(monkeypatch, ngc, name, k)
+        with pytest.raises(RuntimeError, match="injected"):
+            update_weights(c, state, eta_W=0.3, eta_E=0.2, clip=True)
         monkeypatch.undo()
-        assert calls
-        c, state = circuit_and_state(n)
-        assert len(c.norms) == n
-        held = _held(c)
-        for k in range(1, len(calls) + 1):
-            _fail_on_call(monkeypatch, ngc, name, k)
-            with pytest.raises(RuntimeError, match="injected"):
-                update_weights(c, state, eta_W=0.3, eta_E=0.2, clip=True)
-            monkeypatch.undo()
-            assert _as_held(c, held), (n, k)
-        want = reference_ngc.update_weights(c, state, eta_W=0.3, eta_E=0.2, clip=True)
-        new = update_weights(c, state, eta_W=0.3, eta_E=0.2, clip=True)
-        assert new.W[1].tobytes() == want.W[1].tobytes()
-        assert new.E[1].tobytes() == want.E[1].tobytes()
-        if n == 0:  # the clip divided closed columns of W in place
-            assert np.isnan(new.norms[1][g == 0.0]).any()
+        assert _as_held(c, held), k
+    want = reference_ngc.update_weights(_copied(c), state, eta_W=0.3, eta_E=0.2, clip=True)
+    new = update_weights(c, state, eta_W=0.3, eta_E=0.2, clip=True)
+    for ell in (1, 2):
+        assert new.W[ell].tobytes() == want.W[ell].tobytes()
+        assert new.E[ell].tobytes() == want.E[ell].tobytes()
 
 
-def test_a_masked_update_hands_over_its_cache_and_an_unmasked_one_writes_nothing():
-    # a masked update needs nothing from its caller: it writes in place and
-    # the circuit it returns takes over W's cache; an unmasked one swaps new
-    # arrays into a new circuit and leaves its circuit as it was
+def test_a_masked_update_writes_in_place_and_an_unmasked_one_writes_nothing():
+    # a masked update writes its open block into the arrays both circuits
+    # hold; an unmasked one swaps new arrays into a new circuit and leaves
+    # its circuit as it was
     c = init_circuit([16, 12], seed=3, sigma=0.5)
     g = np.zeros(12)
     g[2:6] = 1.0
     state = settle(c, clamps={0: np.ones(16)}, mask={1: g})
     c = update_weights(c, state, eta_W=0.3, eta_E=0.2, clip=True)
     new = update_weights(c, state, eta_W=0.3, eta_E=0.2, clip=True)
+    assert new is not c and new.W is not c.W and new.E is not c.E
     assert new.W[1] is c.W[1] and new.E[1] is c.E[1]
-    assert list(new.norms) == [1] and c.norms == {}
     c = new
     W, E, held = c.W[1], c.E[1], _held(c)
     unmasked = settle(c, clamps={0: np.ones(16)})
@@ -719,14 +685,13 @@ def test_a_masked_update_hands_over_its_cache_and_an_unmasked_one_writes_nothing
     want = reference_ngc.update_weights(c, unmasked, eta_W=0.3, eta_E=0.2, clip=True)
     assert new is not c and new.W[1] is not W and new.E[1] is not E
     assert np.array_equal(new.W[1], want.W[1]) and np.array_equal(new.E[1], want.E[1])
-    assert new.norms == {}
 
 
 def test_an_old_circuit_updated_again_after_a_masked_update_clips_as_the_reference():
-    # c caches norms from a clipped update with units 8-11 open; a clipped
-    # update of it writes W in place, so its cache no longer fits; an
-    # unclipped update of c (units 0-3, eta_W 200) pushes columns far past
-    # 1, which the next clipped update of c must divide
+    # a clipped update of c with units 8-11 open writes the W and E that c
+    # holds too; an unclipped update of c (units 0-3, eta_W 200) pushes
+    # columns far past 1; the next clipped update of c, units 8-11 open,
+    # takes its norms from what W and E hold then
     g = {units: np.zeros(16) for units in ((8, 12), (0, 4))}
     for (lo, hi), mask in g.items():
         mask[lo:hi] = 1.0
@@ -741,8 +706,7 @@ def test_an_old_circuit_updated_again_after_a_masked_update_clips_as_the_referen
         update_weights(c, state(c, (8, 12)), eta_W=0.3, eta_E=0.2, clip=True)
         update_weights(c, state(c, (0, 4)), eta_W=200.0, eta_E=0.2)
         last = state(c, (8, 12))
-        frozen = replace(c, W=[None, c.W[1].copy()], E=[None, c.E[1].copy()])
-        want = reference_ngc.update_weights(frozen, last, eta_W=0.3, eta_E=0.2, clip=True)
+        want = reference_ngc.update_weights(_copied(c), last, eta_W=0.3, eta_E=0.2, clip=True)
         got = update_weights(c, last, eta_W=0.3, eta_E=0.2, clip=True)
         assert got.W[1].tobytes() == want.W[1].tobytes(), seed
         assert got.E[1].tobytes() == want.E[1].tobytes(), seed
@@ -837,7 +801,7 @@ def _open_case(name):
     """(circuit, settle kwargs, units the loop should run on) for one case."""
     rng = np.random.default_rng(sum(map(ord, name)))
     # sigma puts every column of W and E outside the unit ball, so a clip
-    # rescales closed units' columns too
+    # rescales every column the update writes
     c = init_circuit([24, 32], seed=40, K=15, sigma=0.5)
     g = np.zeros(32)
     if name in OPEN_CASES:
@@ -874,9 +838,13 @@ def test_open_unit_settle_and_update_match_reference_oracle(name, clip):
             assert np.array_equal(new.W[ell], ref.W[ell]), f"W[{ell}]"
             assert np.array_equal(new.E[ell], ref.E[ell]), f"E[{ell}]"
             assert new.W[ell].flags.c_contiguous and new.E[ell].flags.c_contiguous
-        if clip:
-            for M in (new.W[1], new.E[1]):
-                assert (np.linalg.norm(M, axis=0) <= 1.0 + 1e-12).all()
+        if clip:  # the columns the update writes end within the ball, the rest as they were
+            g = state.mask.get(1)
+            opened = np.ones(32, bool) if g is None else g == 1.0
+            assert (np.linalg.norm(new.W[1][:, opened], axis=0) <= 1.0 + 1e-12).all()
+            assert (np.linalg.norm(new.E[1][opened], axis=0) <= 1.0 + 1e-12).all()
+            assert np.array_equal(new.W[1][:, ~opened], c.W[1][:, ~opened])
+            assert np.array_equal(new.E[1][~opened], c.E[1][~opened])
 
 
 @pytest.mark.parametrize("name", [*OPEN_CASES, *MASKED_CASES])

@@ -291,6 +291,13 @@ class TestHelpers:
         samples = np.ones((50, 4))
         assert calibrate_theta(samples, 8, 2.0, 0.05) == 1e-9
 
+    @pytest.mark.parametrize("factor", [np.nan, -1.0, 0.0, np.inf, True, "3"])
+    def test_calibrate_theta_names_a_bad_factor(self, factor):
+        # a NaN factor returned NaN, and a negative one the 1e-9 floor
+        samples = np.random.default_rng(0).normal(size=(60, 4))
+        with pytest.raises(ValueError, match=r"bad value for 'factor': .* is not in \(0, inf\)"):
+            calibrate_theta(samples, 8, factor, 0.05)
+
     @pytest.mark.parametrize("samples", [np.ones(50), np.ones((5, 0)), np.ones((5, 4, 2)),
                                          np.float64(1.0)], ids=lambda s: f"shape{s.shape}")
     def test_calibrate_theta_names_samples_of_a_bad_shape(self, samples):

@@ -4,11 +4,14 @@
 
 Runs each config at each seed and prints one line per run:
 
-    <config> seed=<seed> metrics=<sha256 of metrics.csv> snapshot=<sha256>
+    <config> seed=<seed> metrics=<sha256 of metrics.csv> snapshot=<sha256> <quality>
 
 where ``snapshot`` is the sha256 of the trained agent's ``snapshot()``, or
-``-`` for a run with no agent.  The configs are the acceptance suite's
-(``tests/test_acceptance.py``: continual gated and ungated, rps, maze), its
+``-`` for a run with no agent, and ``<quality>`` the run's quality numbers
+as ``name=value`` words: ACC and forgetting (continual), late_payoff (rps),
+success_rate (maze) or recall_acc_mean (recall), so a diff of two checkouts
+shows what each moved line did to learning.  The configs are the acceptance
+suite's (``tests/test_acceptance.py``: continual gated and ungated, rps, maze), its
 continual with a supervised readout (``readout="supervised"``, the only
 config that runs ``Agent.supervised_step`` and the motor head's
 regression), its rps with a motor head of one hidden layer (``motor_hidden=(8,)``, the only
@@ -88,7 +91,16 @@ def digest_line(name, run, seed, out):
     metrics = hashlib.sha256((out / "metrics.csv").read_bytes()).hexdigest()
     agent = summary.get("agent")
     snap = "-" if agent is None else hashlib.sha256(agent.snapshot()).hexdigest()
-    return f"{name} seed={seed} metrics={metrics} snapshot={snap}"
+    return f"{name} seed={seed} metrics={metrics} snapshot={snap} {quality(summary)}"
+
+
+def quality(summary):
+    """The quality numbers of a runner's ``summary`` as ``name=value`` words."""
+    values = {key: summary[key] for key in ("ACC", "forgetting", "late_payoff", "success_rate")
+              if key in summary}
+    if "accuracy" in summary:  # recall: one accuracy per list position
+        values["recall_acc_mean"] = summary["accuracy"].mean()
+    return " ".join(f"{key}={value:.4f}" for key, value in values.items())
 
 
 def main(argv=None):
